@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -73,7 +74,6 @@ SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "rabi_effective": _NONNEGATIVE,
-                "rabi_bare": _NONNEGATIVE,
                 "qbar_recoil": _POSITIVE,
                 "gamma_override": {
                     "anyOf": [{"type": "null"}, _NONNEGATIVE],
@@ -104,7 +104,6 @@ SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "directory": {"type": "string"},
-                "format": {"enum": ["csv"]},
             },
         },
     },
@@ -121,7 +120,6 @@ _REQUIRED_PARAM_KEYS = (
 _DEFAULTS = {
     "drive": {
         "rabi_effective": 1.0e3,
-        "rabi_bare": 1.0,
         "qbar_recoil": 5.0,
         "gamma_override": None,
         "t_max": 6.0e-3,
@@ -132,7 +130,7 @@ _DEFAULTS = {
         "temperature": [0.0],
         "channel": "single_level",
     },
-    "output": {"directory": "out", "format": "csv"},
+    "output": {"directory": "out"},
 }
 
 
@@ -147,7 +145,6 @@ class RunConfig:
     temperature_grid: tuple[float, ...]
     channel: Channel
     output_dir: str
-    rabi_bare: float
     resolved: dict
 
 
@@ -229,16 +226,40 @@ def _resolve(user: dict) -> RunConfig:
         temperature_grid=tuple(sorted(rq["temperature"])),
         channel=Channel(rq["channel"]),
         output_dir=merged["output"]["directory"],
-        rabi_bare=dd["rabi_bare"],
         resolved=resolved,
     )
 
 
+def _reject_constant(token: str):
+    raise ConfigError(f"non-finite number {token} in config (numbers must be finite)")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"number {text[:20]} in config overflows a double")
+    return value
+
+
+def _finite_int(text: str) -> int:
+    _finite_float(text)
+    return int(text)
+
+
 def load_config(path: str) -> RunConfig:
-    """Parse, validate, and resolve a JSON config file."""
+    """Parse, validate, and resolve a JSON config file.
+
+    NaN/Infinity tokens and literals too large for a double are rejected
+    while parsing, before the schema sees them.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
-            user = json.load(fh)
+            user = json.load(
+                fh,
+                parse_constant=_reject_constant,
+                parse_float=_finite_float,
+                parse_int=_finite_int,
+            )
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

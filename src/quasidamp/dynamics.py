@@ -28,23 +28,33 @@ In the shifted variables (x1 - n0_eq, x2 + n0_eq, Re c, Im c, x1m - n0_eq)
 the system is homogeneous, so the default integrator is a single matrix
 exponential per output step; an adaptive Runge-Kutta path over the same
 right-hand side is kept as an independent cross-check.
+
+The readout runs once over the whole trajectory as numpy arrays:
+occupations, xi3, and the pseudo-spin variances in closed form,
+xi1 = xi2 = (2 u^2 |c|^2 + 2 n_a n_b + n_a + n_b)/(n_a + n_b).  Positivity
+of the state's pair table is checked in closed form on every sample too.
+This module does not use the oracle; the tests check the closed form
+against the oracle's Wick fourth-moment engine.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .model import BogoliubovMode, ParameterError, PhysicalParams, bogoliubov_mode
-from .oracle import GaussianSecondMoments, wick_fourth_moment
 from .rates import Channel, RateQuery, decay_rate
 
 #: Below this mode total the squeezing denominators are reported undefined.
 _DEGENERACY_FLOOR = 1e-30
+
+#: Longest trajectory, in output steps, that a DriveConfig accepts.
+MAX_OUTPUT_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -66,14 +76,26 @@ class DriveConfig:
     dt_output: float = 1e-5
 
     def __post_init__(self) -> None:
-        if self.rabi_effective < 0.0:
-            raise ParameterError(f"rabi_effective must be >= 0, got {self.rabi_effective}")
+        if not (self.rabi_effective >= 0.0 and math.isfinite(self.rabi_effective)):
+            raise ParameterError(
+                f"rabi_effective must be >= 0 and finite, got {self.rabi_effective}"
+            )
         if not (self.qbar_recoil > 0.0):
             raise ParameterError(f"qbar_recoil must be > 0, got {self.qbar_recoil}")
-        if not (self.t_max > 0.0 and self.dt_output > 0.0):
-            raise ParameterError("t_max and dt_output must be > 0")
-        if self.gamma_override is not None and self.gamma_override < 0.0:
-            raise ParameterError(f"gamma_override must be >= 0, got {self.gamma_override}")
+        for name, value in (("t_max", self.t_max), ("dt_output", self.dt_output)):
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ParameterError(f"{name} must be > 0 and finite, got {value}")
+        if self.gamma_override is not None and not (
+            self.gamma_override >= 0.0 and math.isfinite(self.gamma_override)
+        ):
+            raise ParameterError(
+                f"gamma_override must be >= 0 and finite, got {self.gamma_override}"
+            )
+        if self.t_max / self.dt_output > MAX_OUTPUT_STEPS:
+            raise ParameterError(
+                f"t_max/dt_output = {self.t_max / self.dt_output:.6g} output steps "
+                f"exceeds the limit of {MAX_OUTPUT_STEPS}"
+            )
 
 
 @dataclass(frozen=True)
@@ -272,6 +294,100 @@ def evolve_moments(
     return states
 
 
+class _Readout(NamedTuple):
+    """Per-sample readout arrays; xi entries are NaN where undefined."""
+
+    n_a: np.ndarray
+    n_b_plus: np.ndarray
+    n_b_minus: np.ndarray
+    xi12: np.ndarray
+    xi3: np.ndarray
+
+
+def _block_eigmin(p: np.ndarray, q: np.ndarray, off2: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of the Hermitian 2x2 [[p, w*], [w, q]], |w|^2 = off2."""
+    half_gap = 0.5 * (p - q)
+    return 0.5 * (p + q) - np.sqrt(half_gap * half_gap + off2)
+
+
+def _readout(
+    t: np.ndarray,
+    x1: np.ndarray,
+    x1m: np.ndarray,
+    x2: np.ndarray,
+    c: np.ndarray,
+    mode: BogoliubovMode,
+) -> _Readout:
+    """Occupations and squeezing parameters of every sample in one pass.
+
+    The only place the readout formulas live; the scalar helpers below
+    evaluate it on a one-sample stack.  Raises IntegrationError, carrying
+    the last valid state, when a sample is not a physical Gaussian state.
+    """
+    u2 = mode.u * mode.u
+    v2 = mode.v * mode.v
+    n_a = x2 - 1.0
+    n_b_plus = u2 * x1 + v2 * (x1m + 1.0)
+    n_b_minus = u2 * x1m + v2 * (x1 + 1.0)
+    # |<a b>|^2 with b = u beta_+ + v beta_-^dag.  float_power is libm's
+    # pow(|c|, 2), the same as Python's `abs(c) ** 2`; a plain square differs
+    # in the last bit for ~0.1% of samples, which the cancellation in xi3
+    # amplifies into changed digits of written trajectories.
+    covariance = u2 * np.float_power(np.abs(c), 2.0)
+
+    # The pair table over {a, a^dag, b, b^dag} is Hermitian and satisfies
+    # both commutators by construction (<a a^dag> - <a^dag a> = x2 - n_a = 1,
+    # <b b^dag> = n_b + 1, <a b> = <b a> = u c), so positivity of its Gram
+    # matrix G[x, y] = <x^dag y> is the one condition a trajectory can break.
+    # G splits into the blocks {a, b^dag} = [[n_a, u c*], [u c, n_b + 1]] and
+    # {a^dag, b} = [[x2, u c], [u c*, n_b]]; both smallest eigenvalues must
+    # stay above -1e-10 of the largest diagonal entry (pure states sit on 0).
+    floor = -1e-10 * np.maximum(1.0, np.maximum(x2, n_b_plus + 1.0))
+    positive = (_block_eigmin(n_a, n_b_plus + 1.0, covariance) >= floor) & (
+        _block_eigmin(x2, n_b_plus, covariance) >= floor
+    )
+    if not positive.all():
+        bad = int(np.argmin(positive))
+        last = max(bad - 1, 0)
+        raise IntegrationError(
+            f"moment table not positive at t = {t[bad]}",
+            MomentState(
+                t=float(t[last]),
+                x1=float(x1[last]),
+                x1m=float(x1m[last]),
+                x2=float(x2[last]),
+                c=complex(c[last]),
+            ),
+        )
+
+    # xi3 = [Var n_a + Var n_b - 2 Cov(n_a, n_b)] / (n_a + n_b) and, for
+    # J1 = (a^dag b + b^dag a)/2, J2 = (a^dag b - b^dag a)/(2i) with zero
+    # means, xi1 = xi2 = Var(J_i)/(J/2), J/2 = (n_a + n_b)/4, which the Wick
+    # expansion of the Gaussian state reduces to the closed form below.
+    total = n_a + n_b_plus
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xi3 = (n_a * (n_a + 1.0) + n_b_plus * (n_b_plus + 1.0) - 2.0 * covariance) / total
+        xi12 = (2.0 * covariance + 2.0 * n_a * n_b_plus + n_a + n_b_plus) / total
+    xi3[total < _DEGENERACY_FLOOR] = np.nan
+    xi12[0.25 * total < _DEGENERACY_FLOOR] = np.nan
+    return _Readout(n_a, n_b_plus, n_b_minus, xi12, xi3)
+
+
+def _stack(states: list[MomentState]) -> tuple[np.ndarray, ...]:
+    """(t, x1, x1m, x2, c) arrays over a list of states."""
+    return (
+        np.array([s.t for s in states]),
+        np.array([s.x1 for s in states]),
+        np.array([s.x1m for s in states]),
+        np.array([s.x2 for s in states]),
+        np.array([s.c for s in states], dtype=complex),
+    )
+
+
+def _defined(values: np.ndarray) -> list[float | None]:
+    return [None if math.isnan(v) else v for v in values.tolist()]
+
+
 def occupations(
     state: MomentState, mode: BogoliubovMode
 ) -> tuple[float, float, float]:
@@ -279,14 +395,11 @@ def occupations(
 
     The photon number subtracts the vacuum from the anti-normal moment;
     the atomic side maps quasiparticle occupations through u, v, picking up
-    the v^2 quantum depletion of each partner mode.
+    the v^2 quantum depletion of each partner mode.  Like every readout
+    helper, raises IntegrationError for a non-positive (unphysical) state.
     """
-    u2 = mode.u * mode.u
-    v2 = mode.v * mode.v
-    n_a = state.x2 - 1.0
-    n_b_plus = u2 * state.x1 + v2 * (state.x1m + 1.0)
-    n_b_minus = u2 * state.x1m + v2 * (state.x1 + 1.0)
-    return n_a, n_b_plus, n_b_minus
+    r = _readout(*_stack([state]), mode)
+    return float(r.n_a[0]), float(r.n_b_plus[0]), float(r.n_b_minus[0])
 
 
 def squeezing_xi3(state: MomentState, mode: BogoliubovMode) -> float | None:
@@ -296,37 +409,7 @@ def squeezing_xi3(state: MomentState, mode: BogoliubovMode) -> float | None:
     variances minus twice the covariance, normalized to the coherent-state
     value; None when the denominator is degenerate.
     """
-    n_a, n_b, _ = occupations(state, mode)
-    denom = n_a + n_b
-    if denom < _DEGENERACY_FLOOR:
-        return None
-    covariance = mode.u * mode.u * (abs(state.c) ** 2)
-    variance_sum = n_a * (n_a + 1.0) + n_b * (n_b + 1.0)
-    return (variance_sum - 2.0 * covariance) / denom
-
-
-def _pair_table(state: MomentState, mode: BogoliubovMode) -> GaussianSecondMoments:
-    """Pair expectations over {a, a^dag, b, b^dag}, b = u beta_+ + v beta_-^dag."""
-    n_a = state.x2 - 1.0
-    u2, v2 = mode.u * mode.u, mode.v * mode.v
-    n_b = u2 * state.x1 + v2 * (state.x1m + 1.0)
-    ab = mode.u * state.c
-    pairs: dict[tuple[str, str], complex] = {
-        ("a", "ad"): complex(state.x2),
-        ("ad", "a"): complex(n_a),
-        ("b", "bd"): complex(n_b + 1.0),
-        ("bd", "b"): complex(n_b),
-        ("a", "b"): ab,
-        ("b", "a"): ab,
-        ("ad", "bd"): np.conj(ab),
-        ("bd", "ad"): np.conj(ab),
-    }
-    return GaussianSecondMoments(
-        operators=("a", "ad", "b", "bd"),
-        dagger={"a": "ad", "ad": "a", "b": "bd", "bd": "b"},
-        modes=(("a", "ad"), ("b", "bd")),
-        pairs=pairs,
-    )
+    return _defined(_readout(*_stack([state]), mode).xi3)[0]
 
 
 def squeezing_xi12(
@@ -334,32 +417,13 @@ def squeezing_xi12(
 ) -> tuple[float | None, float | None, float, float]:
     """(xi1, xi2, mean_J1, mean_J2) for the two-mode pseudo-spin.
 
-    J1 = (a^dag b + b^dag a)/2 and J2 = (a^dag b - b^dag a)/(2i); their
-    second moments are assembled from the Gaussian pair table by the
-    oracle-grade Wick expansion.  Both means vanish identically for this
-    pipeline's states (asserted); xi_i = Var(J_i)/(J/2) with
-    J/2 = (n_a + n_b)/4, None when degenerate.
+    J1 = (a^dag b + b^dag a)/2 and J2 = (a^dag b - b^dag a)/(2i).  Both
+    means vanish identically for this pipeline's states, since <a^dag b> = 0,
+    and xi1 = xi2 = (2 u^2 |c|^2 + 2 n_a n_b + n_a + n_b)/(n_a + n_b) in
+    closed form; None when degenerate.
     """
-    table = _pair_table(state, mode)
-    mean_j1 = 0.5 * (table.pair("ad", "b") + table.pair("bd", "a"))
-    mean_j2 = -0.5j * (table.pair("ad", "b") - table.pair("bd", "a"))
-    assert abs(mean_j1) == 0.0 and abs(mean_j2) == 0.0
-
-    cross_sym = wick_fourth_moment(table, ("ad", "b", "bd", "a"))
-    cross_sym2 = wick_fourth_moment(table, ("bd", "a", "ad", "b"))
-    pair_sq = wick_fourth_moment(table, ("ad", "b", "ad", "b"))
-    pair_sq2 = wick_fourth_moment(table, ("bd", "a", "bd", "a"))
-
-    j1_sq = 0.25 * (pair_sq + cross_sym + cross_sym2 + pair_sq2)
-    j2_sq = -0.25 * (pair_sq - cross_sym - cross_sym2 + pair_sq2)
-
-    n_a, n_b, _ = occupations(state, mode)
-    denom = 0.25 * (n_a + n_b)
-    if denom < _DEGENERACY_FLOOR:
-        return None, None, 0.0, 0.0
-    xi1 = float(j1_sq.real) / denom
-    xi2 = float(j2_sq.real) / denom
-    return xi1, xi2, float(mean_j1.real), float(mean_j2.real)
+    xi = _defined(_readout(*_stack([state]), mode).xi12)[0]
+    return xi, xi, 0.0, 0.0
 
 
 VACUUM = MomentState(t=0.0, x1=0.0, x1m=0.0, x2=1.0, c=0.0 + 0.0j)
@@ -386,23 +450,19 @@ def run_squeezing(params: PhysicalParams, drive: DriveConfig) -> SqueezingRun:
         gamma = decay_rate(query).gamma_total
 
     states = evolve_moments(VACUUM, drive, gamma, n0_eq=0.0)
-    points: list[SqueezingPoint] = []
-    for state in states:
-        n_a, n_b_plus, n_b_minus = occupations(state, mode)
-        xi1, xi2, _, _ = squeezing_xi12(state, mode)
-        xi3 = squeezing_xi3(state, mode)
-        points.append(
-            SqueezingPoint(
-                t=state.t,
-                n_a=n_a,
-                n_b_plus=n_b_plus,
-                n_b_minus=n_b_minus,
-                xi1=xi1,
-                xi2=xi2,
-                xi3=xi3,
-                depletion_valid=bool(
-                    n_b_plus + n_b_minus < 0.1 * params.atom_count_N0
-                ),
-            )
+    t, x1, x1m, x2, c = _stack(states)
+    r = _readout(t, x1, x1m, x2, c, mode)
+    depletion_valid = r.n_b_plus + r.n_b_minus < 0.1 * params.atom_count_N0
+    points = [
+        SqueezingPoint(t_i, n_a, n_b_plus, n_b_minus, xi12, xi12, xi3, valid)
+        for t_i, n_a, n_b_plus, n_b_minus, xi12, xi3, valid in zip(
+            t.tolist(),
+            r.n_a.tolist(),
+            r.n_b_plus.tolist(),
+            r.n_b_minus.tolist(),
+            _defined(r.xi12),
+            _defined(r.xi3),
+            depletion_valid.tolist(),
         )
+    ]
     return SqueezingRun(points=points, gamma_used=gamma, mode=mode)

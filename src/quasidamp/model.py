@@ -194,6 +194,13 @@ def thermal_population(omega: float, temperature_T: float) -> float:
     if temperature_T == 0.0:
         return 0.0
     x = HBAR * omega / (K_BOLTZMANN * temperature_T)
+    if x == 0.0:
+        # hbar*omega underflowed; the ratio of ratios stays representable
+        x = (HBAR / K_BOLTZMANN) * (omega / temperature_T)
+        if x == 0.0:
+            raise ParameterError(
+                f"hbar*omega/(kB*T) underflows at omega = {omega}, T = {temperature_T}"
+            )
     if x > 700.0:
         # expm1 would overflow; the occupation is exp(-x) to this precision
         # and underflows smoothly to 0.0 for still larger x.

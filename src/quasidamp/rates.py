@@ -65,8 +65,10 @@ class RateQuery:
     def __post_init__(self) -> None:
         if not (self.qbar > 0.0 and math.isfinite(self.qbar)):
             raise ParameterError(f"qbar must be > 0, got {self.qbar}")
-        if self.temperature_T < 0.0:
-            raise ParameterError(f"temperature_T must be >= 0, got {self.temperature_T}")
+        if not (self.temperature_T >= 0.0 and math.isfinite(self.temperature_T)):
+            raise ParameterError(
+                f"temperature_T must be >= 0 and finite, got {self.temperature_T}"
+            )
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Config loading, subcommands, file formats, and exit codes."""
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 import quasidamp
+from quasidamp import dynamics
 from quasidamp.cli import (
     ConfigError,
     _csv,
@@ -16,9 +18,9 @@ from quasidamp.cli import (
     load_config,
     main,
 )
-from quasidamp.model import derive_units
+from quasidamp.model import PRESETS, derive_units
 from quasidamp.oracle import Verdict
-from quasidamp.rates import Channel, QuadratureError
+from quasidamp.rates import Channel, QuadratureError, RateQuery, decay_rate
 
 
 def write_config(tmp_path, name="config.json", **body):
@@ -49,7 +51,6 @@ def test_defaults_applied(tmp_path):
     assert cfg.temperature_grid == (0.0,)
     assert cfg.channel is Channel.SINGLE_LEVEL
     assert cfg.output_dir == "out"
-    assert cfg.rabi_bare == 1.0
 
 
 def test_partial_override_keeps_other_defaults(tmp_path):
@@ -142,6 +143,80 @@ def test_missing_file():
 
 def test_default_config_matches_preset(tmp_path):
     assert default_config().resolved == load_config(write_config(tmp_path)).resolved
+
+
+def test_unread_keys_rejected(tmp_path):
+    # drive.rabi_bare and output.format were accepted but never read
+    with pytest.raises(ConfigError, match="rabi_bare"):
+        load_config(write_config(tmp_path, drive={"rabi_bare": 1.0}))
+    with pytest.raises(ConfigError, match="format"):
+        load_config(write_config(tmp_path, output={"format": "csv"}))
+
+
+# ---------------------------------------------------------------------------
+# non-finite and extreme input ends in a one-line error, never a traceback
+
+
+def run_raw_config(tmp_path, capsys, command, text):
+    path = tmp_path / "raw.json"
+    path.write_text(text, encoding="utf-8")
+    rc = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return rc, err
+
+
+def test_t_max_infinity_rejected(tmp_path, capsys):
+    rc, err = run_raw_config(
+        tmp_path, capsys, "dynamics", '{"preset": "sodium-paper", "drive": {"t_max": Infinity}}'
+    )
+    assert rc == 2
+    assert err.startswith("error: ") and "Infinity" in err and err.count("\n") == 1
+
+
+def test_rate_temperature_infinity_rejected(tmp_path, capsys):
+    rc, err = run_raw_config(
+        tmp_path, capsys, "rates",
+        '{"preset": "sodium-paper", "rate_query": {"temperature": [Infinity]}}',
+    )
+    assert rc == 2
+    assert err.startswith("error: ") and "Infinity" in err
+
+
+def test_gamma_override_nan_rejected(tmp_path, capsys):
+    rc, err = run_raw_config(
+        tmp_path, capsys, "dynamics",
+        '{"preset": "sodium-paper", "drive": {"gamma_override": NaN}}',
+    )
+    assert rc == 2
+    assert "NaN" in err
+
+
+@pytest.mark.parametrize("literal", ["1e400", "1" + "0" * 400], ids=["1e400", "int_400_digits"])
+def test_overflowing_literal_rejected(tmp_path, capsys, literal):
+    rc, err = run_raw_config(
+        tmp_path, capsys, "dynamics",
+        '{"preset": "sodium-paper", "drive": {"t_max": %s}}' % literal,
+    )
+    assert rc == 2
+    assert "overflows a double" in err and err.count("\n") == 1
+
+
+def test_tiny_temperature_runs(tmp_path, capsys):
+    # hbar*omega underflows inside the thermal integrands at T = 1e-300 K;
+    # the run completes and the width is the zero-temperature one
+    rc, _ = run_raw_config(
+        tmp_path, capsys, "dynamics",
+        '{"preset": "sodium-paper", "params": {"temperature_T": 1e-300},'
+        ' "drive": {"t_max": 1e-4, "dt_output": 5e-5}}',
+    )
+    assert rc == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))
+    zero_t = decay_rate(
+        RateQuery(qbar=5.0, temperature_T=0.0, channel=Channel.SINGLE_LEVEL,
+                  params=PRESETS["sodium-paper"])
+    ).gamma_total
+    assert summary["gamma_used_s"] == pytest.approx(zero_t, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +409,27 @@ def test_dynamics_integration_failure(tmp_path, capsys):
         rc = main(["dynamics", "--config", cfg_path, "--out", str(out)])
     assert rc == 3
     assert "integration failure" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+
+
+def test_dynamics_non_positive_state_exits_3(tmp_path, capsys, monkeypatch):
+    # a trajectory whose pair correlator leaves the physical cone ends in
+    # one "integration failure" line, not a traceback
+    evolve = dynamics.evolve_moments
+
+    def doctored(*args, **kwargs):
+        states = evolve(*args, **kwargs)
+        states[3] = dataclasses.replace(states[3], c=10.0 * states[3].c)
+        return states
+
+    monkeypatch.setattr(dynamics, "evolve_moments", doctored)
+    cfg_path = write_config(tmp_path, drive={"t_max": 1e-4, "dt_output": 1e-5})
+    out = tmp_path / "out"
+    rc = main(["dynamics", "--config", cfg_path, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("integration failure: moment table not positive")
+    assert err.count("\n") == 1
     assert not (out / "trajectory.csv").exists()
 
 

@@ -16,12 +16,15 @@ from quasidamp.model import (
     bogoliubov_mode,
 )
 from quasidamp.dynamics import (
+    MAX_OUTPUT_STEPS,
     VACUUM,
     DriveConfig,
     IntegrationError,
     MomentState,
     SqueezingRun,
+    _readout,
     _real_generator,
+    _stack,
     drift_matrix,
     evolve_moments,
     occupations,
@@ -29,6 +32,7 @@ from quasidamp.dynamics import (
     squeezing_xi3,
     squeezing_xi12,
 )
+from quasidamp.oracle import GaussianSecondMoments, wick_fourth_moment
 from quasidamp.rates import Channel, RateQuery, decay_rate
 
 SODIUM = PRESETS["sodium-paper"]
@@ -251,6 +255,28 @@ def test_drive_config_validation():
         DriveConfig(rabi_effective=1e3, qbar_recoil=5.0, gamma_override=-2.0)
 
 
+@pytest.mark.parametrize(
+    "field", ["rabi_effective", "t_max", "dt_output", "gamma_override"]
+)
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_drive_config_rejects_non_finite(field, value):
+    settings = {"rabi_effective": 1e3, "qbar_recoil": 5.0, field: value}
+    with pytest.raises(ParameterError, match=field):
+        DriveConfig(**settings)
+
+
+def test_drive_config_step_cap():
+    # construction alone is rejected, before anything is allocated
+    with pytest.raises(ParameterError, match="output steps"):
+        DriveConfig(rabi_effective=1e3, qbar_recoil=5.0, t_max=1.0, dt_output=1e-7)
+    with pytest.raises(ParameterError, match="output steps"):
+        DriveConfig(rabi_effective=1e3, qbar_recoil=5.0, t_max=1e300, dt_output=1e-300)
+    capped = DriveConfig(
+        rabi_effective=1e3, qbar_recoil=5.0, t_max=MAX_OUTPUT_STEPS * 1e-6, dt_output=1.0e-6
+    )
+    assert round(capped.t_max / capped.dt_output) == MAX_OUTPUT_STEPS
+
+
 # ---------------------------------------------------------------------------
 # occupations and squeezing
 
@@ -307,6 +333,51 @@ physical_states = st.tuples(
 )
 
 
+def pair_table(state: MomentState, mode: BogoliubovMode) -> GaussianSecondMoments:
+    """Pair expectations over {a, a^dag, b, b^dag}, b = u beta_+ + v beta_-^dag."""
+    n_a = state.x2 - 1.0
+    n_b = mode.u**2 * state.x1 + mode.v**2 * (state.x1m + 1.0)
+    ab = mode.u * state.c
+    pairs = {
+        ("a", "ad"): complex(state.x2),
+        ("ad", "a"): complex(n_a),
+        ("b", "bd"): complex(n_b + 1.0),
+        ("bd", "b"): complex(n_b),
+        ("a", "b"): ab,
+        ("b", "a"): ab,
+        ("ad", "bd"): np.conj(ab),
+        ("bd", "ad"): np.conj(ab),
+    }
+    return GaussianSecondMoments(
+        operators=("a", "ad", "b", "bd"),
+        dagger={"a": "ad", "ad": "a", "b": "bd", "bd": "b"},
+        modes=(("a", "ad"), ("b", "bd")),
+        pairs=pairs,
+    )
+
+
+def assert_xi12_matches_wick(state: MomentState, mode: BogoliubovMode) -> None:
+    """The production closed form against the oracle's Wick expansion of
+    J1 = (a^dag b + b^dag a)/2 and J2 = (a^dag b - b^dag a)/(2i)."""
+    table = pair_table(state, mode)
+    assert table.pair("ad", "b") == 0.0 and table.pair("bd", "a") == 0.0  # zero means
+    cross = wick_fourth_moment(table, ("ad", "b", "bd", "a")) + wick_fourth_moment(
+        table, ("bd", "a", "ad", "b")
+    )
+    squares = wick_fourth_moment(table, ("ad", "b", "ad", "b")) + wick_fourth_moment(
+        table, ("bd", "a", "bd", "a")
+    )
+    half_j = 0.25 * (table.pair("ad", "a") + table.pair("bd", "b")).real
+    wick_xi1 = 0.25 * (squares + cross).real / half_j
+    wick_xi2 = -0.25 * (squares - cross).real / half_j
+
+    xi1, xi2, mean1, mean2 = squeezing_xi12(state, mode)
+    assert mean1 == 0.0 and mean2 == 0.0
+    assert xi1 == xi2
+    assert xi1 == pytest.approx(wick_xi1, rel=1e-10)
+    assert xi2 == pytest.approx(wick_xi2, rel=1e-10)
+
+
 @settings(max_examples=80, deadline=None)
 @given(physical_states, st.floats(min_value=0.1, max_value=10.0))
 def test_xi12_matches_closed_form(raw, kbar):
@@ -316,14 +387,50 @@ def test_xi12_matches_closed_form(raw, kbar):
     c_max = math.sqrt(min(x1 * x2, (x1 + 1.0) * (x2 - 1.0)))
     c = saturation * c_max * complex(math.cos(phase), math.sin(phase))
     state = MomentState(t=0.0, x1=x1, x1m=x1m, x2=x2, c=c)
-    mode = bogoliubov_mode(kbar)
-    xi1, xi2, mean1, mean2 = squeezing_xi12(state, mode)
-    assert mean1 == 0.0 and mean2 == 0.0
-    assert xi1 == xi2
-    n_a, n_b, _ = occupations(state, mode)
-    u2 = mode.u**2
-    expected = (2.0 * u2 * abs(c) ** 2 + 2.0 * n_a * n_b + n_a + n_b) / (n_a + n_b)
-    assert xi1 == pytest.approx(expected, rel=1e-10)
+    assert_xi12_matches_wick(state, bogoliubov_mode(kbar))
+
+
+def test_xi12_matches_wick_on_damped_trajectory():
+    params = dataclasses.replace(SODIUM, temperature_T=3e-7)
+    gamma = decay_rate(
+        RateQuery(qbar=5.0, temperature_T=3e-7, channel=Channel.SINGLE_LEVEL, params=params)
+    ).gamma_total
+    assert gamma > 0.0
+    states = evolve_moments(VACUUM, drive(1e3, t_max=6e-3, dt=1e-6), gamma)
+    mode = bogoliubov_mode(5.0)
+    for state in states[::100]:
+        assert_xi12_matches_wick(state, mode)
+
+
+def test_readout_matches_per_sample_loop():
+    # the whole-array readout does the same arithmetic as a per-sample loop,
+    # so occupations and xi3 agree exactly (written trajectories stay
+    # byte-stable); xi1 = xi2 is checked against the Wick engine above
+    mode = bogoliubov_mode(5.0)
+    states = evolve_moments(VACUUM, drive(1e3, t_max=6e-3, dt=1e-5), gamma=700.0)
+    r = _readout(*_stack(states), mode)
+    u2, v2 = mode.u * mode.u, mode.v * mode.v
+    for i, s in enumerate(states):
+        n_a = s.x2 - 1.0
+        n_b = u2 * s.x1 + v2 * (s.x1m + 1.0)
+        n_b_minus = u2 * s.x1m + v2 * (s.x1 + 1.0)
+        covariance = mode.u * mode.u * (abs(s.c) ** 2)
+        xi3 = (n_a * (n_a + 1.0) + n_b * (n_b + 1.0) - 2.0 * covariance) / (n_a + n_b)
+        assert (r.n_a[i], r.n_b_plus[i], r.n_b_minus[i], r.xi3[i]) == (n_a, n_b, n_b_minus, xi3)
+
+
+def test_readout_rejects_non_positive_state():
+    mode = bogoliubov_mode(5.0)
+    states = evolve_moments(VACUUM, drive(1e3, t_max=1e-4, dt=1e-5), gamma=0.0)
+    t, x1, x1m, x2, c = _stack(states)
+    _readout(t, x1, x1m, x2, c, mode)  # the true trajectory is positive
+    # push sample 5 past the {a, b^dag} Gram block bound u^2 |c|^2 <= n_a (n_b + 1)
+    n_a = x2[5] - 1.0
+    n_b = mode.u**2 * x1[5] + mode.v**2 * (x1m[5] + 1.0)
+    c[5] *= 1.01 * math.sqrt(n_a * (n_b + 1.0)) / (mode.u * abs(c[5]))
+    with pytest.raises(IntegrationError, match="not positive") as err:
+        _readout(t, x1, x1m, x2, c, mode)
+    assert err.value.last_valid == states[4]
 
 
 def test_xi12_equal_along_driven_trajectory():

@@ -266,6 +266,16 @@ def test_thermal_population_extreme_ratio_underflows_to_zero():
     assert thermal_population(1e12, 1e-9) == 0.0
 
 
+def test_thermal_population_underflowing_hbar_omega():
+    # hbar*omega underflows to 0 at omega = 1e-290 s^-1; the occupation comes
+    # from the ratio (hbar/kB)*(omega/T) instead of dividing by expm1(0)
+    assert HBAR * 1e-290 == 0.0
+    x = (HBAR / K_BOLTZMANN) * (1e-290 / 1e-300)
+    assert thermal_population(1e-290, 1e-300) == 1.0 / math.expm1(x)
+    with pytest.raises(ParameterError, match="underflows"):
+        thermal_population(1e-320, 1e10)
+
+
 def test_thermal_population_classical_limit():
     # k_B T >> hbar omega: n -> k_B T / (hbar omega)
     omega = 1e3

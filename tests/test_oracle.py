@@ -1,11 +1,14 @@
 """Discrete-bath and Wick/Fock verification engines."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import quasidamp
 from quasidamp.model import ParameterError
 from quasidamp.oracle import (
     AmplitudeSeries,
@@ -26,6 +29,25 @@ from quasidamp.oracle import (
     wick_suite,
     windowed_bath,
 )
+
+# ---------------------------------------------------------------------------
+# independence
+
+
+@pytest.mark.parametrize("module", ["model", "rates", "dynamics"])
+def test_production_modules_do_not_import_oracle(module):
+    # a sys.modules check cannot tell: the package __init__ loads the oracle
+    path = Path(quasidamp.__file__).with_name(f"{module}.py")
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            imported.add(base)
+            imported.update(f"{base}.{alias.name}" for alias in node.names)
+    assert not [name for name in imported if "oracle" in name.split(".")]
+
 
 # ---------------------------------------------------------------------------
 # bath construction

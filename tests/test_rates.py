@@ -276,3 +276,9 @@ def test_query_rejects_bad_momentum(qbar):
 def test_query_rejects_negative_temperature():
     with pytest.raises(ParameterError):
         RateQuery(qbar=1.0, temperature_T=-1e-9, channel=Channel.SINGLE_LEVEL, params=SODIUM)
+
+
+@pytest.mark.parametrize("temperature", [math.inf, math.nan])
+def test_query_rejects_non_finite_temperature(temperature):
+    with pytest.raises(ParameterError, match="finite"):
+        RateQuery(qbar=1.0, temperature_T=temperature, channel=Channel.SINGLE_LEVEL, params=SODIUM)
