@@ -37,6 +37,7 @@ from .rates import (  # noqa: F401
     beliaev_rate_single,
     beliaev_rate_two_level,
     decay_rate,
+    decay_rates,
     landau_rate_single,
     landau_rate_two_level,
 )

@@ -9,8 +9,10 @@ Subcommands:
 
 All input comes from a JSON config file validated against a closed schema
 (unknown keys are rejected).  Output files are deterministic: fixed column
-orders, floats printed with %.17g, LF line endings, no timestamps, and a
-byte-identical result regardless of QUASIDAMP_THREADS.
+orders, floats printed with %.17g, LF line endings, no timestamps.
+QUASIDAMP_THREADS is still read and must be an integer, but it parallelises
+nothing: the rate sweep is one batched numpy pass, so the output cannot
+depend on it.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 runtime
 (quadrature/integration) failure, 4 oracle check failure.
@@ -24,7 +26,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import jsonschema
@@ -41,7 +42,7 @@ from .model import (
     dispersion,
 )
 from .oracle import markov_suite, run_all_suites, wick_suite
-from .rates import Channel, QuadratureError, RateQuery, decay_rate
+from .rates import Channel, QuadratureError, RateQuery, decay_rates
 
 
 class ConfigError(ValueError):
@@ -321,6 +322,7 @@ def _emit(out_dir: str, files: dict[str, str]) -> list[str]:
 
 
 def _thread_count() -> int:
+    """QUASIDAMP_THREADS, validated (exit 2 on a non-integer) and unused."""
     raw = os.environ.get("QUASIDAMP_THREADS", "1")
     try:
         n = int(raw)
@@ -335,35 +337,26 @@ def _thread_count() -> int:
 
 def cmd_rates(cfg: RunConfig, out_dir: str) -> int:
     """rates.csv + rates.meta.json over the (temperature, qbar) grid."""
+    _thread_count()
     units = derive_units(cfg.params)
     grid = [(t, q) for t in cfg.temperature_grid for q in cfg.qbar_grid]
-
-    def one(point: tuple[float, float]) -> list:
-        temperature, qbar = point
-        query = RateQuery(
-            qbar=qbar,
-            temperature_T=temperature,
-            channel=cfg.channel,
-            params=cfg.params,
-        )
-        result = decay_rate(query)
-        omega_q = dispersion(qbar) * units.omega0
-        return [
+    results = decay_rates([
+        RateQuery(qbar=qbar, temperature_T=temperature, channel=cfg.channel,
+                  params=cfg.params)
+        for temperature, qbar in grid
+    ])
+    rows = [
+        [
             qbar,
             temperature,
             result.gamma_beliaev,
             result.gamma_landau,
             result.gamma_total,
-            result.gamma_total / omega_q,
+            result.gamma_total / (dispersion(qbar) * units.omega0),
             result.quadrature_error_estimate,
         ]
-
-    n_threads = _thread_count()
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            rows = list(pool.map(one, grid))
-    else:
-        rows = [one(point) for point in grid]
+        for (temperature, qbar), result in zip(grid, results)
+    ]
 
     header = [
         "qbar",

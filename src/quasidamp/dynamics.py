@@ -26,8 +26,11 @@ coefficients: n_b+/- = u^2 x1(+/-) + v^2 (x1(-/+) + 1).
 
 In the shifted variables (x1 - n0_eq, x2 + n0_eq, Re c, Im c, x1m - n0_eq)
 the system is homogeneous, so the default integrator is a single matrix
-exponential per output step; an adaptive Runge-Kutta path over the same
-right-hand side is kept as an independent cross-check.
+exponential per output step, taken once in numpy: Re c and x1m decouple
+into scalar exponentials, and the coupled (x1, x2, Im c) block is
+exponentiated by Taylor scaling and squaring.  An adaptive Runge-Kutta path
+over the same right-hand side (scipy's DOP853, imported only on that path)
+is kept as an independent cross-check.
 
 The readout runs once over the whole trajectory as numpy arrays:
 occupations, xi3, and the pseudo-spin variances in closed form,
@@ -44,8 +47,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
 from .model import BogoliubovMode, ParameterError, PhysicalParams, bogoliubov_mode
 from .rates import Channel, RateQuery, decay_rate
@@ -181,6 +182,48 @@ def _real_generator(rabi: float, gamma: float) -> np.ndarray:
     )
 
 
+#: (x1 - n0, x2 + n0, Im c): the block of the real generator the drive couples.
+_COUPLED = np.ix_((0, 1, 3), (0, 1, 3))
+
+#: Taylor degree for exp(X) at ||X||_1 <= 1/2, where the remainder
+#: 0.5^17/17! ~ 2e-20 is far below roundoff.
+_TAYLOR_DEGREE = 16
+
+
+def _expm_taylor(x: np.ndarray) -> np.ndarray:
+    """exp(x) of a small real matrix by scaling and squaring a Taylor series.
+
+    Entries overflow to inf/nan instead of raising when exp(x) is not
+    representable.
+    """
+    norm = float(np.abs(x).sum(axis=0).max())
+    if not math.isfinite(norm):
+        return np.full_like(x, math.nan)
+    squarings = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.0 else 0
+    x = np.ldexp(x, -squarings)
+    eye = np.eye(len(x))
+    result = eye
+    for k in range(_TAYLOR_DEGREE, 0, -1):
+        result = eye + (x @ result) / k
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(squarings):
+            result = result @ result
+    return result
+
+
+def _propagator(rabi: float, gamma: float, dt: float) -> np.ndarray:
+    """exp(G dt) for the real generator G = _real_generator(rabi, gamma).
+
+    Re c and x1m - n0 decouple and decay as plain exponentials; only the
+    3x3 block on (x1 - n0, x2 + n0, Im c) needs a matrix exponential.
+    """
+    prop = np.zeros((5, 5))
+    prop[2, 2] = math.exp(-0.5 * gamma * dt)
+    prop[4, 4] = math.exp(-gamma * dt)
+    prop[_COUPLED] = _expm_taylor(_real_generator(rabi, gamma)[_COUPLED] * dt)
+    return prop
+
+
 def _validate_initial(state: MomentState) -> None:
     if not all(
         math.isfinite(v) for v in (state.t, state.x1, state.x1m, state.x2)
@@ -227,8 +270,9 @@ def evolve_moments(
 
     method "expm" (default) propagates with one matrix exponential per output
     step — exact for this linear system up to roundoff; "dop853" integrates
-    the same right-hand side with an adaptive Runge-Kutta as an independent
-    cross-check.  Relaxation targets n0_eq (0 at zero temperature).
+    the same right-hand side with scipy's adaptive Runge-Kutta as an
+    independent cross-check, and is the only path that imports scipy.
+    Relaxation targets n0_eq (0 at zero temperature).
     """
     if gamma < 0.0:
         raise ParameterError(f"gamma must be >= 0, got {gamma}")
@@ -238,7 +282,6 @@ def evolve_moments(
 
     n_steps = max(1, round(drive.t_max / drive.dt_output))
     dt = drive.dt_output
-    gen = _real_generator(drive.rabi_effective, gamma)
     z0 = np.array(
         [
             initial.x1 - n0_eq,
@@ -250,12 +293,16 @@ def evolve_moments(
     )
 
     if method == "expm":
-        propagator = expm(gen * dt)
+        propagator = _propagator(drive.rabi_effective, gamma, dt)
         trajectory = np.empty((n_steps + 1, 5))
         trajectory[0] = z0
-        for i in range(n_steps):
-            trajectory[i + 1] = propagator @ trajectory[i]
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            for i in range(n_steps):
+                trajectory[i + 1] = propagator @ trajectory[i]
     elif method == "dop853":
+        from scipy.integrate import solve_ivp
+
+        gen = _real_generator(drive.rabi_effective, gamma)
         t_eval = dt * np.arange(n_steps + 1)
         sol = solve_ivp(
             lambda _t, z: gen @ z,

@@ -11,6 +11,15 @@ quasiparticle final state, 1/(2*qbar*kbar) for a free-particle one — and the
 remaining one-dimensional magnitude integral runs under adaptive
 Gauss-Kronrod quadrature.
 
+The quadrature is QUADPACK's G10K21 rule with its error estimate (Piessens
+et al., QUADPACK, 1983), written in numpy: the subinterval with the largest
+error estimate is bisected until the summed estimate meets
+max(epsabs, epsrel*|result|), with at most 200 subintervals per integral.
+`decay_rates` refines every integral of a sweep together as arrays, one
+bisection per unfinished integral per pass.  Each integral's refinement
+depends on its own integrand alone, so a width is bit-identical whichever
+other points share the sweep; `decay_rate` is the one-point sweep.
+
 Everything is evaluated in natural units (momenta in k0, frequencies in
 omega0); the dimensionless gas parameter k0^3/n0 carries the overall scale
 and rates convert to s^-1 only on return.  Vertex functions are written in
@@ -25,10 +34,11 @@ of the mode coefficients, with u, v taken positive as in `model`.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from scipy.integrate import quad
+import numpy as np
 
 from .model import (
     HBAR,
@@ -39,7 +49,6 @@ from .model import (
     dispersion,
     group_velocity,
     inverse_dispersion,
-    thermal_population,
 )
 
 #: Default quadrature tolerances: absolute on gamma in units of omega0,
@@ -96,17 +105,32 @@ class QuadratureError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# vertex functions and kinematics
-# ---------------------------------------------------------------------------
+# spectrum, vertex functions and occupations on arrays
+#
+# The array forms of model.dispersion, model.inverse_dispersion and
+# model.group_velocity, without their argument checks: quadrature nodes are
+# interior to windows the callers have already validated.
 
 
-def _sd(kbar: float) -> tuple[float, float]:
+def _omega(kbar):
+    return kbar * np.sqrt(2.0 + kbar * kbar)
+
+
+def _momentum(omega_bar):
+    return omega_bar / np.sqrt(1.0 + np.hypot(1.0, omega_bar))
+
+
+def _velocity(kbar):
+    return 2.0 * (1.0 + kbar * kbar) / np.sqrt(2.0 + kbar * kbar)
+
+
+def _sd(kbar):
     """Density and phase combinations (s, d) = (u-v, u+v) at kbar."""
-    s = kbar / math.sqrt(dispersion(kbar))
+    s = kbar / np.sqrt(_omega(kbar))
     return s, 1.0 / s
 
 
-def _beliaev_vertex(sq, dq, sk, dk, sp, dp) -> float:
+def _beliaev_vertex(sq, dq, sk, dk, sp, dp):
     """Splitting amplitude q -> k + p, symmetric under k <-> p.
 
     The d*d (phase-phase) part enters with opposite sign to the 3 s*s
@@ -117,13 +141,25 @@ def _beliaev_vertex(sq, dq, sk, dk, sp, dp) -> float:
     return (sq * (3.0 * sk * sp - dk * dp) + dq * (sk * dp + dk * sp)) / 4.0
 
 
-def _landau_vertex(sq, dq, si, di, sj, dj) -> float:
+def _landau_vertex(sq, dq, si, di, sj, dj):
     """Absorption amplitude q + i -> j (j carries the combined energy)."""
     return (sq * (3.0 * si * sj + di * dj) + dq * (si * dj - di * sj)) / 4.0
 
 
-def _bose(omega_bar: float, temperature_T: float, omega0: float) -> float:
-    return thermal_population(omega_bar * omega0, temperature_T)
+def _bose(x):
+    """Planck occupation 1/(e^x - 1) at x = hbar*omega/(kB*T), as in
+    model.thermal_population; exactly 0 at x = inf (T = 0)."""
+    return np.where(x > 700.0, np.exp(-x), 1.0 / np.expm1(np.minimum(x, 700.0)))
+
+
+def _inverse_temperature(temperature_T: float, omega0: float) -> float:
+    """hbar*omega0/(kB*T): the Bose exponent per unit omega_bar, inf at T = 0.
+
+    Grouped so that hbar*omega0 cannot underflow at tiny temperatures.
+    """
+    if temperature_T == 0.0:
+        return math.inf
+    return (HBAR / K_BOLTZMANN) * (omega0 / temperature_T)
 
 
 def _bose_cutoff_kbar(omega_bar_low: float, temperature_T: float, omega0: float) -> float:
@@ -139,120 +175,244 @@ def _bose_cutoff_kbar(omega_bar_low: float, temperature_T: float, omega0: float)
     return inverse_dispersion(x_cut * omega_bar_thermal)
 
 
-def _run_quad(integrand, lo: float, hi: float, epsabs: float, epsrel: float,
-              prefactor_s: float) -> tuple[float, float]:
-    """quad() wrapper returning (value, abserr); converts refinement failure
-    into QuadratureError carrying the partial rate in s^-1."""
-    out = quad(integrand, lo, hi, epsabs=epsabs, epsrel=epsrel, limit=200,
-               full_output=1)
-    if len(out) > 3:
-        raise QuadratureError(
-            f"quadrature did not converge: {out[3]}",
-            partial_rate_s=prefactor_s * out[0],
-            error_estimate_s=prefactor_s * out[1],
-        )
-    return out[0], out[1]
+# ---------------------------------------------------------------------------
+# integrands: f(x, *args) on node arrays, args broadcast per integral
+
+
+def _spontaneous_integrand(theta, qbar, wq, sq, dq, beta):
+    """k M^2 (1 + n_k + n_p*) pbar*/omega_bar'(pbar*) dk/dtheta at
+    k = qbar*sin^2(theta), with pbar* fixed by energy conservation."""
+    sin_t = np.sin(theta)
+    kbar = qbar * sin_t * sin_t
+    wk = _omega(kbar)
+    wp = wq - wk
+    pbar = _momentum(wp)
+    sk, dk = _sd(kbar)
+    sp, dp = _sd(pbar)
+    vertex = _beliaev_vertex(sq, dq, sk, dk, sp, dp)
+    occupation = 1.0 + _bose(beta * wk) + _bose(beta * wp)
+    jacobian = qbar * np.sin(2.0 * theta)  # dk/dtheta
+    value = kbar * vertex * vertex * occupation * pbar / _velocity(pbar) * jacobian
+    return np.where((kbar > 0.0) & (wp > 0.0), value, 0.0)
+
+
+def _stimulated_integrand(kbar, wq, sq, dq, beta):
+    """k L^2 (n_k - n_{k+q}) Pbar*/omega_bar'(Pbar*), with Pbar* carrying
+    the combined energy."""
+    wk = _omega(kbar)
+    jbar = _momentum(wq + wk)
+    si, di = _sd(kbar)
+    sj, dj = _sd(jbar)
+    vertex = _landau_vertex(sq, dq, si, di, sj, dj)
+    delta_n = _bose(beta * wk) - _bose(beta * (wk + wq))
+    value = kbar * vertex * vertex * delta_n * jbar / _velocity(jbar)
+    return np.where(kbar > 0.0, value, 0.0)
+
+
+def _stimulated_free_integrand(kbar, eq, beta):
+    """k s_k^2 (n_b(w_k) - n_free(eq + w_k)) for a free-particle final state."""
+    wk = _omega(kbar)
+    s, _ = _sd(kbar)
+    delta_n = _bose(beta * wk) - _bose(beta * (eq + wk))
+    return np.where(kbar > 0.0, kbar * s * s * delta_n, 0.0)
 
 
 # ---------------------------------------------------------------------------
-# single-level channel
-# ---------------------------------------------------------------------------
+# batched adaptive Gauss-Kronrod quadrature
+
+# QUADPACK qk21: the Kronrod abscissae on [0, 1] in descending order (centre
+# last), their weights, and the weights of the embedded 10-point Gauss rule,
+# whose abscissae are every second Kronrod one, _XGK[1::2].
+_XGK = np.array([
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+    0.0,
+])
+_WGK = np.array([
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077208067005698,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_WG = np.array([
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+
+#: The 21 nodes on [-1, 1] in ascending order, with both rules' weights.
+_NODES = np.concatenate((-_XGK[:-1], _XGK[::-1]))
+_KRONROD = np.concatenate((_WGK[:-1], _WGK[::-1]))
+_GAUSS = np.zeros(21)
+_GAUSS[1:10:2] = _WG
+_GAUSS[11:20:2] = _WG[::-1]
+
+_EPMACH = float(np.finfo(float).eps)
+_UFLOW = float(np.finfo(float).tiny)
+
+#: Subintervals per integral before refinement gives up (QUADPACK's limit).
+_LIMIT = 200
+
+#: Integrals refined together in one pass.  It caps a pass's working memory
+#: at four float arrays of _BATCH x _LIMIT (6.5 MB); longer sweeps run in
+#: consecutive passes, which cannot change any result.
+_BATCH = 1024
 
 
-def _beliaev_single(qbar: float, temperature_T: float, params: PhysicalParams,
-                    epsrel: float) -> tuple[float, float, tuple[float, float]]:
-    """Spontaneous width, s^-1: gamma/omega0 = (k0^3/n0)/(pi*qbar) * I with
+def _qk21(f: Callable, args: list[np.ndarray], lo: np.ndarray, hi: np.ndarray):
+    """G10K21 on each subinterval [lo, hi] (QUADPACK qk21, vectorised).
 
-        I = int_0^qbar dk k M^2 (1 + n_k + n_p*) pbar*/omega_bar'(pbar*)
-
-    and pbar* fixed by energy conservation.  Integration runs over
-    k = qbar*sin^2(theta), which is exact and keeps the quadrature nodes
-    clustered at the window edges where the integrand shuts off.
+    Returns (result, abserr, resasc), each shaped like lo.  Row sums run
+    over a fixed 21 nodes, so every entry depends on its own subinterval
+    alone.
     """
-    units = derive_units(params)
-    gas = units.k0**3 / params.condensate_density_n0
-    prefactor = gas / (math.pi * qbar)
-    wq = dispersion(qbar)
-    sq, dq = _sd(qbar)
-    thermal = temperature_T > 0.0
-
-    def integrand(theta: float) -> float:
-        sin_t = math.sin(theta)
-        kbar = qbar * sin_t * sin_t
-        if kbar <= 0.0 or kbar >= qbar:
-            return 0.0
-        wk = dispersion(kbar)
-        wp = wq - wk
-        pbar = inverse_dispersion(wp)
-        sk, dk = _sd(kbar)
-        sp, dp = _sd(pbar)
-        vertex = _beliaev_vertex(sq, dq, sk, dk, sp, dp)
-        occupation = 1.0
-        if thermal:
-            occupation += _bose(wk, temperature_T, units.omega0)
-            occupation += _bose(wp, temperature_T, units.omega0)
-        jacobian = qbar * math.sin(2.0 * theta)  # dk/dtheta
-        return kbar * vertex * vertex * occupation * pbar / group_velocity(pbar) * jacobian
-
-    value, abserr = _run_quad(
-        integrand, 0.0, 0.5 * math.pi,
-        epsabs=EPSABS_OMEGA0 / prefactor, epsrel=epsrel,
-        prefactor_s=prefactor * units.omega0,
+    centre = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    with np.errstate(all="ignore"):  # masked-out nodes may compute inf/nan
+        fx = f(centre[..., None] + half[..., None] * _NODES, *args)
+    resk = (fx * _KRONROD).sum(axis=-1)
+    resg = (fx * _GAUSS).sum(axis=-1)
+    dhalf = np.abs(half)
+    resabs = (np.abs(fx) * _KRONROD).sum(axis=-1) * dhalf
+    resasc = (np.abs(fx - 0.5 * resk[..., None]) * _KRONROD).sum(axis=-1) * dhalf
+    abserr = np.abs((resk - resg) * half)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * abserr / resasc) ** 1.5)
+    abserr = np.where((resasc != 0.0) & (abserr != 0.0), scaled, abserr)
+    abserr = np.where(
+        resabs > _UFLOW / (50.0 * _EPMACH),
+        np.maximum(50.0 * _EPMACH * resabs, abserr),
+        abserr,
     )
-    scale = prefactor * units.omega0
-    return scale * value, scale * abserr, (0.0, qbar)
+    return resk * half, abserr, resasc
 
 
-def _landau_single(qbar: float, temperature_T: float, params: PhysicalParams,
-                   epsrel: float) -> tuple[float, float, tuple[float, float]]:
-    """Stimulated width, s^-1: gamma/omega0 = 2(k0^3/n0)/(pi*qbar) * I with
+def _refine(f, args, lo, hi, epsabs, epsrel):
+    """One pass of adaptive G10K21 over at most _BATCH integrals of f.
 
-        I = int_0^inf dk k L^2 (n_k - n_{k+q}) Pbar*/omega_bar'(Pbar*)
-
-    Pbar* carries the combined energy; the triangle constraint holds for all
-    k > 0 (the dispersion is superadditive), so the window is the full axis,
-    truncated where the thermal tail is negligible.  Exactly 0 at T = 0.
+    Integral i runs over [lo[i], hi[i]] with args[j][i] as the integrand's
+    j-th parameter.  Returns (value, abserr, converged) per integral.
     """
-    if temperature_T == 0.0:
-        return 0.0, 0.0, (0.0, 0.0)
-    units = derive_units(params)
-    gas = units.k0**3 / params.condensate_density_n0
-    prefactor = 2.0 * gas / (math.pi * qbar)
-    wq = dispersion(qbar)
-    sq, dq = _sd(qbar)
-    kmax = _bose_cutoff_kbar(0.0, temperature_T, units.omega0)
-
-    def integrand(kbar: float) -> float:
-        if kbar <= 0.0:
-            return 0.0
-        wk = dispersion(kbar)
-        jbar = inverse_dispersion(wq + wk)
-        si, di = _sd(kbar)
-        sj, dj = _sd(jbar)
-        vertex = _landau_vertex(sq, dq, si, di, sj, dj)
-        delta_n = _bose(wk, temperature_T, units.omega0) - _bose(
-            wk + wq, temperature_T, units.omega0
-        )
-        return kbar * vertex * vertex * delta_n * jbar / group_velocity(jbar)
-
-    value, abserr = _run_quad(
-        integrand, 0.0, kmax,
-        epsabs=EPSABS_OMEGA0 / prefactor, epsrel=epsrel,
-        prefactor_s=prefactor * units.omega0,
+    n = lo.size
+    args = [arg[:, None, None] for arg in args]
+    a = np.zeros((n, _LIMIT))
+    b = np.zeros((n, _LIMIT))
+    res = np.zeros((n, _LIMIT))
+    err = np.zeros((n, _LIMIT))
+    whole, whole_err, resasc = _qk21(f, args, lo[:, None], hi[:, None])
+    a[:, 0], b[:, 0] = lo, hi
+    res[:, 0], err[:, 0] = whole[:, 0], whole_err[:, 0]
+    area, errsum = whole[:, 0], whole_err[:, 0]
+    # QUADPACK distrusts a whole-interval estimate that equals resasc
+    done = (errsum == 0.0) | (
+        (errsum <= np.maximum(epsabs, epsrel * np.abs(area))) & (errsum != resasc[:, 0])
     )
-    scale = prefactor * units.omega0
-    gamma = scale * value
-    if gamma < 0.0:
-        raise RuntimeError(
-            f"stimulated width came out negative ({gamma} s^-1): population "
-            "factor ordering violated"
+    used = np.ones(n, dtype=np.intp)
+    active = np.flatnonzero(~done & (used < _LIMIT))
+    while active.size:
+        worst = err[active].argmax(axis=1)
+        left, right = a[active, worst], b[active, worst]
+        mid = 0.5 * (left + right)
+        halves, halves_err, _ = _qk21(
+            f,
+            [arg[active] for arg in args],
+            np.stack((left, mid), axis=1),
+            np.stack((mid, right), axis=1),
         )
-    return gamma, scale * abserr, (0.0, kmax)
+        slot = used[active]
+        b[active, worst] = mid
+        res[active, worst], err[active, worst] = halves[:, 0], halves_err[:, 0]
+        a[active, slot], b[active, slot] = mid, right
+        res[active, slot], err[active, slot] = halves[:, 1], halves_err[:, 1]
+        used[active] += 1
+        area[active] = res[active].sum(axis=1)
+        errsum[active] = err[active].sum(axis=1)
+        met = errsum[active] <= np.maximum(epsabs[active], epsrel * np.abs(area[active]))
+        done[active] = met
+        active = active[~met & (used[active] < _LIMIT)]
+    return area, errsum, done
+
+
+@dataclass(frozen=True)
+class _Integral:
+    """One reduced magnitude integral and its conversion to a width.
+
+    The width in s^-1 is scale * int_lo^hi integrand(x, *args) dx, refined
+    to the absolute tolerance epsabs on the reduced integral.  lo == hi
+    marks a channel with no allowed final state: its width is exactly 0.
+    """
+
+    integrand: Callable
+    lo: float
+    hi: float
+    args: tuple[float, ...]
+    epsabs: float
+    scale: float
+    point: tuple[str, float, float]  # channel, qbar, temperature_T
+
+
+def _solve(integrals: Sequence[_Integral], epsrel: float) -> list[tuple[float, float]]:
+    """(width, error estimate) in s^-1 for every integral.
+
+    Integrals sharing an integrand are refined together, _BATCH at a time.
+    Raises QuadratureError for the first integral, in input order, that hits
+    the refinement cap.
+    """
+    if not (epsrel >= 0.0 and math.isfinite(epsrel)):
+        raise ParameterError(f"epsrel must be >= 0 and finite, got {epsrel}")
+    value = np.zeros(len(integrals))
+    abserr = np.zeros(len(integrals))
+    converged = np.ones(len(integrals), dtype=bool)
+    live = [k for k, integral in enumerate(integrals) if integral.hi > integral.lo]
+    for integrand in dict.fromkeys(integrals[k].integrand for k in live):
+        index = [k for k in live if integrals[k].integrand is integrand]
+        group = [integrals[k] for k in index]
+        lo = np.array([i.lo for i in group])
+        hi = np.array([i.hi for i in group])
+        epsabs = np.array([i.epsabs for i in group])
+        args = [np.array(column) for column in zip(*(i.args for i in group))]
+        for start in range(0, len(group), _BATCH):
+            part = slice(start, start + _BATCH)
+            rows = index[part]
+            value[rows], abserr[rows], converged[rows] = _refine(
+                integrand, [arg[part] for arg in args], lo[part], hi[part],
+                epsabs[part], epsrel,
+            )
+    out = []
+    for k, integral in enumerate(integrals):
+        width = integral.scale * float(value[k])
+        error = integral.scale * float(abserr[k])
+        if not converged[k]:
+            channel, qbar, temperature = integral.point
+            raise QuadratureError(
+                f"quadrature did not converge within {_LIMIT} subintervals: "
+                f"{channel} width at qbar = {qbar:.6g}, T = {temperature:.6g} K",
+                partial_rate_s=width,
+                error_estimate_s=error,
+            )
+        out.append((width, error))
+    return out
 
 
 # ---------------------------------------------------------------------------
-# two-level channel
-# ---------------------------------------------------------------------------
+# the integral of each channel
 
 #: Ratio of the two-level to single-level small-q coefficients,
 #: (1/96) / (3/320) = 10/9: the interspecies vertex couples through the
@@ -266,73 +426,129 @@ def _coupling_ratio_sq(params: PhysicalParams) -> float:
     return ratio * ratio
 
 
-def _beliaev_two_level(qbar: float, temperature_T: float, params: PhysicalParams,
-                       epsrel: float) -> tuple[float, float, tuple[float, float]]:
-    """Interspecies spontaneous width, s^-1.
+def _integrals(query: RateQuery) -> tuple[_Integral, _Integral]:
+    """The spontaneous and the stimulated integral of one query.
 
-    In the phonon regime the interspecies decay is the same splitting
-    process as the intraspecies one with a different coupling combination,
-    so the widths differ by the constant factor 10/9 (the ratio of the
+    Spontaneous, s^-1: gamma/omega0 = (k0^3/n0)/(pi*qbar) * I with
+
+        I = int_0^qbar dk k M^2 (1 + n_k + n_p*) pbar*/omega_bar'(pbar*)
+
+    and pbar* fixed by energy conservation.  Integration runs over
+    k = qbar*sin^2(theta), which is exact and keeps the quadrature nodes
+    clustered at the window edges where the integrand shuts off.  In the
+    two-level channel the interspecies decay is, in the phonon regime, the
+    same splitting process with a different coupling combination, so the
+    widths differ by the constant factor 10/9 (the ratio of the
     small-momentum coefficients 1/(96 pi) and 3/(320 pi)) times the coupling
-    ratio (a_bc/a_bb)^2.  The full intraspecies quadrature supplies the
-    momentum dependence.
-    """
-    gamma, err, window = _beliaev_single(qbar, temperature_T, params, epsrel)
-    scale = TWO_LEVEL_FACTOR * _coupling_ratio_sq(params)
-    return scale * gamma, scale * err, window
+    ratio (a_bc/a_bb)^2; the intraspecies integral supplies the momentum
+    dependence.
 
+    Stimulated, exactly 0 at T = 0.  Single level, s^-1:
+    gamma/omega0 = 2(k0^3/n0)/(pi*qbar) * I with
 
-def _landau_two_level(qbar: float, temperature_T: float, params: PhysicalParams,
-                      epsrel: float) -> tuple[float, float, tuple[float, float]]:
-    """Interspecies stimulated width, s^-1: a free particle at qbar absorbs a
-    thermal quasiparticle k and stays a free particle at energy qbar^2 + w_k:
+        I = int_0^inf dk k L^2 (n_k - n_{k+q}) Pbar*/omega_bar'(Pbar*)
+
+    Pbar* carries the combined energy; the triangle constraint holds for all
+    k > 0 (the dispersion is superadditive), so the window is the full axis,
+    truncated where the thermal tail is negligible.  Two level: a free
+    particle at qbar absorbs a thermal quasiparticle k and stays a free
+    particle at energy qbar^2 + w_k:
 
         gamma/omega0 = (a_bc/a_bb)^2 (k0^3/n0)/(4 pi qbar)
                        * int_{kmin} dk k s_k^2 (n_b(w_k) - n_free(qbar^2 + w_k))
 
     The free-particle angular Jacobian is 1/(2 qbar kbar); |cos theta*| <= 1
-    forces kbar >= max(0, 1/(2 qbar) - qbar).  Exactly 0 at T = 0.
+    forces kbar >= max(0, 1/(2 qbar) - qbar).
     """
-    if temperature_T == 0.0:
-        return 0.0, 0.0, (0.0, 0.0)
+    qbar, temperature, params = query.qbar, query.temperature_T, query.params
+    two_level = query.channel is Channel.TWO_LEVEL
     units = derive_units(params)
     gas = units.k0**3 / params.condensate_density_n0
-    prefactor = _coupling_ratio_sq(params) * gas / (4.0 * math.pi * qbar)
-    kmin = max(0.0, 0.5 / qbar - qbar)
-    kmax = _bose_cutoff_kbar(dispersion(kmin) if kmin > 0.0 else 0.0,
-                             temperature_T, units.omega0)
-    if kmax <= kmin:
-        return 0.0, 0.0, (kmin, kmin)
-    eq = qbar * qbar  # free-particle energy of the decaying mode, omega0 units
+    beta = _inverse_temperature(temperature, units.omega0)
+    wq = dispersion(qbar)
+    sq = qbar / math.sqrt(wq)
 
-    def integrand(kbar: float) -> float:
-        if kbar <= 0.0:
-            return 0.0
-        wk = dispersion(kbar)
-        s, _ = _sd(kbar)
-        delta_n = _bose(wk, temperature_T, units.omega0) - _bose(
-            eq + wk, temperature_T, units.omega0
-        )
-        return kbar * s * s * delta_n
-
-    value, abserr = _run_quad(
-        integrand, kmin, kmax,
-        epsabs=EPSABS_OMEGA0 / prefactor, epsrel=epsrel,
-        prefactor_s=prefactor * units.omega0,
-    )
+    prefactor = gas / (math.pi * qbar)
     scale = prefactor * units.omega0
-    gamma = scale * value
-    if gamma < 0.0:
+    if two_level:
+        scale = TWO_LEVEL_FACTOR * _coupling_ratio_sq(params) * scale
+    spontaneous = _Integral(
+        _spontaneous_integrand, 0.0, 0.5 * math.pi, (qbar, wq, sq, 1.0 / sq, beta),
+        EPSABS_OMEGA0 / prefactor, scale, ("spontaneous", qbar, temperature),
+    )
+
+    point = ("stimulated", qbar, temperature)
+    if temperature == 0.0:
+        stimulated = _Integral(_stimulated_integrand, 0.0, 0.0, (), 0.0, 1.0, point)
+    elif not two_level:
+        prefactor = 2.0 * gas / (math.pi * qbar)
+        kmax = _bose_cutoff_kbar(0.0, temperature, units.omega0)
+        stimulated = _Integral(
+            _stimulated_integrand, 0.0, kmax, (wq, sq, 1.0 / sq, beta),
+            EPSABS_OMEGA0 / prefactor, prefactor * units.omega0, point,
+        )
+    else:
+        prefactor = _coupling_ratio_sq(params) * gas / (4.0 * math.pi * qbar)
+        kmin = max(0.0, 0.5 / qbar - qbar)
+        kmax = _bose_cutoff_kbar(dispersion(kmin) if kmin > 0.0 else 0.0,
+                                 temperature, units.omega0)
+        stimulated = _Integral(
+            _stimulated_free_integrand, kmin, max(kmin, kmax), (qbar * qbar, beta),
+            EPSABS_OMEGA0 / prefactor, prefactor * units.omega0, point,
+        )
+    return spontaneous, stimulated
+
+
+def _checked_stimulated(width: float) -> float:
+    if width < 0.0:
         raise RuntimeError(
-            f"stimulated width came out negative ({gamma} s^-1): population "
+            f"stimulated width came out negative ({width} s^-1): population "
             "factor ordering violated"
         )
-    return gamma, scale * abserr, (kmin, kmax)
+    return width
+
+
+def _landau_two_level(qbar: float, temperature_T: float, params: PhysicalParams,
+                      epsrel: float) -> tuple[float, float, tuple[float, float]]:
+    """Interspecies stimulated width alone: (gamma s^-1, error, window).
+
+    The window is (kmin, kmax) in kbar, or (kmin, kmin) when the Bose
+    cutoff leaves no allowed final state.
+    """
+    _, integral = _integrals(RateQuery(qbar, temperature_T, Channel.TWO_LEVEL, params))
+    ((gamma, err),) = _solve([integral], epsrel)
+    return _checked_stimulated(gamma), err, (integral.lo, integral.hi)
 
 
 # ---------------------------------------------------------------------------
 # public operations
-# ---------------------------------------------------------------------------
+
+
+def decay_rates(queries: Sequence[RateQuery], epsrel: float = EPSREL) -> list[RateResult]:
+    """Both channels of every query, refined together in one batched sweep.
+
+    Results come back in query order, each bit-identical to a one-point
+    call.  Raises QuadratureError for the first query (spontaneous channel
+    before stimulated) whose refinement hits the cap.
+    """
+    integrals = [i for query in queries for i in _integrals(query)]
+    widths = _solve(integrals, epsrel)
+    results = []
+    for query, (gb, eb), (gl, el) in zip(queries, widths[0::2], widths[1::2]):
+        gl = _checked_stimulated(gl)
+        results.append(RateResult(
+            gamma_beliaev=gb,
+            gamma_landau=gl,
+            gamma_total=gb + gl,
+            quadrature_error_estimate=eb + el,
+            kinematic_window=(0.0, query.qbar),
+        ))
+    return results
+
+
+def decay_rate(query: RateQuery, epsrel: float = EPSREL) -> RateResult:
+    """Both channels combined into a RateResult (widths in s^-1)."""
+    return decay_rates([query], epsrel)[0]
 
 
 def _require_channel(query: RateQuery, channel: Channel) -> None:
@@ -345,50 +561,25 @@ def _require_channel(query: RateQuery, channel: Channel) -> None:
 def beliaev_rate_single(query: RateQuery, epsrel: float = EPSREL) -> float:
     """Spontaneous intraspecies width (s^-1) at query.qbar."""
     _require_channel(query, Channel.SINGLE_LEVEL)
-    gamma, _, _ = _beliaev_single(query.qbar, query.temperature_T, query.params, epsrel)
-    return gamma
+    return decay_rate(query, epsrel).gamma_beliaev
 
 
 def landau_rate_single(query: RateQuery, epsrel: float = EPSREL) -> float:
     """Stimulated intraspecies width (s^-1); exactly 0 at T = 0."""
     _require_channel(query, Channel.SINGLE_LEVEL)
-    gamma, _, _ = _landau_single(query.qbar, query.temperature_T, query.params, epsrel)
-    return gamma
+    return decay_rate(query, epsrel).gamma_landau
 
 
 def beliaev_rate_two_level(query: RateQuery, epsrel: float = EPSREL) -> float:
     """Spontaneous interspecies width (s^-1) at query.qbar."""
     _require_channel(query, Channel.TWO_LEVEL)
-    gamma, _, _ = _beliaev_two_level(query.qbar, query.temperature_T, query.params, epsrel)
-    return gamma
+    return decay_rate(query, epsrel).gamma_beliaev
 
 
 def landau_rate_two_level(query: RateQuery, epsrel: float = EPSREL) -> float:
     """Stimulated interspecies width (s^-1); exactly 0 at T = 0."""
     _require_channel(query, Channel.TWO_LEVEL)
-    gamma, _, _ = _landau_two_level(query.qbar, query.temperature_T, query.params, epsrel)
-    return gamma
-
-
-def decay_rate(query: RateQuery, epsrel: float = EPSREL) -> RateResult:
-    """Both channels combined into a RateResult (widths in s^-1)."""
-    if query.channel is Channel.SINGLE_LEVEL:
-        gb, eb, window = _beliaev_single(query.qbar, query.temperature_T,
-                                         query.params, epsrel)
-        gl, el, _ = _landau_single(query.qbar, query.temperature_T,
-                                   query.params, epsrel)
-    else:
-        gb, eb, window = _beliaev_two_level(query.qbar, query.temperature_T,
-                                            query.params, epsrel)
-        gl, el, _ = _landau_two_level(query.qbar, query.temperature_T,
-                                      query.params, epsrel)
-    return RateResult(
-        gamma_beliaev=gb,
-        gamma_landau=gl,
-        gamma_total=gb + gl,
-        quadrature_error_estimate=eb + el,
-        kinematic_window=window,
-    )
+    return decay_rate(query, epsrel).gamma_landau
 
 
 def beliaev_asymptote(qbar: float, channel: Channel, params: PhysicalParams) -> float:
@@ -424,4 +615,6 @@ def _beliaev_energy_integrand(qbar: float, omega_k: float) -> float:
     sk, dk = _sd(kbar)
     sp, dp = _sd(pbar)
     vertex = _beliaev_vertex(sq, dq, sk, dk, sp, dp)
-    return (kbar / group_velocity(kbar)) * vertex * vertex * (pbar / group_velocity(pbar))
+    return float(
+        (kbar / group_velocity(kbar)) * vertex * vertex * (pbar / group_velocity(pbar))
+    )

@@ -313,10 +313,10 @@ def test_bad_thread_count(tmp_path, monkeypatch):
 def test_rates_quadrature_failure_leaves_no_files(tmp_path, monkeypatch, capsys):
     import quasidamp.cli as cli_mod
 
-    def boom(query, epsrel=1e-8):
+    def boom(queries, epsrel=1e-8):
         raise QuadratureError("synthetic stall", partial_rate_s=1.25, error_estimate_s=0.5)
 
-    monkeypatch.setattr(cli_mod, "decay_rate", boom)
+    monkeypatch.setattr(cli_mod, "decay_rates", boom)
     out = tmp_path / "out"
     rc = main(["rates", "--config", write_config(tmp_path), "--out", str(out)])
     assert rc == 3
@@ -324,6 +324,45 @@ def test_rates_quadrature_failure_leaves_no_files(tmp_path, monkeypatch, capsys)
     assert not (out / "rates.meta.json").exists()
     err = capsys.readouterr().err
     assert "partial rate 1.25" in err and "synthetic stall" in err
+
+
+def test_refinement_cap_exits_3_with_partial_rate(tmp_path, monkeypatch, capsys):
+    # two subintervals cannot resolve the recoil-momentum splitting integral;
+    # qbar = 0.05 at T = 0 converges on the first pass and comes first
+    import numpy as np
+    from scipy.integrate import quad
+
+    from quasidamp import rates
+
+    sodium = PRESETS["sodium-paper"]
+    grid = [
+        RateQuery(qbar=q, temperature_T=0.0, channel=Channel.SINGLE_LEVEL, params=sodium)
+        for q in (0.05, 5.0)
+    ]
+    converged = rates.decay_rates(grid)[1].gamma_beliaev
+    monkeypatch.setattr(rates, "_LIMIT", 2)
+    with pytest.raises(QuadratureError) as stall:
+        rates.decay_rates(grid)
+    assert "spontaneous width at qbar = 5," in str(stall.value)
+    # QUADPACK stopped at the same two subintervals gives the same partial sums
+    integral, _ = rates._integrals(grid[1])
+    capped = quad(
+        lambda x: float(integral.integrand(np.float64(x), *integral.args)),
+        integral.lo, integral.hi, epsabs=integral.epsabs, epsrel=rates.EPSREL,
+        limit=2, full_output=1,
+    )
+    assert stall.value.partial_rate_s == pytest.approx(integral.scale * capped[0], rel=1e-12)
+    assert stall.value.error_estimate_s == pytest.approx(integral.scale * capped[1], rel=1e-9)
+    assert abs(stall.value.partial_rate_s - converged) <= stall.value.error_estimate_s
+
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, rate_query={"qbar": [0.05, 5.0], "temperature": [0.0]})
+    assert main(["rates", "--config", cfg_path, "--out", str(out)]) == 3
+    assert not out.exists() or not any(out.iterdir())
+    err = capsys.readouterr().err
+    assert f"partial rate {stall.value.partial_rate_s:.6g}" in err
+    assert f"error estimate {stall.value.error_estimate_s:.6g}" in err
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from quasidamp.dynamics import (
     IntegrationError,
     MomentState,
     SqueezingRun,
+    _propagator,
     _readout,
     _real_generator,
     _stack,
@@ -93,6 +94,24 @@ def test_generator_damped_growth_eigenvalue():
     pair = 0.5 * (-0.5 * gamma + math.sqrt(0.25 * gamma**2 + 4.0 * rabi**2))
     assert np.max(lam) == pytest.approx(2.0 * pair, rel=1e-12)
     assert 0.5 * np.max(lam) == pytest.approx(840.197, rel=1e-4)
+
+
+@pytest.mark.parametrize("rabi", [0.0, 1e2, 1e3, 5e3])
+@pytest.mark.parametrize("gamma", [0.0, 1.0, 200.0, 1e4, 1e5])
+def test_propagator_matches_scipy_expm(rabi, gamma):
+    # dt up to 1e-3 s puts gamma*dt at 100 and rabi*dt at 5
+    for dt in (1e-6, 1e-5, 1e-4, 1e-3):
+        prop = _propagator(rabi, gamma, dt)
+        reference = expm(_real_generator(rabi, gamma) * dt)
+        scale = np.abs(reference).max()
+        assert np.abs(prop - reference).max() <= 1e-12 * scale
+        # Re c and x1m decouple and decay as plain exponentials
+        assert prop[2, 2] == math.exp(-0.5 * gamma * dt)
+        assert prop[4, 4] == math.exp(-gamma * dt)
+        coupled = np.zeros((5, 5), dtype=bool)
+        coupled[np.ix_((0, 1, 3), (0, 1, 3))] = True
+        coupled[2, 2] = coupled[4, 4] = True
+        assert not prop[~coupled].any()
 
 
 def test_real_and_complex_generators_agree():
@@ -222,6 +241,14 @@ def test_integration_failure_carries_last_state():
             evolve_moments(VACUUM, cfg, gamma=0.0)
     assert isinstance(err.value.last_valid, MomentState)
     assert math.isfinite(err.value.last_valid.x1)
+
+
+def test_overflowing_generator_is_an_integration_error():
+    # 2*rabi*dt overflows to inf: no propagator exists, and the first step
+    # is reported instead of raising from inside the matrix exponential
+    with pytest.raises(IntegrationError) as err:
+        evolve_moments(VACUUM, drive(rabi=1e308, t_max=1e-3, dt=1e-4), gamma=0.0)
+    assert err.value.last_valid == VACUUM
 
 
 def test_evolve_validation():

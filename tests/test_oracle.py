@@ -2,6 +2,9 @@
 
 import ast
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -34,19 +37,55 @@ from quasidamp.oracle import (
 # independence
 
 
-@pytest.mark.parametrize("module", ["model", "rates", "dynamics"])
-def test_production_modules_do_not_import_oracle(module):
-    # a sys.modules check cannot tell: the package __init__ loads the oracle
+def _imported_names(module: str, module_level: bool = False) -> set[str]:
+    """Dotted names a package module imports, read from its source.
+
+    module_level keeps only the imports that run when the module is
+    imported, leaving out those inside function bodies.
+    """
     path = Path(quasidamp.__file__).with_name(f"{module}.py")
     imported = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    pending = [ast.parse(path.read_text(encoding="utf-8"))]
+    while pending:
+        node = pending.pop()
         if isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             base = "." * node.level + (node.module or "")
             imported.add(base)
             imported.update(f"{base}.{alias.name}" for alias in node.names)
+        if module_level and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        pending.extend(ast.iter_child_nodes(node))
+    return imported
+
+
+@pytest.mark.parametrize("module", ["model", "rates", "dynamics"])
+def test_production_modules_do_not_import_oracle(module):
+    # a sys.modules check cannot tell: the package __init__ loads the oracle
+    imported = _imported_names(module)
     assert not [name for name in imported if "oracle" in name.split(".")]
+
+
+@pytest.mark.parametrize("module", ["model", "rates", "dynamics", "cli"])
+def test_production_modules_do_not_import_scipy_at_module_level(module):
+    # scipy is needed only by the dop853 cross-check, which imports it itself
+    imported = _imported_names(module, module_level=True)
+    assert not [name for name in imported if name.split(".")[0] == "scipy"]
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(quasidamp.__file__).resolve().parents[1])
+    probe = (
+        "import sys, quasidamp.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

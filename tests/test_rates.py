@@ -282,3 +282,45 @@ def test_query_rejects_negative_temperature():
 def test_query_rejects_non_finite_temperature(temperature):
     with pytest.raises(ParameterError, match="finite"):
         RateQuery(qbar=1.0, temperature_T=temperature, channel=Channel.SINGLE_LEVEL, params=SODIUM)
+
+
+# ---------------------------------------------------------------------------
+# batched Gauss-Kronrod engine against QUADPACK
+
+
+def test_batched_sweep_matches_quad_and_single_points():
+    from quasidamp.rates import EPSREL, _integrals, decay_rates
+
+    # phonon-regime through free-particle qbar; T = 0 rows; T = 1e-300 K
+    # empties the two-level stimulated window at qbar < 1/sqrt(2)
+    temperatures = (0.0, 1e-300, 2e-7, 1e-6)
+    qbars = (0.02, 0.05, 0.3, 1.0, 5.0, 10.0)
+    queries = [
+        query(qbar, T)
+        for query in (single_query, two_level_query)
+        for T in temperatures
+        for qbar in qbars
+    ]
+    results = decay_rates(queries)
+    empty_windows = 0
+    for q, result in zip(queries, results):
+        spontaneous, stimulated = _integrals(q)
+        for integral, width in ((spontaneous, result.gamma_beliaev),
+                                (stimulated, result.gamma_landau)):
+            if integral.hi > integral.lo:
+                reduced, _ = quad(
+                    lambda x: float(integral.integrand(np.float64(x), *integral.args)),
+                    integral.lo, integral.hi,
+                    epsabs=integral.epsabs, epsrel=EPSREL, limit=200,
+                )
+                reference = integral.scale * reduced
+            else:
+                reference = 0.0
+                empty_windows += q.channel is Channel.TWO_LEVEL and q.temperature_T > 0.0
+            assert abs(width - reference) <= result.quadrature_error_estimate
+            assert width == pytest.approx(reference, rel=1e-10, abs=0.0)
+        if q.temperature_T == 0.0:
+            assert result.gamma_landau == 0.0
+        # no dependence on which other points share the sweep
+        assert decay_rate(q) == result
+    assert empty_windows > 0
