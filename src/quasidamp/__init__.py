@@ -47,7 +47,6 @@ from .dynamics import (  # noqa: F401
     MomentState,
     SqueezingPoint,
     SqueezingRun,
-    drift_matrix,
     evolve_moments,
     occupations,
     run_squeezing,

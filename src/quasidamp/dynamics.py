@@ -146,29 +146,6 @@ class IntegrationError(RuntimeError):
         self.last_valid = last_valid
 
 
-def drift_matrix(rabi: float, gamma: float) -> np.ndarray:
-    """Complex 3x3 generator of the coupled moments.
-
-    Acts on the vector (<beta^dag beta> - n0_eq, <a a^dag> + n0_eq,
-    <a beta> - c.c.); the discarded combination <a beta> + c.c. obeys a
-    closed decaying equation and stays zero when started at zero.  The
-    production integrator evolves the equivalent real system of
-    (x1, x2, Re c, Im c) — see _real_generator.
-    """
-    if gamma < 0.0:
-        raise ParameterError(f"gamma must be >= 0, got {gamma}")
-    if rabi < 0.0:
-        raise ParameterError(f"rabi must be >= 0, got {rabi}")
-    return np.array(
-        [
-            [-gamma, 0.0, 1j * rabi],
-            [0.0, 0.0, 1j * rabi],
-            [-2j * rabi, -2j * rabi, -0.5 * gamma],
-        ],
-        dtype=complex,
-    )
-
-
 def _real_generator(rabi: float, gamma: float) -> np.ndarray:
     """Real 5x5 generator on (x1 - n0, x2 + n0, Re c, Im c, x1m - n0)."""
     return np.array(
@@ -319,24 +296,32 @@ def evolve_moments(
     else:
         raise ParameterError(f"unknown method {method!r} (expected 'expm' or 'dop853')")
 
+    x1 = trajectory[:, 0] + n0_eq
+    x2 = trajectory[:, 1] - n0_eq
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the cone check and the readout multiply moments, so their
+        # products must stay finite too
+        valid = np.isfinite(trajectory).all(axis=1) & np.isfinite(
+            x1 * x2 + trajectory[:, 2] ** 2 + trajectory[:, 3] ** 2
+        )
+    n_valid = n_steps + 1 if valid.all() else int(np.argmin(valid))
     states: list[MomentState] = []
-    for i in range(n_steps + 1):
+    for i in range(n_valid):
         z = trajectory[i]
-        if not np.all(np.isfinite(z)):
-            last = states[-1] if states else initial
-            raise IntegrationError(
-                f"non-finite state at t = {initial.t + i * dt}", last
-            )
-        x1, x2 = z[0] + n0_eq, z[1] - n0_eq
-        cr, ci = _clip_to_cone(x1, x2, z[2], z[3])
+        cr, ci = _clip_to_cone(x1[i], x2[i], z[2], z[3])
         states.append(
             MomentState(
                 t=initial.t + i * dt,
-                x1=x1,
+                x1=x1[i],
                 x1m=z[4] + n0_eq,
-                x2=x2,
+                x2=x2[i],
                 c=complex(cr, ci),
             )
+        )
+    if n_valid <= n_steps:
+        raise IntegrationError(
+            f"non-finite state at t = {initial.t + n_valid * dt}",
+            states[-1] if states else initial,
         )
     return states
 

@@ -11,6 +11,7 @@ through `UnitSystem`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 HBAR = 1.054571817e-34  # J s (CODATA 2018)
@@ -68,11 +69,25 @@ class PhysicalParams:
         if not (self.temperature_T >= 0.0 and math.isfinite(self.temperature_T)):
             raise ParameterError(f"temperature_T must be >= 0, got {self.temperature_T}")
         expected = self.condensate_density_n0 * self.volume_V
-        if abs(self.atom_count_N0 - expected) > 1e-9 * expected:
+        if not abs(self.atom_count_N0 - expected) <= 1e-9 * expected < math.inf:
             raise ParameterError(
                 f"atom_count_N0 = {self.atom_count_N0} inconsistent with "
                 f"n0*V = {expected}"
             )
+        # the rates and the dynamics divide by these scales and by k0^3/n0
+        units = derive_units(self)
+        scales = {
+            "k0": units.k0,
+            "k0^3/n0": units.k0 * units.k0 * units.k0 / self.condensate_density_n0,
+            "hbar*omega0": HBAR * units.omega0,
+            "g": units.g_coupling,
+        }
+        for name, value in scales.items():
+            if not sys.float_info.min <= value < math.inf:
+                raise ParameterError(
+                    f"natural-unit scale {name} = {value:.3g} is out of double "
+                    "range for these parameters"
+                )
 
     @property
     def bc_scattering_length(self) -> float:
@@ -143,7 +158,10 @@ def dispersion(kbar: float) -> float:
     """omega_bar(kbar) = kbar*sqrt(2 + kbar^2)."""
     if not (kbar >= 0.0 and math.isfinite(kbar)):
         raise ParameterError(f"kbar must be >= 0, got {kbar}")
-    return kbar * math.sqrt(2.0 + kbar * kbar)
+    omega_bar = kbar * math.sqrt(2.0 + kbar * kbar)
+    if omega_bar == math.inf:
+        raise ParameterError(f"kbar = {kbar:.3g} is too large: omega_bar overflows")
+    return omega_bar
 
 
 def group_velocity(kbar: float) -> float:

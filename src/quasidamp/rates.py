@@ -34,6 +34,7 @@ of the mode coefficients, with u, v taken positive as in `model`.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -72,8 +73,12 @@ class RateQuery:
     params: PhysicalParams
 
     def __post_init__(self) -> None:
-        if not (self.qbar > 0.0 and math.isfinite(self.qbar)):
-            raise ParameterError(f"qbar must be > 0, got {self.qbar}")
+        # JSON integers arrive as int; qbar*qbar must not leave the doubles
+        object.__setattr__(self, "qbar", float(self.qbar))
+        object.__setattr__(self, "temperature_T", float(self.temperature_T))
+        # a subnormal qbar squares to 0
+        if not (sys.float_info.min <= self.qbar < math.inf):
+            raise ParameterError(f"qbar must be > 0 and a normal double, got {self.qbar}")
         if not (self.temperature_T >= 0.0 and math.isfinite(self.temperature_T)):
             raise ParameterError(
                 f"temperature_T must be >= 0 and finite, got {self.temperature_T}"
@@ -170,6 +175,10 @@ def _bose_cutoff_kbar(omega_bar_low: float, temperature_T: float, omega0: float)
     +3 margin covers the 1/(1-e^-x) enhancement of the Bose tail.
     """
     omega_bar_thermal = K_BOLTZMANN * temperature_T / (HBAR * omega0)
+    if omega_bar_thermal == 0.0:
+        # k_B*T or hbar*omega0 underflowed; regrouped, it is nonzero
+        # whenever _inverse_temperature is finite
+        omega_bar_thermal = (K_BOLTZMANN / HBAR) * (temperature_T / omega0)
     x_ref = max(omega_bar_low, omega_bar_thermal) / omega_bar_thermal
     x_cut = x_ref + math.log(1e14) + 3.0
     return inverse_dispersion(x_cut * omega_bar_thermal)
@@ -274,6 +283,11 @@ _LIMIT = 200
 #: at four float arrays of _BATCH x _LIMIT (6.5 MB); longer sweeps run in
 #: consecutive passes, which cannot change any result.
 _BATCH = 1024
+
+#: Smallest Bose exponent hbar*omega_q/(k_B*T) accepted at the decaying
+#: mode.  Bisection can put nodes ~1e-120 of omega_q from the window edge,
+#: where 1/(e^x - 1) must still be a finite double.
+_MIN_BOSE_EXPONENT = 1e-150
 
 
 def _qk21(f: Callable, args: list[np.ndarray], lo: np.ndarray, hi: np.ndarray):
@@ -466,6 +480,13 @@ def _integrals(query: RateQuery) -> tuple[_Integral, _Integral]:
     gas = units.k0**3 / params.condensate_density_n0
     beta = _inverse_temperature(temperature, units.omega0)
     wq = dispersion(qbar)
+    if wq * units.omega0 == 0.0:  # widths are reported per mode frequency
+        raise ParameterError(f"mode frequency underflows at qbar = {qbar:.3g}")
+    if not beta * wq >= _MIN_BOSE_EXPONENT:
+        raise ParameterError(
+            f"T = {temperature:.3g} K is too hot at qbar = {qbar:.3g}: the "
+            f"thermal occupation exceeds {1.0 / _MIN_BOSE_EXPONENT:.0e}"
+        )
     sq = qbar / math.sqrt(wq)
 
     prefactor = gas / (math.pi * qbar)
@@ -478,7 +499,7 @@ def _integrals(query: RateQuery) -> tuple[_Integral, _Integral]:
     )
 
     point = ("stimulated", qbar, temperature)
-    if temperature == 0.0:
+    if beta == math.inf:  # T = 0, or too cold for any thermal occupation
         stimulated = _Integral(_stimulated_integrand, 0.0, 0.0, (), 0.0, 1.0, point)
     elif not two_level:
         prefactor = 2.0 * gas / (math.pi * qbar)
@@ -558,28 +579,32 @@ def _require_channel(query: RateQuery, channel: Channel) -> None:
         )
 
 
+def _one_channel(query: RateQuery, channel: Channel, stimulated: bool,
+                 epsrel: float) -> float:
+    """One channel's width (s^-1), solving only that channel's integral."""
+    _require_channel(query, channel)
+    ((width, _),) = _solve([_integrals(query)[stimulated]], epsrel)
+    return _checked_stimulated(width) if stimulated else width
+
+
 def beliaev_rate_single(query: RateQuery, epsrel: float = EPSREL) -> float:
     """Spontaneous intraspecies width (s^-1) at query.qbar."""
-    _require_channel(query, Channel.SINGLE_LEVEL)
-    return decay_rate(query, epsrel).gamma_beliaev
+    return _one_channel(query, Channel.SINGLE_LEVEL, False, epsrel)
 
 
 def landau_rate_single(query: RateQuery, epsrel: float = EPSREL) -> float:
     """Stimulated intraspecies width (s^-1); exactly 0 at T = 0."""
-    _require_channel(query, Channel.SINGLE_LEVEL)
-    return decay_rate(query, epsrel).gamma_landau
+    return _one_channel(query, Channel.SINGLE_LEVEL, True, epsrel)
 
 
 def beliaev_rate_two_level(query: RateQuery, epsrel: float = EPSREL) -> float:
     """Spontaneous interspecies width (s^-1) at query.qbar."""
-    _require_channel(query, Channel.TWO_LEVEL)
-    return decay_rate(query, epsrel).gamma_beliaev
+    return _one_channel(query, Channel.TWO_LEVEL, False, epsrel)
 
 
 def landau_rate_two_level(query: RateQuery, epsrel: float = EPSREL) -> float:
     """Stimulated interspecies width (s^-1); exactly 0 at T = 0."""
-    _require_channel(query, Channel.TWO_LEVEL)
-    return decay_rate(query, epsrel).gamma_landau
+    return _one_channel(query, Channel.TWO_LEVEL, True, epsrel)
 
 
 def beliaev_asymptote(qbar: float, channel: Channel, params: PhysicalParams) -> float:

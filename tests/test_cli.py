@@ -3,10 +3,14 @@
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import quasidamp
 from quasidamp import dynamics
@@ -217,6 +221,136 @@ def test_tiny_temperature_runs(tmp_path, capsys):
                   params=PRESETS["sodium-paper"])
     ).gamma_total
     assert summary["gamma_used_s"] == pytest.approx(zero_t, rel=1e-9)
+
+
+def test_subnormal_scattering_length_rejected(tmp_path, capsys):
+    # k0^3/n0 underflowed to 0 and the rate prefactor divided by it
+    rc, err = run_raw_config(
+        tmp_path, capsys, "rates",
+        '{"preset": "sodium-paper", "params": {"scattering_length_a": 5e-324}}',
+    )
+    assert rc == 2
+    assert "k0^3/n0" in err and err.count("\n") == 1
+
+
+def test_overflowing_natural_units_rejected(tmp_path, capsys):
+    # k0**3 raised OverflowError inside the rate prefactor
+    rc, err = run_raw_config(
+        tmp_path, capsys, "dynamics",
+        '{"preset": "sodium-paper", "params": {"condensate_density_n0": 7e307,'
+        ' "volume_V": 1e-300, "atom_count_N0": 7e7}}',
+    )
+    assert rc == 2
+    assert "out of double range" in err
+
+
+def test_subnormal_temperature_runs(tmp_path, capsys):
+    # k_B*T underflowed to 0 in the Bose cutoff; no thermal occupation is
+    # representable, so the stimulated width is exactly 0
+    rc, _ = run_raw_config(
+        tmp_path, capsys, "rates",
+        '{"preset": "sodium-paper", "rate_query": {"temperature": [5e-324]}}',
+    )
+    assert rc == 0
+    table = (tmp_path / "out" / "rates.csv").read_text(encoding="utf-8").splitlines()
+    assert all(row.split(",")[3] == "0" for row in table[1:])
+
+
+@pytest.mark.parametrize("qbar", ["5e-324", "5e307"])
+def test_qbar_out_of_double_range_rejected(tmp_path, capsys, qbar):
+    # a subnormal qbar divided by its underflowed mode frequency, a huge one
+    # by 1/sqrt(omega_bar) = 0
+    rc, err = run_raw_config(
+        tmp_path, capsys, "rates",
+        '{"preset": "sodium-paper", "rate_query": {"qbar": [%s]}}' % qbar,
+    )
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_too_hot_temperature_rejected(tmp_path, capsys):
+    # the Bose factor 1/(e^x - 1) overflowed at quadrature nodes, and inf*0
+    # came out as a NaN width
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, err = run_raw_config(
+            tmp_path, capsys, "rates",
+            '{"preset": "sodium-paper", "params": {"scattering_length_a": 3.3e8},'
+            ' "rate_query": {"qbar": [1e-220], "temperature": [6.7e307]}}',
+        )
+    assert rc == 2
+    assert "too hot" in err and err.count("\n") == 1
+
+
+def test_dynamics_overflowing_moments_exit_3_without_warnings(tmp_path, capsys):
+    # finite moments whose product overflows used to warn from the cone clip
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, err = run_raw_config(
+            tmp_path, capsys, "dynamics",
+            '{"preset": "sodium-paper", "drive": {"rabi_effective": 5840700,'
+            ' "gamma_override": 0, "t_max": 0.0096, "dt_output": 3.2e-05}}',
+        )
+    assert rc == 3
+    assert err.startswith("integration failure") and err.count("\n") == 1
+
+
+_POSITIVE_NUMBER = st.one_of(
+    st.floats(min_value=0.0, max_value=1e308, exclude_min=True),
+    st.integers(min_value=1, max_value=10**12),
+)
+_NONNEGATIVE_NUMBER = st.one_of(st.just(0), _POSITIVE_NUMBER)
+
+
+def _some_of(fields: dict) -> st.SearchStrategy:
+    return st.fixed_dictionaries({}, optional=fields)
+
+
+def _drive_strategy() -> st.SearchStrategy:
+    # at most 300 output steps, so each example runs in milliseconds
+    return st.tuples(
+        _some_of({
+            "rabi_effective": _NONNEGATIVE_NUMBER,
+            "qbar_recoil": _POSITIVE_NUMBER,
+            "gamma_override": st.one_of(st.none(), _NONNEGATIVE_NUMBER),
+        }),
+        st.floats(min_value=1e-7, max_value=1e-2),
+        st.integers(min_value=1, max_value=300),
+    ).map(lambda d: {**d[0], "t_max": d[1], "dt_output": d[1] / d[2]})
+
+
+_SCHEMA_VALID_CONFIG = _some_of({
+    "preset": st.sampled_from(["sodium-paper", "no-such-preset"]),
+    "params": _some_of({
+        **{key: _POSITIVE_NUMBER for key in (
+            "scattering_length_a", "atomic_mass", "condensate_density_n0",
+            "volume_V", "atom_count_N0", "a_bc",
+        )},
+        "temperature_T": _NONNEGATIVE_NUMBER,
+    }),
+    "drive": _drive_strategy(),
+    "rate_query": _some_of({
+        "qbar": st.lists(_POSITIVE_NUMBER, min_size=1, max_size=3),
+        "temperature": st.lists(_NONNEGATIVE_NUMBER, min_size=1, max_size=2),
+        "channel": st.sampled_from(["single_level", "two_level"]),
+    }),
+})
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_SCHEMA_VALID_CONFIG, st.sampled_from(["rates", "dynamics", "spectrum"]))
+def test_schema_valid_configs_exit_cleanly(capsys, config, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main([command, "--config", path, "--out", os.path.join(tmp, "out")])
+    err = capsys.readouterr().err
+    assert rc in (0, 2, 3, 4)
+    assert "Traceback" not in err and err.count("\n") <= 1
 
 
 # ---------------------------------------------------------------------------

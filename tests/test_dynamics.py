@@ -26,7 +26,6 @@ from quasidamp.dynamics import (
     _readout,
     _real_generator,
     _stack,
-    drift_matrix,
     evolve_moments,
     occupations,
     run_squeezing,
@@ -58,6 +57,29 @@ def rel_gap(a, b):
 
 # ---------------------------------------------------------------------------
 # generator
+
+
+def drift_matrix(rabi: float, gamma: float) -> np.ndarray:
+    """Complex 3x3 generator of the coupled moments.
+
+    Acts on the vector (<beta^dag beta> - n0_eq, <a a^dag> + n0_eq,
+    <a beta> - c.c.); the discarded combination <a beta> + c.c. obeys a
+    closed decaying equation and stays zero when started at zero.  The
+    production integrator evolves the equivalent real system of
+    (x1, x2, Re c, Im c) — see dynamics._real_generator.
+    """
+    if gamma < 0.0:
+        raise ParameterError(f"gamma must be >= 0, got {gamma}")
+    if rabi < 0.0:
+        raise ParameterError(f"rabi must be >= 0, got {rabi}")
+    return np.array(
+        [
+            [-gamma, 0.0, 1j * rabi],
+            [0.0, 0.0, 1j * rabi],
+            [-2j * rabi, -2j * rabi, -0.5 * gamma],
+        ],
+        dtype=complex,
+    )
 
 
 def test_generator_shape_and_validation():

@@ -85,6 +85,40 @@ def test_params_check_density_count_consistency():
         )
 
 
+def test_params_density_count_check_survives_overflow():
+    # n0*V = inf used to pass the consistency check with any atom count
+    with pytest.raises(ParameterError):
+        PhysicalParams(
+            scattering_length_a=2.8e-9,
+            atomic_mass=MASS_NA23,
+            condensate_density_n0=1e20,
+            volume_V=4e307,
+            atom_count_N0=6e5,
+        )
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("scattering_length_a", 5e-324),  # k0^3/n0 underflows
+        ("atomic_mass", 1e300),  # g and hbar*omega0 underflow
+        ("condensate_density_n0", 1e300),  # k0^3 overflows
+    ],
+)
+def test_params_reject_unrepresentable_natural_units(field, value):
+    kwargs = dict(
+        scattering_length_a=2.8e-9,
+        atomic_mass=MASS_NA23,
+        condensate_density_n0=1e20,
+        volume_V=1e-14,
+        atom_count_N0=1e6,
+    )
+    kwargs[field] = value
+    kwargs["atom_count_N0"] = kwargs["condensate_density_n0"] * kwargs["volume_V"]
+    with pytest.raises(ParameterError, match="out of double range"):
+        PhysicalParams(**kwargs)
+
+
 @pytest.mark.parametrize(
     "field,value",
     [
@@ -175,6 +209,8 @@ def test_dispersion_domain():
         inverse_dispersion(-1.0)
     assert dispersion(0.0) == 0.0
     assert inverse_dispersion(0.0) == 0.0
+    with pytest.raises(ParameterError, match="overflows"):
+        dispersion(1e160)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import quasidamp
 from quasidamp.model import ParameterError
 from quasidamp.oracle import (
+    GOLDEN_RULE_RATE,
     AmplitudeSeries,
     BathProfile,
     BathSpec,
@@ -31,6 +33,7 @@ from quasidamp.oracle import (
     wick_fourth_moment,
     wick_suite,
     windowed_bath,
+    _arrowhead_spectrum,
 )
 
 # ---------------------------------------------------------------------------
@@ -171,6 +174,119 @@ def test_revival_only_near_recurrence_time():
     near = (series.t > 0.85 * t_rev) & (series.t < 1.15 * t_rev)
     assert np.max(series.amplitude[mid]) < 0.5
     assert np.max(series.amplitude[near]) >= 0.5
+
+
+# ---------------------------------------------------------------------------
+# arrowhead spectrum and time sum
+
+
+def _dense_spectrum(bath: BathSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Reference: eigh of the dense (N+1)x(N+1) arrowhead Hamiltonian."""
+    n = bath.mode_count
+    ham = np.zeros((n + 1, n + 1))
+    ham[0, 1:] = bath.couplings
+    ham[1:, 0] = bath.couplings
+    ham[np.arange(1, n + 1), np.arange(1, n + 1)] = bath.detuning_grid
+    evals, evecs = np.linalg.eigh(ham)
+    return evals, evecs[0, :] ** 2
+
+
+def _secular_spectrum(bath: BathSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The secular-equation spectrum, with each decoupled mode put back as
+    an eigenvalue of zero weight so it lines up with the dense one."""
+    grid = np.asarray(bath.detuning_grid)
+    couplings = np.asarray(bath.couplings)
+    evals, weights = _arrowhead_spectrum(grid, couplings)
+    decoupled = grid[couplings == 0.0]
+    evals = np.concatenate((evals, decoupled))
+    weights = np.concatenate((weights, np.zeros(decoupled.size)))
+    order = np.argsort(evals, kind="stable")
+    return evals[order], weights[order]
+
+
+def _assert_matches_dense(bath: BathSpec, gap_aware: bool = False) -> None:
+    """Eigenvalues and weights to 1e-12 of eigh's.  With gap_aware, the
+    weights may also differ by eigh's own eigenvector error, which grows as
+    eps*|H|/gap between neighbouring eigenvalues."""
+    evals, weights = _secular_spectrum(bath)
+    ref_evals, ref_weights = _dense_spectrum(bath)
+    weight_tol = 1e-12
+    if gap_aware and ref_evals.size > 1:
+        gap = float(np.min(np.diff(ref_evals)))
+        weight_tol += 64.0 * np.finfo(float).eps * float(np.max(np.abs(ref_evals))) / gap
+    assert np.max(np.abs(evals - ref_evals)) <= 1e-12
+    assert np.max(np.abs(weights - ref_weights)) <= weight_tol
+    assert abs(float(np.sum(weights)) - 1.0) <= 1e-12
+
+
+def _with_couplings(bath: BathSpec, couplings) -> BathSpec:
+    return BathSpec(bath.mode_count, bath.detuning_grid, tuple(couplings), bath.profile)
+
+
+@pytest.mark.parametrize("mode_count", [1, 2, 3, 50, 200, 201])
+@pytest.mark.parametrize("make", [flat_bath, windowed_bath])
+def test_spectrum_matches_dense_eigh(make, mode_count):
+    # even mode counts put a root at lambda = 0, odd ones a pole at Delta = 0
+    spacing = 10.0 / mode_count
+    kappa = math.sqrt(GOLDEN_RULE_RATE * spacing / (2.0 * math.pi))
+    _assert_matches_dense(make(mode_count, spacing, kappa))
+
+
+def test_spectrum_with_decoupled_modes():
+    bath = flat_bath(40, 0.25, 0.1)
+    couplings = [0.0 if m % 3 == 0 else c for m, c in enumerate(bath.couplings)]
+    _assert_matches_dense(_with_couplings(bath, couplings))
+    ends_off = [0.0, *bath.couplings[1:-1], 0.0]
+    _assert_matches_dense(_with_couplings(bath, ends_off))
+
+
+def test_fully_decoupled_bath_has_one_unit_weight():
+    evals, weights = _arrowhead_spectrum(np.array([-1.0, 0.5, 2.0]), np.zeros(3))
+    assert evals.tolist() == [0.0] and weights.tolist() == [1.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(min_value=-5.0, max_value=5.0),
+    st.lists(
+        st.tuples(
+            st.floats(min_value=1e-3, max_value=1.0),  # gap to the previous mode
+            st.floats(min_value=-6.0, max_value=0.0),  # log10 of the coupling
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+)
+def test_spectrum_matches_dense_on_random_baths(first, modes):
+    grid = first + np.cumsum([0.0] + [gap for gap, _ in modes[1:]])
+    couplings = tuple(10.0**exponent for _, exponent in modes)
+    bath = BathSpec(len(modes), tuple(grid), couplings, BathProfile.FLAT)
+    _assert_matches_dense(bath, gap_aware=True)
+
+
+@pytest.mark.parametrize("n_samples", [2, 3, 4095, 4096, 5000])
+def test_factored_time_sum_matches_direct_sum(n_samples):
+    bath = windowed_bath(300, 0.03, 0.02)
+    series = integrate_discrete_bath(bath, 60.0, n_samples=n_samples)
+    evals, weights = _arrowhead_spectrum(
+        np.asarray(bath.detuning_grid), np.asarray(bath.couplings)
+    )
+    direct = np.abs(np.exp(-1j * np.outer(series.t, evals)) @ weights)
+    assert series.t.shape == (n_samples,)
+    assert np.max(np.abs(series.amplitude - direct)) <= 1e-12
+
+
+def test_finest_markov_bath_memory_is_bounded():
+    # the dense path held (N+1)^2 matrices and an n_samples x (N+1) complex
+    # table, well over 64 MB at N = 2000
+    bath = flat_bath(2000, 0.005, 0.01)
+    tracemalloc.start()
+    try:
+        integrate_discrete_bath(bath, 75.0, n_samples=4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_integrate_validates_inputs():

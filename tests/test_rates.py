@@ -256,6 +256,37 @@ def test_tightened_tolerance_stays_within_error_estimate():
         assert tight.quadrature_error_estimate <= loose.quadrature_error_estimate * 1.01
 
 
+@pytest.mark.parametrize("T", [0.0, 1e-6])
+@pytest.mark.parametrize("qbar", [0.05, 1.0])
+def test_channel_wrappers_equal_decay_rate_fields(qbar, T):
+    # each wrapper solves only its own integral, with the same result
+    single = decay_rate(single_query(qbar, T=T))
+    double = decay_rate(two_level_query(qbar, T=T))
+    assert beliaev_rate_single(single_query(qbar, T=T)) == single.gamma_beliaev
+    assert landau_rate_single(single_query(qbar, T=T)) == single.gamma_landau
+    assert beliaev_rate_two_level(two_level_query(qbar, T=T)) == double.gamma_beliaev
+    assert landau_rate_two_level(two_level_query(qbar, T=T)) == double.gamma_landau
+
+
+def test_integer_qbar_is_taken_as_float():
+    # a JSON integer qbar squared to a Python int that numpy could not
+    # exponentiate in the two-level stimulated integrand
+    as_int = two_level_query(2**32, T=1e-6)
+    assert isinstance(as_int.qbar, float)
+    assert landau_rate_two_level(as_int) == landau_rate_two_level(
+        two_level_query(float(2**32), T=1e-6)
+    )
+
+
+def test_stimulated_cutoff_survives_underflowing_thermal_energy():
+    # k_B*T and hbar*omega0 both underflow here while hbar*omega0/(k_B*T)
+    # stays finite; the Bose cutoff divided by the underflowed ratio
+    heavy = dataclasses.replace(SODIUM, atomic_mass=7e231)
+    query = RateQuery(qbar=1.0, temperature_T=1e-302, channel=Channel.SINGLE_LEVEL,
+                      params=heavy)
+    assert landau_rate_single(query) == 0.0
+
+
 def test_channel_mismatch_rejected():
     with pytest.raises(ParameterError):
         beliaev_rate_single(two_level_query(1.0))
