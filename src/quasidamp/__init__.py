@@ -5,7 +5,8 @@ The package splits into:
     model     units, Bogoliubov spectrum and mode functions, presets
     rates     Beliaev/Landau decay rates of a driven quasiparticle mode
     dynamics  damped pair-creation moment equations and squeezing readout
-    oracle    independent numerical cross-checks (discrete bath, Wick/Fock)
+    oracle    independent numerical cross-checks (discrete bath, Wick/Fock),
+              imported on its own as quasidamp.oracle
     cli       JSON-config command-line front end
 """
 
@@ -34,37 +35,18 @@ from .rates import (  # noqa: F401
     RateQuery,
     RateResult,
     beliaev_asymptote,
-    beliaev_rate_single,
-    beliaev_rate_two_level,
     decay_rate,
     decay_rates,
-    landau_rate_single,
-    landau_rate_two_level,
 )
 from .dynamics import (  # noqa: F401
     DriveConfig,
     IntegrationError,
     MomentState,
+    Readout,
     SqueezingPoint,
     SqueezingRun,
+    Trajectory,
     evolve_moments,
-    occupations,
+    readout,
     run_squeezing,
-    squeezing_xi3,
-    squeezing_xi12,
-)
-from .oracle import (  # noqa: F401
-    AmplitudeSeries,
-    BathSpec,
-    GaussianSecondMoments,
-    Verdict,
-    fit_decay_rate,
-    flat_bath,
-    integrate_discrete_bath,
-    markov_suite,
-    run_all_suites,
-    tms_fock_reference,
-    wick_fourth_moment,
-    wick_suite,
-    windowed_bath,
 )

@@ -10,9 +10,9 @@ Subcommands:
 All input comes from a JSON config file validated against a closed schema
 (unknown keys are rejected).  Output files are deterministic: fixed column
 orders, floats printed with %.17g, LF line endings, no timestamps.
-QUASIDAMP_THREADS is still read and must be an integer, but it parallelises
-nothing: the rate sweep is one batched numpy pass, so the output cannot
-depend on it.
+`dynamics` computes the single-level width only, so it rejects a
+two-level config unless the damping rate is fixed by drive.gamma_override
+or --no-damping.  The oracle is imported by the `oracle` command alone.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 runtime
 (quadrature/integration) failure, 4 oracle check failure.
@@ -41,7 +41,6 @@ from .model import (
     derive_units,
     dispersion,
 )
-from .oracle import markov_suite, run_all_suites, wick_suite
 from .rates import Channel, QuadratureError, RateQuery, decay_rates
 
 
@@ -321,23 +320,12 @@ def _emit(out_dir: str, files: dict[str, str]) -> list[str]:
     return written
 
 
-def _thread_count() -> int:
-    """QUASIDAMP_THREADS, validated (exit 2 on a non-integer) and unused."""
-    raw = os.environ.get("QUASIDAMP_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"QUASIDAMP_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_rates(cfg: RunConfig, out_dir: str) -> int:
     """rates.csv + rates.meta.json over the (temperature, qbar) grid."""
-    _thread_count()
     units = derive_units(cfg.params)
     grid = [(t, q) for t in cfg.temperature_grid for q in cfg.qbar_grid]
     results = decay_rates([
@@ -386,6 +374,11 @@ def cmd_dynamics(cfg: RunConfig, out_dir: str, no_damping: bool = False) -> int:
     drive = cfg.drive
     if no_damping:
         drive = dataclasses.replace(drive, gamma_override=0.0)
+    if cfg.channel is Channel.TWO_LEVEL and drive.gamma_override is None:
+        raise ConfigError(
+            "dynamics computes the single-level width only; with rate_query.channel "
+            "two_level set drive.gamma_override or pass --no-damping"
+        )
     run = run_squeezing(cfg.params, drive)
 
     header = ["t_s", "n_a", "n_b_plus", "n_b_minus", "xi1", "xi2", "xi3", "depletion_valid"]
@@ -420,6 +413,8 @@ def cmd_dynamics(cfg: RunConfig, out_dir: str, no_damping: bool = False) -> int:
 
 def cmd_oracle(suite: str, out_dir: str) -> int:
     """oracle.json with one verdict per cross-check; exit 4 on any failure."""
+    from .oracle import markov_suite, run_all_suites, wick_suite
+
     if suite == "markov":
         verdicts = markov_suite()
     elif suite == "wick":

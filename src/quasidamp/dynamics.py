@@ -25,19 +25,19 @@ n_a = x2 - 1, and the quasiparticle-to-particle map uses the mode
 coefficients: n_b+/- = u^2 x1(+/-) + v^2 (x1(-/+) + 1).
 
 In the shifted variables (x1 - n0_eq, x2 + n0_eq, Re c, Im c, x1m - n0_eq)
-the system is homogeneous, so the default integrator is a single matrix
+the system is homogeneous, so it is integrated by a single matrix
 exponential per output step, taken once in numpy: Re c and x1m decouple
 into scalar exponentials, and the coupled (x1, x2, Im c) block is
-exponentiated by Taylor scaling and squaring.  An adaptive Runge-Kutta path
-over the same right-hand side (scipy's DOP853, imported only on that path)
-is kept as an independent cross-check.
+exponentiated by Taylor scaling and squaring.  The tests check the result
+against an adaptive Runge-Kutta integration of the complex equations.
 
-The readout runs once over the whole trajectory as numpy arrays:
+The trajectory stays in numpy arrays from the propagator to the readout:
 occupations, xi3, and the pseudo-spin variances in closed form,
-xi1 = xi2 = (2 u^2 |c|^2 + 2 n_a n_b + n_a + n_b)/(n_a + n_b).  Positivity
-of the state's pair table is checked in closed form on every sample too.
-This module does not use the oracle; the tests check the closed form
-against the oracle's Wick fourth-moment engine.
+xi1 = xi2 = (2 u^2 |c|^2 + 2 n_a n_b + n_a + n_b)/(n_a + n_b), are computed
+over the whole trajectory in one pass, which also checks positivity of the
+state's pair table on every sample in closed form.  This module does not
+use the oracle; the tests check the closed form against the oracle's Wick
+fourth-moment engine.
 """
 
 from __future__ import annotations
@@ -108,6 +108,26 @@ class MomentState:
     x1m: float
     x2: float
     c: complex
+
+
+class Trajectory(NamedTuple):
+    """Moments on the output grid, one array entry per sample (c complex)."""
+
+    t: np.ndarray
+    x1: np.ndarray
+    x1m: np.ndarray
+    x2: np.ndarray
+    c: np.ndarray
+
+    def state(self, i: int) -> MomentState:
+        """Sample i as a MomentState."""
+        return MomentState(
+            t=float(self.t[i]),
+            x1=float(self.x1[i]),
+            x1m=float(self.x1m[i]),
+            x2=float(self.x2[i]),
+            c=complex(self.c[i]),
+        )
 
 
 @dataclass(frozen=True)
@@ -215,25 +235,29 @@ def _validate_initial(state: MomentState) -> None:
         raise ParameterError(f"|c|^2 = {abs(state.c)**2} exceeds x1*x2 = {bound}")
 
 
-def _clip_to_cone(x1: float, x2: float, cr: float, ci: float) -> tuple[float, float]:
-    """Project c back inside |c|^2 <= x1*x2 when roundoff pokes it outside.
+def _clip_to_cone(x1: np.ndarray, x2: np.ndarray, cr: np.ndarray, ci: np.ndarray) -> None:
+    """Project c back inside |c|^2 <= x1*x2 where roundoff pokes it outside.
 
     The exact flow never leaves the cone (the defect x1*x2 - |c|^2 obeys
     d/dt defect = -gamma*defect, so it stays >= 0), but the emitted doubles
     can land a few ulp outside, which would read as a Cauchy-Schwarz
     violation downstream.  Only roundoff-sized excesses (relative < 1e-10)
     are corrected; anything larger is a real problem and is left visible.
+    Rescales cr and ci in place by sqrt(x1*x2/|c|^2), then steps the samples
+    still outside one ulp toward 0 until none is.
     """
     bound = x1 * x2
     mag2 = cr * cr + ci * ci
-    if not (mag2 > bound >= 0.0) or mag2 > bound * (1.0 + 1e-10) + 1e-10:
-        return cr, ci
-    scale = math.sqrt(bound / mag2)
-    cr, ci = cr * scale, ci * scale
-    while cr * cr + ci * ci > bound:
-        cr = math.nextafter(cr, 0.0)
-        ci = math.nextafter(ci, 0.0)
-    return cr, ci
+    clip = np.flatnonzero(
+        (mag2 > bound) & (bound >= 0.0) & (mag2 <= bound * (1.0 + 1e-10) + 1e-10)
+    )
+    scale = np.sqrt(bound[clip] / mag2[clip])
+    cr[clip] *= scale
+    ci[clip] *= scale
+    while clip.size:
+        clip = clip[cr[clip] * cr[clip] + ci[clip] * ci[clip] > bound[clip]]
+        cr[clip] = np.nextafter(cr[clip], 0.0)
+        ci[clip] = np.nextafter(ci[clip], 0.0)
 
 
 def evolve_moments(
@@ -241,15 +265,13 @@ def evolve_moments(
     drive: DriveConfig,
     gamma: float,
     n0_eq: float = 0.0,
-    method: str = "expm",
-) -> list[MomentState]:
+) -> Trajectory:
     """Evolve the moments on the output grid t = initial.t + i*dt_output.
 
-    method "expm" (default) propagates with one matrix exponential per output
-    step — exact for this linear system up to roundoff; "dop853" integrates
-    the same right-hand side with scipy's adaptive Runge-Kutta as an
-    independent cross-check, and is the only path that imports scipy.
-    Relaxation targets n0_eq (0 at zero temperature).
+    Propagates with one matrix exponential per output step, exact for this
+    linear system up to roundoff.  Relaxation targets n0_eq (0 at zero
+    temperature).  Raises IntegrationError, carrying the last finite state,
+    when the moments or their products overflow.
     """
     if gamma < 0.0:
         raise ParameterError(f"gamma must be >= 0, got {gamma}")
@@ -259,74 +281,44 @@ def evolve_moments(
 
     n_steps = max(1, round(drive.t_max / drive.dt_output))
     dt = drive.dt_output
-    z0 = np.array(
-        [
-            initial.x1 - n0_eq,
-            initial.x2 + n0_eq,
-            initial.c.real,
-            initial.c.imag,
-            initial.x1m - n0_eq,
-        ]
+    propagator = _propagator(drive.rabi_effective, gamma, dt)
+    z = np.empty((n_steps + 1, 5))
+    z[0] = (
+        initial.x1 - n0_eq,
+        initial.x2 + n0_eq,
+        initial.c.real,
+        initial.c.imag,
+        initial.x1m - n0_eq,
     )
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        for i in range(n_steps):
+            z[i + 1] = propagator @ z[i]
 
-    if method == "expm":
-        propagator = _propagator(drive.rabi_effective, gamma, dt)
-        trajectory = np.empty((n_steps + 1, 5))
-        trajectory[0] = z0
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            for i in range(n_steps):
-                trajectory[i + 1] = propagator @ trajectory[i]
-    elif method == "dop853":
-        from scipy.integrate import solve_ivp
-
-        gen = _real_generator(drive.rabi_effective, gamma)
-        t_eval = dt * np.arange(n_steps + 1)
-        sol = solve_ivp(
-            lambda _t, z: gen @ z,
-            (0.0, n_steps * dt),
-            z0,
-            t_eval=t_eval,
-            method="DOP853",
-            rtol=1e-11,
-            atol=1e-13,
-        )
-        if not sol.success:
-            raise IntegrationError(f"step integrator failed: {sol.message}", initial)
-        trajectory = sol.y.T
-    else:
-        raise ParameterError(f"unknown method {method!r} (expected 'expm' or 'dop853')")
-
-    x1 = trajectory[:, 0] + n0_eq
-    x2 = trajectory[:, 1] - n0_eq
+    x1 = z[:, 0] + n0_eq
+    x2 = z[:, 1] - n0_eq
     with np.errstate(over="ignore", invalid="ignore"):
         # the cone check and the readout multiply moments, so their
         # products must stay finite too
-        valid = np.isfinite(trajectory).all(axis=1) & np.isfinite(
-            x1 * x2 + trajectory[:, 2] ** 2 + trajectory[:, 3] ** 2
+        valid = np.isfinite(z).all(axis=1) & np.isfinite(
+            x1 * x2 + z[:, 2] ** 2 + z[:, 3] ** 2
         )
     n_valid = n_steps + 1 if valid.all() else int(np.argmin(valid))
-    states: list[MomentState] = []
-    for i in range(n_valid):
-        z = trajectory[i]
-        cr, ci = _clip_to_cone(x1[i], x2[i], z[2], z[3])
-        states.append(
-            MomentState(
-                t=initial.t + i * dt,
-                x1=x1[i],
-                x1m=z[4] + n0_eq,
-                x2=x2[i],
-                c=complex(cr, ci),
-            )
-        )
+    x1, x2, z = x1[:n_valid], x2[:n_valid], z[:n_valid]
+    _clip_to_cone(x1, x2, z[:, 2], z[:, 3])
+    c = np.empty(n_valid, dtype=complex)
+    c.real, c.imag = z[:, 2], z[:, 3]
+    trajectory = Trajectory(
+        t=initial.t + dt * np.arange(n_valid), x1=x1, x1m=z[:, 4] + n0_eq, x2=x2, c=c
+    )
     if n_valid <= n_steps:
         raise IntegrationError(
             f"non-finite state at t = {initial.t + n_valid * dt}",
-            states[-1] if states else initial,
+            trajectory.state(n_valid - 1) if n_valid else initial,
         )
-    return states
+    return trajectory
 
 
-class _Readout(NamedTuple):
+class Readout(NamedTuple):
     """Per-sample readout arrays; xi entries are NaN where undefined."""
 
     n_a: np.ndarray
@@ -342,20 +334,21 @@ def _block_eigmin(p: np.ndarray, q: np.ndarray, off2: np.ndarray) -> np.ndarray:
     return 0.5 * (p + q) - np.sqrt(half_gap * half_gap + off2)
 
 
-def _readout(
-    t: np.ndarray,
-    x1: np.ndarray,
-    x1m: np.ndarray,
-    x2: np.ndarray,
-    c: np.ndarray,
-    mode: BogoliubovMode,
-) -> _Readout:
+def readout(trajectory: Trajectory, mode: BogoliubovMode) -> Readout:
     """Occupations and squeezing parameters of every sample in one pass.
 
-    The only place the readout formulas live; the scalar helpers below
-    evaluate it on a one-sample stack.  Raises IntegrationError, carrying
-    the last valid state, when a sample is not a physical Gaussian state.
+    n_a subtracts the vacuum from the anti-normal photon moment; the atomic
+    side maps quasiparticle occupations through u, v, picking up the v^2
+    quantum depletion of each partner mode: n_b+/- = u^2 x1(+/-) +
+    v^2 (x1(-/+) + 1).  xi3 = [n_a(n_a+1) + n_b(n_b+1) - 2 u^2 |c|^2] /
+    (n_a + n_b) is the relative-number squeezing, normalized to the
+    coherent-state value.  xi12 is xi1 = xi2 of the pseudo-spin
+    J1 = (a^dag b + b^dag a)/2, J2 = (a^dag b - b^dag a)/(2i), whose means
+    vanish identically for these states since <a^dag b> = 0.  Raises
+    IntegrationError, carrying the last valid state, when a sample is not a
+    physical Gaussian state.
     """
+    t, x1, x1m, x2, c = trajectory
     u2 = mode.u * mode.u
     v2 = mode.v * mode.v
     n_a = x2 - 1.0
@@ -382,14 +375,7 @@ def _readout(
         bad = int(np.argmin(positive))
         last = max(bad - 1, 0)
         raise IntegrationError(
-            f"moment table not positive at t = {t[bad]}",
-            MomentState(
-                t=float(t[last]),
-                x1=float(x1[last]),
-                x1m=float(x1m[last]),
-                x2=float(x2[last]),
-                c=complex(c[last]),
-            ),
+            f"moment table not positive at t = {t[bad]}", trajectory.state(last)
         )
 
     # xi3 = [Var n_a + Var n_b - 2 Cov(n_a, n_b)] / (n_a + n_b) and, for
@@ -402,60 +388,11 @@ def _readout(
         xi12 = (2.0 * covariance + 2.0 * n_a * n_b_plus + n_a + n_b_plus) / total
     xi3[total < _DEGENERACY_FLOOR] = np.nan
     xi12[0.25 * total < _DEGENERACY_FLOOR] = np.nan
-    return _Readout(n_a, n_b_plus, n_b_minus, xi12, xi3)
-
-
-def _stack(states: list[MomentState]) -> tuple[np.ndarray, ...]:
-    """(t, x1, x1m, x2, c) arrays over a list of states."""
-    return (
-        np.array([s.t for s in states]),
-        np.array([s.x1 for s in states]),
-        np.array([s.x1m for s in states]),
-        np.array([s.x2 for s in states]),
-        np.array([s.c for s in states], dtype=complex),
-    )
+    return Readout(n_a, n_b_plus, n_b_minus, xi12, xi3)
 
 
 def _defined(values: np.ndarray) -> list[float | None]:
     return [None if math.isnan(v) else v for v in values.tolist()]
-
-
-def occupations(
-    state: MomentState, mode: BogoliubovMode
-) -> tuple[float, float, float]:
-    """(n_a, n_b_plus, n_b_minus): particle-mode occupations.
-
-    The photon number subtracts the vacuum from the anti-normal moment;
-    the atomic side maps quasiparticle occupations through u, v, picking up
-    the v^2 quantum depletion of each partner mode.  Like every readout
-    helper, raises IntegrationError for a non-positive (unphysical) state.
-    """
-    r = _readout(*_stack([state]), mode)
-    return float(r.n_a[0]), float(r.n_b_plus[0]), float(r.n_b_minus[0])
-
-
-def squeezing_xi3(state: MomentState, mode: BogoliubovMode) -> float | None:
-    """Relative-number squeezing of the photon and driven-atom modes.
-
-    xi3 = [n_a(n_a+1) + n_b(n_b+1) - 2 u^2 |c|^2] / (n_a + n_b), the number
-    variances minus twice the covariance, normalized to the coherent-state
-    value; None when the denominator is degenerate.
-    """
-    return _defined(_readout(*_stack([state]), mode).xi3)[0]
-
-
-def squeezing_xi12(
-    state: MomentState, mode: BogoliubovMode
-) -> tuple[float | None, float | None, float, float]:
-    """(xi1, xi2, mean_J1, mean_J2) for the two-mode pseudo-spin.
-
-    J1 = (a^dag b + b^dag a)/2 and J2 = (a^dag b - b^dag a)/(2i).  Both
-    means vanish identically for this pipeline's states, since <a^dag b> = 0,
-    and xi1 = xi2 = (2 u^2 |c|^2 + 2 n_a n_b + n_a + n_b)/(n_a + n_b) in
-    closed form; None when degenerate.
-    """
-    xi = _defined(_readout(*_stack([state]), mode).xi12)[0]
-    return xi, xi, 0.0, 0.0
 
 
 VACUUM = MomentState(t=0.0, x1=0.0, x1m=0.0, x2=1.0, c=0.0 + 0.0j)
@@ -481,14 +418,13 @@ def run_squeezing(params: PhysicalParams, drive: DriveConfig) -> SqueezingRun:
         )
         gamma = decay_rate(query).gamma_total
 
-    states = evolve_moments(VACUUM, drive, gamma, n0_eq=0.0)
-    t, x1, x1m, x2, c = _stack(states)
-    r = _readout(t, x1, x1m, x2, c, mode)
+    trajectory = evolve_moments(VACUUM, drive, gamma)
+    r = readout(trajectory, mode)
     depletion_valid = r.n_b_plus + r.n_b_minus < 0.1 * params.atom_count_N0
     points = [
         SqueezingPoint(t_i, n_a, n_b_plus, n_b_minus, xi12, xi12, xi3, valid)
         for t_i, n_a, n_b_plus, n_b_minus, xi12, xi3, valid in zip(
-            t.tolist(),
+            trajectory.t.tolist(),
             r.n_a.tolist(),
             r.n_b_plus.tolist(),
             r.n_b_minus.tolist(),

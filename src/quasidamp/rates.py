@@ -18,7 +18,8 @@ max(epsabs, epsrel*|result|), with at most 200 subintervals per integral.
 `decay_rates` refines every integral of a sweep together as arrays, one
 bisection per unfinished integral per pass.  Each integral's refinement
 depends on its own integrand alone, so a width is bit-identical whichever
-other points share the sweep; `decay_rate` is the one-point sweep.
+other points share the sweep; `decay_rate` is the one-point sweep.  A
+RateResult carries both channels' widths.
 
 Everything is evaluated in natural units (momenta in k0, frequencies in
 omega0); the dimensionless gas parameter k0^3/n0 carries the overall scale
@@ -89,15 +90,14 @@ class RateQuery:
 class RateResult:
     """Decay widths in s^-1 with quadrature diagnostics.
 
-    kinematic_window is the support (in kbar) of the spontaneous-channel
-    magnitude integral; it is (x, x) when no final state is allowed.
+    gamma_beliaev is the spontaneous width and gamma_landau the stimulated
+    one, in the query's channel; the error estimate covers both.
     """
 
     gamma_beliaev: float
     gamma_landau: float
     gamma_total: float
     quadrature_error_estimate: float
-    kinematic_window: tuple[float, float]
 
 
 class QuadratureError(RuntimeError):
@@ -289,6 +289,10 @@ _BATCH = 1024
 #: where 1/(e^x - 1) must still be a finite double.
 _MIN_BOSE_EXPONENT = 1e-150
 
+#: Bose exponent above which 1/(e^x - 1) underflows to exactly 0.0: a
+#: stimulated window whose lower edge lies beyond it has zero width.
+_MAX_BOSE_EXPONENT = 746.0
+
 
 def _qk21(f: Callable, args: list[np.ndarray], lo: np.ndarray, hi: np.ndarray):
     """G10K21 on each subinterval [lo, hi] (QUADPACK qk21, vectorised).
@@ -472,7 +476,9 @@ def _integrals(query: RateQuery) -> tuple[_Integral, _Integral]:
                        * int_{kmin} dk k s_k^2 (n_b(w_k) - n_free(qbar^2 + w_k))
 
     The free-particle angular Jacobian is 1/(2 qbar kbar); |cos theta*| <= 1
-    forces kbar >= max(0, 1/(2 qbar) - qbar).
+    forces kbar >= max(0, 1/(2 qbar) - qbar).  When no thermal quasiparticle
+    is left at that threshold (its occupation underflows, or at tiny qbar
+    its frequency overflows) the window is empty.
     """
     qbar, temperature, params = query.qbar, query.temperature_T, query.params
     two_level = query.channel is Channel.TWO_LEVEL
@@ -511,34 +517,16 @@ def _integrals(query: RateQuery) -> tuple[_Integral, _Integral]:
     else:
         prefactor = _coupling_ratio_sq(params) * gas / (4.0 * math.pi * qbar)
         kmin = max(0.0, 0.5 / qbar - qbar)
-        kmax = _bose_cutoff_kbar(dispersion(kmin) if kmin > 0.0 else 0.0,
-                                 temperature, units.omega0)
+        omega_low = float(_omega(kmin))  # inf when kmin^2 overflows
+        if beta * omega_low > _MAX_BOSE_EXPONENT:
+            kmax = kmin
+        else:
+            kmax = max(kmin, _bose_cutoff_kbar(omega_low, temperature, units.omega0))
         stimulated = _Integral(
-            _stimulated_free_integrand, kmin, max(kmin, kmax), (qbar * qbar, beta),
+            _stimulated_free_integrand, kmin, kmax, (qbar * qbar, beta),
             EPSABS_OMEGA0 / prefactor, prefactor * units.omega0, point,
         )
     return spontaneous, stimulated
-
-
-def _checked_stimulated(width: float) -> float:
-    if width < 0.0:
-        raise RuntimeError(
-            f"stimulated width came out negative ({width} s^-1): population "
-            "factor ordering violated"
-        )
-    return width
-
-
-def _landau_two_level(qbar: float, temperature_T: float, params: PhysicalParams,
-                      epsrel: float) -> tuple[float, float, tuple[float, float]]:
-    """Interspecies stimulated width alone: (gamma s^-1, error, window).
-
-    The window is (kmin, kmax) in kbar, or (kmin, kmin) when the Bose
-    cutoff leaves no allowed final state.
-    """
-    _, integral = _integrals(RateQuery(qbar, temperature_T, Channel.TWO_LEVEL, params))
-    ((gamma, err),) = _solve([integral], epsrel)
-    return _checked_stimulated(gamma), err, (integral.lo, integral.hi)
 
 
 # ---------------------------------------------------------------------------
@@ -555,14 +543,17 @@ def decay_rates(queries: Sequence[RateQuery], epsrel: float = EPSREL) -> list[Ra
     integrals = [i for query in queries for i in _integrals(query)]
     widths = _solve(integrals, epsrel)
     results = []
-    for query, (gb, eb), (gl, el) in zip(queries, widths[0::2], widths[1::2]):
-        gl = _checked_stimulated(gl)
+    for (gb, eb), (gl, el) in zip(widths[0::2], widths[1::2]):
+        if gl < 0.0:
+            raise RuntimeError(
+                f"stimulated width came out negative ({gl} s^-1): population "
+                "factor ordering violated"
+            )
         results.append(RateResult(
             gamma_beliaev=gb,
             gamma_landau=gl,
             gamma_total=gb + gl,
             quadrature_error_estimate=eb + el,
-            kinematic_window=(0.0, query.qbar),
         ))
     return results
 
@@ -570,41 +561,6 @@ def decay_rates(queries: Sequence[RateQuery], epsrel: float = EPSREL) -> list[Ra
 def decay_rate(query: RateQuery, epsrel: float = EPSREL) -> RateResult:
     """Both channels combined into a RateResult (widths in s^-1)."""
     return decay_rates([query], epsrel)[0]
-
-
-def _require_channel(query: RateQuery, channel: Channel) -> None:
-    if query.channel is not channel:
-        raise ParameterError(
-            f"query channel is {query.channel}, operation requires {channel}"
-        )
-
-
-def _one_channel(query: RateQuery, channel: Channel, stimulated: bool,
-                 epsrel: float) -> float:
-    """One channel's width (s^-1), solving only that channel's integral."""
-    _require_channel(query, channel)
-    ((width, _),) = _solve([_integrals(query)[stimulated]], epsrel)
-    return _checked_stimulated(width) if stimulated else width
-
-
-def beliaev_rate_single(query: RateQuery, epsrel: float = EPSREL) -> float:
-    """Spontaneous intraspecies width (s^-1) at query.qbar."""
-    return _one_channel(query, Channel.SINGLE_LEVEL, False, epsrel)
-
-
-def landau_rate_single(query: RateQuery, epsrel: float = EPSREL) -> float:
-    """Stimulated intraspecies width (s^-1); exactly 0 at T = 0."""
-    return _one_channel(query, Channel.SINGLE_LEVEL, True, epsrel)
-
-
-def beliaev_rate_two_level(query: RateQuery, epsrel: float = EPSREL) -> float:
-    """Spontaneous interspecies width (s^-1) at query.qbar."""
-    return _one_channel(query, Channel.TWO_LEVEL, False, epsrel)
-
-
-def landau_rate_two_level(query: RateQuery, epsrel: float = EPSREL) -> float:
-    """Stimulated interspecies width (s^-1); exactly 0 at T = 0."""
-    return _one_channel(query, Channel.TWO_LEVEL, True, epsrel)
 
 
 def beliaev_asymptote(qbar: float, channel: Channel, params: PhysicalParams) -> float:

@@ -1,6 +1,5 @@
 """Config loading, subcommands, file formats, and exit codes."""
 
-import dataclasses
 import json
 import math
 import os
@@ -23,6 +22,7 @@ from quasidamp.cli import (
     main,
 )
 from quasidamp.model import PRESETS, derive_units
+from quasidamp import oracle
 from quasidamp.oracle import Verdict
 from quasidamp.rates import Channel, QuadratureError, RateQuery, decay_rate
 
@@ -424,24 +424,17 @@ def test_rates_outputs(tmp_path, capsys):
     assert "rates.csv" in printed and "rates.meta.json" in printed
 
 
-def test_rates_deterministic_across_threads(tmp_path, monkeypatch):
+def test_rates_deterministic_across_threads(tmp_path):
+    # the sweep is one batched pass on one thread; two runs give the same bytes
     cfg_path = write_config(tmp_path)
-    outputs = {}
-    for threads in ("1", "8"):
-        out = tmp_path / f"out{threads}"
-        monkeypatch.setenv("QUASIDAMP_THREADS", threads)
+    outputs = []
+    for run in ("first", "second"):
+        out = tmp_path / run
         assert main(["rates", "--config", cfg_path, "--out", str(out)]) == 0
-        outputs[threads] = (
-            (out / "rates.csv").read_bytes(),
-            (out / "rates.meta.json").read_bytes(),
+        outputs.append(
+            ((out / "rates.csv").read_bytes(), (out / "rates.meta.json").read_bytes())
         )
-    assert outputs["1"] == outputs["8"]
-
-
-def test_bad_thread_count(tmp_path, monkeypatch):
-    cfg_path = write_config(tmp_path)
-    monkeypatch.setenv("QUASIDAMP_THREADS", "many")
-    assert main(["rates", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    assert outputs[0] == outputs[1]
 
 
 def test_rates_quadrature_failure_leaves_no_files(tmp_path, monkeypatch, capsys):
@@ -591,9 +584,9 @@ def test_dynamics_non_positive_state_exits_3(tmp_path, capsys, monkeypatch):
     evolve = dynamics.evolve_moments
 
     def doctored(*args, **kwargs):
-        states = evolve(*args, **kwargs)
-        states[3] = dataclasses.replace(states[3], c=10.0 * states[3].c)
-        return states
+        trajectory = evolve(*args, **kwargs)
+        trajectory.c[3] *= 10.0
+        return trajectory
 
     monkeypatch.setattr(dynamics, "evolve_moments", doctored)
     cfg_path = write_config(tmp_path, drive={"t_max": 1e-4, "dt_output": 1e-5})
@@ -604,6 +597,26 @@ def test_dynamics_non_positive_state_exits_3(tmp_path, capsys, monkeypatch):
     assert err.startswith("integration failure: moment table not positive")
     assert err.count("\n") == 1
     assert not (out / "trajectory.csv").exists()
+
+
+def test_dynamics_rejects_two_level_channel_without_fixed_rate(tmp_path, capsys):
+    # dynamics computes the single-level width only; a two-level config must
+    # fix the rate itself instead of silently getting the wrong channel
+    two_level = {"params": {"a_bc": 2.8e-9}, "rate_query": {"channel": "two_level"}}
+    drive = {"t_max": 1e-4, "dt_output": 1e-5}
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, drive=drive, **two_level)
+    assert main(["dynamics", "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "two_level" in err and err.count("\n") == 1
+    assert not (out / "trajectory.csv").exists()
+
+    assert main(["dynamics", "--config", cfg_path, "--no-damping", "--out", str(out)]) == 0
+    fixed = write_config(tmp_path, "fixed.json", drive={**drive, "gamma_override": 50.0},
+                         **two_level)
+    assert main(["dynamics", "--config", fixed, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert summary["gamma_used_s"] == 50.0
 
 
 # ---------------------------------------------------------------------------
@@ -622,10 +635,8 @@ def test_oracle_wick_suite(tmp_path):
 
 
 def test_oracle_failure_exit_code(tmp_path, monkeypatch, capsys):
-    import quasidamp.cli as cli_mod
-
     bad = Verdict(name="synthetic-check", expected=1.0, observed=2.0, tolerance=0.1, passed=False)
-    monkeypatch.setattr(cli_mod, "wick_suite", lambda: [bad])
+    monkeypatch.setattr(oracle, "wick_suite", lambda: [bad])
     out = tmp_path / "out"
     rc = main(["oracle", "--suite", "wick", "--out", str(out)])
     assert rc == 4

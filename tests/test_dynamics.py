@@ -22,18 +22,17 @@ from quasidamp.dynamics import (
     IntegrationError,
     MomentState,
     SqueezingRun,
+    Trajectory,
+    _clip_to_cone,
     _propagator,
-    _readout,
     _real_generator,
-    _stack,
     evolve_moments,
-    occupations,
+    readout,
     run_squeezing,
-    squeezing_xi3,
-    squeezing_xi12,
 )
-from quasidamp.oracle import GaussianSecondMoments, wick_fourth_moment
 from quasidamp.rates import Channel, RateQuery, decay_rate
+
+from moment_reference import dop853_from_vacuum, drift_matrix, wick_spin
 
 SODIUM = PRESETS["sodium-paper"]
 
@@ -55,31 +54,14 @@ def rel_gap(a, b):
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
+def read_one(state: MomentState, mode: BogoliubovMode):
+    """(n_a, n_b_plus, n_b_minus, xi12, xi3) of one state; xi NaN if undefined."""
+    one_sample = Trajectory(*(np.array([getattr(state, f)]) for f in Trajectory._fields))
+    return tuple(float(column[0]) for column in readout(one_sample, mode))
+
+
 # ---------------------------------------------------------------------------
 # generator
-
-
-def drift_matrix(rabi: float, gamma: float) -> np.ndarray:
-    """Complex 3x3 generator of the coupled moments.
-
-    Acts on the vector (<beta^dag beta> - n0_eq, <a a^dag> + n0_eq,
-    <a beta> - c.c.); the discarded combination <a beta> + c.c. obeys a
-    closed decaying equation and stays zero when started at zero.  The
-    production integrator evolves the equivalent real system of
-    (x1, x2, Re c, Im c) — see dynamics._real_generator.
-    """
-    if gamma < 0.0:
-        raise ParameterError(f"gamma must be >= 0, got {gamma}")
-    if rabi < 0.0:
-        raise ParameterError(f"rabi must be >= 0, got {rabi}")
-    return np.array(
-        [
-            [-gamma, 0.0, 1j * rabi],
-            [0.0, 0.0, 1j * rabi],
-            [-2j * rabi, -2j * rabi, -0.5 * gamma],
-        ],
-        dtype=complex,
-    )
 
 
 def test_generator_shape_and_validation():
@@ -141,9 +123,8 @@ def test_real_and_complex_generators_agree():
     # 5-variable real evolution
     rabi, gamma = 1e3, 300.0
     t = 2.3e-3
-    states = evolve_moments(VACUUM, drive(rabi, t_max=t, dt=t), gamma)
+    final = evolve_moments(VACUUM, drive(rabi, t_max=t, dt=t), gamma).state(-1)
     y = expm(drift_matrix(rabi, gamma) * t) @ np.array([0.0, 1.0, 0.0], dtype=complex)
-    final = states[-1]
     assert final.x1 == pytest.approx(y[0].real, rel=1e-10)
     assert final.x2 == pytest.approx(y[1].real, rel=1e-10)
     assert 2.0 * final.c.imag == pytest.approx(y[2].imag, rel=1e-10)
@@ -155,27 +136,26 @@ def test_real_and_complex_generators_agree():
 
 def test_undamped_matches_parametric_amplifier():
     rabi = 1e3
-    states = evolve_moments(VACUUM, drive(rabi, t_max=5e-3, dt=1e-5), gamma=0.0)
-    for s in states:
-        phase = rabi * s.t
-        assert rel_gap(s.x1, math.sinh(phase) ** 2) < 1e-8
-        assert rel_gap(s.x2, math.cosh(phase) ** 2) < 1e-8
-        expected_c = -0.5j * math.sinh(2.0 * phase)
-        assert abs(s.c - expected_c) <= 1e-8 * max(1.0, abs(expected_c))
-    mid = states[200]  # rabi * t = 2
-    assert mid.x1 == pytest.approx(math.sinh(2.0) ** 2, rel=1e-9)
+    traj = evolve_moments(VACUUM, drive(rabi, t_max=5e-3, dt=1e-5), gamma=0.0)
+    phase = rabi * traj.t
+    x1, x2 = np.sinh(phase) ** 2, np.cosh(phase) ** 2
+    assert np.all(np.abs(traj.x1 - x1) < 1e-8 * np.maximum(1.0, x1))
+    assert np.all(np.abs(traj.x2 - x2) < 1e-8 * np.maximum(1.0, x2))
+    expected_c = -0.5j * np.sinh(2.0 * phase)
+    assert np.all(np.abs(traj.c - expected_c) <= 1e-8 * np.maximum(1.0, np.abs(expected_c)))
+    assert traj.x1[200] == pytest.approx(math.sinh(2.0) ** 2, rel=1e-9)  # rabi * t = 2
 
 
 def test_exponential_relaxation_without_drive():
     gamma, n0_eq, a0 = 500.0, 0.3, 2.0
     initial = MomentState(t=0.0, x1=a0, x1m=0.7, x2=1.0, c=0.0j)
-    states = evolve_moments(
+    traj = evolve_moments(
         initial, drive(rabi=0.0, t_max=4e-3, dt=5e-5), gamma, n0_eq=n0_eq
     )
-    for s in states:
-        assert s.x1 == pytest.approx(n0_eq + (a0 - n0_eq) * math.exp(-gamma * s.t), rel=1e-10)
-        assert s.x1m == pytest.approx(n0_eq + 0.4 * math.exp(-gamma * s.t), rel=1e-10)
-        assert s.x2 == pytest.approx(1.0, rel=1e-12)
+    decay = np.exp(-gamma * traj.t)
+    assert traj.x1 == pytest.approx(n0_eq + (a0 - n0_eq) * decay, rel=1e-10)
+    assert traj.x1m == pytest.approx(n0_eq + 0.4 * decay, rel=1e-10)
+    assert traj.x2 == pytest.approx(np.ones_like(decay), rel=1e-12)
 
 
 def test_passive_mode_is_exactly_exponential():
@@ -183,45 +163,39 @@ def test_passive_mode_is_exactly_exponential():
     # independently of the drive
     gamma = 700.0
     initial = dataclasses.replace(VACUUM, x1m=0.7)
-    states = evolve_moments(initial, drive(1e3, t_max=3e-3, dt=1e-5), gamma)
-    t = np.array([s.t for s in states])
-    log_x1m = np.log([s.x1m for s in states])
-    coeffs, residuals, *_ = np.polyfit(t, log_x1m, 1, full=True)
+    traj = evolve_moments(initial, drive(1e3, t_max=3e-3, dt=1e-5), gamma)
+    coeffs, residuals, *_ = np.polyfit(traj.t, np.log(traj.x1m), 1, full=True)
     assert coeffs[0] == pytest.approx(-gamma, rel=1e-10)
     assert residuals[0] < 1e-10
 
 
 def test_passive_mode_vacuum_stays_empty():
-    states = evolve_moments(VACUUM, drive(1e3, t_max=1e-3, dt=1e-4), gamma=400.0)
-    assert all(s.x1m == 0.0 for s in states)
+    traj = evolve_moments(VACUUM, drive(1e3, t_max=1e-3, dt=1e-4), gamma=400.0)
+    assert not traj.x1m.any()
 
 
 def test_time_zero_identity():
     initial = MomentState(t=0.0, x1=1.5, x1m=0.2, x2=2.5, c=1.0 + 0.5j)
-    states = evolve_moments(initial, drive(1e3, t_max=1e-5, dt=1e-5), gamma=100.0)
-    first = states[0]
-    assert (first.x1, first.x1m, first.x2, first.c) == (1.5, 0.2, 2.5, 1.0 + 0.5j)
-    assert first.t == 0.0
+    traj = evolve_moments(initial, drive(1e3, t_max=1e-5, dt=1e-5), gamma=100.0)
+    assert traj.state(0) == initial
 
 
 @pytest.mark.parametrize("gamma_ratio", [0.0, 0.1, 1.0])
 def test_integrator_cross_check(gamma_ratio):
-    # matrix-exponential and adaptive Runge-Kutta paths agree over 5 drive
-    # e-foldings
+    # the matrix-exponential propagation agrees with adaptive Runge-Kutta on
+    # the independent complex generator over 5 drive e-foldings
     rabi = 1e3
     cfg = drive(rabi, t_max=5e-3, dt=5e-5)
     gamma = gamma_ratio * rabi
-    a = evolve_moments(VACUUM, cfg, gamma, method="expm")
-    b = evolve_moments(VACUUM, cfg, gamma, method="dop853")
-    assert len(a) == len(b) == 101
+    a = evolve_moments(VACUUM, cfg, gamma)
+    assert len(a.t) == 101
     worst = 0.0
-    for sa, sb in zip(a, b):
+    for i, (x1, x2, c) in enumerate(zip(*dop853_from_vacuum(rabi, gamma, a.t))):
         worst = max(
             worst,
-            rel_gap(sa.x1, sb.x1),
-            rel_gap(sa.x2, sb.x2),
-            rel_gap(sa.x1m, sb.x1m),
-            abs(sa.c - sb.c) / max(1.0, abs(sa.c), abs(sb.c)),
+            rel_gap(a.x1[i], x1),
+            rel_gap(a.x2[i], x2),
+            abs(a.c[i] - c) / max(1.0, abs(a.c[i]), abs(c)),
         )
     assert worst < 1e-8
 
@@ -230,18 +204,49 @@ def test_integrator_cross_check(gamma_ratio):
 def test_correlator_cone(gamma):
     # |c|^2 <= x1*x2 everywhere; for the undamped vacuum start the state stays
     # pure, so the bound is saturated
-    states = evolve_moments(VACUUM, drive(1e3, t_max=5e-3, dt=1e-5), gamma)
-    for s in states[1:]:
-        defect = s.x1 * s.x2 - abs(s.c) ** 2
-        assert defect >= 0.0
-        if gamma == 0.0:
-            assert defect <= 1e-6 * max(1.0, s.x1 * s.x2)
+    traj = evolve_moments(VACUUM, drive(1e3, t_max=5e-3, dt=1e-5), gamma)
+    bound = traj.x1[1:] * traj.x2[1:]
+    defect = bound - np.abs(traj.c[1:]) ** 2
+    assert np.all(defect >= 0.0)
+    if gamma == 0.0:
+        assert np.all(defect <= 1e-6 * np.maximum(1.0, bound))
+
+
+def clip_one(x1, x2, cr, ci):
+    """The cone clip's rule on one sample: a scalar reference."""
+    bound = x1 * x2
+    mag2 = cr * cr + ci * ci
+    if not (mag2 > bound >= 0.0) or mag2 > bound * (1.0 + 1e-10) + 1e-10:
+        return cr, ci
+    scale = math.sqrt(bound / mag2)
+    cr, ci = cr * scale, ci * scale
+    while cr * cr + ci * ci > bound:
+        cr, ci = math.nextafter(cr, 0.0), math.nextafter(ci, 0.0)
+    return cr, ci
+
+
+def test_cone_clip_matches_per_sample_rule():
+    # inside, on, roundoff-outside and far-outside samples
+    rng = np.random.default_rng(5)
+    n = 4000
+    x1 = rng.uniform(0.0, 1e3, n)
+    x2 = 1.0 + rng.uniform(0.0, 1e3, n)
+    excess = rng.choice([-1e-9, 0.0, 1e-16, 1e-13, 1e-11, 1e-9], n)
+    phase = rng.uniform(0.0, 2.0 * math.pi, n)
+    magnitude = np.sqrt(x1 * x2 * (1.0 + excess))
+    cr, ci = magnitude * np.cos(phase), magnitude * np.sin(phase)
+    expected = [clip_one(*sample) for sample in zip(x1.tolist(), x2.tolist(),
+                                                    cr.tolist(), ci.tolist())]
+    before = cr.copy()
+    _clip_to_cone(x1, x2, cr, ci)
+    assert list(zip(cr.tolist(), ci.tolist())) == expected
+    assert (cr != before).sum() > n // 4
 
 
 def test_commutator_floor():
     for gamma in (0.0, 700.0):
-        states = evolve_moments(VACUUM, drive(1e3, t_max=5e-3, dt=2e-5), gamma)
-        assert min(s.x2 for s in states) >= 1.0 - 1e-9
+        traj = evolve_moments(VACUUM, drive(1e3, t_max=5e-3, dt=2e-5), gamma)
+        assert traj.x2.min() >= 1.0 - 1e-9
 
 
 def test_anti_normal_floor_drives_growth():
@@ -250,9 +255,9 @@ def test_anti_normal_floor_drives_growth():
     rabi, gamma, t = 1e3, 200.0, 2e-3
     naive = expm(_real_generator(rabi, gamma) * t) @ np.zeros(5)
     assert np.array_equal(naive, np.zeros(5))
-    states = evolve_moments(VACUUM, drive(rabi, t_max=t, dt=t), gamma)
-    assert states[0].x2 - 1.0 == 0.0  # n_a(0) = 0 after vacuum subtraction
-    assert states[-1].x2 - 1.0 > 1.0  # while the pipeline grows
+    traj = evolve_moments(VACUUM, drive(rabi, t_max=t, dt=t), gamma)
+    assert traj.x2[0] - 1.0 == 0.0  # n_a(0) = 0 after vacuum subtraction
+    assert traj.x2[-1] - 1.0 > 1.0  # while the pipeline grows
 
 
 def test_integration_failure_carries_last_state():
@@ -279,8 +284,6 @@ def test_evolve_validation():
         evolve_moments(VACUUM, cfg, gamma=-1.0)
     with pytest.raises(ParameterError):
         evolve_moments(VACUUM, cfg, gamma=1.0, n0_eq=-0.5)
-    with pytest.raises(ParameterError):
-        evolve_moments(VACUUM, cfg, gamma=1.0, method="rk4")
     bad = [
         MomentState(0.0, -0.1, 0.0, 1.0, 0.0j),       # negative occupation
         MomentState(0.0, 0.0, -0.1, 1.0, 0.0j),       # negative passive occupation
@@ -332,7 +335,7 @@ def test_drive_config_step_cap():
 
 def test_vacuum_occupations():
     mode = bogoliubov_mode(5.0)
-    n_a, n_b_plus, n_b_minus = occupations(VACUUM, mode)
+    n_a, n_b_plus, n_b_minus, _, _ = read_one(VACUUM, mode)
     assert n_a == 0.0
     assert n_b_plus == pytest.approx(3.702332976756625e-4, rel=1e-10)
     assert n_b_minus == n_b_plus  # symmetric depletion at vacuum
@@ -340,7 +343,7 @@ def test_vacuum_occupations():
 
 def test_occupations_free_particle_limit():
     state = MomentState(t=0.0, x1=0.7, x1m=0.0, x2=1.7, c=0.0j)
-    n_a, n_b_plus, n_b_minus = occupations(state, FREE_MODE)
+    n_a, n_b_plus, n_b_minus, _, _ = read_one(state, FREE_MODE)
     assert n_b_plus == pytest.approx(0.7, rel=1e-15)
     assert n_a == pytest.approx(0.7, rel=1e-12)
     assert n_b_minus == 0.0
@@ -348,11 +351,9 @@ def test_occupations_free_particle_limit():
 
 def test_xi3_initial_value():
     mode5 = bogoliubov_mode(5.0)
-    assert squeezing_xi3(VACUUM, mode5) == pytest.approx(
-        1.0 + mode5.v**2, abs=1e-12
-    )
+    assert read_one(VACUUM, mode5)[4] == pytest.approx(1.0 + mode5.v**2, abs=1e-12)
     mode1 = bogoliubov_mode(1.0)
-    xi0 = squeezing_xi3(VACUUM, mode1)
+    xi0 = read_one(VACUUM, mode1)[4]
     assert xi0 == pytest.approx(1.0 + mode1.v**2, abs=1e-12)
     assert xi0 > 1.07
 
@@ -360,17 +361,18 @@ def test_xi3_initial_value():
 def test_xi3_perfect_correlation_limit():
     # u=1, v=0: photon and atom numbers are copies, so the relative number
     # variance vanishes along the whole undamped trajectory
-    states = evolve_moments(VACUUM, drive(1e3, t_max=2e-3, dt=2e-4), gamma=0.0)
-    for s in states[1:]:
-        xi3 = squeezing_xi3(s, FREE_MODE)
-        assert abs(xi3) < 1e-9
+    traj = evolve_moments(VACUUM, drive(1e3, t_max=2e-3, dt=2e-4), gamma=0.0)
+    assert np.all(np.abs(readout(traj, FREE_MODE).xi3[1:]) < 1e-9)
 
 
 def test_xi_degenerate_flags():
-    assert squeezing_xi3(VACUUM, FREE_MODE) is None
-    xi1, xi2, mean1, mean2 = squeezing_xi12(VACUUM, FREE_MODE)
-    assert xi1 is None and xi2 is None
-    assert mean1 == 0.0 and mean2 == 0.0
+    _, _, _, xi12, xi3 = read_one(VACUUM, FREE_MODE)
+    assert math.isnan(xi12) and math.isnan(xi3)
+    # a run reports them as None: at qbar = 1e8 the vacuum depletion v^2
+    # is below the degeneracy floor
+    run = run_squeezing(SODIUM, dataclasses.replace(drive(gamma=0.0, t_max=1e-5), qbar_recoil=1e8))
+    first = run.points[0]
+    assert first.xi1 is None and first.xi2 is None and first.xi3 is None
 
 
 physical_states = st.tuples(
@@ -382,49 +384,14 @@ physical_states = st.tuples(
 )
 
 
-def pair_table(state: MomentState, mode: BogoliubovMode) -> GaussianSecondMoments:
-    """Pair expectations over {a, a^dag, b, b^dag}, b = u beta_+ + v beta_-^dag."""
-    n_a = state.x2 - 1.0
-    n_b = mode.u**2 * state.x1 + mode.v**2 * (state.x1m + 1.0)
-    ab = mode.u * state.c
-    pairs = {
-        ("a", "ad"): complex(state.x2),
-        ("ad", "a"): complex(n_a),
-        ("b", "bd"): complex(n_b + 1.0),
-        ("bd", "b"): complex(n_b),
-        ("a", "b"): ab,
-        ("b", "a"): ab,
-        ("ad", "bd"): np.conj(ab),
-        ("bd", "ad"): np.conj(ab),
-    }
-    return GaussianSecondMoments(
-        operators=("a", "ad", "b", "bd"),
-        dagger={"a": "ad", "ad": "a", "b": "bd", "bd": "b"},
-        modes=(("a", "ad"), ("b", "bd")),
-        pairs=pairs,
-    )
-
-
 def assert_xi12_matches_wick(state: MomentState, mode: BogoliubovMode) -> None:
-    """The production closed form against the oracle's Wick expansion of
-    J1 = (a^dag b + b^dag a)/2 and J2 = (a^dag b - b^dag a)/(2i)."""
-    table = pair_table(state, mode)
-    assert table.pair("ad", "b") == 0.0 and table.pair("bd", "a") == 0.0  # zero means
-    cross = wick_fourth_moment(table, ("ad", "b", "bd", "a")) + wick_fourth_moment(
-        table, ("bd", "a", "ad", "b")
-    )
-    squares = wick_fourth_moment(table, ("ad", "b", "ad", "b")) + wick_fourth_moment(
-        table, ("bd", "a", "bd", "a")
-    )
-    half_j = 0.25 * (table.pair("ad", "a") + table.pair("bd", "b")).real
-    wick_xi1 = 0.25 * (squares + cross).real / half_j
-    wick_xi2 = -0.25 * (squares - cross).real / half_j
-
-    xi1, xi2, mean1, mean2 = squeezing_xi12(state, mode)
+    """The production closed form xi1 = xi2 against the oracle's Wick
+    expansion, with zero pseudo-spin means."""
+    mean1, mean2, wick_xi1, wick_xi2 = wick_spin(state, mode)
     assert mean1 == 0.0 and mean2 == 0.0
-    assert xi1 == xi2
-    assert xi1 == pytest.approx(wick_xi1, rel=1e-10)
-    assert xi2 == pytest.approx(wick_xi2, rel=1e-10)
+    xi12 = read_one(state, mode)[3]
+    assert xi12 == pytest.approx(wick_xi1, rel=1e-10)
+    assert xi12 == pytest.approx(wick_xi2, rel=1e-10)
 
 
 @settings(max_examples=80, deadline=None)
@@ -445,10 +412,10 @@ def test_xi12_matches_wick_on_damped_trajectory():
         RateQuery(qbar=5.0, temperature_T=3e-7, channel=Channel.SINGLE_LEVEL, params=params)
     ).gamma_total
     assert gamma > 0.0
-    states = evolve_moments(VACUUM, drive(1e3, t_max=6e-3, dt=1e-6), gamma)
+    traj = evolve_moments(VACUUM, drive(1e3, t_max=6e-3, dt=1e-6), gamma)
     mode = bogoliubov_mode(5.0)
-    for state in states[::100]:
-        assert_xi12_matches_wick(state, mode)
+    for i in range(0, len(traj.t), 100):
+        assert_xi12_matches_wick(traj.state(i), mode)
 
 
 def test_readout_matches_per_sample_loop():
@@ -456,10 +423,11 @@ def test_readout_matches_per_sample_loop():
     # so occupations and xi3 agree exactly (written trajectories stay
     # byte-stable); xi1 = xi2 is checked against the Wick engine above
     mode = bogoliubov_mode(5.0)
-    states = evolve_moments(VACUUM, drive(1e3, t_max=6e-3, dt=1e-5), gamma=700.0)
-    r = _readout(*_stack(states), mode)
+    traj = evolve_moments(VACUUM, drive(1e3, t_max=6e-3, dt=1e-5), gamma=700.0)
+    r = readout(traj, mode)
     u2, v2 = mode.u * mode.u, mode.v * mode.v
-    for i, s in enumerate(states):
+    for i in range(len(traj.t)):
+        s = traj.state(i)
         n_a = s.x2 - 1.0
         n_b = u2 * s.x1 + v2 * (s.x1m + 1.0)
         n_b_minus = u2 * s.x1m + v2 * (s.x1 + 1.0)
@@ -470,25 +438,22 @@ def test_readout_matches_per_sample_loop():
 
 def test_readout_rejects_non_positive_state():
     mode = bogoliubov_mode(5.0)
-    states = evolve_moments(VACUUM, drive(1e3, t_max=1e-4, dt=1e-5), gamma=0.0)
-    t, x1, x1m, x2, c = _stack(states)
-    _readout(t, x1, x1m, x2, c, mode)  # the true trajectory is positive
+    traj = evolve_moments(VACUUM, drive(1e3, t_max=1e-4, dt=1e-5), gamma=0.0)
+    readout(traj, mode)  # the true trajectory is positive
     # push sample 5 past the {a, b^dag} Gram block bound u^2 |c|^2 <= n_a (n_b + 1)
-    n_a = x2[5] - 1.0
-    n_b = mode.u**2 * x1[5] + mode.v**2 * (x1m[5] + 1.0)
-    c[5] *= 1.01 * math.sqrt(n_a * (n_b + 1.0)) / (mode.u * abs(c[5]))
+    n_a = traj.x2[5] - 1.0
+    n_b = mode.u**2 * traj.x1[5] + mode.v**2 * (traj.x1m[5] + 1.0)
+    sample_4 = traj.state(4)
+    traj.c[5] *= 1.01 * math.sqrt(n_a * (n_b + 1.0)) / (mode.u * abs(traj.c[5]))
     with pytest.raises(IntegrationError, match="not positive") as err:
-        _readout(t, x1, x1m, x2, c, mode)
-    assert err.value.last_valid == states[4]
+        readout(traj, mode)
+    assert err.value.last_valid == sample_4
 
 
 def test_xi12_equal_along_driven_trajectory():
     mode = bogoliubov_mode(5.0)
-    states = evolve_moments(VACUUM, drive(1e3, t_max=1e-3, dt=1e-4), gamma=0.0)
-    s = states[-1]  # rabi * t = 1
-    xi1, xi2, _, _ = squeezing_xi12(s, mode)
-    assert xi1 is not None
-    assert abs(xi1 - xi2) <= 1e-9 * max(1.0, abs(xi1))
+    traj = evolve_moments(VACUUM, drive(1e3, t_max=1e-3, dt=1e-4), gamma=0.0)
+    assert_xi12_matches_wick(traj.state(-1), mode)  # rabi * t = 1
 
 
 # ---------------------------------------------------------------------------

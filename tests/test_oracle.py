@@ -65,23 +65,26 @@ def _imported_names(module: str, module_level: bool = False) -> set[str]:
 
 @pytest.mark.parametrize("module", ["model", "rates", "dynamics"])
 def test_production_modules_do_not_import_oracle(module):
-    # a sys.modules check cannot tell: the package __init__ loads the oracle
+    # not even inside a function; test_cli_import_loads_no_scipy checks
+    # what importing the CLI loads
     imported = _imported_names(module)
     assert not [name for name in imported if "oracle" in name.split(".")]
 
 
 @pytest.mark.parametrize("module", ["model", "rates", "dynamics", "cli"])
 def test_production_modules_do_not_import_scipy_at_module_level(module):
-    # scipy is needed only by the dop853 cross-check, which imports it itself
+    # the production path needs no scipy; only the tests use it, as a reference
     imported = _imported_names(module, module_level=True)
     assert not [name for name in imported if name.split(".")[0] == "scipy"]
 
 
 def test_cli_import_loads_no_scipy():
+    # nor the oracle, which only the oracle command imports
     src = str(Path(quasidamp.__file__).resolve().parents[1])
     probe = (
         "import sys, quasidamp.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'scipy' or m == 'quasidamp.oracle'))"
     )
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(

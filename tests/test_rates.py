@@ -20,13 +20,13 @@ from quasidamp.rates import (
     Channel,
     RateQuery,
     RateResult,
+    EPSREL,
+    TWO_LEVEL_FACTOR,
     _beliaev_energy_integrand,
+    _integrals,
+    _solve,
     beliaev_asymptote,
-    beliaev_rate_single,
-    beliaev_rate_two_level,
     decay_rate,
-    landau_rate_single,
-    landau_rate_two_level,
 )
 
 SODIUM = PRESETS["sodium-paper"]
@@ -50,7 +50,7 @@ def two_level_query(qbar, T=0.0, params=SODIUM_TL):
 def test_recoil_momentum_anchor():
     """The dimensionless width at the recoil-scale momentum qbar = 5."""
     units = derive_units(SODIUM)
-    gamma = beliaev_rate_single(single_query(5.0))
+    gamma = decay_rate(single_query(5.0)).gamma_beliaev
     ratio = gamma / (dispersion(5.0) * units.omega0)
     assert ratio == pytest.approx(0.002102458306139846, rel=1e-9)
 
@@ -62,19 +62,18 @@ def test_decay_rate_frozen_total():
     assert result.gamma_landau == 0.0
     assert result.gamma_total == result.gamma_beliaev + result.gamma_landau
     assert 0.0 < result.quadrature_error_estimate < 1e-4
-    assert result.kinematic_window == (0.0, 5.0)
 
 
 def test_small_q_frozen_values():
     expected = {0.02: 3.46495057e-08, 0.05: 3.38103382e-06, 0.1: 1.07883884e-04}
     for qbar, gamma in expected.items():
-        assert beliaev_rate_single(single_query(qbar)) == pytest.approx(gamma, rel=1e-6)
+        assert decay_rate(single_query(qbar)).gamma_beliaev == pytest.approx(gamma, rel=1e-6)
 
 
 def test_small_q_approaches_closed_form():
     # 3*hbar*q^5/(320*pi*m*n0), approached from below as qbar -> 0
     for qbar, tol in ((0.02, 5e-4), (0.05, 2e-3), (0.1, 5e-3)):
-        gamma = beliaev_rate_single(single_query(qbar))
+        gamma = decay_rate(single_query(qbar)).gamma_beliaev
         limit = beliaev_asymptote(qbar, Channel.SINGLE_LEVEL, SODIUM)
         assert gamma == pytest.approx(limit, rel=tol)
         assert gamma < limit
@@ -82,7 +81,7 @@ def test_small_q_approaches_closed_form():
 
 def test_fifth_power_scaling():
     grid = np.geomspace(0.02, 0.1, 5)
-    gammas = [beliaev_rate_single(single_query(q)) for q in grid]
+    gammas = [decay_rate(single_query(q)).gamma_beliaev for q in grid]
     slope = np.polyfit(np.log(grid), np.log(gammas), 1)[0]
     assert slope == pytest.approx(5.0, abs=0.02)
 
@@ -100,8 +99,8 @@ def test_asymptote_values_and_validation():
 
 
 def test_thermal_occupation_enhances_splitting():
-    cold = beliaev_rate_single(single_query(1.0))
-    warm = beliaev_rate_single(single_query(1.0, T=1e-6))
+    cold = decay_rate(single_query(1.0)).gamma_beliaev
+    warm = decay_rate(single_query(1.0, T=1e-6)).gamma_beliaev
     assert warm > cold
 
 
@@ -144,7 +143,7 @@ def test_energy_route_matches_momentum_route():
         reduced, _ = quad(lambda w: _beliaev_energy_integrand(qbar, w), 0.0, wq,
                           limit=200, epsabs=1e-13, epsrel=1e-10)
         gamma_energy = gas / (math.pi * qbar) * units.omega0 * reduced
-        gamma_momentum = beliaev_rate_single(single_query(qbar))
+        gamma_momentum = decay_rate(single_query(qbar)).gamma_beliaev
         assert gamma_energy == pytest.approx(gamma_momentum, rel=1e-6)
 
 
@@ -153,20 +152,20 @@ def test_energy_route_matches_momentum_route():
 
 
 def test_stimulated_exactly_zero_at_zero_temperature():
-    assert landau_rate_single(single_query(5.0)) == 0.0
-    assert landau_rate_two_level(two_level_query(5.0)) == 0.0
+    assert decay_rate(single_query(5.0)).gamma_landau == 0.0
+    assert decay_rate(two_level_query(5.0)).gamma_landau == 0.0
     result = decay_rate(single_query(0.3))
     assert result.gamma_landau == 0.0
     assert result.gamma_total == result.gamma_beliaev
 
 
 def test_stimulated_frozen_value():
-    gamma = landau_rate_single(single_query(5.0, T=1e-6))
+    gamma = decay_rate(single_query(5.0, T=1e-6)).gamma_landau
     assert gamma == pytest.approx(1461.9636910876163, rel=1e-8)
 
 
 def test_stimulated_monotone_in_temperature():
-    rates = [landau_rate_single(single_query(1.0, T=t)) for t in (2e-7, 5e-7, 1e-6)]
+    rates = [decay_rate(single_query(1.0, T=t)).gamma_landau for t in (2e-7, 5e-7, 1e-6)]
     assert rates[0] > 0.0
     assert rates[0] < rates[1] < rates[2]
 
@@ -205,14 +204,14 @@ def test_population_factors_balance_on_shell(kbar_i, kbar_j, temperature):
 def test_two_level_tracks_single_level_shape():
     # same splitting kinematics, different coupling combination: the ratio is
     # the constant 10/9 when a_bc = a_bb
-    single = beliaev_rate_single(single_query(0.05))
-    double = beliaev_rate_two_level(two_level_query(0.05))
+    single = decay_rate(single_query(0.05)).gamma_beliaev
+    double = decay_rate(two_level_query(0.05)).gamma_beliaev
     assert double == pytest.approx(10.0 / 9.0 * single, rel=1e-12)
     assert double == pytest.approx(3.756704244354953e-06, rel=1e-6)
 
 
 def test_two_level_asymptote():
-    gamma = beliaev_rate_two_level(two_level_query(0.02))
+    gamma = decay_rate(two_level_query(0.02)).gamma_beliaev
     limit = beliaev_asymptote(0.02, Channel.TWO_LEVEL, SODIUM_TL)
     assert gamma == pytest.approx(limit, rel=5e-3)
     ratio = beliaev_asymptote(0.02, Channel.TWO_LEVEL, SODIUM_TL) / beliaev_asymptote(
@@ -226,22 +225,38 @@ def test_interspecies_coupling_scaling():
     # a_bc quadruples both channels
     base = dataclasses.replace(SODIUM, two_level=TwoLevelParams(a_bc=1.0e-9))
     strong = dataclasses.replace(SODIUM, two_level=TwoLevelParams(a_bc=2.0e-9))
-    for fn, T in ((beliaev_rate_two_level, 0.0), (landau_rate_two_level, 5e-7)):
-        weak_rate = fn(two_level_query(0.3, T=T, params=base))
-        strong_rate = fn(two_level_query(0.3, T=T, params=strong))
+    for field, T in (("gamma_beliaev", 0.0), ("gamma_landau", 5e-7)):
+        weak_rate = getattr(decay_rate(two_level_query(0.3, T=T, params=base)), field)
+        strong_rate = getattr(decay_rate(two_level_query(0.3, T=T, params=strong)), field)
         assert strong_rate == pytest.approx(4.0 * weak_rate, rel=1e-12)
 
 
 def test_two_level_stimulated_threshold_window():
     # free-particle kinematics forbids absorption below 1/(2 qbar) - qbar
-    from quasidamp.rates import _landau_two_level
+    slow = two_level_query(0.05, T=1e-6)
+    assert _integrals(slow)[1].lo == pytest.approx(0.5 / 0.05 - 0.05, rel=1e-12)
+    assert decay_rate(slow).gamma_landau >= 0.0
+    fast = two_level_query(5.0, T=1e-6)
+    assert _integrals(fast)[1].lo == 0.0
+    assert decay_rate(fast).gamma_landau > 0.0
 
-    gamma, _, window = _landau_two_level(0.05, 1e-6, SODIUM_TL, 1e-8)
-    assert window[0] == pytest.approx(0.5 / 0.05 - 0.05, rel=1e-12)
-    assert gamma >= 0.0
-    gamma_fast, _, window_fast = _landau_two_level(5.0, 1e-6, SODIUM_TL, 1e-8)
-    assert window_fast[0] == 0.0
-    assert gamma_fast > 0.0
+
+@pytest.mark.parametrize("qbar", [1e-156, 4e-155])
+def test_two_level_stimulated_window_empty_at_tiny_qbar(qbar):
+    # the absorption threshold 1/(2 qbar) - qbar lies far beyond the thermal
+    # tail: at 1e-156 its frequency overflows, at 4e-155 the Bose cutoff
+    # above it did, and both raised ParameterError instead of a zero width
+    params = dataclasses.replace(SODIUM, two_level=TwoLevelParams(a_bc=3e-9))
+    query = two_level_query(qbar, T=1e-13, params=params)
+    stimulated = _integrals(query)[1]
+    assert stimulated.lo == stimulated.hi
+    result = decay_rate(query)
+    assert result.gamma_landau == 0.0
+    single = decay_rate(dataclasses.replace(query, channel=Channel.SINGLE_LEVEL))
+    coupling = (3e-9 / SODIUM.scattering_length_a) ** 2
+    assert result.gamma_beliaev == pytest.approx(
+        TWO_LEVEL_FACTOR * coupling * single.gamma_beliaev, rel=1e-12
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -258,14 +273,14 @@ def test_tightened_tolerance_stays_within_error_estimate():
 
 @pytest.mark.parametrize("T", [0.0, 1e-6])
 @pytest.mark.parametrize("qbar", [0.05, 1.0])
-def test_channel_wrappers_equal_decay_rate_fields(qbar, T):
-    # each wrapper solves only its own integral, with the same result
-    single = decay_rate(single_query(qbar, T=T))
-    double = decay_rate(two_level_query(qbar, T=T))
-    assert beliaev_rate_single(single_query(qbar, T=T)) == single.gamma_beliaev
-    assert landau_rate_single(single_query(qbar, T=T)) == single.gamma_landau
-    assert beliaev_rate_two_level(two_level_query(qbar, T=T)) == double.gamma_beliaev
-    assert landau_rate_two_level(two_level_query(qbar, T=T)) == double.gamma_landau
+def test_channel_widths_equal_lone_integral_solves(qbar, T):
+    # each channel's width is its own integral's, whichever other integrals
+    # the sweep refines alongside it
+    for query in (single_query(qbar, T=T), two_level_query(qbar, T=T)):
+        result = decay_rate(query)
+        spontaneous, stimulated = _integrals(query)
+        assert _solve([spontaneous], EPSREL)[0][0] == result.gamma_beliaev
+        assert _solve([stimulated], EPSREL)[0][0] == result.gamma_landau
 
 
 def test_integer_qbar_is_taken_as_float():
@@ -273,9 +288,7 @@ def test_integer_qbar_is_taken_as_float():
     # exponentiate in the two-level stimulated integrand
     as_int = two_level_query(2**32, T=1e-6)
     assert isinstance(as_int.qbar, float)
-    assert landau_rate_two_level(as_int) == landau_rate_two_level(
-        two_level_query(float(2**32), T=1e-6)
-    )
+    assert decay_rate(as_int) == decay_rate(two_level_query(float(2**32), T=1e-6))
 
 
 def test_stimulated_cutoff_survives_underflowing_thermal_energy():
@@ -284,18 +297,7 @@ def test_stimulated_cutoff_survives_underflowing_thermal_energy():
     heavy = dataclasses.replace(SODIUM, atomic_mass=7e231)
     query = RateQuery(qbar=1.0, temperature_T=1e-302, channel=Channel.SINGLE_LEVEL,
                       params=heavy)
-    assert landau_rate_single(query) == 0.0
-
-
-def test_channel_mismatch_rejected():
-    with pytest.raises(ParameterError):
-        beliaev_rate_single(two_level_query(1.0))
-    with pytest.raises(ParameterError):
-        beliaev_rate_two_level(single_query(1.0))
-    with pytest.raises(ParameterError):
-        landau_rate_single(two_level_query(1.0, T=1e-6))
-    with pytest.raises(ParameterError):
-        landau_rate_two_level(single_query(1.0, T=1e-6))
+    assert decay_rate(query).gamma_landau == 0.0
 
 
 @pytest.mark.parametrize("qbar", [0.0, -1.0, math.inf, math.nan])
@@ -320,7 +322,7 @@ def test_query_rejects_non_finite_temperature(temperature):
 
 
 def test_batched_sweep_matches_quad_and_single_points():
-    from quasidamp.rates import EPSREL, _integrals, decay_rates
+    from quasidamp.rates import decay_rates
 
     # phonon-regime through free-particle qbar; T = 0 rows; T = 1e-300 K
     # empties the two-level stimulated window at qbar < 1/sqrt(2)
