@@ -4,10 +4,14 @@ The package splits into:
 
     model     units, Bogoliubov spectrum and mode functions, presets
     rates     Beliaev/Landau decay rates of a driven quasiparticle mode
-    dynamics  damped pair-creation moment equations and squeezing readout
+    dynamics  damped pair-creation moment equations and squeezing readout,
+              as arrays over the whole trajectory
     oracle    independent numerical cross-checks (discrete bath, Wick/Fock),
               imported on its own as quasidamp.oracle
     cli       JSON-config command-line front end
+
+Only numpy is needed at run time; the tests use scipy and jsonschema as
+independent references.
 """
 
 __version__ = "0.1.0"
@@ -34,7 +38,6 @@ from .rates import (  # noqa: F401
     QuadratureError,
     RateQuery,
     RateResult,
-    beliaev_asymptote,
     decay_rate,
     decay_rates,
 )
@@ -43,8 +46,6 @@ from .dynamics import (  # noqa: F401
     IntegrationError,
     MomentState,
     Readout,
-    SqueezingPoint,
-    SqueezingRun,
     Trajectory,
     evolve_moments,
     readout,

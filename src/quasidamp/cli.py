@@ -8,8 +8,10 @@ Subcommands:
     spectrum  Bogoliubov mode table on the configured momentum grid
 
 All input comes from a JSON config file validated against a closed schema
-(unknown keys are rejected).  Output files are deterministic: fixed column
-orders, floats printed with %.17g, LF line endings, no timestamps.
+(unknown keys are rejected) by a small stdlib walker over SCHEMA.  Output
+files are deterministic: fixed column orders, numbers printed with %.17g
+(an undefined squeezing parameter as an empty field), LF line endings, no
+timestamps.
 `dynamics` computes the single-level width only, so it rejects a
 two-level config unless the damping rate is fixed by drive.gamma_override
 or --no-damping.  The oracle is imported by the `oracle` command alone.
@@ -28,7 +30,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-import jsonschema
+import numpy as np
 
 from . import __version__
 from .dynamics import DriveConfig, IntegrationError, run_squeezing
@@ -173,12 +175,61 @@ def _preset_param_dict(name: str) -> dict:
     }
 
 
+_JSON_TYPES = {
+    "object": dict,
+    "array": list,
+    "string": str,
+    "number": (int, float),
+    "null": type(None),
+}
+
+
+def _violation(value, schema: dict, path: str = "$") -> tuple[str, str] | None:
+    """The first (path, message) at which value breaks schema, else None.
+
+    Walks exactly the JSON Schema keywords SCHEMA uses, with their standard
+    meaning (a bool is not a number); paths are JSON paths such as
+    $.rate_query.qbar[0], and an unknown key is reported at its object.
+    """
+    if "anyOf" in schema:
+        if all(_violation(value, sub, path) for sub in schema["anyOf"]):
+            return path, f"{value!r} is not valid under any of the given schemas"
+        return None
+    if "enum" in schema and value not in schema["enum"]:
+        return path, f"{value!r} is not one of {schema['enum']!r}"
+    kind = schema.get("type")
+    if kind is not None and (
+        not isinstance(value, _JSON_TYPES[kind]) or isinstance(value, bool) and kind == "number"
+    ):
+        return path, f"{value!r} is not of type {kind!r}"
+    if "minimum" in schema and value < schema["minimum"]:
+        return path, f"{value!r} is less than the minimum of {schema['minimum']!r}"
+    if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+        return path, (
+            f"{value!r} is less than or equal to the minimum of {schema['exclusiveMinimum']!r}"
+        )
+    if kind == "object":
+        properties = schema.get("properties", {})
+        for key, item in value.items():
+            if key not in properties:
+                if schema.get("additionalProperties", True) is False:
+                    return path, f"additional properties are not allowed ({key!r} was unexpected)"
+            elif found := _violation(item, properties[key], f"{path}.{key}"):
+                return found
+    if kind == "array":
+        if len(value) < schema.get("minItems", 0):
+            return path, f"{value!r} has fewer than {schema['minItems']} items"
+        for i, item in enumerate(value):
+            if found := _violation(item, schema["items"], f"{path}[{i}]"):
+                return found
+    return None
+
+
 def _resolve(user: dict) -> RunConfig:
-    validator = jsonschema.Draft202012Validator(SCHEMA)
-    errors = sorted(validator.iter_errors(user), key=lambda e: e.json_path)
-    if errors:
-        err = jsonschema.exceptions.best_match(errors)
-        raise ConfigError(f"config {err.json_path}: {err.message}")
+    found = _violation(user, SCHEMA)
+    if found:
+        path, message = found
+        raise ConfigError(f"config {path}: {message}")
 
     preset = user.get("preset")
     params_base = _preset_param_dict(preset) if preset is not None else {}
@@ -280,20 +331,24 @@ def default_config() -> RunConfig:
 # deterministic writers
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+def _csv(columns: dict) -> str:
+    """CSV text of equal-length columns, keyed by header name.
 
-
-def _csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    Numbers print as %.17g with NaN as an empty field; boolean columns
+    print as true/false.
+    """
+    formats, values = [], []
+    for column in map(np.asarray, columns.values()):
+        if column.dtype == bool:
+            formats.append("%s")
+            values.append(np.where(column, "true", "false").tolist())
+        else:
+            formats.append("%.17g")
+            values.append(column.astype(float).tolist())
+    row = ",".join(formats) + "\n"
+    body = "".join([row % fields for fields in zip(*values)])
+    # "nan" can only be a whole field: the others are numbers or true/false
+    return ",".join(columns) + "\n" + body.replace("nan", "")
 
 
 def _json_text(payload: dict) -> str:
@@ -333,28 +388,18 @@ def cmd_rates(cfg: RunConfig, out_dir: str) -> int:
                   params=cfg.params)
         for temperature, qbar in grid
     ])
-    rows = [
-        [
-            qbar,
-            temperature,
-            result.gamma_beliaev,
-            result.gamma_landau,
-            result.gamma_total,
-            result.gamma_total / (dispersion(qbar) * units.omega0),
-            result.quadrature_error_estimate,
-        ]
-        for (temperature, qbar), result in zip(grid, results)
-    ]
-
-    header = [
-        "qbar",
-        "temperature_K",
-        "gamma_beliaev_s",
-        "gamma_landau_s",
-        "gamma_total_s",
-        "gamma_over_omega",
-        "quad_err",
-    ]
+    table = {
+        "qbar": [qbar for _, qbar in grid],
+        "temperature_K": [temperature for temperature, _ in grid],
+        "gamma_beliaev_s": [r.gamma_beliaev for r in results],
+        "gamma_landau_s": [r.gamma_landau for r in results],
+        "gamma_total_s": [r.gamma_total for r in results],
+        "gamma_over_omega": [
+            r.gamma_total / (dispersion(qbar) * units.omega0)
+            for (_, qbar), r in zip(grid, results)
+        ],
+        "quad_err": [r.quadrature_error_estimate for r in results],
+    }
     meta = {
         "version": __version__,
         "preset": cfg.preset,
@@ -364,7 +409,7 @@ def cmd_rates(cfg: RunConfig, out_dir: str) -> int:
         "units": {"k0_m^-1": units.k0, "omega0_s^-1": units.omega0},
         "config": cfg.resolved,
     }
-    for path in _emit(out_dir, {"rates.csv": _csv(header, rows), "rates.meta.json": _json_text(meta)}):
+    for path in _emit(out_dir, {"rates.csv": _csv(table), "rates.meta.json": _json_text(meta)}):
         print(f"wrote {path}")
     return 0
 
@@ -380,19 +425,16 @@ def cmd_dynamics(cfg: RunConfig, out_dir: str, no_damping: bool = False) -> int:
             "two_level set drive.gamma_override or pass --no-damping"
         )
     run = run_squeezing(cfg.params, drive)
+    r = run.readout
 
-    header = ["t_s", "n_a", "n_b_plus", "n_b_minus", "xi1", "xi2", "xi3", "depletion_valid"]
-    rows = [
-        [p.t, p.n_a, p.n_b_plus, p.n_b_minus, p.xi1, p.xi2, p.xi3, p.depletion_valid]
-        for p in run.points
-    ]
-
-    xi3_min = None
-    t_at_min = None
-    for p in run.points:
-        if p.xi3 is not None and (xi3_min is None or p.xi3 < xi3_min):
-            xi3_min, t_at_min = p.xi3, p.t
-    crossing = next((p.t for p in run.points if p.n_a >= p.n_b_plus), None)
+    # nanargmin and argmax take the first minimum and the first crossing
+    xi3_min = t_at_min = crossing = None
+    if not np.isnan(r.xi3).all():
+        i = int(np.nanargmin(r.xi3))
+        xi3_min, t_at_min = float(r.xi3[i]), float(run.t[i])
+    crossed = r.n_a >= r.n_b_plus
+    if crossed.any():
+        crossing = float(run.t[crossed.argmax()])
 
     summary = {
         "gamma_used_s": run.gamma_used,
@@ -403,7 +445,16 @@ def cmd_dynamics(cfg: RunConfig, out_dir: str, no_damping: bool = False) -> int:
         "rabi_effective_s": drive.rabi_effective,
     }
     files = {
-        "trajectory.csv": _csv(header, rows),
+        "trajectory.csv": _csv({
+            "t_s": run.t,
+            "n_a": r.n_a,
+            "n_b_plus": r.n_b_plus,
+            "n_b_minus": r.n_b_minus,
+            "xi1": r.xi12,
+            "xi2": r.xi12,
+            "xi3": r.xi3,
+            "depletion_valid": run.depletion_valid,
+        }),
         "summary.json": _json_text(summary),
     }
     for path in _emit(out_dir, files):
@@ -439,14 +490,16 @@ def cmd_oracle(suite: str, out_dir: str) -> int:
 def cmd_spectrum(cfg: RunConfig, out_dir: str) -> int:
     """spectrum.csv: Bogoliubov mode table on the configured qbar grid."""
     units = derive_units(cfg.params)
-    header = ["kbar", "alpha", "u", "v", "omega_bar", "omega_s"]
-    rows = []
-    for kbar in cfg.qbar_grid:
-        mode = bogoliubov_mode(kbar)
-        rows.append(
-            [kbar, mode.alpha, mode.u, mode.v, mode.omega_bar, mode.omega_bar * units.omega0]
-        )
-    for path in _emit(out_dir, {"spectrum.csv": _csv(header, rows)}):
+    modes = [bogoliubov_mode(kbar) for kbar in cfg.qbar_grid]
+    table = {
+        "kbar": cfg.qbar_grid,
+        "alpha": [m.alpha for m in modes],
+        "u": [m.u for m in modes],
+        "v": [m.v for m in modes],
+        "omega_bar": [m.omega_bar for m in modes],
+        "omega_s": [m.omega_bar * units.omega0 for m in modes],
+    }
+    for path in _emit(out_dir, {"spectrum.csv": _csv(table)}):
         print(f"wrote {path}")
     return 0
 

@@ -31,8 +31,9 @@ into scalar exponentials, and the coupled (x1, x2, Im c) block is
 exponentiated by Taylor scaling and squaring.  The tests check the result
 against an adaptive Runge-Kutta integration of the complex equations.
 
-The trajectory stays in numpy arrays from the propagator to the readout:
-occupations, xi3, and the pseudo-spin variances in closed form,
+The trajectory stays in numpy arrays from the propagator through the
+readout to the SqueezingRun that run_squeezing returns: occupations, xi3,
+and the pseudo-spin variances in closed form,
 xi1 = xi2 = (2 u^2 |c|^2 + 2 n_a n_b + n_a + n_b)/(n_a + n_b), are computed
 over the whole trajectory in one pass, which also checks positivity of the
 state's pair table on every sample in closed form.  This module does not
@@ -128,34 +129,6 @@ class Trajectory(NamedTuple):
             x2=float(self.x2[i]),
             c=complex(self.c[i]),
         )
-
-
-@dataclass(frozen=True)
-class SqueezingPoint:
-    """Occupations and squeezing parameters at one instant.
-
-    xi values are None when the corresponding mode total is degenerate
-    (0/0); depletion_valid flags whether the undepleted-condensate
-    assumption still holds.
-    """
-
-    t: float
-    n_a: float
-    n_b_plus: float
-    n_b_minus: float
-    xi1: float | None
-    xi2: float | None
-    xi3: float | None
-    depletion_valid: bool
-
-
-@dataclass(frozen=True)
-class SqueezingRun:
-    """A full trajectory plus the damping rate that produced it."""
-
-    points: list[SqueezingPoint]
-    gamma_used: float
-    mode: BogoliubovMode
 
 
 class IntegrationError(RuntimeError):
@@ -328,6 +301,21 @@ class Readout(NamedTuple):
     xi3: np.ndarray
 
 
+@dataclass(frozen=True)
+class SqueezingRun:
+    """A vacuum-start trajectory's readout and the damping rate behind it.
+
+    depletion_valid marks the samples where the undepleted-condensate
+    assumption still holds.
+    """
+
+    t: np.ndarray
+    readout: Readout
+    depletion_valid: np.ndarray
+    gamma_used: float
+    mode: BogoliubovMode
+
+
 def _block_eigmin(p: np.ndarray, q: np.ndarray, off2: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of the Hermitian 2x2 [[p, w*], [w, q]], |w|^2 = off2."""
     half_gap = 0.5 * (p - q)
@@ -391,10 +379,6 @@ def readout(trajectory: Trajectory, mode: BogoliubovMode) -> Readout:
     return Readout(n_a, n_b_plus, n_b_minus, xi12, xi3)
 
 
-def _defined(values: np.ndarray) -> list[float | None]:
-    return [None if math.isnan(v) else v for v in values.tolist()]
-
-
 VACUUM = MomentState(t=0.0, x1=0.0, x1m=0.0, x2=1.0, c=0.0 + 0.0j)
 
 
@@ -403,7 +387,7 @@ def run_squeezing(params: PhysicalParams, drive: DriveConfig) -> SqueezingRun:
 
     The damping rate is drive.gamma_override when given, otherwise the
     computed total collisional width of the driven quasiparticle mode at
-    qbar_recoil.  Points are emitted every dt_output; depletion_valid marks
+    qbar_recoil.  Samples are taken every dt_output; depletion_valid marks
     where the scattered-atom total stays below 10% of the condensate.
     """
     mode = bogoliubov_mode(drive.qbar_recoil)
@@ -421,16 +405,4 @@ def run_squeezing(params: PhysicalParams, drive: DriveConfig) -> SqueezingRun:
     trajectory = evolve_moments(VACUUM, drive, gamma)
     r = readout(trajectory, mode)
     depletion_valid = r.n_b_plus + r.n_b_minus < 0.1 * params.atom_count_N0
-    points = [
-        SqueezingPoint(t_i, n_a, n_b_plus, n_b_minus, xi12, xi12, xi3, valid)
-        for t_i, n_a, n_b_plus, n_b_minus, xi12, xi3, valid in zip(
-            trajectory.t.tolist(),
-            r.n_a.tolist(),
-            r.n_b_plus.tolist(),
-            r.n_b_minus.tolist(),
-            _defined(r.xi12),
-            _defined(r.xi3),
-            depletion_valid.tolist(),
-        )
-    ]
-    return SqueezingRun(points=points, gamma_used=gamma, mode=mode)
+    return SqueezingRun(trajectory.t, r, depletion_valid, gamma, mode)

@@ -49,7 +49,6 @@ from .model import (
     PhysicalParams,
     derive_units,
     dispersion,
-    group_velocity,
     inverse_dispersion,
 )
 
@@ -561,41 +560,3 @@ def decay_rates(queries: Sequence[RateQuery], epsrel: float = EPSREL) -> list[Ra
 def decay_rate(query: RateQuery, epsrel: float = EPSREL) -> RateResult:
     """Both channels combined into a RateResult (widths in s^-1)."""
     return decay_rates([query], epsrel)[0]
-
-
-def beliaev_asymptote(qbar: float, channel: Channel, params: PhysicalParams) -> float:
-    """Small-momentum closed form of the spontaneous width (s^-1).
-
-    3*hbar*q^5/(320*pi*m*n0) for the intraspecies channel,
-    hbar*q^5/(96*pi*m*n0) for the interspecies one (times (a_bc/a_bb)^2 when
-    the interspecies scattering length differs), with q = qbar*k0.
-    """
-    if not (qbar > 0.0 and math.isfinite(qbar)):
-        raise ParameterError(f"qbar must be > 0, got {qbar}")
-    units = derive_units(params)
-    q = qbar * units.k0
-    base = HBAR * q**5 / (math.pi * params.atomic_mass * params.condensate_density_n0)
-    if channel is Channel.SINGLE_LEVEL:
-        return 3.0 * base / 320.0
-    return base / 96.0 * _coupling_ratio_sq(params)
-
-
-def _beliaev_energy_integrand(qbar: float, omega_k: float) -> float:
-    """T=0 spontaneous integrand in the energy variable omega_k.
-
-    gamma/omega0 = (k0^3/n0)/(pi*qbar) * int_0^wq dw F(w); F is symmetric
-    about wq/2 because the splitting amplitude is symmetric in its two final
-    momenta.  Exposed for the symmetric-halves consistency test.
-    """
-    wq = dispersion(qbar)
-    if not (0.0 < omega_k < wq):
-        return 0.0
-    kbar = inverse_dispersion(omega_k)
-    pbar = inverse_dispersion(wq - omega_k)
-    sq, dq = _sd(qbar)
-    sk, dk = _sd(kbar)
-    sp, dp = _sd(pbar)
-    vertex = _beliaev_vertex(sq, dq, sk, dk, sp, dp)
-    return float(
-        (kbar / group_velocity(kbar)) * vertex * vertex * (pbar / group_velocity(pbar))
-    )

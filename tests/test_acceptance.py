@@ -188,22 +188,23 @@ def test_criterion_07_figure_shapes(squeezing_runs):
     damped, free = squeezing_runs
 
     # (a) crossing and monotone growth before depletion cutoff
-    crossing = next((p.t for p in damped.points if p.n_a >= p.n_b_plus), None)
+    crossed = damped.readout.n_a >= damped.readout.n_b_plus
+    crossing = float(damped.t[crossed.argmax()]) if crossed.any() else None
     monotone = True
     for run in (damped, free):
-        valid = [p for p in run.points if p.depletion_valid]
-        monotone &= all(
-            later.n_a >= earlier.n_a and later.n_b_plus >= earlier.n_b_plus
-            for earlier, later in zip(valid, valid[1:])
-        )
+        for column in (run.readout.n_a, run.readout.n_b_plus):
+            valid = column[run.depletion_valid]
+            monotone &= bool((valid[1:] >= valid[:-1]).all())
     part_a = crossing is not None and monotone
 
     # (b) damped minimum earlier and larger
     def xi3_minimum(run):
-        return min((p for p in run.points if p.xi3 is not None), key=lambda p: p.xi3)
+        """(t, xi3, xi1) at the first minimum of xi3."""
+        i = int(np.nanargmin(run.readout.xi3))
+        return run.t[i], run.readout.xi3[i], run.readout.xi12[i]
 
-    md, mf = xi3_minimum(damped), xi3_minimum(free)
-    part_b = md.t < mf.t and md.xi3 > mf.xi3
+    (td, xi3_d, _), (tf, xi3_f, xi1_f) = xi3_minimum(damped), xi3_minimum(free)
+    part_b = td < tf and xi3_d > xi3_f
 
     # (c) zero spin means and xi1 = xi2 by the oracle's Wick expansion, which
     # the production closed form matches
@@ -223,13 +224,13 @@ def test_criterion_07_figure_shapes(squeezing_runs):
     part_c = means_zero and xi_equal
 
     # (d) spin variances at least one order above xi3 at the undamped minimum
-    ratio = mf.xi1 / mf.xi3
+    ratio = xi1_f / xi3_f
     part_d = ratio >= 10.0
 
     ok = part_a and part_b and part_c and part_d
     check(7, ok, f"(a) crossing at {crossing!r} s, monotone={monotone}; "
-                 f"(b) damped min ({md.t:.4g} s, {md.xi3:.4g}) vs undamped "
-                 f"({mf.t:.4g} s, {mf.xi3:.4g}); (c) means zero, xi1=xi2; "
+                 f"(b) damped min ({td:.4g} s, {xi3_d:.4g}) vs undamped "
+                 f"({tf:.4g} s, {xi3_f:.4g}); (c) means zero, xi1=xi2; "
                  f"(d) xi1/xi3 = {ratio:.3g} >= 10")
 
 

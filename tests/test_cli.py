@@ -8,20 +8,23 @@ import sys
 import tempfile
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import quasidamp
 from quasidamp import dynamics
 from quasidamp.cli import (
+    SCHEMA,
     ConfigError,
     _csv,
-    _fmt,
+    _violation,
     default_config,
     load_config,
     main,
 )
-from quasidamp.model import PRESETS, derive_units
+from quasidamp.dynamics import Readout, SqueezingRun
+from quasidamp.model import PRESETS, bogoliubov_mode, derive_units
 from quasidamp import oracle
 from quasidamp.oracle import Verdict
 from quasidamp.rates import Channel, QuadratureError, RateQuery, decay_rate
@@ -155,6 +158,70 @@ def test_unread_keys_rejected(tmp_path):
         load_config(write_config(tmp_path, drive={"rabi_bare": 1.0}))
     with pytest.raises(ConfigError, match="format"):
         load_config(write_config(tmp_path, output={"format": "csv"}))
+
+
+#: Schema violations, at least one of each kind the schema can report.
+_SCHEMA_INVALID_CONFIGS = [
+    {"params": {"atomic_mass": True}},  # a bool is not a number
+    {"drive": {"t_max": False}},
+    {"rate_query": {"temperature": [0.0, True]}},
+    {"preset": 5},
+    {"params": "sodium"},  # a string for an object
+    {"rate_query": {"qbar": 0.5}},
+    {"params": {"volume_V": -1.0}},  # positive fields
+    {"drive": {"qbar_recoil": 0}},
+    {"rate_query": {"qbar": [0.5, 0.0]}},
+    {"params": {"temperature_T": -1e-9}},  # non-negative fields
+    {"drive": {"rabi_effective": -1}},
+    {"rate_query": {"qbar": []}},
+    {"frequency": 2.0},  # an unknown key at each level
+    {"params": {"frequency": 2.0}},
+    {"drive": {"rabi_bare": 1.0}},
+    {"rate_query": {"step": 1}},
+    {"output": {"format": "csv"}},
+    {"rate_query": {"channel": "three_level"}},
+    {"rate_query": {"channel": 1}},
+    {"drive": {"gamma_override": "fast"}},
+    {"drive": {"gamma_override": -1.0}},
+    {"drive": {"gamma_override": True}},
+    {"preset": "sodium-paper", "drive": {"t_max": 0, "dt_output": "x"}},
+]
+
+
+@pytest.fixture(scope="module")
+def jsonschema_validator():
+    jsonschema = pytest.importorskip("jsonschema")
+    return jsonschema.Draft202012Validator(SCHEMA)
+
+
+def assert_walker_agrees(validator, config):
+    """The walker accepts exactly what jsonschema accepts, and the path it
+    reports is one of jsonschema's error paths."""
+    errors = list(validator.iter_errors(config))
+    paths = set()
+    while errors:
+        error = errors.pop()
+        paths.add(error.json_path)
+        errors.extend(error.context)
+    found = _violation(config, SCHEMA)
+    assert (found is None) == (not paths)
+    if found is not None:
+        assert found[0] in paths
+
+
+@pytest.mark.parametrize("config", _SCHEMA_INVALID_CONFIGS)
+def test_schema_walker_matches_jsonschema_on_violations(jsonschema_validator, config):
+    assert _violation(config, SCHEMA) is not None
+    assert_walker_agrees(jsonschema_validator, config)
+
+
+@pytest.mark.parametrize("config", _SCHEMA_INVALID_CONFIGS)
+def test_schema_violation_exits_2_with_one_line(tmp_path, capsys, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["rates", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config $") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +404,12 @@ _SCHEMA_VALID_CONFIG = _some_of({
 })
 
 
+@settings(max_examples=100, deadline=None)
+@given(_SCHEMA_VALID_CONFIG)
+def test_schema_walker_matches_jsonschema_on_valid_configs(jsonschema_validator, config):
+    assert_walker_agrees(jsonschema_validator, config)
+
+
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_SCHEMA_VALID_CONFIG, st.sampled_from(["rates", "dynamics", "spectrum"]))
@@ -358,17 +431,17 @@ def test_schema_valid_configs_exit_cleanly(capsys, config, command):
 
 
 def test_float_formatting_round_trips():
-    for x in (0.1, 1.0 / 3.0, 5.0, 1e-300, 530.9385860590878, -0.0):
-        assert float(_fmt(x)) == x
-    assert _fmt(None) == ""
-    assert _fmt(True) == "true"
-    assert _fmt(False) == "false"
-    assert _fmt(3) == "3"
+    values = [0.1, 1.0 / 3.0, 5.0, 1e-300, 530.9385860590878, -0.0]
+    fields = _csv({"x": values}).splitlines()[1:]
+    assert [float(field) for field in fields] == values
+    assert fields[-1] == "-0"
+    assert _csv({"x": [math.nan, 3]}) == "x\n\n3\n"
+    assert _csv({"x": np.array([True, False])}) == "x\ntrue\nfalse\n"
 
 
 def test_csv_layout():
-    text = _csv(["a", "b"], [[1.5, None], [True, "x"]])
-    assert text == "a,b\n1.5,\ntrue,x\n"
+    text = _csv({"a": [1.5, math.nan], "b": np.array([True, False])})
+    assert text == "a,b\n1.5,true\n,false\n"
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +624,74 @@ def test_dynamics_summary(dynamics_out):
     assert free["gamma_used_s"] == 0.0
     assert free["crossing_time_s"] is None  # photon mode never catches up
     assert free["xi3_min"] < summary["xi3_min"]
+
+
+def per_sample_summary(run: SqueezingRun) -> dict:
+    """The summary's reductions as a loop over samples: the first strict
+    minimum of the defined xi3 values, and the first photon-atom crossing."""
+    xi3_min = t_at_min = None
+    for t, xi3 in zip(run.t.tolist(), run.readout.xi3.tolist()):
+        if not math.isnan(xi3) and (xi3_min is None or xi3 < xi3_min):
+            xi3_min, t_at_min = xi3, t
+    occupations = zip(run.t.tolist(), run.readout.n_a.tolist(), run.readout.n_b_plus.tolist())
+    crossing = next((t for t, n_a, n_b in occupations if n_a >= n_b), None)
+    return {"xi3_min": xi3_min, "t_at_xi3_min_s": t_at_min, "crossing_time_s": crossing}
+
+
+def summary_and_run(tmp_path, monkeypatch, config: dict, flags=()):
+    """summary.json of a dynamics command and the SqueezingRun behind it."""
+    runs = []
+
+    def recording(params, drive):
+        runs.append(dynamics.run_squeezing(params, drive))
+        return runs[-1]
+
+    monkeypatch.setattr("quasidamp.cli.run_squeezing", recording)
+    cfg_path = write_config(tmp_path, **config)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["dynamics", "--config", cfg_path, "--out", str(out), *flags]) == 0
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    return {key: summary[key] for key in ("xi3_min", "t_at_xi3_min_s", "crossing_time_s")}, runs[0]
+
+
+@pytest.mark.parametrize("temperature, flags", [
+    *[(t, ()) for t in (1e-7, 1.5e-7, 2e-7, 3e-7, 4e-7, 5e-7, 7e-7, 1e-6, 0.0)],
+    (3e-7, ("--no-damping",)),
+])
+def test_dynamics_summary_matches_per_sample_loop(tmp_path, monkeypatch, temperature, flags):
+    config = {"params": {"temperature_T": temperature},
+              "drive": {"t_max": 6e-3, "dt_output": 1e-6}}
+    summary, run = summary_and_run(tmp_path, monkeypatch, config, flags)
+    assert summary == per_sample_summary(run)
+    assert summary["xi3_min"] is not None
+    assert (summary["crossing_time_s"] is None) == bool(flags)
+
+
+def test_dynamics_summary_takes_first_minimum_and_crossing(tmp_path, monkeypatch):
+    n_a = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+    n_b = np.array([1.0, 1.5, 2.0, 1.0, 0.0])
+    xi3 = np.array([math.nan, 0.5, 0.7, 0.5, 0.9])
+    tie = SqueezingRun(
+        t=np.arange(5.0), readout=Readout(n_a, n_b, n_b, xi3, xi3),
+        depletion_valid=np.ones(5, dtype=bool), gamma_used=0.0, mode=bogoliubov_mode(5.0),
+    )
+    monkeypatch.setattr(dynamics, "run_squeezing", lambda params, drive: tie)
+    summary, run = summary_and_run(tmp_path, monkeypatch, {})
+    assert summary == {"xi3_min": 0.5, "t_at_xi3_min_s": 1.0, "crossing_time_s": 2.0}
+    assert summary == per_sample_summary(run)
+
+
+def test_dynamics_summary_null_without_defined_xi3(tmp_path, monkeypatch):
+    # at qbar = 1e8 with no drive the mode total stays below the degeneracy
+    # floor, so every xi3 is undefined and the photon mode never catches up
+    drive = {"qbar_recoil": 1e8, "rabi_effective": 0, "gamma_override": 0,
+             "t_max": 1e-4, "dt_output": 1e-5}
+    summary, run = summary_and_run(tmp_path, monkeypatch, {"drive": drive})
+    assert np.isnan(run.readout.xi3).all()
+    assert summary == {"xi3_min": None, "t_at_xi3_min_s": None, "crossing_time_s": None}
+    assert summary == per_sample_summary(run)
 
 
 def test_dynamics_deterministic(tmp_path):

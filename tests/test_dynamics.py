@@ -368,11 +368,10 @@ def test_xi3_perfect_correlation_limit():
 def test_xi_degenerate_flags():
     _, _, _, xi12, xi3 = read_one(VACUUM, FREE_MODE)
     assert math.isnan(xi12) and math.isnan(xi3)
-    # a run reports them as None: at qbar = 1e8 the vacuum depletion v^2
+    # a run reports them as NaN too: at qbar = 1e8 the vacuum depletion v^2
     # is below the degeneracy floor
     run = run_squeezing(SODIUM, dataclasses.replace(drive(gamma=0.0, t_max=1e-5), qbar_recoil=1e8))
-    first = run.points[0]
-    assert first.xi1 is None and first.xi2 is None and first.xi3 is None
+    assert math.isnan(run.readout.xi12[0]) and math.isnan(run.readout.xi3[0])
 
 
 physical_states = st.tuples(
@@ -478,35 +477,33 @@ def test_run_respects_override():
 
 def test_run_initial_point():
     run = run_squeezing(SODIUM, drive(1e3, t_max=1e-4, dt=5e-5))
-    p0 = run.points[0]
-    assert p0.t == 0.0
-    assert p0.n_a == 0.0
-    assert p0.n_b_plus == pytest.approx(run.mode.v**2, rel=1e-10)
-    assert p0.xi3 == pytest.approx(1.0 + run.mode.v**2, abs=1e-12)
-    assert p0.depletion_valid
+    r = run.readout
+    assert run.t[0] == 0.0
+    assert r.n_a[0] == 0.0
+    assert r.n_b_plus[0] == pytest.approx(run.mode.v**2, rel=1e-10)
+    assert r.xi3[0] == pytest.approx(1.0 + run.mode.v**2, abs=1e-12)
+    assert run.depletion_valid[0]
 
 
 def test_run_growth_and_crossing():
     run = run_squeezing(SODIUM, drive(1e3, t_max=3e-3, dt=1e-5))
-    valid = [p for p in run.points if p.depletion_valid]
-    n_a = [p.n_a for p in valid]
-    n_b = [p.n_b_plus for p in valid]
-    assert all(x >= -1e-12 for x in n_a + n_b)
+    r = run.readout
+    valid = run.depletion_valid
+    assert (r.n_a[valid] >= -1e-12).all() and (r.n_b_plus[valid] >= -1e-12).all()
     # photon occupation starts below the atomic one (vacuum depletion) and
     # overtakes it
-    assert run.points[0].n_a < run.points[0].n_b_plus
-    crossing = next((p.t for p in run.points if p.n_a >= p.n_b_plus), None)
-    assert crossing is not None
-    assert 0.0 < crossing < 1e-3
+    assert r.n_a[0] < r.n_b_plus[0]
+    crossed = r.n_a >= r.n_b_plus
+    assert crossed.any()
+    assert 0.0 < run.t[crossed.argmax()] < 1e-3
 
 
 def test_run_monotone_growth_before_depletion():
     run = run_squeezing(SODIUM, drive(1e3, t_max=3e-3, dt=2e-5))
-    valid = [p for p in run.points if p.depletion_valid]
-    assert len(valid) > 10
-    for earlier, later in zip(valid, valid[1:]):
-        assert later.n_a >= earlier.n_a
-        assert later.n_b_plus >= earlier.n_b_plus
+    assert run.depletion_valid.sum() > 10
+    for column in (run.readout.n_a, run.readout.n_b_plus):
+        valid = column[run.depletion_valid]
+        assert (valid[1:] >= valid[:-1]).all()
 
 
 def test_depletion_flag_trips_for_small_condensate():
@@ -514,7 +511,7 @@ def test_depletion_flag_trips_for_small_condensate():
         SODIUM, volume_V=1e-16, atom_count_N0=1e4
     )
     run = run_squeezing(small, drive(1e3, gamma=0.0, t_max=6e-3, dt=2e-5))
-    flags = [p.depletion_valid for p in run.points]
+    flags = run.depletion_valid.tolist()
     assert flags[0] is True
     assert flags[-1] is False
     # single transition: once invalid, stays invalid
@@ -527,10 +524,8 @@ def test_damped_squeezing_minimum_earlier_and_larger():
     free = run_squeezing(SODIUM, drive(1e3, gamma=0.0, t_max=4e-3, dt=1e-5))
 
     def xi3_minimum(run: SqueezingRun):
-        best = min(
-            (p for p in run.points if p.xi3 is not None), key=lambda p: p.xi3
-        )
-        return best.t, best.xi3
+        i = int(np.nanargmin(run.readout.xi3))
+        return run.t[i], run.readout.xi3[i]
 
     t_damped, xi_damped = xi3_minimum(damped)
     t_free, xi_free = xi3_minimum(free)
@@ -544,6 +539,6 @@ def test_short_time_damping_insensitivity():
     with_damping = run_squeezing(SODIUM, cfg)
     without = run_squeezing(SODIUM, dataclasses.replace(cfg, gamma_override=0.0))
     assert with_damping.gamma_used * cfg.t_max < 0.02
-    for p, q in zip(with_damping.points[1:], without.points[1:]):
-        assert p.n_a == pytest.approx(q.n_a, rel=1e-2)
-        assert p.xi3 == pytest.approx(q.xi3, rel=1e-2)
+    p, q = with_damping.readout, without.readout
+    assert p.n_a[1:] == pytest.approx(q.n_a[1:], rel=1e-2)
+    assert p.xi3[1:] == pytest.approx(q.xi3[1:], rel=1e-2)

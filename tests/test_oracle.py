@@ -79,12 +79,13 @@ def test_production_modules_do_not_import_scipy_at_module_level(module):
 
 
 def test_cli_import_loads_no_scipy():
-    # nor the oracle, which only the oracle command imports
+    # nor jsonschema, which only the tests use, nor the oracle, which only
+    # the oracle command imports
     src = str(Path(quasidamp.__file__).resolve().parents[1])
     probe = (
         "import sys, quasidamp.cli; "
         "print(sorted(m for m in sys.modules"
-        " if m.split('.')[0] == 'scipy' or m == 'quasidamp.oracle'))"
+        " if m.split('.')[0] in ('scipy', 'jsonschema') or m == 'quasidamp.oracle'))"
     )
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from quasidamp.model import (
+    HBAR,
+    K_BOLTZMANN,
     PRESETS,
     ParameterError,
     TwoLevelParams,
@@ -22,12 +24,12 @@ from quasidamp.rates import (
     RateResult,
     EPSREL,
     TWO_LEVEL_FACTOR,
-    _beliaev_energy_integrand,
     _integrals,
     _solve,
-    beliaev_asymptote,
     decay_rate,
 )
+
+from rate_reference import beliaev_asymptote, beliaev_energy_integrand, landau_high_t
 
 SODIUM = PRESETS["sodium-paper"]
 SODIUM_TL = dataclasses.replace(
@@ -112,26 +114,26 @@ def test_energy_integrand_symmetric_about_midpoint():
     for qbar in (0.5, 1.0, 5.0):
         wq = dispersion(qbar)
         for frac in (0.1, 0.25, 0.4):
-            lo = _beliaev_energy_integrand(qbar, frac * wq)
-            hi = _beliaev_energy_integrand(qbar, (1.0 - frac) * wq)
+            lo = beliaev_energy_integrand(qbar, frac * wq)
+            hi = beliaev_energy_integrand(qbar, (1.0 - frac) * wq)
             assert lo == pytest.approx(hi, rel=1e-9)
             assert lo > 0.0
 
 
 def test_energy_integrand_vanishes_outside_window():
     wq = dispersion(2.0)
-    assert _beliaev_energy_integrand(2.0, 0.0) == 0.0
-    assert _beliaev_energy_integrand(2.0, wq) == 0.0
-    assert _beliaev_energy_integrand(2.0, -0.1) == 0.0
-    assert _beliaev_energy_integrand(2.0, 1.1 * wq) == 0.0
+    assert beliaev_energy_integrand(2.0, 0.0) == 0.0
+    assert beliaev_energy_integrand(2.0, wq) == 0.0
+    assert beliaev_energy_integrand(2.0, -0.1) == 0.0
+    assert beliaev_energy_integrand(2.0, 1.1 * wq) == 0.0
 
 
 def test_half_window_doubling():
     # symmetry means twice the first half-window equals the full integral
     qbar = 5.0
     wq = dispersion(qbar)
-    full, _ = quad(lambda w: _beliaev_energy_integrand(qbar, w), 0.0, wq, limit=200)
-    half, _ = quad(lambda w: _beliaev_energy_integrand(qbar, w), 0.0, 0.5 * wq, limit=200)
+    full, _ = quad(lambda w: beliaev_energy_integrand(qbar, w), 0.0, wq, limit=200)
+    half, _ = quad(lambda w: beliaev_energy_integrand(qbar, w), 0.0, 0.5 * wq, limit=200)
     assert 2.0 * half == pytest.approx(full, rel=1e-6)
 
 
@@ -140,7 +142,7 @@ def test_energy_route_matches_momentum_route():
         units = derive_units(SODIUM)
         gas = units.k0**3 / SODIUM.condensate_density_n0
         wq = dispersion(qbar)
-        reduced, _ = quad(lambda w: _beliaev_energy_integrand(qbar, w), 0.0, wq,
+        reduced, _ = quad(lambda w: beliaev_energy_integrand(qbar, w), 0.0, wq,
                           limit=200, epsabs=1e-13, epsrel=1e-10)
         gamma_energy = gas / (math.pi * qbar) * units.omega0 * reduced
         gamma_momentum = decay_rate(single_query(qbar)).gamma_beliaev
@@ -176,6 +178,21 @@ def test_stimulated_dominates_for_slow_warm_modes():
     for qbar in (0.1, 0.3, 1.0):
         result = decay_rate(single_query(qbar, T=1e-6))
         assert result.gamma_landau > result.gamma_beliaev
+
+
+def test_stimulated_high_temperature_law():
+    # at kB*T >> mu = hbar*omega0 a phonon's occupation width approaches
+    # twice the Szepfalusy-Kondor amplitude damping (3*pi/8) kB*T*a*q/hbar
+    mu_over_kb = HBAR * derive_units(SODIUM).omega0 / K_BOLTZMANN
+    ratios = []
+    for multiple, expected in ((20, 0.95948), (100, 0.99156), (1000, 0.99910)):
+        temperature = multiple * mu_over_kb
+        gamma = decay_rate(single_query(0.01, T=temperature)).gamma_landau
+        ratio = gamma / (2.0 * landau_high_t(0.01, temperature, SODIUM))
+        assert ratio == pytest.approx(expected, rel=1e-4)
+        ratios.append(ratio)
+    assert ratios[0] < ratios[1] < ratios[2]
+    assert abs(ratios[-1] - 1.0) < 1e-3
 
 
 @settings(max_examples=60, deadline=None)
