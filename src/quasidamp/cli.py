@@ -14,9 +14,11 @@ files are deterministic: fixed column orders, numbers printed with %.17g
 timestamps.
 `dynamics` computes the single-level width only, so it rejects a
 two-level config unless the damping rate is fixed by drive.gamma_override
-or --no-damping.  The oracle is imported by the `oracle` command alone.
+or --no-damping.  The oracle is imported by the `oracle` command alone, and
+its optional --config is read only for output.directory.
 
-Exit codes: 0 success, 2 configuration or usage error, 3 runtime
+Exit codes: 0 success, 2 configuration or usage error (an output location
+that cannot be created or written included), 3 runtime
 (quadrature/integration) failure, 4 oracle check failure.
 """
 
@@ -111,15 +113,8 @@ SCHEMA = {
     },
 }
 
-_REQUIRED_PARAM_KEYS = (
-    "scattering_length_a",
-    "atomic_mass",
-    "condensate_density_n0",
-    "volume_V",
-    "atom_count_N0",
-)
-
 _DEFAULTS = {
+    "params": {"temperature_T": 0.0},
     "drive": {
         "rabi_effective": 1.0e3,
         "qbar_recoil": 5.0,
@@ -160,19 +155,11 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
-def _preset_param_dict(name: str) -> dict:
+def _preset_params(name: str) -> dict:
     if name not in PRESETS:
         known = ", ".join(sorted(PRESETS))
         raise ConfigError(f"unknown preset {name!r} (known presets: {known})")
-    p = PRESETS[name]
-    return {
-        "scattering_length_a": p.scattering_length_a,
-        "atomic_mass": p.atomic_mass,
-        "condensate_density_n0": p.condensate_density_n0,
-        "volume_V": p.volume_V,
-        "atom_count_N0": p.atom_count_N0,
-        "temperature_T": p.temperature_T,
-    }
+    return {k: v for k, v in vars(PRESETS[name]).items() if k != "two_level"}
 
 
 _JSON_TYPES = {
@@ -232,43 +219,25 @@ def _resolve(user: dict) -> RunConfig:
         raise ConfigError(f"config {path}: {message}")
 
     preset = user.get("preset")
-    params_base = _preset_param_dict(preset) if preset is not None else {}
-    merged = _deep_merge(_DEFAULTS, {k: v for k, v in user.items() if k != "preset"})
-    merged["params"] = _deep_merge(params_base, user.get("params", {}))
-    merged.setdefault("params", {}).setdefault("temperature_T", 0.0)
+    base = {"params": _preset_params(preset)} if preset is not None else {}
+    user = {k: v for k, v in user.items() if k != "preset"}
+    merged = _deep_merge(_deep_merge(_DEFAULTS, base), user)
 
-    missing = [k for k in _REQUIRED_PARAM_KEYS if k not in merged["params"]]
-    if missing:
-        raise ConfigError(
-            f"params.{missing[0]} is required (no preset supplies it)"
-        )
+    values = dict(merged["params"])
+    for field in dataclasses.fields(PhysicalParams):
+        if field.default is dataclasses.MISSING and field.name not in values:
+            raise ConfigError(f"params.{field.name} is required (no preset supplies it)")
 
-    pd = merged["params"]
-    two_level = TwoLevelParams(a_bc=pd["a_bc"]) if "a_bc" in pd else None
+    a_bc = values.pop("a_bc", None)
     try:
         params = PhysicalParams(
-            scattering_length_a=pd["scattering_length_a"],
-            atomic_mass=pd["atomic_mass"],
-            condensate_density_n0=pd["condensate_density_n0"],
-            volume_V=pd["volume_V"],
-            atom_count_N0=pd["atom_count_N0"],
-            temperature_T=pd["temperature_T"],
-            two_level=two_level,
+            **values, two_level=None if a_bc is None else TwoLevelParams(a_bc=a_bc)
         )
-        dd = merged["drive"]
-        drive = DriveConfig(
-            rabi_effective=dd["rabi_effective"],
-            qbar_recoil=dd["qbar_recoil"],
-            gamma_override=dd["gamma_override"],
-            t_max=dd["t_max"],
-            dt_output=dd["dt_output"],
-        )
+        drive = DriveConfig(**merged["drive"])
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
 
     rq = merged["rate_query"]
-    resolved = dict(merged)
-    resolved["preset"] = preset
     return RunConfig(
         preset=preset,
         params=params,
@@ -277,7 +246,7 @@ def _resolve(user: dict) -> RunConfig:
         temperature_grid=tuple(sorted(rq["temperature"])),
         channel=Channel(rq["channel"]),
         output_dir=merged["output"]["directory"],
-        resolved=resolved,
+        resolved={"preset": preset, **merged},
     )
 
 
@@ -355,24 +324,31 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(out_dir: str, files: dict[str, str]) -> list[str]:
-    """Write all files or none: partial output is removed on failure."""
-    os.makedirs(out_dir, exist_ok=True)
+def _emit(out_dir: str, files: dict[str, str]) -> None:
+    """Write all files or none, then print each path.
+
+    Partial output is removed on failure; an output location that cannot be
+    created or written is a ConfigError.
+    """
     written: list[str] = []
     try:
+        os.makedirs(out_dir, exist_ok=True)
         for name, content in files.items():
             path = os.path.join(out_dir, name)
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(content)
             written.append(path)
-    except BaseException:
+    except BaseException as exc:
         for path in written:
             try:
                 os.remove(path)
             except OSError:
                 pass
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write output to {out_dir!r}: {exc.strerror or exc}") from exc
         raise
-    return written
+    for path in written:
+        print(f"wrote {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +385,7 @@ def cmd_rates(cfg: RunConfig, out_dir: str) -> int:
         "units": {"k0_m^-1": units.k0, "omega0_s^-1": units.omega0},
         "config": cfg.resolved,
     }
-    for path in _emit(out_dir, {"rates.csv": _csv(table), "rates.meta.json": _json_text(meta)}):
-        print(f"wrote {path}")
+    _emit(out_dir, {"rates.csv": _csv(table), "rates.meta.json": _json_text(meta)})
     return 0
 
 
@@ -457,29 +432,30 @@ def cmd_dynamics(cfg: RunConfig, out_dir: str, no_damping: bool = False) -> int:
         }),
         "summary.json": _json_text(summary),
     }
-    for path in _emit(out_dir, files):
-        print(f"wrote {path}")
+    _emit(out_dir, files)
     return 0
+
+
+#: --suite choices, each a sequence of quasidamp.oracle suite functions
+_ORACLE_SUITES = {
+    "markov": ("markov_suite",),
+    "wick": ("wick_suite",),
+    "all": ("markov_suite", "wick_suite"),
+}
 
 
 def cmd_oracle(suite: str, out_dir: str) -> int:
     """oracle.json with one verdict per cross-check; exit 4 on any failure."""
-    from .oracle import markov_suite, run_all_suites, wick_suite
+    from . import oracle
 
-    if suite == "markov":
-        verdicts = markov_suite()
-    elif suite == "wick":
-        verdicts = wick_suite()
-    else:
-        verdicts = run_all_suites()
+    verdicts = [v for name in _ORACLE_SUITES[suite] for v in getattr(oracle, name)()]
     all_pass = all(v.passed for v in verdicts)
     payload = {
         "suite": suite,
         "all_pass": all_pass,
         "verdicts": [v.as_record() for v in verdicts],
     }
-    for path in _emit(out_dir, {"oracle.json": _json_text(payload)}):
-        print(f"wrote {path}")
+    _emit(out_dir, {"oracle.json": _json_text(payload)})
     if not all_pass:
         failed = [v.name for v in verdicts if not v.passed]
         print(f"oracle checks failed: {', '.join(failed)}", file=sys.stderr)
@@ -499,8 +475,7 @@ def cmd_spectrum(cfg: RunConfig, out_dir: str) -> int:
         "omega_bar": [m.omega_bar for m in modes],
         "omega_s": [m.omega_bar * units.omega0 for m in modes],
     }
-    for path in _emit(out_dir, {"spectrum.csv": _csv(table)}):
-        print(f"wrote {path}")
+    _emit(out_dir, {"spectrum.csv": _csv(table)})
     return 0
 
 
@@ -516,32 +491,32 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_rates = sub.add_parser("rates", help="decay-rate table over a momentum/temperature grid")
-    p_rates.add_argument("--config", required=True, help="JSON config file")
-    p_rates.add_argument("--out", default=None, help="output directory (overrides config)")
+    commands = {}
+    for name, summary, needs_config in (
+        ("rates", "decay-rate table over a momentum/temperature grid", True),
+        ("dynamics", "damped squeezing trajectory", True),
+        ("oracle", "run numerical cross-checks", False),
+        ("spectrum", "Bogoliubov mode table", True),
+    ):
+        commands[name] = command = sub.add_parser(name, help=summary)
+        command.add_argument(
+            "--config",
+            required=needs_config,
+            help="JSON config file" if needs_config else "JSON config file (optional)",
+        )
+        command.add_argument("--out", help="output directory (overrides config)")
 
-    p_dyn = sub.add_parser("dynamics", help="damped squeezing trajectory")
-    p_dyn.add_argument("--config", required=True, help="JSON config file")
-    p_dyn.add_argument("--out", default=None, help="output directory (overrides config)")
-    p_dyn.add_argument(
+    commands["dynamics"].add_argument(
         "--no-damping",
         action="store_true",
         help="force the damping rate to zero (unitary pair creation)",
     )
-
-    p_oracle = sub.add_parser("oracle", help="run numerical cross-checks")
-    p_oracle.add_argument("--config", default=None, help="JSON config file (optional)")
-    p_oracle.add_argument("--out", default=None, help="output directory (overrides config)")
-    p_oracle.add_argument(
+    commands["oracle"].add_argument(
         "--suite",
-        choices=["markov", "wick", "all"],
+        choices=_ORACLE_SUITES,
         default="all",
         help="which cross-check suite to run",
     )
-
-    p_spec = sub.add_parser("spectrum", help="Bogoliubov mode table")
-    p_spec.add_argument("--config", required=True, help="JSON config file")
-    p_spec.add_argument("--out", default=None, help="output directory (overrides config)")
 
     return parser
 
@@ -555,10 +530,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 2
 
     try:
-        if args.command == "oracle" and args.config is None:
-            cfg = default_config()
-        else:
-            cfg = load_config(args.config)
+        cfg = default_config() if args.config is None else load_config(args.config)
         out_dir = args.out if args.out is not None else cfg.output_dir
 
         if args.command == "rates":
@@ -567,13 +539,8 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_dynamics(cfg, out_dir, no_damping=args.no_damping)
         if args.command == "oracle":
             return cmd_oracle(args.suite, out_dir)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg, out_dir)
-        raise AssertionError(f"unhandled command {args.command!r}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ParameterError as exc:
+        return cmd_spectrum(cfg, out_dir)
+    except (ConfigError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QuadratureError as exc:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -29,11 +28,6 @@ from .model import ParameterError
 # ---------------------------------------------------------------------------
 # discrete bath
 # ---------------------------------------------------------------------------
-
-
-class BathProfile(Enum):
-    FLAT = "flat"
-    WINDOWED_SMOOTH = "windowed_smooth"
 
 
 @dataclass(frozen=True)
@@ -45,16 +39,12 @@ class BathSpec:
     couplings     : real non-negative amplitudes kappa_m (s^-1)
     """
 
-    mode_count: int
     detuning_grid: tuple[float, ...]
     couplings: tuple[float, ...]
-    profile: BathProfile
 
     def __post_init__(self) -> None:
-        if self.mode_count != len(self.detuning_grid) or self.mode_count != len(
-            self.couplings
-        ):
-            raise ParameterError("mode_count must match both list lengths")
+        if len(self.detuning_grid) != len(self.couplings):
+            raise ParameterError("detuning_grid and couplings must have the same length")
         if self.mode_count < 1:
             raise ParameterError("need at least one bath mode")
         grid = np.asarray(self.detuning_grid, dtype=float)
@@ -62,6 +52,10 @@ class BathSpec:
             raise ParameterError("detuning_grid must be strictly increasing")
         if not np.all(np.asarray(self.couplings, dtype=float) >= 0.0):
             raise ParameterError("couplings must be non-negative")
+
+    @property
+    def mode_count(self) -> int:
+        return len(self.detuning_grid)
 
     @property
     def min_spacing(self) -> float:
@@ -84,12 +78,7 @@ def flat_bath(mode_count: int, spacing: float, kappa: float) -> BathSpec:
         raise ParameterError("spacing must be > 0 and kappa >= 0")
     offset = 0.5 * (mode_count - 1)
     grid = tuple(spacing * (m - offset) for m in range(mode_count))
-    return BathSpec(
-        mode_count=mode_count,
-        detuning_grid=grid,
-        couplings=(kappa,) * mode_count,
-        profile=BathProfile.FLAT,
-    )
+    return BathSpec(detuning_grid=grid, couplings=(kappa,) * mode_count)
 
 
 def windowed_bath(mode_count: int, spacing: float, kappa_peak: float) -> BathSpec:
@@ -102,12 +91,7 @@ def windowed_bath(mode_count: int, spacing: float, kappa_peak: float) -> BathSpe
     couplings = tuple(
         kappa_peak * math.cos(0.5 * math.pi * d / half_width) ** 2 for d in grid
     )
-    return BathSpec(
-        mode_count=mode_count,
-        detuning_grid=grid,
-        couplings=couplings,
-        profile=BathProfile.WINDOWED_SMOOTH,
-    )
+    return BathSpec(detuning_grid=grid, couplings=couplings)
 
 
 @dataclass(frozen=True)
@@ -637,7 +621,3 @@ def wick_suite() -> list[Verdict]:
                             )
                         )
     return verdicts
-
-
-def run_all_suites() -> list[Verdict]:
-    return markov_suite() + wick_suite()

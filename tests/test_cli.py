@@ -115,11 +115,35 @@ def test_inconsistent_params_rejected(tmp_path):
         load_config(write_config(tmp_path, params={"condensate_density_n0": 2e20}))
 
 
-def test_missing_params_without_preset(tmp_path):
+#: every PhysicalParams field without a default, at the sodium-paper values
+_FULL_PARAMS = {
+    "scattering_length_a": 2.8e-9,
+    "atomic_mass": 3.8175e-26,
+    "condensate_density_n0": 1e20,
+    "volume_V": 1e-14,
+    "atom_count_N0": 1e6,
+}
+
+
+@pytest.mark.parametrize("key", list(_FULL_PARAMS))
+def test_missing_params_without_preset(tmp_path, key):
+    params = {k: v for k, v in _FULL_PARAMS.items() if k != key}
     path = tmp_path / "c.json"
-    path.write_text(json.dumps({"drive": {"t_max": 1e-3}}), encoding="utf-8")
-    with pytest.raises(ConfigError, match="scattering_length_a"):
+    path.write_text(json.dumps({"params": params}), encoding="utf-8")
+    with pytest.raises(ConfigError, match=rf"^params\.{key} is required"):
         load_config(str(path))
+
+
+def test_full_params_without_preset_match_preset(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"params": _FULL_PARAMS}), encoding="utf-8")
+    cfg = load_config(str(path))
+    assert cfg.preset is None
+    assert cfg.params == PRESETS["sodium-paper"]
+    out = tmp_path / "out"
+    assert main(["rates", "--config", str(path), "--out", str(out)]) == 0
+    meta = json.loads((out / "rates.meta.json").read_text(encoding="utf-8"))
+    assert meta["config"]["params"] == {**_FULL_PARAMS, "temperature_T": 0.0}
 
 
 def test_empty_file(tmp_path):
@@ -497,8 +521,8 @@ def test_rates_outputs(tmp_path, capsys):
     assert "rates.csv" in printed and "rates.meta.json" in printed
 
 
-def test_rates_deterministic_across_threads(tmp_path):
-    # the sweep is one batched pass on one thread; two runs give the same bytes
+def test_rates_deterministic_across_runs(tmp_path):
+    # the sweep is one batched pass; two runs give the same bytes
     cfg_path = write_config(tmp_path)
     outputs = []
     for run in ("first", "second"):
@@ -806,6 +830,31 @@ def test_spectrum_output(tmp_path):
 # exit codes and process entry
 
 
+@pytest.mark.parametrize(
+    "where", ["empty_directory", "existing_file", "under_a_file", "second_file_is_a_directory"]
+)
+def test_unwritable_output_location_exits_2(tmp_path, capsys, where):
+    # rates writes rates.csv, then rates.meta.json: a failure leaves neither
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory", encoding="utf-8")
+    (tmp_path / "out" / "rates.meta.json").mkdir(parents=True)
+    out = {
+        "empty_directory": None,  # output.directory "" from the config
+        "existing_file": blocker,
+        "under_a_file": blocker / "sub",
+        "second_file_is_a_directory": tmp_path / "out",
+    }[where]
+    cfg_path = write_config(tmp_path, output={"directory": ""})
+    before = sorted(tmp_path.rglob("*"))
+    argv = [] if out is None else ["--out", str(out)]
+    assert main(["rates", "--config", cfg_path, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write output to {str(out or '')!r}: ")
+    assert captured.err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before  # nothing left behind
+
+
 def test_usage_errors_return_2(tmp_path):
     assert main(["rates"]) == 2  # missing --config
     assert main(["no-such-command"]) == 2
@@ -822,16 +871,19 @@ def test_help_and_version_return_0(capsys):
 def test_module_entry_point(tmp_path):
     cfg_path = write_config(tmp_path, rate_query={"qbar": [1.0]})
     out = tmp_path / "out"
+    # the child imports the same package as this test, installed or not
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(quasidamp.__file__))}
     proc = subprocess.run(
         [sys.executable, "-m", "quasidamp", "rates", "--config", cfg_path, "--out", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "rates.csv").exists()
 
     version = subprocess.run(
-        [sys.executable, "-m", "quasidamp", "--version"], capture_output=True, text=True
+        [sys.executable, "-m", "quasidamp", "--version"], capture_output=True, text=True, env=env
     )
     assert version.returncode == 0
     assert quasidamp.__version__ in version.stdout

@@ -17,7 +17,6 @@ from quasidamp.model import ParameterError
 from quasidamp.oracle import (
     GOLDEN_RULE_RATE,
     AmplitudeSeries,
-    BathProfile,
     BathSpec,
     GaussianSecondMoments,
     MomentTableError,
@@ -105,7 +104,7 @@ def test_flat_bath_layout():
     assert bath.couplings == (0.1,) * 5
     assert bath.min_spacing == pytest.approx(0.5)
     assert bath.revival_time == pytest.approx(2 * math.pi / 0.5)
-    assert bath.profile is BathProfile.FLAT
+    assert bath.mode_count == 5
 
 
 def test_windowed_bath_envelope():
@@ -114,16 +113,18 @@ def test_windowed_bath_envelope():
     assert np.all(c <= 0.3 + 1e-15)
     assert np.allclose(c, c[::-1])  # symmetric envelope
     assert c[10] == pytest.approx(0.3)  # peak on resonance
-    assert bath.profile is BathProfile.WINDOWED_SMOOTH
+    assert bath.mode_count == 21
 
 
 def test_bath_spec_validation():
     with pytest.raises(ParameterError):
-        BathSpec(2, (0.0,), (0.1, 0.1), BathProfile.FLAT)
+        BathSpec((0.0,), (0.1, 0.1))  # grid and couplings differ in length
     with pytest.raises(ParameterError):
-        BathSpec(2, (0.5, 0.0), (0.1, 0.1), BathProfile.FLAT)  # not increasing
+        BathSpec((), ())
     with pytest.raises(ParameterError):
-        BathSpec(2, (0.0, 0.5), (0.1, -0.1), BathProfile.FLAT)
+        BathSpec((0.5, 0.0), (0.1, 0.1))  # not increasing
+    with pytest.raises(ParameterError):
+        BathSpec((0.0, 0.5), (0.1, -0.1))
     with pytest.raises(ParameterError):
         flat_bath(5, -1.0, 0.1)
 
@@ -224,7 +225,7 @@ def _assert_matches_dense(bath: BathSpec, gap_aware: bool = False) -> None:
 
 
 def _with_couplings(bath: BathSpec, couplings) -> BathSpec:
-    return BathSpec(bath.mode_count, bath.detuning_grid, tuple(couplings), bath.profile)
+    return BathSpec(bath.detuning_grid, tuple(couplings))
 
 
 @pytest.mark.parametrize("mode_count", [1, 2, 3, 50, 200, 201])
@@ -264,7 +265,7 @@ def test_fully_decoupled_bath_has_one_unit_weight():
 def test_spectrum_matches_dense_on_random_baths(first, modes):
     grid = first + np.cumsum([0.0] + [gap for gap, _ in modes[1:]])
     couplings = tuple(10.0**exponent for _, exponent in modes)
-    bath = BathSpec(len(modes), tuple(grid), couplings, BathProfile.FLAT)
+    bath = BathSpec(tuple(grid), couplings)
     _assert_matches_dense(bath, gap_aware=True)
 
 
