@@ -113,14 +113,17 @@ SCHEMA = {
     },
 }
 
+# the dataclasses' own defaults are taken from them, not restated
 _DEFAULTS = {
-    "params": {"temperature_T": 0.0},
+    "params": {"temperature_T": PhysicalParams.temperature_T},
     "drive": {
         "rabi_effective": 1.0e3,
         "qbar_recoil": 5.0,
-        "gamma_override": None,
-        "t_max": 6.0e-3,
-        "dt_output": 1.0e-5,
+        **{
+            field.name: field.default
+            for field in dataclasses.fields(DriveConfig)
+            if field.default is not dataclasses.MISSING
+        },
     },
     "rate_query": {
         "qbar": [0.02, 0.05, 0.1, 5.0],

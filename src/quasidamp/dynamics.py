@@ -82,8 +82,10 @@ class DriveConfig:
             raise ParameterError(
                 f"rabi_effective must be >= 0 and finite, got {self.rabi_effective}"
             )
-        if not (self.qbar_recoil > 0.0):
-            raise ParameterError(f"qbar_recoil must be > 0, got {self.qbar_recoil}")
+        if not (self.qbar_recoil > 0.0 and math.isfinite(self.qbar_recoil)):
+            raise ParameterError(
+                f"qbar_recoil must be > 0 and finite, got {self.qbar_recoil}"
+            )
         for name, value in (("t_max", self.t_max), ("dt_output", self.dt_output)):
             if not (value > 0.0 and math.isfinite(value)):
                 raise ParameterError(f"{name} must be > 0 and finite, got {value}")

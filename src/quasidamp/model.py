@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 HBAR = 1.054571817e-34  # J s (CODATA 2018)
 K_BOLTZMANN = 1.380649e-23  # J/K (exact, SI 2019)
@@ -56,16 +56,11 @@ class PhysicalParams:
     two_level: TwoLevelParams | None = None
 
     def __post_init__(self) -> None:
-        positive = {
-            "scattering_length_a": self.scattering_length_a,
-            "atomic_mass": self.atomic_mass,
-            "condensate_density_n0": self.condensate_density_n0,
-            "volume_V": self.volume_V,
-            "atom_count_N0": self.atom_count_N0,
-        }
-        for name, value in positive.items():
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ParameterError(f"{name} must be positive and finite, got {value}")
+        # every field without a default is a positive physical quantity
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.default is MISSING and not (value > 0.0 and math.isfinite(value)):
+                raise ParameterError(f"{field.name} must be positive and finite, got {value}")
         if not (self.temperature_T >= 0.0 and math.isfinite(self.temperature_T)):
             raise ParameterError(f"temperature_T must be >= 0, got {self.temperature_T}")
         expected = self.condensate_density_n0 * self.volume_V

@@ -48,9 +48,12 @@ class BathSpec:
         if self.mode_count < 1:
             raise ParameterError("need at least one bath mode")
         grid = np.asarray(self.detuning_grid, dtype=float)
+        couplings = np.asarray(self.couplings, dtype=float)
+        if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(couplings))):
+            raise ParameterError("detuning_grid and couplings must be finite")
         if self.mode_count > 1 and not np.all(np.diff(grid) > 0.0):
             raise ParameterError("detuning_grid must be strictly increasing")
-        if not np.all(np.asarray(self.couplings, dtype=float) >= 0.0):
+        if not np.all(couplings >= 0.0):
             raise ParameterError("couplings must be non-negative")
 
     @property
@@ -104,33 +107,38 @@ class AmplitudeSeries:
     revival_warning: bool = False
 
 
-#: Matrix entries per block when the secular sums are evaluated: a block's
-#: arrays stay in cache, and one spectrum needs a few MB whatever the bath
-#: size (larger blocks measured slower at 2000 modes).
-_BLOCK_ENTRIES = 1 << 16
-#: Safeguarded sweeps allowed per block; the pole model needs about six.
+#: Matrix entries in the one work buffer (1 MB) where the secular sums are
+#: evaluated a block of rows at a time, so a spectrum needs little more
+#: memory than that whatever the bath size (2^16 and 2^18 entries measured
+#: slower at 2000 modes).
+_BLOCK_ENTRIES = 1 << 17
+#: Safeguarded sweeps allowed per block after the first evaluation; the
+#: pole model took at most 5 on the Markov baths and 10 on random ones.
 _MAX_SWEEPS = 100
 
 
 def _secular(
-    base: np.ndarray, tau: np.ndarray, k2: np.ndarray
+    base: np.ndarray, tau: np.ndarray, k2: np.ndarray, j: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Secular sums at lambda = origin + tau, one row per root.
+    """Secular sums at lambda = origin + tau for roots j, one row per root.
 
-    base[r, m] is origin_r - Delta_m, so base + tau is lambda - Delta_m
-    with no cancellation next to the origin pole.  Returns
-    sum k2/(lambda - Delta), and the slope sum k2/(lambda - Delta)^2 split
-    into the poles below lambda and those above it.
+    base[r, m] holds origin_r - Delta_m and is overwritten in place: base +
+    tau is lambda - Delta_m with no cancellation next to the origin pole.
+    Returns sum k2/(lambda - Delta), and the slope sum k2/(lambda - Delta)^2
+    split into the poles below lambda and those above it.  Root j lies
+    between poles j-1 and j, so the poles below it are the columns m < j;
+    only the columns between the smallest and the largest j need a mask.
     """
-    inv = base + tau[:, None]
-    np.reciprocal(inv, out=inv)
-    pole_sum = inv @ k2
-    below = inv > 0.0
-    np.multiply(inv, inv, out=inv)
-    slope = inv @ k2
-    np.multiply(inv, below, out=inv)
-    slope_below = inv @ k2
-    return pole_sum, slope_below, slope - slope_below
+    np.add(base, tau[:, None], out=base)
+    np.reciprocal(base, out=base)
+    pole_sum = base @ k2
+    np.multiply(base, base, out=base)
+    first, last = int(j.min()), min(int(j.max()), k2.size)
+    mixed = base[:, first:last]
+    below = np.arange(first, last) < j[:, None]
+    slope_below = base[:, :first] @ k2[:first] + (mixed * below) @ k2[first:last]
+    slope_above = base[:, last:] @ k2[last:] + (mixed * ~below) @ k2[first:last]
+    return pole_sum, slope_below, slope_above
 
 
 def _arrowhead_spectrum(
@@ -144,7 +152,9 @@ def _arrowhead_spectrum(
     O'Leary & Stewart 1990).  The weights
     are |<0|j>|^2 = 1 / (1 + sum_m k_m^2 / (lambda_j - Delta_m)^2).  Modes
     with k_m = 0 do not couple and are dropped.  The roots are solved a
-    block of rows at a time, so memory stays bounded.
+    block of rows at a time in one work buffer of _BLOCK_ENTRIES entries,
+    which every sweep and the weights pass overwrite in place, so memory
+    stays bounded and no sweep allocates a (rows x N) array.
     """
     keep = couplings != 0.0
     d = poles[keep]
@@ -161,11 +171,14 @@ def _arrowhead_spectrum(
     tol = 4.0 * np.finfo(float).eps * (float(np.max(np.abs(d))) + reach)
     eigenvalues = np.empty(n + 1)
     weights = np.empty(n + 1)
-    rows = max(1, _BLOCK_ENTRIES // n)
+    rows = min(n + 1, max(1, _BLOCK_ENTRIES // n))
+    work = np.empty((rows, n))
     for start in range(0, n + 1, rows):
         j = np.arange(start, min(start + rows, n + 1))
-        origin, tau = _solve_roots(d, k2, j, lower[j], upper[j], tol)
-        inv = d[origin, None] - d[None, :] + tau[:, None]
+        origin, tau = _solve_roots(d, k2, j, lower[j], upper[j], tol, work)
+        inv = work[: j.size]
+        np.subtract(d[origin, None], d, out=inv)
+        np.add(inv, tau[:, None], out=inv)
         np.reciprocal(inv, out=inv)
         np.multiply(inv, inv, out=inv)
         weights[j] = 1.0 / (1.0 + inv @ k2)
@@ -175,43 +188,52 @@ def _arrowhead_spectrum(
 
 def _solve_roots(
     d: np.ndarray, k2: np.ndarray, j: np.ndarray,
-    lower: np.ndarray, upper: np.ndarray, tol: float,
+    lower: np.ndarray, upper: np.ndarray, tol: float, work: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Roots j of the secular equation, each in its bracket (lower, upper).
 
     Returns (origin, tau): root j is d[origin] + tau, an offset from the
     nearer pole, so lambda - Delta stays accurate next to it.  Each step
-    is the "middle way" of LAPACK dlaed4: the pole sums below and above the
-    iterate are each modelled by one pole that matches their value and
-    slope there, and the model's root in the bracket is the next iterate; a
-    step that leaves the bracket is replaced by bisection.  Iteration stops
-    once a root moves by no more than tol.
+    is the "middle way" of LAPACK dlaed4 (R.-C. Li, LAPACK Working Note 89,
+    1994): the pole sums below and above the iterate are each modelled by
+    one pole that matches their value and slope there, and the model's root
+    in the bracket is the next iterate; a step that leaves the bracket is
+    replaced by bisection.  The first evaluation, at the middle of each
+    bracket, serves twice: the sign of f there picks the half that holds an
+    inner root, and its sums take the first step.  Iteration stops once a
+    root moves by no more than tol.  work holds at least j.size rows of
+    d.size entries; its contents are overwritten.
     """
     n = d.size
     outer = (j == 0) | (j == n)
+    # start at the middle of each bracket, seen from the pole below it (from
+    # the end pole for the outer roots)
     origin = np.where(j == 0, 0, j - 1)
     half = 0.5 * (upper - lower)
-    # inner roots: f at the middle of the bracket says which half holds the
-    # root, and the pole at that end becomes the origin
-    inner = ~outer
-    mid_sum = _secular(d[origin[inner], None] - d[None, :], half[inner], k2)[0]
-    high = np.zeros(j.size, dtype=bool)
-    high[inner] = d[origin[inner]] + half[inner] - mid_sum < 0.0
+    lo = np.where(j == 0, lower - d[0], 0.0)
+    hi = np.where(j == 0, 0.0, np.where(j == n, upper - d[-1], half))
+    tau = np.where(outer, 0.5 * (lo + hi), half)
+
+    def evaluate(
+        o: np.ndarray, t: np.ndarray, jr: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        base = work[: jr.size]
+        np.subtract(d[o, None], d, out=base)
+        pole_sum, slope_lo, slope_hi = _secular(base, t, k2, jr)
+        return d[o] + t - pole_sum, slope_lo, slope_hi
+
+    f, slope_lo, slope_hi = evaluate(origin, tau, j)
+    # an inner root above the middle (f < 0 there) is measured from the
+    # pole above it, in the upper half of the bracket
+    high = ~outer & (f < 0.0)
     origin = np.where(high, j, origin)
-    lo = np.where(high, -half, 0.0)
-    hi = np.where(high, 0.0, half)
-    # outer roots: the whole bracket, from the end pole
-    lo = np.where(j == 0, lower - d[0], lo)
-    hi = np.where(j == 0, 0.0, np.where(j == n, upper - d[-1], hi))
-    tau = np.where(outer, 0.5 * (lo + hi), np.where(high, lo, hi))
+    tau = np.where(high, -half, tau)
+    lo = np.where(high, -half, lo)
+    hi = np.where(high, 0.0, hi)
 
     active = np.arange(j.size)
     for _ in range(_MAX_SWEEPS):
-        if active.size == 0:
-            return origin, tau
         jr, o, t = j[active], origin[active], tau[active]
-        pole_sum, slope_lo, slope_hi = _secular(d[o, None] - d[None, :], t, k2)
-        f = d[o] + t - pole_sum
         # f increases through the root: keep the side of the bracket it is on
         lo[active] = np.where(f < 0.0, t, lo[active])
         hi[active] = np.where(f > 0.0, t, hi[active])
@@ -249,6 +271,9 @@ def _solve_roots(
             inside, new, np.where(done, t, 0.5 * (lo[active] + hi[active]))
         )
         active = active[~done]
+        if active.size == 0:
+            return origin, tau
+        f, slope_lo, slope_hi = evaluate(origin[active], tau[active], j[active])
     raise ArithmeticError(f"secular equation unresolved after {_MAX_SWEEPS} sweeps")
 
 
@@ -266,8 +291,8 @@ def integrate_discrete_bath(
     the uniform grid t_k = (p*m + q)*dt with m = ceil(sqrt(n_samples)), the
     sum is one (p, j) @ (j, q) product of exponential tables.
     """
-    if t_max <= 0.0:
-        raise ParameterError(f"t_max must be > 0, got {t_max}")
+    if not (t_max > 0.0 and math.isfinite(t_max)):
+        raise ParameterError(f"t_max must be > 0 and finite, got {t_max}")
     if n_samples < 2:
         raise ParameterError("need at least two samples")
     evals, weights = _arrowhead_spectrum(

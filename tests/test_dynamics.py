@@ -308,7 +308,7 @@ def test_drive_config_validation():
 
 
 @pytest.mark.parametrize(
-    "field", ["rabi_effective", "t_max", "dt_output", "gamma_override"]
+    "field", ["rabi_effective", "t_max", "dt_output", "gamma_override", "qbar_recoil"]
 )
 @pytest.mark.parametrize("value", [math.inf, math.nan])
 def test_drive_config_rejects_non_finite(field, value):

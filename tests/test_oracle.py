@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quasidamp
+from quasidamp import oracle
 from quasidamp.model import ParameterError
 from quasidamp.oracle import (
     GOLDEN_RULE_RATE,
@@ -127,6 +128,21 @@ def test_bath_spec_validation():
         BathSpec((0.0, 0.5), (0.1, -0.1))
     with pytest.raises(ParameterError):
         flat_bath(5, -1.0, 0.1)
+
+
+@pytest.mark.parametrize(
+    "grid, couplings",
+    [
+        ((0.0, math.inf), (0.1, 0.1)),  # the secular solver needs finite poles
+        ((0.0, 1.0), (0.1, math.inf)),  # would make the whole amplitude NaN
+        ((math.nan,), (0.1,)),
+        ((0.0,), (math.nan,)),
+    ],
+    ids=["inf-detuning", "inf-coupling", "nan-detuning", "nan-coupling"],
+)
+def test_bath_spec_rejects_non_finite(grid, couplings):
+    with pytest.raises(ParameterError, match="finite"):
+        BathSpec(grid, couplings)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +261,54 @@ def test_spectrum_with_decoupled_modes():
     _assert_matches_dense(_with_couplings(bath, ends_off))
 
 
+@pytest.mark.parametrize("entries", [64, 256, 1024])
+def test_spectrum_matches_dense_across_blocks(monkeypatch, entries):
+    # small blocks split every bath below into many blocks of rows (one row
+    # each at 64 entries), whose rows finish at different sweeps
+    monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", entries)
+    for mode_count in (50, 200, 201):
+        spacing = 10.0 / mode_count
+        kappa = math.sqrt(GOLDEN_RULE_RATE * spacing / (2.0 * math.pi))
+        _assert_matches_dense(flat_bath(mode_count, spacing, kappa))
+        _assert_matches_dense(windowed_bath(mode_count, spacing, kappa))
+    bath = flat_bath(40, 0.25, 0.1)
+    couplings = [0.0 if m % 3 == 0 else c for m, c in enumerate(bath.couplings)]
+    _assert_matches_dense(_with_couplings(bath, couplings))
+
+
+def _finest_markov_spectrum() -> None:
+    bath = flat_bath(2000, 0.005, 0.01)
+    _arrowhead_spectrum(np.asarray(bath.detuning_grid), np.asarray(bath.couplings))
+
+
+def test_spectrum_evaluates_few_rows_per_root(monkeypatch):
+    # the middle of each bracket is evaluated once, and its sums take the
+    # first step; evaluating it a second time makes about 5.1 rows per root
+    rows = []
+    secular = oracle._secular
+
+    def counted(base, tau, *rest):
+        rows.append(tau.size)
+        return secular(base, tau, *rest)
+
+    monkeypatch.setattr(oracle, "_secular", counted)
+    _finest_markov_spectrum()
+    assert sum(rows) <= 4.5 * 2001
+
+
+def test_spectrum_sweeps_work_in_one_buffer(monkeypatch):
+    # fresh (rows x N) arrays in each sweep would take the peak past 3x
+    monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", 1 << 17)
+    work_bytes = ((1 << 17) // 2000) * 2000 * 8
+    tracemalloc.start()
+    try:
+        _finest_markov_spectrum()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * work_bytes
+
+
 def test_fully_decoupled_bath_has_one_unit_weight():
     evals, weights = _arrowhead_spectrum(np.array([-1.0, 0.5, 2.0]), np.zeros(3))
     assert evals.tolist() == [0.0] and weights.tolist() == [1.0]
@@ -300,6 +364,13 @@ def test_integrate_validates_inputs():
         integrate_discrete_bath(bath, -1.0)
     with pytest.raises(ParameterError):
         integrate_discrete_bath(bath, 1.0, n_samples=1)
+
+
+@pytest.mark.parametrize("t_max", [math.inf, math.nan])
+def test_integrate_rejects_non_finite_t_max(t_max):
+    # inf would make every sample NaN
+    with pytest.raises(ParameterError, match="finite"):
+        integrate_discrete_bath(flat_bath(3, 1.0, 0.1), t_max)
 
 
 # ---------------------------------------------------------------------------
