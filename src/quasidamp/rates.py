@@ -19,7 +19,13 @@ max(epsabs, epsrel*|result|), with at most 200 subintervals per integral.
 bisection per unfinished integral per pass.  Each integral's refinement
 depends on its own integrand alone, so a width is bit-identical whichever
 other points share the sweep; `decay_rate` is the one-point sweep.  A
-RateResult carries both channels' widths.
+RateResult carries both channels' widths.  The refinement's work arrays are
+only as wide as the subintervals in use, rounded up to a multiple of 8 up to
+96 columns and to the full 200 beyond, so a sweep whose integrals need a
+handful of subintervals holds a few columns per integral, not 200.  The
+rounding keeps every sum bit-identical to one over full 200-column rows:
+numpy adds a row in 8 interleaved accumulators and splits a 200-entry row
+after its first 96, so zero padding up to such a width adds no rounding.
 
 Everything is evaluated in natural units (momenta in k0, frequencies in
 omega0); the dimensionless gas parameter k0^3/n0 carries the overall scale
@@ -34,6 +40,7 @@ of the mode coefficients, with u, v taken positive as in `model`.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from collections.abc import Callable, Sequence
@@ -124,14 +131,20 @@ def _momentum(omega_bar):
     return omega_bar / np.sqrt(1.0 + np.hypot(1.0, omega_bar))
 
 
-def _velocity(kbar):
-    return 2.0 * (1.0 + kbar * kbar) / np.sqrt(2.0 + kbar * kbar)
-
-
-def _sd(kbar):
-    """Density and phase combinations (s, d) = (u-v, u+v) at kbar."""
-    s = kbar / np.sqrt(_omega(kbar))
+def _sd(kbar, omega_bar):
+    """Density and phase combinations (s, d) = (u-v, u+v) at kbar, whose
+    frequency omega_bar the caller already holds."""
+    s = kbar / np.sqrt(omega_bar)
     return s, 1.0 / s
+
+
+def _final_state(pbar):
+    """(s, d, omega_bar'(pbar)) of a final-state quasiparticle: its frequency
+    and its group velocity share pbar^2 and sqrt(2 + pbar^2)."""
+    pp = pbar * pbar
+    root = np.sqrt(2.0 + pp)
+    s, d = _sd(pbar, pbar * root)
+    return s, d, 2.0 * (1.0 + pp) / root
 
 
 def _beliaev_vertex(sq, dq, sk, dk, sp, dp):
@@ -153,7 +166,10 @@ def _landau_vertex(sq, dq, si, di, sj, dj):
 def _bose(x):
     """Planck occupation 1/(e^x - 1) at x = hbar*omega/(kB*T), as in
     model.thermal_population; exactly 0 at x = inf (T = 0)."""
-    return np.where(x > 700.0, np.exp(-x), 1.0 / np.expm1(np.minimum(x, 700.0)))
+    large = x > 700.0
+    if not large.any():  # the common case; a NaN stays NaN on either path
+        return 1.0 / np.expm1(x)
+    return np.where(large, np.exp(-x), 1.0 / np.expm1(np.minimum(x, 700.0)))
 
 
 def _inverse_temperature(temperature_T: float, omega0: float) -> float:
@@ -195,12 +211,12 @@ def _spontaneous_integrand(theta, qbar, wq, sq, dq, beta):
     wk = _omega(kbar)
     wp = wq - wk
     pbar = _momentum(wp)
-    sk, dk = _sd(kbar)
-    sp, dp = _sd(pbar)
+    sk, dk = _sd(kbar, wk)
+    sp, dp, velocity = _final_state(pbar)
     vertex = _beliaev_vertex(sq, dq, sk, dk, sp, dp)
     occupation = 1.0 + _bose(beta * wk) + _bose(beta * wp)
     jacobian = qbar * np.sin(2.0 * theta)  # dk/dtheta
-    value = kbar * vertex * vertex * occupation * pbar / _velocity(pbar) * jacobian
+    value = kbar * vertex * vertex * occupation * pbar / velocity * jacobian
     return np.where((kbar > 0.0) & (wp > 0.0), value, 0.0)
 
 
@@ -208,19 +224,20 @@ def _stimulated_integrand(kbar, wq, sq, dq, beta):
     """k L^2 (n_k - n_{k+q}) Pbar*/omega_bar'(Pbar*), with Pbar* carrying
     the combined energy."""
     wk = _omega(kbar)
-    jbar = _momentum(wq + wk)
-    si, di = _sd(kbar)
-    sj, dj = _sd(jbar)
+    wj = wq + wk
+    jbar = _momentum(wj)
+    si, di = _sd(kbar, wk)
+    sj, dj, velocity = _final_state(jbar)
     vertex = _landau_vertex(sq, dq, si, di, sj, dj)
-    delta_n = _bose(beta * wk) - _bose(beta * (wk + wq))
-    value = kbar * vertex * vertex * delta_n * jbar / _velocity(jbar)
+    delta_n = _bose(beta * wk) - _bose(beta * wj)
+    value = kbar * vertex * vertex * delta_n * jbar / velocity
     return np.where(kbar > 0.0, value, 0.0)
 
 
 def _stimulated_free_integrand(kbar, eq, beta):
     """k s_k^2 (n_b(w_k) - n_free(eq + w_k)) for a free-particle final state."""
     wk = _omega(kbar)
-    s, _ = _sd(kbar)
+    s, _ = _sd(kbar, wk)
     delta_n = _bose(beta * wk) - _bose(beta * (eq + wk))
     return np.where(kbar > 0.0, kbar * s * s * delta_n, 0.0)
 
@@ -279,9 +296,16 @@ _UFLOW = float(np.finfo(float).tiny)
 _LIMIT = 200
 
 #: Integrals refined together in one pass.  It caps a pass's working memory
-#: at four float arrays of _BATCH x _LIMIT (6.5 MB); longer sweeps run in
-#: consecutive passes, which cannot change any result.
+#: at four float arrays of _BATCH rows, each as wide as _width allows for the
+#: subintervals in use (64 KB per array at 8 columns, 1.6 MB at _LIMIT);
+#: longer sweeps run in consecutive passes, which cannot change any result.
 _BATCH = 1024
+
+#: Widest work array narrower than _LIMIT.  numpy sums a row of at most 128
+#: entries in 8 interleaved accumulators and splits a longer one after its
+#: first 96 entries, so a zero-padded row whose width is a multiple of 8 and
+#: at most 96 sums to the bits of the full _LIMIT-wide row.
+_NARROW_MAX = 96
 
 #: Smallest Bose exponent hbar*omega_q/(k_B*T) accepted at the decaying
 #: mode.  Bisection can put nodes ~1e-120 of omega_q from the window edge,
@@ -321,19 +345,30 @@ def _qk21(f: Callable, args: list[np.ndarray], lo: np.ndarray, hi: np.ndarray):
     return resk * half, abserr, resasc
 
 
+def _width(columns: int) -> int:
+    """Work-array width that holds `columns` subintervals: the next multiple
+    of 8 up to _NARROW_MAX, _LIMIT beyond it."""
+    width = -(-columns // 8) * 8
+    return width if width <= _NARROW_MAX else _LIMIT
+
+
 def _refine(f, args, lo, hi, epsabs, epsrel):
     """One pass of adaptive G10K21 over at most _BATCH integrals of f.
 
     Integral i runs over [lo[i], hi[i]] with args[j][i] as the integrand's
     j-th parameter.  Returns (value, abserr, converged) per integral.
+
+    Every unfinished integral is bisected once per pass, so all of them hold
+    the same number of subintervals, `used`.  The work arrays grow with it
+    (see _width); their unused columns stay zero, which changes no argmax
+    and, by the rule of _NARROW_MAX, no row sum.
     """
     n = lo.size
     args = [arg[:, None, None] for arg in args]
-    a = np.zeros((n, _LIMIT))
-    b = np.zeros((n, _LIMIT))
-    res = np.zeros((n, _LIMIT))
-    err = np.zeros((n, _LIMIT))
     whole, whole_err, resasc = _qk21(f, args, lo[:, None], hi[:, None])
+    width = _width(2)
+    work = np.zeros((4, n, width))
+    a, b, res, err = work
     a[:, 0], b[:, 0] = lo, hi
     res[:, 0], err[:, 0] = whole[:, 0], whole_err[:, 0]
     area, errsum = whole[:, 0], whole_err[:, 0]
@@ -341,9 +376,14 @@ def _refine(f, args, lo, hi, epsabs, epsrel):
     done = (errsum == 0.0) | (
         (errsum <= np.maximum(epsabs, epsrel * np.abs(area))) & (errsum != resasc[:, 0])
     )
-    used = np.ones(n, dtype=np.intp)
-    active = np.flatnonzero(~done & (used < _LIMIT))
-    while active.size:
+    used = 1
+    active = np.flatnonzero(~done)
+    while active.size and used < _LIMIT:
+        if used == width:
+            grown = _width(used + 1)
+            work = np.pad(work, ((0, 0), (0, 0), (0, grown - width)))
+            a, b, res, err = work
+            width = grown
         worst = err[active].argmax(axis=1)
         left, right = a[active, worst], b[active, worst]
         mid = 0.5 * (left + right)
@@ -353,17 +393,16 @@ def _refine(f, args, lo, hi, epsabs, epsrel):
             np.stack((left, mid), axis=1),
             np.stack((mid, right), axis=1),
         )
-        slot = used[active]
         b[active, worst] = mid
         res[active, worst], err[active, worst] = halves[:, 0], halves_err[:, 0]
-        a[active, slot], b[active, slot] = mid, right
-        res[active, slot], err[active, slot] = halves[:, 1], halves_err[:, 1]
-        used[active] += 1
+        a[active, used], b[active, used] = mid, right
+        res[active, used], err[active, used] = halves[:, 1], halves_err[:, 1]
+        used += 1
         area[active] = res[active].sum(axis=1)
         errsum[active] = err[active].sum(axis=1)
         met = errsum[active] <= np.maximum(epsabs[active], epsrel * np.abs(area[active]))
         done[active] = met
-        active = active[~met & (used[active] < _LIMIT)]
+        active = active[~met]
     return area, errsum, done
 
 
@@ -440,10 +479,34 @@ TWO_LEVEL_FACTOR = 10.0 / 9.0
 
 def _coupling_ratio_sq(params: PhysicalParams) -> float:
     ratio = params.bc_scattering_length / params.scattering_length_a
-    return ratio * ratio
+    ratio_sq = ratio * ratio
+    if not sys.float_info.min <= ratio_sq < math.inf:
+        raise ParameterError(
+            f"interspecies coupling (a_bc/a)^2 = {ratio_sq:.3g} is out of double range"
+        )
+    return ratio_sq
 
 
-def _integrals(query: RateQuery) -> tuple[_Integral, _Integral]:
+def _reduced(integrand, lo, hi, args, prefactor, scale, point) -> _Integral:
+    """The _Integral whose width is scale * I, refined to the absolute
+    tolerance EPSABS_OMEGA0/prefactor on I.
+
+    Both factors must be normal doubles: a prefactor of 0 leaves no
+    tolerance, and a scale of 0 or inf no finite nonzero width.
+    """
+    for value in (prefactor, scale):
+        if not sys.float_info.min <= value < math.inf:
+            channel, qbar, _ = point
+            raise ParameterError(
+                f"{channel} width prefactor {value:.3g} is out of double range "
+                f"at qbar = {qbar:.3g}"
+            )
+    return _Integral(integrand, lo, hi, args, EPSABS_OMEGA0 / prefactor, scale, point)
+
+
+def _integrals(
+    query: RateQuery, units_of=derive_units, cutoff=_bose_cutoff_kbar
+) -> tuple[_Integral, _Integral]:
     """The spontaneous and the stimulated integral of one query.
 
     Spontaneous, s^-1: gamma/omega0 = (k0^3/n0)/(pi*qbar) * I with
@@ -478,10 +541,13 @@ def _integrals(query: RateQuery) -> tuple[_Integral, _Integral]:
     forces kbar >= max(0, 1/(2 qbar) - qbar).  When no thermal quasiparticle
     is left at that threshold (its occupation underflows, or at tiny qbar
     its frequency overflows) the window is empty.
+
+    units_of and cutoff compute derive_units and _bose_cutoff_kbar; a sweep
+    passes memoised copies, so that setup shared along a grid axis runs once.
     """
     qbar, temperature, params = query.qbar, query.temperature_T, query.params
     two_level = query.channel is Channel.TWO_LEVEL
-    units = derive_units(params)
+    units = units_of(params)
     gas = units.k0**3 / params.condensate_density_n0
     beta = _inverse_temperature(temperature, units.omega0)
     wq = dispersion(qbar)
@@ -498,9 +564,9 @@ def _integrals(query: RateQuery) -> tuple[_Integral, _Integral]:
     scale = prefactor * units.omega0
     if two_level:
         scale = TWO_LEVEL_FACTOR * _coupling_ratio_sq(params) * scale
-    spontaneous = _Integral(
+    spontaneous = _reduced(
         _spontaneous_integrand, 0.0, 0.5 * math.pi, (qbar, wq, sq, 1.0 / sq, beta),
-        EPSABS_OMEGA0 / prefactor, scale, ("spontaneous", qbar, temperature),
+        prefactor, scale, ("spontaneous", qbar, temperature),
     )
 
     point = ("stimulated", qbar, temperature)
@@ -508,10 +574,10 @@ def _integrals(query: RateQuery) -> tuple[_Integral, _Integral]:
         stimulated = _Integral(_stimulated_integrand, 0.0, 0.0, (), 0.0, 1.0, point)
     elif not two_level:
         prefactor = 2.0 * gas / (math.pi * qbar)
-        kmax = _bose_cutoff_kbar(0.0, temperature, units.omega0)
-        stimulated = _Integral(
+        kmax = cutoff(0.0, temperature, units.omega0)
+        stimulated = _reduced(
             _stimulated_integrand, 0.0, kmax, (wq, sq, 1.0 / sq, beta),
-            EPSABS_OMEGA0 / prefactor, prefactor * units.omega0, point,
+            prefactor, prefactor * units.omega0, point,
         )
     else:
         prefactor = _coupling_ratio_sq(params) * gas / (4.0 * math.pi * qbar)
@@ -520,10 +586,10 @@ def _integrals(query: RateQuery) -> tuple[_Integral, _Integral]:
         if beta * omega_low > _MAX_BOSE_EXPONENT:
             kmax = kmin
         else:
-            kmax = max(kmin, _bose_cutoff_kbar(omega_low, temperature, units.omega0))
-        stimulated = _Integral(
+            kmax = max(kmin, cutoff(omega_low, temperature, units.omega0))
+        stimulated = _reduced(
             _stimulated_free_integrand, kmin, kmax, (qbar * qbar, beta),
-            EPSABS_OMEGA0 / prefactor, prefactor * units.omega0, point,
+            prefactor, prefactor * units.omega0, point,
         )
     return spontaneous, stimulated
 
@@ -539,7 +605,9 @@ def decay_rates(queries: Sequence[RateQuery], epsrel: float = EPSREL) -> list[Ra
     call.  Raises QuadratureError for the first query (spontaneous channel
     before stimulated) whose refinement hits the cap.
     """
-    integrals = [i for query in queries for i in _integrals(query)]
+    units_of = functools.cache(derive_units)
+    cutoff = functools.cache(_bose_cutoff_kbar)
+    integrals = [i for query in queries for i in _integrals(query, units_of, cutoff)]
     widths = _solve(integrals, epsrel)
     results = []
     for (gb, eb), (gl, el) in zip(widths[0::2], widths[1::2]):

@@ -373,6 +373,34 @@ def test_too_hot_temperature_rejected(tmp_path, capsys):
     assert "too hot" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("temperature", ["0", "1e-6"])
+@pytest.mark.parametrize("a_bc", ["1e-200", "1e-170", "1e150", "1e200"])
+def test_out_of_range_coupling_ratio_rejected(tmp_path, capsys, a_bc, temperature):
+    # (a_bc/a)^2 underflowed, and the tolerance divided by the zero width
+    # prefactor; or it overflowed, and rates.csv held inf widths
+    rc, err = run_raw_config(
+        tmp_path, capsys, "rates",
+        '{"preset": "sodium-paper", "params": {"a_bc": %s}, "rate_query": '
+        '{"qbar": [0.5], "temperature": [%s], "channel": "two_level"}}' % (a_bc, temperature),
+    )
+    assert rc == 2
+    assert err.startswith("error: interspecies coupling (a_bc/a)^2") and err.count("\n") == 1
+    assert "out of double range" in err
+    assert not (tmp_path / "out" / "rates.csv").exists()
+
+
+def test_underflowing_width_prefactor_exits_2(tmp_path, capsys):
+    # k0^3/n0/(pi*qbar) underflowed to 0 and the tolerance divided by it
+    rc, err = run_raw_config(
+        tmp_path, capsys, "rates",
+        '{"params": {"scattering_length_a": 1e-200, "atomic_mass": 1e-26,'
+        ' "condensate_density_n0": 1.0, "volume_V": 1.0, "atom_count_N0": 1.0},'
+        ' "rate_query": {"qbar": [1e100]}}',
+    )
+    assert rc == 2
+    assert err == "error: spontaneous width prefactor 0 is out of double range at qbar = 1e+100\n"
+
+
 def test_dynamics_overflowing_moments_exit_3_without_warnings(tmp_path, capsys):
     # finite moments whose product overflows used to warn from the cone clip
     with warnings.catch_warnings():

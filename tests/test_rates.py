@@ -2,17 +2,20 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from quasidamp import rates
 from quasidamp.model import (
     HBAR,
     K_BOLTZMANN,
     PRESETS,
     ParameterError,
+    PhysicalParams,
     TwoLevelParams,
     derive_units,
     dispersion,
@@ -24,12 +27,21 @@ from quasidamp.rates import (
     RateResult,
     EPSREL,
     TWO_LEVEL_FACTOR,
+    _LIMIT,
     _integrals,
+    _refine,
     _solve,
     decay_rate,
+    decay_rates,
 )
 
-from rate_reference import beliaev_asymptote, beliaev_energy_integrand, landau_high_t
+from rate_reference import (
+    beliaev_asymptote,
+    beliaev_energy_integrand,
+    landau_high_t,
+    landau_low_t,
+    refine_reference,
+)
 
 SODIUM = PRESETS["sodium-paper"]
 SODIUM_TL = dataclasses.replace(
@@ -195,6 +207,31 @@ def test_stimulated_high_temperature_law():
     assert abs(ratios[-1] - 1.0) < 1e-3
 
 
+def test_stimulated_low_temperature_law():
+    # at kB*T << mu a phonon's occupation width approaches twice the
+    # Hohenberg-Martin amplitude damping; the ratio is flat in qbar and
+    # rises towards 1 as T falls
+    mu_over_kb = HBAR * derive_units(SODIUM).omega0 / K_BOLTZMANN
+    pinned = {
+        0.1: (0.688922, 0.688906, 0.688727),
+        0.05: (0.890701, 0.890677, 0.890452),
+        0.02: None,  # error estimate 10-15% of the width: ordering only
+    }
+    ratios = {}
+    for multiple, expected in pinned.items():
+        temperature = multiple * mu_over_kb
+        for i, qbar in enumerate((1e-3, 3e-3, 1e-2)):
+            result = decay_rate(single_query(qbar, T=temperature))
+            law = 2.0 * landau_low_t(qbar, temperature, SODIUM)
+            ratios[multiple, qbar] = result.gamma_landau / law
+            if expected is not None:
+                # no tighter than the row's own error estimate
+                tolerance = max(1e-6, result.quadrature_error_estimate / law)
+                assert ratios[multiple, qbar] == pytest.approx(expected[i], abs=tolerance)
+    for qbar in (1e-3, 3e-3, 1e-2):
+        assert ratios[0.1, qbar] < ratios[0.05, qbar] < ratios[0.02, qbar] < 1.0
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.floats(min_value=0.05, max_value=3.0),
@@ -246,6 +283,32 @@ def test_interspecies_coupling_scaling():
         weak_rate = getattr(decay_rate(two_level_query(0.3, T=T, params=base)), field)
         strong_rate = getattr(decay_rate(two_level_query(0.3, T=T, params=strong)), field)
         assert strong_rate == pytest.approx(4.0 * weak_rate, rel=1e-12)
+
+
+# a_bc whose (a_bc/a)^2 underflows to 0, is subnormal, or overflows
+OUT_OF_RANGE_A_BC = (1e-200, 1e-170, 1e150, 1e200)
+
+
+@pytest.mark.parametrize("temperature", [0.0, 1e-6])
+@pytest.mark.parametrize("a_bc", OUT_OF_RANGE_A_BC)
+def test_two_level_out_of_range_coupling_rejected(a_bc, temperature):
+    # the width prefactor divided the tolerance by 0, or scaled the widths
+    # to 0 or inf
+    params = dataclasses.replace(SODIUM, two_level=TwoLevelParams(a_bc=a_bc))
+    with pytest.raises(ParameterError, match=r"\(a_bc/a\)\^2 = .* out of double range"):
+        decay_rate(two_level_query(0.5, T=temperature, params=params))
+
+
+def test_underflowing_width_prefactor_rejected():
+    # k0^3/n0/(pi*qbar) underflowed to 0 and the tolerance divided by it
+    dilute = PhysicalParams(
+        scattering_length_a=1e-200, atomic_mass=1e-26, condensate_density_n0=1.0,
+        volume_V=1.0, atom_count_N0=1.0,
+    )
+    query = RateQuery(qbar=1e100, temperature_T=0.0, channel=Channel.SINGLE_LEVEL,
+                      params=dilute)
+    with pytest.raises(ParameterError, match="spontaneous width prefactor 0 is out of double"):
+        decay_rate(query)
 
 
 def test_two_level_stimulated_threshold_window():
@@ -374,3 +437,72 @@ def test_batched_sweep_matches_quad_and_single_points():
         # no dependence on which other points share the sweep
         assert decay_rate(q) == result
     assert empty_windows > 0
+
+
+# ---------------------------------------------------------------------------
+# refinement bookkeeping and the work of a sweep
+
+
+def _wave_on_peak(x, k, w):
+    return np.cos(k * x) + w / ((x - 0.3) ** 2 + w * w)
+
+
+def test_refine_matches_full_width_reference():
+    # the work arrays grow with the subintervals in use; at a width that is
+    # a multiple of 8 and at most 96, numpy's pairwise row sum gives the
+    # bits of the full _LIMIT-wide row, and beyond it the width is _LIMIT
+    k, w = (a.ravel() for a in np.meshgrid(np.geomspace(1.0, 1500.0, 9),
+                                           np.geomspace(1e-1, 1e-9, 9)))
+    k, w = np.append(k, 1.0), np.append(w, 1e-1)
+    epsabs = np.full(k.size, 1e-9)
+    epsabs[-1] = 0.0  # with epsrel = 0 never met: runs into _LIMIT
+    lo, hi = np.zeros(k.size), np.ones(k.size)
+    value, abserr, converged, used = refine_reference(
+        _wave_on_peak, [k, w], lo, hi, epsabs, 0.0
+    )
+    assert used.min() <= 8 and ((8 < used) & (used <= 96)).any()
+    assert ((96 < used) & (used < _LIMIT)).any()
+    assert used[-1] == _LIMIT and not converged[-1] and converged[:-1].all()
+    got = _refine(_wave_on_peak, [k, w], lo, hi, epsabs, 0.0)
+    assert got[0].tobytes() == value.tobytes()
+    assert got[1].tobytes() == abserr.tobytes()
+    assert (got[2] == converged).all()
+
+
+def _bench_like_grid():
+    """48 x 42 single-level grid with the bench anchors and a T = 0 row."""
+    qbars = sorted(np.geomspace(0.02, 10.0, 45).tolist() + [0.05, 0.1, 5.0])
+    temperatures = np.linspace(0.0, 1e-6, 42).tolist()
+    return [single_query(qbar, T=t) for t in temperatures for qbar in qbars]
+
+
+def test_sweep_work_is_pinned(monkeypatch):
+    # G10K21 subinterval evaluations of the 2016-point sweep, pinned; setup
+    # that depends on the medium alone runs once per sweep
+    counts = {"subintervals": 0, "derive_units": 0}
+    qk21, derive = rates._qk21, rates.derive_units
+
+    def counting_qk21(f, args, lo, hi):
+        counts["subintervals"] += lo.size
+        return qk21(f, args, lo, hi)
+
+    def counting_derive(params):
+        counts["derive_units"] += 1
+        return derive(params)
+
+    monkeypatch.setattr(rates, "_qk21", counting_qk21)
+    monkeypatch.setattr(rates, "derive_units", counting_derive)
+    decay_rates(_bench_like_grid())
+    assert counts == {"subintervals": 19660, "derive_units": 1}
+
+
+def test_sweep_traced_peak_bounded():
+    # work arrays as wide as _LIMIT for every batch took the peak past 12 MB
+    grid = _bench_like_grid()
+    tracemalloc.start()
+    try:
+        decay_rates(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
