@@ -166,10 +166,7 @@ def _landau_vertex(sq, dq, si, di, sj, dj):
 def _bose(x):
     """Planck occupation 1/(e^x - 1) at x = hbar*omega/(kB*T), as in
     model.thermal_population; exactly 0 at x = inf (T = 0)."""
-    large = x > 700.0
-    if not large.any():  # the common case; a NaN stays NaN on either path
-        return 1.0 / np.expm1(x)
-    return np.where(large, np.exp(-x), 1.0 / np.expm1(np.minimum(x, 700.0)))
+    return np.where(x > 700.0, np.exp(-x), 1.0 / np.expm1(np.minimum(x, 700.0)))
 
 
 def _inverse_temperature(temperature_T: float, omega0: float) -> float:
@@ -494,19 +491,16 @@ def _reduced(integrand, lo, hi, args, prefactor, scale, point) -> _Integral:
     Both factors must be normal doubles: a prefactor of 0 leaves no
     tolerance, and a scale of 0 or inf no finite nonzero width.
     """
-    for value in (prefactor, scale):
+    for name, value in (("width prefactor", prefactor), ("width scale", scale)):
         if not sys.float_info.min <= value < math.inf:
             channel, qbar, _ = point
             raise ParameterError(
-                f"{channel} width prefactor {value:.3g} is out of double range "
-                f"at qbar = {qbar:.3g}"
+                f"{channel} {name} {value:.3g} is out of double range at qbar = {qbar:.3g}"
             )
     return _Integral(integrand, lo, hi, args, EPSABS_OMEGA0 / prefactor, scale, point)
 
 
-def _integrals(
-    query: RateQuery, units_of=derive_units, cutoff=_bose_cutoff_kbar
-) -> tuple[_Integral, _Integral]:
+def _integrals(query: RateQuery, units_of=derive_units) -> tuple[_Integral, _Integral]:
     """The spontaneous and the stimulated integral of one query.
 
     Spontaneous, s^-1: gamma/omega0 = (k0^3/n0)/(pi*qbar) * I with
@@ -542,8 +536,8 @@ def _integrals(
     is left at that threshold (its occupation underflows, or at tiny qbar
     its frequency overflows) the window is empty.
 
-    units_of and cutoff compute derive_units and _bose_cutoff_kbar; a sweep
-    passes memoised copies, so that setup shared along a grid axis runs once.
+    units_of computes derive_units; a sweep passes a memoised copy, so that
+    the units of one medium are derived once.
     """
     qbar, temperature, params = query.qbar, query.temperature_T, query.params
     two_level = query.channel is Channel.TWO_LEVEL
@@ -574,7 +568,7 @@ def _integrals(
         stimulated = _Integral(_stimulated_integrand, 0.0, 0.0, (), 0.0, 1.0, point)
     elif not two_level:
         prefactor = 2.0 * gas / (math.pi * qbar)
-        kmax = cutoff(0.0, temperature, units.omega0)
+        kmax = _bose_cutoff_kbar(0.0, temperature, units.omega0)
         stimulated = _reduced(
             _stimulated_integrand, 0.0, kmax, (wq, sq, 1.0 / sq, beta),
             prefactor, prefactor * units.omega0, point,
@@ -586,7 +580,7 @@ def _integrals(
         if beta * omega_low > _MAX_BOSE_EXPONENT:
             kmax = kmin
         else:
-            kmax = max(kmin, cutoff(omega_low, temperature, units.omega0))
+            kmax = max(kmin, _bose_cutoff_kbar(omega_low, temperature, units.omega0))
         stimulated = _reduced(
             _stimulated_free_integrand, kmin, kmax, (qbar * qbar, beta),
             prefactor, prefactor * units.omega0, point,
@@ -606,8 +600,7 @@ def decay_rates(queries: Sequence[RateQuery], epsrel: float = EPSREL) -> list[Ra
     before stimulated) whose refinement hits the cap.
     """
     units_of = functools.cache(derive_units)
-    cutoff = functools.cache(_bose_cutoff_kbar)
-    integrals = [i for query in queries for i in _integrals(query, units_of, cutoff)]
+    integrals = [i for query in queries for i in _integrals(query, units_of)]
     widths = _solve(integrals, epsrel)
     results = []
     for (gb, eb), (gl, el) in zip(widths[0::2], widths[1::2]):

@@ -311,6 +311,18 @@ def test_underflowing_width_prefactor_rejected():
         decay_rate(query)
 
 
+def test_overflowing_width_scale_rejected():
+    # (a_bc/a)^2 ~ 1.3e307 is a normal double and the spontaneous prefactor
+    # does not carry it, but the width scale 10/9 (a_bc/a)^2 prefactor omega0
+    # overflows: the message names the scale, not the prefactor
+    params = dataclasses.replace(SODIUM, two_level=TwoLevelParams(a_bc=1e145))
+    with pytest.raises(ParameterError) as raised:
+        decay_rate(two_level_query(0.5, T=1e-6, params=params))
+    assert str(raised.value) == (
+        "spontaneous width scale inf is out of double range at qbar = 0.5"
+    )
+
+
 def test_two_level_stimulated_threshold_window():
     # free-particle kinematics forbids absorption below 1/(2 qbar) - qbar
     slow = two_level_query(0.05, T=1e-6)
