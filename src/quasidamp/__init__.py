@@ -36,6 +36,7 @@ from .model import (  # noqa: F401
 from .rates import (  # noqa: F401
     Channel,
     QuadratureError,
+    RateGrid,
     RateQuery,
     RateResult,
     decay_rate,

@@ -45,7 +45,7 @@ from .model import (
     derive_units,
     dispersion,
 )
-from .rates import Channel, QuadratureError, RateQuery, decay_rates
+from .rates import Channel, QuadratureError, decay_rates
 
 
 class ConfigError(ValueError):
@@ -261,7 +261,7 @@ def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ConfigError(f"number {text[:20]} in config overflows a double")
-    return value
+    return value + 0.0  # -0.0 is the number 0
 
 
 def _finite_int(text: str) -> int:
@@ -361,23 +361,17 @@ def _emit(out_dir: str, files: dict[str, str]) -> None:
 def cmd_rates(cfg: RunConfig, out_dir: str) -> int:
     """rates.csv + rates.meta.json over the (temperature, qbar) grid."""
     units = derive_units(cfg.params)
-    grid = [(t, q) for t in cfg.temperature_grid for q in cfg.qbar_grid]
-    results = decay_rates([
-        RateQuery(qbar=qbar, temperature_T=temperature, channel=cfg.channel,
-                  params=cfg.params)
-        for temperature, qbar in grid
-    ])
+    qbar, temperature = cfg.qbar_grid, cfg.temperature_grid
+    rates = decay_rates(cfg.params, cfg.channel, qbar, temperature)
+    omega = np.array([dispersion(q) * units.omega0 for q in qbar])
     table = {
-        "qbar": [qbar for _, qbar in grid],
-        "temperature_K": [temperature for temperature, _ in grid],
-        "gamma_beliaev_s": [r.gamma_beliaev for r in results],
-        "gamma_landau_s": [r.gamma_landau for r in results],
-        "gamma_total_s": [r.gamma_total for r in results],
-        "gamma_over_omega": [
-            r.gamma_total / (dispersion(qbar) * units.omega0)
-            for (_, qbar), r in zip(grid, results)
-        ],
-        "quad_err": [r.quadrature_error_estimate for r in results],
+        "qbar": np.tile(qbar, len(temperature)),
+        "temperature_K": np.repeat(temperature, len(qbar)),
+        "gamma_beliaev_s": rates.gamma_beliaev.ravel(),
+        "gamma_landau_s": rates.gamma_landau.ravel(),
+        "gamma_total_s": rates.gamma_total.ravel(),
+        "gamma_over_omega": (rates.gamma_total / omega).ravel(),
+        "quad_err": rates.quadrature_error_estimate.ravel(),
     }
     meta = {
         "version": __version__,

@@ -15,11 +15,18 @@ The quadrature is QUADPACK's G10K21 rule with its error estimate (Piessens
 et al., QUADPACK, 1983), written in numpy: the subinterval with the largest
 error estimate is bisected until the summed estimate meets
 max(epsabs, epsrel*|result|), with at most 200 subintervals per integral.
-`decay_rates` refines every integral of a sweep together as arrays, one
+
+`decay_rates(params, channel, qbar, temperature)` sweeps a (temperature,
+qbar) grid and returns a RateGrid of (len(temperature), len(qbar)) arrays.
+Its setup runs per axis value, not per point: the units once, the Bose
+exponent and the single-level cutoff per temperature, the mode frequency,
+prefactors and scales per qbar, combined at each point by single IEEE
+operations, so every point holds the bits of a one-point setup.  The
+integrals of each channel are then refined together as column arrays, one
 bisection per unfinished integral per pass.  Each integral's refinement
 depends on its own integrand alone, so a width is bit-identical whichever
-other points share the sweep; `decay_rate` is the one-point sweep.  A
-RateResult carries both channels' widths.  The refinement's work arrays are
+other points share the sweep; `decay_rate(query)` is the 1x1 grid and
+returns a RateResult of floats.  The refinement's work arrays are
 only as wide as the subintervals in use, rounded up to a multiple of 8 up to
 96 columns and to the full 200 beyond, so a sweep whose integrals need a
 handful of subintervals holds a few columns per integral, not 200.  The
@@ -40,12 +47,12 @@ of the mode coefficients, with u, v taken positive as in `model`.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,16 +87,8 @@ class RateQuery:
     params: PhysicalParams
 
     def __post_init__(self) -> None:
-        # JSON integers arrive as int; qbar*qbar must not leave the doubles
-        object.__setattr__(self, "qbar", float(self.qbar))
-        object.__setattr__(self, "temperature_T", float(self.temperature_T))
-        # a subnormal qbar squares to 0
-        if not (sys.float_info.min <= self.qbar < math.inf):
-            raise ParameterError(f"qbar must be > 0 and a normal double, got {self.qbar}")
-        if not (self.temperature_T >= 0.0 and math.isfinite(self.temperature_T)):
-            raise ParameterError(
-                f"temperature_T must be >= 0 and finite, got {self.temperature_T}"
-            )
+        object.__setattr__(self, "qbar", _valid_qbar(self.qbar))
+        object.__setattr__(self, "temperature_T", _valid_temperature(self.temperature_T))
 
 
 @dataclass(frozen=True)
@@ -403,69 +402,41 @@ def _refine(f, args, lo, hi, epsabs, epsrel):
     return area, errsum, done
 
 
-@dataclass(frozen=True)
-class _Integral:
-    """One reduced magnitude integral and its conversion to a width.
+class _Columns(NamedTuple):
+    """One integrand's integrals over a grid, as columns.
 
-    The width in s^-1 is scale * int_lo^hi integrand(x, *args) dx, refined
-    to the absolute tolerance epsabs on the reduced integral.  lo == hi
-    marks a channel with no allowed final state: its width is exactly 0.
+    Integral k belongs to the grid point point[k] (flat, in T-major order);
+    its width in s^-1 is scale[k] * int_lo[k]^hi[k] integrand(x, *args[:][k]) dx,
+    refined to the absolute tolerance epsabs[k] on the reduced integral.
+    Points whose channel has no allowed final state hold no integral: their
+    width is exactly 0.
     """
 
     integrand: Callable
-    lo: float
-    hi: float
-    args: tuple[float, ...]
-    epsabs: float
-    scale: float
-    point: tuple[str, float, float]  # channel, qbar, temperature_T
+    point: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    args: list[np.ndarray]
+    epsabs: np.ndarray
+    scale: np.ndarray
 
 
-def _solve(integrals: Sequence[_Integral], epsrel: float) -> list[tuple[float, float]]:
-    """(width, error estimate) in s^-1 for every integral.
-
-    Integrals sharing an integrand are refined together, _BATCH at a time.
-    Raises QuadratureError for the first integral, in input order, that hits
-    the refinement cap.
-    """
-    if not (epsrel >= 0.0 and math.isfinite(epsrel)):
-        raise ParameterError(f"epsrel must be >= 0 and finite, got {epsrel}")
-    value = np.zeros(len(integrals))
-    abserr = np.zeros(len(integrals))
-    converged = np.ones(len(integrals), dtype=bool)
-    live = [k for k, integral in enumerate(integrals) if integral.hi > integral.lo]
-    for integrand in dict.fromkeys(integrals[k].integrand for k in live):
-        index = [k for k in live if integrals[k].integrand is integrand]
-        group = [integrals[k] for k in index]
-        lo = np.array([i.lo for i in group])
-        hi = np.array([i.hi for i in group])
-        epsabs = np.array([i.epsabs for i in group])
-        args = [np.array(column) for column in zip(*(i.args for i in group))]
-        for start in range(0, len(group), _BATCH):
-            part = slice(start, start + _BATCH)
-            rows = index[part]
-            value[rows], abserr[rows], converged[rows] = _refine(
-                integrand, [arg[part] for arg in args], lo[part], hi[part],
-                epsabs[part], epsrel,
-            )
-    out = []
-    for k, integral in enumerate(integrals):
-        width = integral.scale * float(value[k])
-        error = integral.scale * float(abserr[k])
-        if not converged[k]:
-            channel, qbar, temperature = integral.point
-            raise QuadratureError(
-                f"quadrature did not converge within {_LIMIT} subintervals: "
-                f"{channel} width at qbar = {qbar:.6g}, T = {temperature:.6g} K",
-                partial_rate_s=width,
-                error_estimate_s=error,
-            )
-        out.append((width, error))
-    return out
+def _solve(integrals: _Columns, epsrel: float):
+    """(value, abserr, converged) of every integral, refined _BATCH at a time."""
+    n = integrals.lo.size
+    value, abserr = np.empty(n), np.empty(n)
+    converged = np.empty(n, dtype=bool)
+    for start in range(0, n, _BATCH):
+        part = slice(start, start + _BATCH)
+        value[part], abserr[part], converged[part] = _refine(
+            integrals.integrand, [arg[part] for arg in integrals.args],
+            integrals.lo[part], integrals.hi[part], integrals.epsabs[part], epsrel,
+        )
+    return value, abserr, converged
 
 
 # ---------------------------------------------------------------------------
-# the integral of each channel
+# the integrals of each channel over a grid
 
 #: Ratio of the two-level to single-level small-q coefficients,
 #: (1/96) / (3/320) = 10/9: the interspecies vertex couples through the
@@ -474,34 +445,67 @@ def _solve(integrals: Sequence[_Integral], epsrel: float) -> list[tuple[float, f
 TWO_LEVEL_FACTOR = 10.0 / 9.0
 
 
-def _coupling_ratio_sq(params: PhysicalParams) -> float:
-    ratio = params.bc_scattering_length / params.scattering_length_a
-    ratio_sq = ratio * ratio
-    if not sys.float_info.min <= ratio_sq < math.inf:
-        raise ParameterError(
-            f"interspecies coupling (a_bc/a)^2 = {ratio_sq:.3g} is out of double range"
-        )
-    return ratio_sq
+def _valid_qbar(qbar) -> float:
+    qbar = float(qbar)  # JSON integers arrive as int; qbar*qbar must not leave the doubles
+    if not (sys.float_info.min <= qbar < math.inf):  # a subnormal qbar squares to 0
+        raise ParameterError(f"qbar must be > 0 and a normal double, got {qbar}")
+    return qbar
 
 
-def _reduced(integrand, lo, hi, args, prefactor, scale, point) -> _Integral:
-    """The _Integral whose width is scale * I, refined to the absolute
-    tolerance EPSABS_OMEGA0/prefactor on I.
+def _valid_temperature(temperature_T) -> float:
+    temperature_T = float(temperature_T)
+    if not (temperature_T >= 0.0 and math.isfinite(temperature_T)):
+        raise ParameterError(f"temperature_T must be >= 0 and finite, got {temperature_T}")
+    return abs(temperature_T)  # -0.0 passes the check; it is the temperature 0
 
-    Both factors must be normal doubles: a prefactor of 0 leaves no
-    tolerance, and a scale of 0 or inf no finite nonzero width.
+
+def _valid_axes(qbar, temperature) -> tuple[list[float], list[float]]:
+    """Both grid axes as checked floats.
+
+    The checks run in the order a T-major walk over the points meets them:
+    the first point checks qbar[0], then temperature[0]; the rest of its row
+    checks the other qbar, and the later rows the other temperatures.
     """
-    for name, value in (("width prefactor", prefactor), ("width scale", scale)):
-        if not sys.float_info.min <= value < math.inf:
-            channel, qbar, _ = point
-            raise ParameterError(
-                f"{channel} {name} {value:.3g} is out of double range at qbar = {qbar:.3g}"
-            )
-    return _Integral(integrand, lo, hi, args, EPSABS_OMEGA0 / prefactor, scale, point)
+    qbar, temperature = list(qbar), list(temperature)
+    if qbar and temperature:
+        _valid_qbar(qbar[0])
+        _valid_temperature(temperature[0])
+    return [_valid_qbar(q) for q in qbar], [_valid_temperature(t) for t in temperature]
 
 
-def _integrals(query: RateQuery, units_of=derive_units) -> tuple[_Integral, _Integral]:
-    """The spontaneous and the stimulated integral of one query.
+def _normal(x):
+    """x is a normal double: finite, and neither 0 nor subnormal."""
+    return (x >= sys.float_info.min) & (x < math.inf)
+
+
+def _raise_first(shape: tuple[int, int], checks) -> None:
+    """Raise the error of the first failing point, if any point fails.
+
+    checks are (mask, error) pairs in the order a point is checked: mask
+    marks the points that fail the check and broadcasts to the grid, and
+    error(i, j) is the check's exception at point (i, j).  Points are taken
+    in T-major order, and at the first failing point its first failing check
+    is raised, as a point-by-point sweep would.
+    """
+    failed = np.zeros(shape, dtype=bool)
+    for mask, _ in checks:
+        failed |= mask
+    if failed.any():
+        i, j = np.unravel_index(failed.argmax(), shape)
+        for mask, error in checks:
+            if np.broadcast_to(mask, shape)[i, j]:
+                raise error(i, j)
+
+
+def _range_error(channel: str, name: str, value: float, qbar: float) -> ParameterError:
+    return ParameterError(
+        f"{channel} {name} {value:.3g} is out of double range at qbar = {qbar:.3g}"
+    )
+
+
+def _setup(params: PhysicalParams, channel: Channel, qbar: list[float],
+           temperature: list[float]) -> tuple[_Columns, _Columns]:
+    """The spontaneous and the stimulated integrals of a (temperature, qbar) grid.
 
     Spontaneous, s^-1: gamma/omega0 = (k0^3/n0)/(pi*qbar) * I with
 
@@ -536,55 +540,114 @@ def _integrals(query: RateQuery, units_of=derive_units) -> tuple[_Integral, _Int
     is left at that threshold (its occupation underflows, or at tiny qbar
     its frequency overflows) the window is empty.
 
-    units_of computes derive_units; a sweep passes a memoised copy, so that
-    the units of one medium are derived once.
+    Setup runs per axis value: the medium's units once, the Bose exponent
+    and the single-level cutoff per temperature, the mode frequency,
+    prefactors and scales per qbar.  A point combines them with single IEEE
+    operations, so every column entry has the bits of a one-point setup.
+    The two-level cutoff depends on both, and is computed at each point
+    whose window is not empty.  Each width is reported per mode frequency,
+    each prefactor divides the tolerance and each scale multiplies the
+    integral, so all must be normal doubles; the first point that breaks a
+    check raises ParameterError, see _raise_first.
     """
-    qbar, temperature, params = query.qbar, query.temperature_T, query.params
-    two_level = query.channel is Channel.TWO_LEVEL
-    units = units_of(params)
+    two_level = channel is Channel.TWO_LEVEL
+    units = derive_units(params)
+    omega0 = units.omega0
     gas = units.k0**3 / params.condensate_density_n0
-    beta = _inverse_temperature(temperature, units.omega0)
-    wq = dispersion(qbar)
-    if wq * units.omega0 == 0.0:  # widths are reported per mode frequency
-        raise ParameterError(f"mode frequency underflows at qbar = {qbar:.3g}")
-    if not beta * wq >= _MIN_BOSE_EXPONENT:
-        raise ParameterError(
-            f"T = {temperature:.3g} K is too hot at qbar = {qbar:.3g}: the "
-            f"thermal occupation exceeds {1.0 / _MIN_BOSE_EXPONENT:.0e}"
-        )
-    sq = qbar / math.sqrt(wq)
+    shape = (len(temperature), len(qbar))
 
-    prefactor = gas / (math.pi * qbar)
-    scale = prefactor * units.omega0
-    if two_level:
-        scale = TWO_LEVEL_FACTOR * _coupling_ratio_sq(params) * scale
-    spontaneous = _reduced(
-        _spontaneous_integrand, 0.0, 0.5 * math.pi, (qbar, wq, sq, 1.0 / sq, beta),
-        prefactor, scale, ("spontaneous", qbar, temperature),
-    )
+    beta = np.array([_inverse_temperature(t, omega0) for t in temperature]).reshape(-1, 1)
+    thermal = beta < math.inf  # not T = 0, nor too cold for any thermal occupation
 
-    point = ("stimulated", qbar, temperature)
-    if beta == math.inf:  # T = 0, or too cold for any thermal occupation
-        stimulated = _Integral(_stimulated_integrand, 0.0, 0.0, (), 0.0, 1.0, point)
-    elif not two_level:
-        prefactor = 2.0 * gas / (math.pi * qbar)
-        kmax = _bose_cutoff_kbar(0.0, temperature, units.omega0)
-        stimulated = _reduced(
-            _stimulated_integrand, 0.0, kmax, (wq, sq, 1.0 / sq, beta),
-            prefactor, prefactor * units.omega0, point,
-        )
-    else:
-        prefactor = _coupling_ratio_sq(params) * gas / (4.0 * math.pi * qbar)
-        kmin = max(0.0, 0.5 / qbar - qbar)
-        omega_low = float(_omega(kmin))  # inf when kmin^2 overflows
-        if beta * omega_low > _MAX_BOSE_EXPONENT:
-            kmax = kmin
+    # errors of the scalar calls, held until the first failing point is known
+    mode_error = np.full(len(qbar), None)
+    cutoff_error = np.full(shape, None)
+    wq = np.empty(len(qbar))
+    for j, q in enumerate(qbar):
+        try:
+            wq[j] = dispersion(q)
+        except ParameterError as exc:
+            mode_error[j] = exc
+            wq[j] = math.nan
+    q = np.array(qbar)
+    ratio = params.bc_scattering_length / params.scattering_length_a
+    ratio_sq = ratio * ratio
+    with np.errstate(all="ignore"):  # out-of-range values fail the checks below
+        sq = q / np.sqrt(wq)
+        prefactor = gas / (math.pi * q)
+        scale = prefactor * omega0
+        if two_level:
+            scale = TWO_LEVEL_FACTOR * ratio_sq * scale
+            stimulated_prefactor = ratio_sq * gas / (4.0 * math.pi * q)
+            kmin = np.maximum(0.0, 0.5 / q - q)
+            omega_low = _omega(kmin)  # inf when kmin^2 overflows
+            lo = np.broadcast_to(kmin, shape)
+            # past the Bose tail at the threshold the window is empty
+            window = thermal & ~(beta * omega_low > _MAX_BOSE_EXPONENT)
         else:
-            kmax = max(kmin, _bose_cutoff_kbar(omega_low, temperature, units.omega0))
-        stimulated = _reduced(
-            _stimulated_free_integrand, kmin, kmax, (qbar * qbar, beta),
-            prefactor, prefactor * units.omega0, point,
-        )
+            stimulated_prefactor = 2.0 * gas / (math.pi * q)
+            lo = np.zeros(shape)
+            window = np.broadcast_to(thermal, shape)
+        stimulated_scale = stimulated_prefactor * omega0
+        too_hot = ~(beta * wq >= _MIN_BOSE_EXPONENT)
+
+    # the Bose cutoff: per open window in the two-level channel, and per
+    # temperature in the single-level one, whose window is the full axis
+    hi = lo.copy()
+    if two_level:
+        for i, j in zip(*np.nonzero(window)):
+            try:
+                cutoff = _bose_cutoff_kbar(float(omega_low[j]), temperature[i], omega0)
+                hi[i, j] = max(float(kmin[j]), cutoff)
+            except ParameterError as exc:
+                cutoff_error[i, j] = exc
+    else:
+        for i in np.flatnonzero(thermal):
+            try:
+                hi[i] = _bose_cutoff_kbar(0.0, temperature[i], omega0)
+            except ParameterError as exc:
+                cutoff_error[i] = exc
+
+    _raise_first(shape, (
+        (~(wq * omega0 > 0.0), lambda i, j: mode_error[j] or ParameterError(
+            f"mode frequency underflows at qbar = {qbar[j]:.3g}")),
+        (too_hot, lambda i, j: ParameterError(
+            f"T = {temperature[i]:.3g} K is too hot at qbar = {qbar[j]:.3g}: the "
+            f"thermal occupation exceeds {1.0 / _MIN_BOSE_EXPONENT:.0e}")),
+        (two_level and not _normal(ratio_sq), lambda i, j: ParameterError(
+            f"interspecies coupling (a_bc/a)^2 = {ratio_sq:.3g} is out of double range")),
+        (~_normal(prefactor), lambda i, j: _range_error(
+            "spontaneous", "width prefactor", prefactor[j], qbar[j])),
+        (~_normal(scale), lambda i, j: _range_error(
+            "spontaneous", "width scale", scale[j], qbar[j])),
+        (cutoff_error.astype(bool), lambda i, j: cutoff_error[i, j]),
+        (thermal & ~_normal(stimulated_prefactor), lambda i, j: _range_error(
+            "stimulated", "width prefactor", stimulated_prefactor[j], qbar[j])),
+        (thermal & ~_normal(stimulated_scale), lambda i, j: _range_error(
+            "stimulated", "width scale", stimulated_scale[j], qbar[j])),
+    ))
+
+    def columns(integrand, live, lo, hi, args, prefactor, scale) -> _Columns:
+        point = np.flatnonzero(live)
+        at = np.unravel_index(point, shape)
+
+        def pick(value):
+            return np.broadcast_to(value, shape)[at]
+
+        return _Columns(integrand, point, pick(lo), pick(hi), [pick(a) for a in args],
+                        EPSABS_OMEGA0 / pick(prefactor), pick(scale))
+
+    spontaneous = columns(
+        _spontaneous_integrand, np.ones(shape, dtype=bool), 0.0, 0.5 * math.pi,
+        (q, wq, sq, 1.0 / sq, beta), prefactor, scale,
+    )
+    if two_level:
+        integrand, args = _stimulated_free_integrand, (q * q, beta)
+    else:
+        integrand, args = _stimulated_integrand, (wq, sq, 1.0 / sq, beta)
+    stimulated = columns(
+        integrand, window & (hi > lo), lo, hi, args, stimulated_prefactor, stimulated_scale,
+    )
     return spontaneous, stimulated
 
 
@@ -592,32 +655,66 @@ def _integrals(query: RateQuery, units_of=derive_units) -> tuple[_Integral, _Int
 # public operations
 
 
-def decay_rates(queries: Sequence[RateQuery], epsrel: float = EPSREL) -> list[RateResult]:
-    """Both channels of every query, refined together in one batched sweep.
+class RateGrid(NamedTuple):
+    """Decay widths in s^-1 over a (temperature, qbar) grid.
 
-    Results come back in query order, each bit-identical to a one-point
-    call.  Raises QuadratureError for the first query (spontaneous channel
-    before stimulated) whose refinement hits the cap.
+    Each field is a (len(temperature), len(qbar)) array.  gamma_beliaev is
+    the spontaneous width and gamma_landau the stimulated one, in the
+    grid's channel; the error estimate covers both.
     """
-    units_of = functools.cache(derive_units)
-    integrals = [i for query in queries for i in _integrals(query, units_of)]
-    widths = _solve(integrals, epsrel)
-    results = []
-    for (gb, eb), (gl, el) in zip(widths[0::2], widths[1::2]):
-        if gl < 0.0:
-            raise RuntimeError(
-                f"stimulated width came out negative ({gl} s^-1): population "
-                "factor ordering violated"
-            )
-        results.append(RateResult(
-            gamma_beliaev=gb,
-            gamma_landau=gl,
-            gamma_total=gb + gl,
-            quadrature_error_estimate=eb + el,
+
+    gamma_beliaev: np.ndarray
+    gamma_landau: np.ndarray
+    gamma_total: np.ndarray
+    quadrature_error_estimate: np.ndarray
+
+
+def decay_rates(params: PhysicalParams, channel: Channel, qbar: Sequence[float],
+                temperature: Sequence[float], epsrel: float = EPSREL) -> RateGrid:
+    """Both channels at every (temperature, qbar) point, in one batched sweep.
+
+    Every width is bit-identical to a one-point call.  Raises
+    ParameterError for the first bad point in T-major order, and
+    QuadratureError for the first point (spontaneous channel before
+    stimulated) whose refinement hits the cap.
+    """
+    qbar, temperature = _valid_axes(qbar, temperature)
+    integrals = _setup(params, channel, qbar, temperature)
+    if not (epsrel >= 0.0 and math.isfinite(epsrel)):
+        raise ParameterError(f"epsrel must be >= 0 and finite, got {epsrel}")
+    shape = (len(temperature), len(qbar))
+    widths, errors, stalled = [], [], []
+    for columns in integrals:
+        value, abserr, converged = _solve(columns, epsrel)
+        width, error = np.zeros(shape), np.zeros(shape)
+        failed = np.zeros(shape, dtype=bool)
+        width.flat[columns.point] = columns.scale * value
+        error.flat[columns.point] = columns.scale * abserr
+        failed.flat[columns.point] = ~converged
+        widths.append(width)
+        errors.append(error)
+        stalled.append(failed)
+    _raise_first(shape, [
+        (failed, lambda i, j, name=name, width=width, error=error: QuadratureError(
+            f"quadrature did not converge within {_LIMIT} subintervals: "
+            f"{name} width at qbar = {qbar[j]:.6g}, T = {temperature[i]:.6g} K",
+            partial_rate_s=float(width[i, j]),
+            error_estimate_s=float(error[i, j]),
         ))
-    return results
+        for name, failed, width, error in zip(("spontaneous", "stimulated"), stalled, widths, errors)
+    ])
+    gamma_beliaev, gamma_landau = widths
+    negative = gamma_landau[gamma_landau < 0.0]
+    if negative.size:
+        raise RuntimeError(
+            f"stimulated width came out negative ({negative[0]} s^-1): population "
+            "factor ordering violated"
+        )
+    return RateGrid(gamma_beliaev, gamma_landau, gamma_beliaev + gamma_landau,
+                    errors[0] + errors[1])
 
 
 def decay_rate(query: RateQuery, epsrel: float = EPSREL) -> RateResult:
-    """Both channels combined into a RateResult (widths in s^-1)."""
-    return decay_rates([query], epsrel)[0]
+    """Both channels at one point, as the 1x1 grid of decay_rates."""
+    grid = decay_rates(query.params, query.channel, [query.qbar], [query.temperature_T], epsrel)
+    return RateResult(*(float(column[0, 0]) for column in grid))

@@ -8,9 +8,15 @@ variable, an independent reduction of the same width that the tests
 integrate with scipy.  `refine_reference` is the batched refinement with
 work arrays _LIMIT columns wide, against which the production one, whose
 arrays are only as wide as the subintervals in use, must agree bit for bit.
+`integrals` is the one-point setup of a query's two integrals, which the
+production sweep builds per grid axis and must match bit for bit, and
+`first_error` the error a point-by-point sweep would stop at.
 """
 
 import math
+import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +30,26 @@ from quasidamp.model import (
     group_velocity,
     inverse_dispersion,
 )
-from quasidamp.rates import _LIMIT, Channel, _beliaev_vertex, _qk21, _sd
+from quasidamp import rates
+from quasidamp.rates import (
+    _LIMIT,
+    _MAX_BOSE_EXPONENT,
+    _MIN_BOSE_EXPONENT,
+    EPSABS_OMEGA0,
+    TWO_LEVEL_FACTOR,
+    Channel,
+    QuadratureError,
+    RateQuery,
+    _beliaev_vertex,
+    _bose_cutoff_kbar,
+    _inverse_temperature,
+    _omega,
+    _qk21,
+    _sd,
+    _spontaneous_integrand,
+    _stimulated_free_integrand,
+    _stimulated_integrand,
+)
 
 
 def beliaev_asymptote(qbar: float, channel: Channel, params: PhysicalParams) -> float:
@@ -136,3 +161,137 @@ def beliaev_energy_integrand(qbar: float, omega_k: float) -> float:
     return float(
         (kbar / group_velocity(kbar)) * vertex * vertex * (pbar / group_velocity(pbar))
     )
+
+
+# ---------------------------------------------------------------------------
+# one-point setup of the two integrals of a query
+
+
+@dataclass(frozen=True)
+class Integral:
+    """One reduced magnitude integral and its conversion to a width.
+
+    The width in s^-1 is scale * int_lo^hi integrand(x, *args) dx, refined
+    to the absolute tolerance epsabs on the reduced integral.  lo == hi
+    marks a channel with no allowed final state: its width is exactly 0.
+    """
+
+    integrand: Callable
+    lo: float
+    hi: float
+    args: tuple[float, ...]
+    epsabs: float
+    scale: float
+
+
+def _coupling_ratio_sq(params: PhysicalParams) -> float:
+    ratio = params.bc_scattering_length / params.scattering_length_a
+    ratio_sq = ratio * ratio
+    if not sys.float_info.min <= ratio_sq < math.inf:
+        raise ParameterError(
+            f"interspecies coupling (a_bc/a)^2 = {ratio_sq:.3g} is out of double range"
+        )
+    return ratio_sq
+
+
+def _reduced(integrand, lo, hi, args, prefactor, scale, point) -> Integral:
+    for name, value in (("width prefactor", prefactor), ("width scale", scale)):
+        if not sys.float_info.min <= value < math.inf:
+            channel, qbar = point
+            raise ParameterError(
+                f"{channel} {name} {value:.3g} is out of double range at qbar = {qbar:.3g}"
+            )
+    return Integral(integrand, lo, hi, args, EPSABS_OMEGA0 / prefactor, scale)
+
+
+def integrals(query: RateQuery) -> tuple[Integral, Integral]:
+    """The spontaneous and the stimulated integral of one query, set up
+    point by point with scalar arithmetic and its checks in their order."""
+    qbar, temperature, params = query.qbar, query.temperature_T, query.params
+    two_level = query.channel is Channel.TWO_LEVEL
+    units = derive_units(params)
+    gas = units.k0**3 / params.condensate_density_n0
+    beta = _inverse_temperature(temperature, units.omega0)
+    wq = dispersion(qbar)
+    if wq * units.omega0 == 0.0:
+        raise ParameterError(f"mode frequency underflows at qbar = {qbar:.3g}")
+    if not beta * wq >= _MIN_BOSE_EXPONENT:
+        raise ParameterError(
+            f"T = {temperature:.3g} K is too hot at qbar = {qbar:.3g}: the "
+            f"thermal occupation exceeds {1.0 / _MIN_BOSE_EXPONENT:.0e}"
+        )
+    sq = qbar / math.sqrt(wq)
+
+    prefactor = gas / (math.pi * qbar)
+    scale = prefactor * units.omega0
+    if two_level:
+        scale = TWO_LEVEL_FACTOR * _coupling_ratio_sq(params) * scale
+    spontaneous = _reduced(
+        _spontaneous_integrand, 0.0, 0.5 * math.pi, (qbar, wq, sq, 1.0 / sq, beta),
+        prefactor, scale, ("spontaneous", qbar),
+    )
+
+    point = ("stimulated", qbar)
+    if beta == math.inf:
+        stimulated = Integral(_stimulated_integrand, 0.0, 0.0, (), 0.0, 1.0)
+    elif not two_level:
+        prefactor = 2.0 * gas / (math.pi * qbar)
+        kmax = _bose_cutoff_kbar(0.0, temperature, units.omega0)
+        stimulated = _reduced(
+            _stimulated_integrand, 0.0, kmax, (wq, sq, 1.0 / sq, beta),
+            prefactor, prefactor * units.omega0, point,
+        )
+    else:
+        prefactor = _coupling_ratio_sq(params) * gas / (4.0 * math.pi * qbar)
+        kmin = max(0.0, 0.5 / qbar - qbar)
+        omega_low = float(_omega(kmin))
+        if beta * omega_low > _MAX_BOSE_EXPONENT:
+            kmax = kmin
+        else:
+            kmax = max(kmin, _bose_cutoff_kbar(omega_low, temperature, units.omega0))
+        stimulated = _reduced(
+            _stimulated_free_integrand, kmin, kmax, (qbar * qbar, beta),
+            prefactor, prefactor * units.omega0, point,
+        )
+    return spontaneous, stimulated
+
+
+def grid_queries(params, channel, qbar, temperature) -> list[RateQuery]:
+    """One query per grid point, in T-major order."""
+    return [
+        RateQuery(qbar=q, temperature_T=t, channel=channel, params=params)
+        for t in temperature for q in qbar
+    ]
+
+
+def solve_alone(integral: Integral, epsrel: float) -> tuple[float, float, bool]:
+    """(width, error, converged) of one integral refined on its own."""
+    if not integral.hi > integral.lo:
+        return 0.0, 0.0, True
+    value, abserr, converged = rates._refine(
+        integral.integrand, [np.array([arg]) for arg in integral.args],
+        np.array([integral.lo]), np.array([integral.hi]), np.array([integral.epsabs]), epsrel,
+    )
+    return integral.scale * float(value[0]), integral.scale * float(abserr[0]), bool(converged[0])
+
+
+def first_error(params, channel, qbar, temperature, epsrel) -> Exception | None:
+    """The error a sweep that sets up and refines one point at a time, in
+    T-major order, meets first: every point's setup before any refinement,
+    then the spontaneous before the stimulated integral of each point."""
+    try:
+        queries = grid_queries(params, channel, qbar, temperature)
+        setups = [integrals(query) for query in queries]
+    except ParameterError as exc:
+        return exc
+    for query, setup in zip(queries, setups):
+        for name, integral in zip(("spontaneous", "stimulated"), setup):
+            width, error, converged = solve_alone(integral, epsrel)
+            if not converged:
+                return QuadratureError(
+                    f"quadrature did not converge within {rates._LIMIT} subintervals: "
+                    f"{name} width at qbar = {query.qbar:.6g}, T = {query.temperature_T:.6g} K",
+                    partial_rate_s=width,
+                    error_estimate_s=error,
+                )
+    return None

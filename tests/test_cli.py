@@ -1,5 +1,6 @@
 """Config loading, subcommands, file formats, and exit codes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import quasidamp
-from quasidamp import dynamics
+import rate_reference
+from quasidamp import dynamics, rates
 from quasidamp.cli import (
     SCHEMA,
     ConfigError,
@@ -371,6 +373,35 @@ def test_too_hot_temperature_rejected(tmp_path, capsys):
         )
     assert rc == 2
     assert "too hot" in err and err.count("\n") == 1
+    # on a grid the T = 0 row is valid and the first too-hot point follows it
+    axes = {"qbar": [1e-220, 1e-200], "temperature": [0, 6.7e307]}
+    params = dataclasses.replace(PRESETS["sodium-paper"], scattering_length_a=3.3e8)
+    expected = rate_reference.first_error(
+        params, Channel.SINGLE_LEVEL, axes["qbar"], axes["temperature"], rates.EPSREL
+    )
+    assert "too hot at qbar = 1e-220" in str(expected)
+    rc, err = run_raw_config(
+        tmp_path, capsys, "rates",
+        json.dumps({"preset": "sodium-paper", "params": {"scattering_length_a": 3.3e8},
+                    "rate_query": axes}),
+    )
+    assert rc == 2
+    assert err == f"error: {expected}\n"
+
+
+def test_negative_zero_temperature_prints_zero(tmp_path, capsys):
+    # -0.0 passed the schema's minimum of 0 and printed as a "-0" row
+    rc, _ = run_raw_config(
+        tmp_path, capsys, "rates",
+        '{"preset": "sodium-paper", "rate_query": {"qbar": [1.0], "temperature": [-0.0, 0.0]}}',
+    )
+    assert rc == 0
+    _, rows = read_csv(tmp_path / "out" / "rates.csv")
+    assert [row[1] for row in rows] == ["0", "0"]
+    assert rows[0] == rows[1]
+    meta = json.loads((tmp_path / "out" / "rates.meta.json").read_text(encoding="utf-8"))
+    for temperatures in (meta["temperature_K"], meta["config"]["rate_query"]["temperature"]):
+        assert [math.copysign(1.0, t) for t in temperatures] == [1.0, 1.0]
 
 
 @pytest.mark.parametrize("temperature", ["0", "1e-6"])
@@ -565,7 +596,7 @@ def test_rates_deterministic_across_runs(tmp_path):
 def test_rates_quadrature_failure_leaves_no_files(tmp_path, monkeypatch, capsys):
     import quasidamp.cli as cli_mod
 
-    def boom(queries, epsrel=1e-8):
+    def boom(params, channel, qbar, temperature, epsrel=1e-8):
         raise QuadratureError("synthetic stall", partial_rate_s=1.25, error_estimate_s=0.5)
 
     monkeypatch.setattr(cli_mod, "decay_rates", boom)
@@ -581,23 +612,19 @@ def test_rates_quadrature_failure_leaves_no_files(tmp_path, monkeypatch, capsys)
 def test_refinement_cap_exits_3_with_partial_rate(tmp_path, monkeypatch, capsys):
     # two subintervals cannot resolve the recoil-momentum splitting integral;
     # qbar = 0.05 at T = 0 converges on the first pass and comes first
-    import numpy as np
     from scipy.integrate import quad
 
-    from quasidamp import rates
-
     sodium = PRESETS["sodium-paper"]
-    grid = [
-        RateQuery(qbar=q, temperature_T=0.0, channel=Channel.SINGLE_LEVEL, params=sodium)
-        for q in (0.05, 5.0)
-    ]
-    converged = rates.decay_rates(grid)[1].gamma_beliaev
+    grid = (sodium, Channel.SINGLE_LEVEL, (0.05, 5.0), (0.0,))
+    converged = rates.decay_rates(*grid).gamma_beliaev[0, 1]
     monkeypatch.setattr(rates, "_LIMIT", 2)
     with pytest.raises(QuadratureError) as stall:
-        rates.decay_rates(grid)
+        rates.decay_rates(*grid)
     assert "spontaneous width at qbar = 5," in str(stall.value)
     # QUADPACK stopped at the same two subintervals gives the same partial sums
-    integral, _ = rates._integrals(grid[1])
+    integral, _ = rate_reference.integrals(
+        RateQuery(qbar=5.0, temperature_T=0.0, channel=Channel.SINGLE_LEVEL, params=sodium)
+    )
     capped = quad(
         lambda x: float(integral.integrand(np.float64(x), *integral.args)),
         integral.lo, integral.hi, epsabs=integral.epsabs, epsrel=rates.EPSREL,
@@ -615,6 +642,22 @@ def test_refinement_cap_exits_3_with_partial_rate(tmp_path, monkeypatch, capsys)
     assert f"partial rate {stall.value.partial_rate_s:.6g}" in err
     assert f"error estimate {stall.value.error_estimate_s:.6g}" in err
     assert err.count("\n") == 1
+
+    # on a 2 x 3 grid at four subintervals the first row converges, and the
+    # first stall in T-major order is a stimulated integral, ahead of a
+    # spontaneous one later in its row
+    monkeypatch.setattr(rates, "_LIMIT", 4)
+    axes = {"qbar": [0.3, 1.0, 5.0], "temperature": [0.0, 1e-6]}
+    expected = rate_reference.first_error(
+        sodium, Channel.SINGLE_LEVEL, axes["qbar"], axes["temperature"], rates.EPSREL
+    )
+    assert "stimulated width at qbar = 0.3, T = 1e-06 K" in str(expected)
+    cfg_path = write_config(tmp_path, rate_query=axes)
+    assert main(["rates", "--config", cfg_path, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"quadrature failure: {expected} (partial rate {expected.partial_rate_s:.6g} s^-1, "
+        f"error estimate {expected.error_estimate_s:.6g} s^-1)\n"
+    )
 
 
 # ---------------------------------------------------------------------------

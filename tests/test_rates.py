@@ -1,6 +1,7 @@
 """Spontaneous and stimulated quasiparticle decay widths."""
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -23,14 +24,14 @@ from quasidamp.model import (
 )
 from quasidamp.rates import (
     Channel,
+    QuadratureError,
     RateQuery,
     RateResult,
     EPSREL,
     TWO_LEVEL_FACTOR,
     _LIMIT,
-    _integrals,
     _refine,
-    _solve,
+    _setup,
     decay_rate,
     decay_rates,
 )
@@ -38,9 +39,13 @@ from quasidamp.rates import (
 from rate_reference import (
     beliaev_asymptote,
     beliaev_energy_integrand,
+    first_error,
+    grid_queries,
+    integrals,
     landau_high_t,
     landau_low_t,
     refine_reference,
+    solve_alone,
 )
 
 SODIUM = PRESETS["sodium-paper"]
@@ -55,6 +60,25 @@ def single_query(qbar, T=0.0):
 
 def two_level_query(qbar, T=0.0, params=SODIUM_TL):
     return RateQuery(qbar=qbar, temperature_T=T, channel=Channel.TWO_LEVEL, params=params)
+
+
+def stimulated_columns(query):
+    """The stimulated integral columns of a one-point grid."""
+    return _setup(query.params, query.channel, [query.qbar], [query.temperature_T])[1]
+
+
+def assert_first_error(params, channel, qbar, temperature, epsrel=EPSREL):
+    """The sweep stops where a point-by-point sweep in T-major order does,
+    with the same error; returns that error."""
+    expected = first_error(params, channel, qbar, temperature, epsrel)
+    assert expected is not None
+    with pytest.raises(type(expected)) as raised:
+        decay_rates(params, channel, qbar, temperature, epsrel)
+    assert str(raised.value) == str(expected)
+    if isinstance(expected, QuadratureError):
+        assert raised.value.partial_rate_s == expected.partial_rate_s
+        assert raised.value.error_estimate_s == expected.error_estimate_s
+    return raised.value
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +321,9 @@ def test_two_level_out_of_range_coupling_rejected(a_bc, temperature):
     params = dataclasses.replace(SODIUM, two_level=TwoLevelParams(a_bc=a_bc))
     with pytest.raises(ParameterError, match=r"\(a_bc/a\)\^2 = .* out of double range"):
         decay_rate(two_level_query(0.5, T=temperature, params=params))
+    # a medium-wide check: the first point already fails it
+    error = assert_first_error(params, Channel.TWO_LEVEL, [0.5, 5.0], [temperature, 1e-6])
+    assert "(a_bc/a)^2" in str(error)
 
 
 def test_underflowing_width_prefactor_rejected():
@@ -309,6 +336,17 @@ def test_underflowing_width_prefactor_rejected():
                       params=dilute)
     with pytest.raises(ParameterError, match="spontaneous width prefactor 0 is out of double"):
         decay_rate(query)
+    # k0^3/n0 ~ 1e-100 with omega0 ~ 1e-75 s^-1: qbar = 1 is a valid point,
+    # and 1e110 the first whose prefactor is subnormal
+    sparse = PhysicalParams(
+        scattering_length_a=8.6e-170, atomic_mass=1e-26, condensate_density_n0=1e100,
+        volume_V=1e-100, atom_count_N0=1.0,
+    )
+    error = assert_first_error(
+        sparse, Channel.SINGLE_LEVEL, [1.0, 1e110, 1e130], [0.0, 1e-6]
+    )
+    assert str(error).startswith("spontaneous width prefactor ")
+    assert str(error).endswith("at qbar = 1e+110")
 
 
 def test_overflowing_width_scale_rejected():
@@ -321,15 +359,30 @@ def test_overflowing_width_scale_rejected():
     assert str(raised.value) == (
         "spontaneous width scale inf is out of double range at qbar = 0.5"
     )
+    # at qbar = 2000 the scale is finite, so the first failing point is
+    # the second of the first row
+    error = assert_first_error(params, Channel.TWO_LEVEL, [2e3, 0.5, 0.1], [1e-6, 2e-6])
+    assert str(error) == "spontaneous width scale inf is out of double range at qbar = 0.5"
+
+
+@pytest.mark.parametrize("channel, params", [
+    (Channel.SINGLE_LEVEL, SODIUM), (Channel.TWO_LEVEL, SODIUM_TL),
+])
+def test_overflowing_bose_cutoff_rejected(channel, params):
+    # at 1e300 K the thermal frequency times the cutoff margin overflows;
+    # the error held while the grid is checked must still be raised, after
+    # the valid first row
+    error = assert_first_error(params, channel, [1e90, 1e100], [1e-6, 1e300])
+    assert str(error) == "omega_bar must be >= 0, got inf"
 
 
 def test_two_level_stimulated_threshold_window():
     # free-particle kinematics forbids absorption below 1/(2 qbar) - qbar
     slow = two_level_query(0.05, T=1e-6)
-    assert _integrals(slow)[1].lo == pytest.approx(0.5 / 0.05 - 0.05, rel=1e-12)
+    assert stimulated_columns(slow).lo[0] == pytest.approx(0.5 / 0.05 - 0.05, rel=1e-12)
     assert decay_rate(slow).gamma_landau >= 0.0
     fast = two_level_query(5.0, T=1e-6)
-    assert _integrals(fast)[1].lo == 0.0
+    assert stimulated_columns(fast).lo[0] == 0.0
     assert decay_rate(fast).gamma_landau > 0.0
 
 
@@ -340,8 +393,7 @@ def test_two_level_stimulated_window_empty_at_tiny_qbar(qbar):
     # above it did, and both raised ParameterError instead of a zero width
     params = dataclasses.replace(SODIUM, two_level=TwoLevelParams(a_bc=3e-9))
     query = two_level_query(qbar, T=1e-13, params=params)
-    stimulated = _integrals(query)[1]
-    assert stimulated.lo == stimulated.hi
+    assert stimulated_columns(query).point.size == 0  # no integral: the window is empty
     result = decay_rate(query)
     assert result.gamma_landau == 0.0
     single = decay_rate(dataclasses.replace(query, channel=Channel.SINGLE_LEVEL))
@@ -370,9 +422,9 @@ def test_channel_widths_equal_lone_integral_solves(qbar, T):
     # the sweep refines alongside it
     for query in (single_query(qbar, T=T), two_level_query(qbar, T=T)):
         result = decay_rate(query)
-        spontaneous, stimulated = _integrals(query)
-        assert _solve([spontaneous], EPSREL)[0][0] == result.gamma_beliaev
-        assert _solve([stimulated], EPSREL)[0][0] == result.gamma_landau
+        spontaneous, stimulated = integrals(query)
+        assert solve_alone(spontaneous, EPSREL)[0] == result.gamma_beliaev
+        assert solve_alone(stimulated, EPSREL)[0] == result.gamma_landau
 
 
 def test_integer_qbar_is_taken_as_float():
@@ -401,6 +453,9 @@ def test_query_rejects_bad_momentum(qbar):
 def test_query_rejects_negative_temperature():
     with pytest.raises(ParameterError):
         RateQuery(qbar=1.0, temperature_T=-1e-9, channel=Channel.SINGLE_LEVEL, params=SODIUM)
+    # the first point checks its temperature before the second its qbar
+    error = assert_first_error(SODIUM, Channel.SINGLE_LEVEL, [1.0, 0.0], [-1e-9, 0.0])
+    assert str(error).startswith("temperature_T must be >= 0")
 
 
 @pytest.mark.parametrize("temperature", [math.inf, math.nan])
@@ -414,41 +469,95 @@ def test_query_rejects_non_finite_temperature(temperature):
 
 
 def test_batched_sweep_matches_quad_and_single_points():
-    from quasidamp.rates import decay_rates
-
     # phonon-regime through free-particle qbar; T = 0 rows; T = 1e-300 K
     # empties the two-level stimulated window at qbar < 1/sqrt(2)
     temperatures = (0.0, 1e-300, 2e-7, 1e-6)
     qbars = (0.02, 0.05, 0.3, 1.0, 5.0, 10.0)
-    queries = [
-        query(qbar, T)
-        for query in (single_query, two_level_query)
-        for T in temperatures
-        for qbar in qbars
-    ]
-    results = decay_rates(queries)
     empty_windows = 0
-    for q, result in zip(queries, results):
-        spontaneous, stimulated = _integrals(q)
-        for integral, width in ((spontaneous, result.gamma_beliaev),
-                                (stimulated, result.gamma_landau)):
-            if integral.hi > integral.lo:
-                reduced, _ = quad(
-                    lambda x: float(integral.integrand(np.float64(x), *integral.args)),
-                    integral.lo, integral.hi,
-                    epsabs=integral.epsabs, epsrel=EPSREL, limit=200,
-                )
-                reference = integral.scale * reduced
-            else:
-                reference = 0.0
-                empty_windows += q.channel is Channel.TWO_LEVEL and q.temperature_T > 0.0
-            assert abs(width - reference) <= result.quadrature_error_estimate
-            assert width == pytest.approx(reference, rel=1e-10, abs=0.0)
-        if q.temperature_T == 0.0:
-            assert result.gamma_landau == 0.0
-        # no dependence on which other points share the sweep
-        assert decay_rate(q) == result
+    for channel, params in ((Channel.SINGLE_LEVEL, SODIUM), (Channel.TWO_LEVEL, SODIUM_TL)):
+        grid = decay_rates(params, channel, qbars, temperatures)
+        for (i, T), (j, qbar) in itertools.product(enumerate(temperatures), enumerate(qbars)):
+            query = RateQuery(qbar=qbar, temperature_T=T, channel=channel, params=params)
+            result = RateResult(*(float(column[i, j]) for column in grid))
+            spontaneous, stimulated = integrals(query)
+            for integral, width in ((spontaneous, result.gamma_beliaev),
+                                    (stimulated, result.gamma_landau)):
+                if integral.hi > integral.lo:
+                    reduced, _ = quad(
+                        lambda x: float(integral.integrand(np.float64(x), *integral.args)),
+                        integral.lo, integral.hi,
+                        epsabs=integral.epsabs, epsrel=EPSREL, limit=200,
+                    )
+                    reference = integral.scale * reduced
+                else:
+                    reference = 0.0
+                    empty_windows += channel is Channel.TWO_LEVEL and T > 0.0
+                assert abs(width - reference) <= result.quadrature_error_estimate
+                assert width == pytest.approx(reference, rel=1e-10, abs=0.0)
+            if T == 0.0:
+                assert result.gamma_landau == 0.0
+            # no dependence on which other points share the sweep
+            assert decay_rate(query) == result
     assert empty_windows > 0
+
+
+# qbar from deep in the phonon regime to far in the free-particle one, with
+# 1/sqrt(2), where the two-level absorption threshold reaches 0; T = 0 and
+# 1e-300 K (no thermal occupation reaches the two-level threshold) among them
+SETUP_QBAR = sorted(np.geomspace(1e-8, 300.0, 21).tolist() + [2.0**-0.5])
+SETUP_T = (0.0, 1e-300, 1e-13, 2e-7, 1e-6)
+
+
+@pytest.mark.parametrize("channel, params", [
+    (Channel.SINGLE_LEVEL, SODIUM),
+    (Channel.TWO_LEVEL, dataclasses.replace(SODIUM, two_level=TwoLevelParams(a_bc=3e-9))),
+])
+def test_setup_columns_match_one_point_setup(channel, params):
+    # per-axis setup broadcast to the grid gives the bits of the scalar
+    # setup of each point, and the sweep the width of each one-point call
+    columns = _setup(params, channel, SETUP_QBAR, list(SETUP_T))
+    queries = grid_queries(params, channel, SETUP_QBAR, SETUP_T)
+    setups = [integrals(query) for query in queries]
+    for got, k in zip(columns, (0, 1)):
+        expected = [(point, setup[k]) for point, setup in enumerate(setups)
+                    if setup[k].hi > setup[k].lo]
+        assert got.point.tolist() == [point for point, _ in expected]
+        assert {got.integrand} == {integral.integrand for _, integral in expected}
+        for name in ("lo", "hi", "epsabs", "scale"):
+            column = np.array([getattr(integral, name) for _, integral in expected])
+            assert getattr(got, name).tobytes() == column.tobytes(), name
+        args = np.array([integral.args for _, integral in expected]).T
+        assert len(got.args) == len(args)
+        for got_arg, arg in zip(got.args, args):
+            assert got_arg.tobytes() == arg.tobytes()
+    assert columns[1].point.size < len(queries)  # T = 0 rows hold no integral
+
+    grid = decay_rates(params, channel, SETUP_QBAR, SETUP_T)
+    for point, query in enumerate(queries):
+        at = np.unravel_index(point, grid.gamma_total.shape)
+        assert decay_rate(query) == RateResult(*(float(column[at]) for column in grid))
+
+
+def test_negative_zero_temperature_is_zero():
+    # -0.0 passes T >= 0; it must enter the sweep as the temperature 0
+    query = single_query(1.0, T=-0.0)
+    assert math.copysign(1.0, query.temperature_T) == 1.0
+    grid = decay_rates(SODIUM, Channel.SINGLE_LEVEL, [1.0, 5.0], [-0.0, 0.0])
+    for column in grid:
+        assert column[0].tobytes() == column[1].tobytes()
+    assert decay_rate(query) == decay_rate(single_query(1.0))
+
+
+@pytest.mark.parametrize("limit, qbar, temperature, named", [
+    # an earlier point's stimulated integral before a later spontaneous one
+    (4, [0.3, 1.0, 5.0], [0.0, 1e-6], "stimulated width at qbar = 0.3, T = 1e-06 K"),
+    # both stall at one point: the spontaneous integral is named
+    (2, [5.0], [1e-6], "spontaneous width at qbar = 5, T = 1e-06 K"),
+])
+def test_quadrature_failure_names_first_point(monkeypatch, limit, qbar, temperature, named):
+    monkeypatch.setattr(rates, "_LIMIT", limit)
+    error = assert_first_error(SODIUM, Channel.SINGLE_LEVEL, qbar, temperature)
+    assert str(error).endswith(named)
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +591,10 @@ def test_refine_matches_full_width_reference():
 
 
 def _bench_like_grid():
-    """48 x 42 single-level grid with the bench anchors and a T = 0 row."""
+    """Axes of a 42 x 48 grid with the bench anchors and a T = 0 row."""
     qbars = sorted(np.geomspace(0.02, 10.0, 45).tolist() + [0.05, 0.1, 5.0])
     temperatures = np.linspace(0.0, 1e-6, 42).tolist()
-    return [single_query(qbar, T=t) for t in temperatures for qbar in qbars]
+    return qbars, temperatures
 
 
 def test_sweep_work_is_pinned(monkeypatch):
@@ -504,16 +613,16 @@ def test_sweep_work_is_pinned(monkeypatch):
 
     monkeypatch.setattr(rates, "_qk21", counting_qk21)
     monkeypatch.setattr(rates, "derive_units", counting_derive)
-    decay_rates(_bench_like_grid())
+    decay_rates(SODIUM, Channel.SINGLE_LEVEL, *_bench_like_grid())
     assert counts == {"subintervals": 19660, "derive_units": 1}
 
 
 def test_sweep_traced_peak_bounded():
     # work arrays as wide as _LIMIT for every batch took the peak past 12 MB
-    grid = _bench_like_grid()
+    qbars, temperatures = _bench_like_grid()
     tracemalloc.start()
     try:
-        decay_rates(grid)
+        decay_rates(SODIUM, Channel.SINGLE_LEVEL, qbars, temperatures)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
