@@ -30,6 +30,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -303,44 +304,54 @@ def default_config() -> RunConfig:
 # deterministic writers
 
 
-def _csv(columns: dict) -> str:
-    """CSV text of equal-length columns, keyed by header name.
+#: Rows formatted per chunk by _csv.  A writer holds one chunk's Python
+#: floats and text at a time, so its memory does not grow with the table.
+_CSV_CHUNK_ROWS = 1024
 
+
+def _csv(columns: dict) -> Iterator[str]:
+    """CSV text of equal-length columns, keyed by header name, in chunks.
+
+    Yields the header line, then whole rows _CSV_CHUNK_ROWS at a time.
     Numbers print as %.17g with NaN as an empty field; boolean columns
     print as true/false.
     """
-    formats, values = [], []
-    for column in map(np.asarray, columns.values()):
-        if column.dtype == bool:
-            formats.append("%s")
-            values.append(np.where(column, "true", "false").tolist())
-        else:
-            formats.append("%.17g")
-            values.append(column.astype(float).tolist())
-    row = ",".join(formats) + "\n"
-    body = "".join([row % fields for fields in zip(*values)])
-    # "nan" can only be a whole field: the others are numbers or true/false
-    return ",".join(columns) + "\n" + body.replace("nan", "")
+    arrays = [np.asarray(column) for column in columns.values()]
+    row = ",".join("%s" if a.dtype == bool else "%.17g" for a in arrays) + "\n"
+    yield ",".join(columns) + "\n"
+    for start in range(0, len(arrays[0]), _CSV_CHUNK_ROWS):
+        values = [
+            np.where(part, "true", "false").tolist() if part.dtype == bool
+            else part.astype(float).tolist()
+            for part in (a[start:start + _CSV_CHUNK_ROWS] for a in arrays)
+        ]
+        body = "".join([row % fields for fields in zip(*values)])
+        # "nan" can only be a whole field: the others are numbers or true/false
+        yield body.replace("nan", "")
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _json(payload: dict) -> tuple[str]:
+    """JSON text of payload as a single chunk."""
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n",)
 
 
-def _emit(out_dir: str, files: dict[str, str]) -> None:
+def _emit(out_dir: str, files: dict[str, Iterable[str]]) -> None:
     """Write all files or none, then print each path.
 
-    Partial output is removed on failure; an output location that cannot be
-    created or written is a ConfigError.
+    Each file is written chunk by chunk as its iterable yields text.  A file
+    is removed on failure from the moment its open has truncated it, so an
+    error or interrupt while a chunk is made or written leaves no partial
+    output; an output location that cannot be created or written is a
+    ConfigError.
     """
     written: list[str] = []
     try:
         os.makedirs(out_dir, exist_ok=True)
-        for name, content in files.items():
+        for name, chunks in files.items():
             path = os.path.join(out_dir, name)
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(content)
-            written.append(path)
+                written.append(path)
+                fh.writelines(chunks)
     except BaseException as exc:
         for path in written:
             try:
@@ -382,7 +393,7 @@ def cmd_rates(cfg: RunConfig, out_dir: str) -> int:
         "units": {"k0_m^-1": units.k0, "omega0_s^-1": units.omega0},
         "config": cfg.resolved,
     }
-    _emit(out_dir, {"rates.csv": _csv(table), "rates.meta.json": _json_text(meta)})
+    _emit(out_dir, {"rates.csv": _csv(table), "rates.meta.json": _json(meta)})
     return 0
 
 
@@ -427,7 +438,7 @@ def cmd_dynamics(cfg: RunConfig, out_dir: str, no_damping: bool = False) -> int:
             "xi3": r.xi3,
             "depletion_valid": run.depletion_valid,
         }),
-        "summary.json": _json_text(summary),
+        "summary.json": _json(summary),
     }
     _emit(out_dir, files)
     return 0
@@ -452,7 +463,7 @@ def cmd_oracle(suite: str, out_dir: str) -> int:
         "all_pass": all_pass,
         "verdicts": [v.as_record() for v in verdicts],
     }
-    _emit(out_dir, {"oracle.json": _json_text(payload)})
+    _emit(out_dir, {"oracle.json": _json(payload)})
     if not all_pass:
         failed = [v.name for v in verdicts if not v.passed]
         print(f"oracle checks failed: {', '.join(failed)}", file=sys.stderr)

@@ -277,6 +277,17 @@ def _solve_roots(
     raise ArithmeticError(f"secular equation unresolved after {_MAX_SWEEPS} sweeps")
 
 
+def _phase_table(times: np.ndarray, evals: np.ndarray) -> np.ndarray:
+    """exp(-1j * outer(times, evals)), built and exponentiated in one buffer.
+
+    The imaginary parts t*(-lambda) carry the bits of -(t*lambda) and the
+    real parts are +0, as in the product -1j * outer(times, evals).
+    """
+    table = np.zeros((times.size, evals.size), dtype=complex)
+    np.multiply.outer(times, -evals, out=table.imag)
+    return np.exp(table, out=table)
+
+
 def integrate_discrete_bath(
     bath: BathSpec, t_max: float, n_samples: int = 2048
 ) -> AmplitudeSeries:
@@ -302,9 +313,10 @@ def integrate_discrete_bath(
     t = np.linspace(0.0, t_max, n_samples)
     dt = t_max / (n_samples - 1)
     m = math.isqrt(n_samples - 1) + 1
-    coarse = np.exp(-1j * np.outer(np.arange(-(-n_samples // m)) * (m * dt), evals))
-    fine = np.exp(-1j * np.outer(np.arange(m) * dt, evals))
-    b = ((coarse * weights) @ fine.T).ravel()[:n_samples]
+    coarse = _phase_table(np.arange(-(-n_samples // m)) * (m * dt), evals)
+    coarse *= weights
+    fine = _phase_table(np.arange(m) * dt, evals)
+    b = (coarse @ fine.T).ravel()[:n_samples]
     return AmplitudeSeries(
         t=t,
         amplitude=np.abs(b),

@@ -293,9 +293,9 @@ _LIMIT = 200
 
 #: Integrals refined together in one pass.  It caps a pass's working memory
 #: at four float arrays of _BATCH rows, each as wide as _width allows for the
-#: subintervals in use (64 KB per array at 8 columns, 1.6 MB at _LIMIT);
+#: subintervals in use (32 KB per array at 8 columns, 0.8 MB at _LIMIT);
 #: longer sweeps run in consecutive passes, which cannot change any result.
-_BATCH = 1024
+_BATCH = 512
 
 #: Widest work array narrower than _LIMIT.  numpy sums a row of at most 128
 #: entries in 8 interleaved accumulators and splits a longer one after its
@@ -573,6 +573,7 @@ def _setup(params: PhysicalParams, channel: Channel, qbar: list[float],
     ratio = params.bc_scattering_length / params.scattering_length_a
     ratio_sq = ratio * ratio
     with np.errstate(all="ignore"):  # out-of-range values fail the checks below
+        omega_q = wq * omega0
         sq = q / np.sqrt(wq)
         prefactor = gas / (math.pi * q)
         scale = prefactor * omega0
@@ -609,8 +610,10 @@ def _setup(params: PhysicalParams, channel: Channel, qbar: list[float],
                 cutoff_error[i] = exc
 
     _raise_first(shape, (
-        (~(wq * omega0 > 0.0), lambda i, j: mode_error[j] or ParameterError(
+        (~(omega_q > 0.0), lambda i, j: mode_error[j] or ParameterError(
             f"mode frequency underflows at qbar = {qbar[j]:.3g}")),
+        (~(omega_q < math.inf), lambda i, j: ParameterError(
+            f"mode frequency overflows at qbar = {qbar[j]:.3g}")),
         (too_hot, lambda i, j: ParameterError(
             f"T = {temperature[i]:.3g} K is too hot at qbar = {qbar[j]:.3g}: the "
             f"thermal occupation exceeds {1.0 / _MIN_BOSE_EXPONENT:.0e}")),

@@ -215,6 +215,8 @@ def integrals(query: RateQuery) -> tuple[Integral, Integral]:
     wq = dispersion(qbar)
     if wq * units.omega0 == 0.0:
         raise ParameterError(f"mode frequency underflows at qbar = {qbar:.3g}")
+    if wq * units.omega0 == math.inf:
+        raise ParameterError(f"mode frequency overflows at qbar = {qbar:.3g}")
     if not beta * wq >= _MIN_BOSE_EXPONENT:
         raise ParameterError(
             f"T = {temperature:.3g} K is too hot at qbar = {qbar:.3g}: the "

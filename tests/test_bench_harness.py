@@ -10,13 +10,14 @@ import pytest
 CHECKOUT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["oracle-all", "rates-grid"])
+@pytest.mark.parametrize("workload", ["oracle-all", "rates-grid", "dynamics-long"])
 def test_harness_runs_workload(tmp_path, workload):
     # the harness's environment probe imports scipy
     pytest.importorskip("scipy")
     # run from a directory whose src is the checkout's, so the work files
     # land under tmp_path/.perfbench and not in the checkout; the harness
-    # checks each output (for rates-grid its anchors and table invariants)
+    # checks each output (for rates-grid its anchors and table invariants,
+    # for dynamics-long the trajectory header, invariants and reference)
     (tmp_path / "src").symlink_to(CHECKOUT / "src", target_is_directory=True)
     out = subprocess.run(
         [

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,8 +19,10 @@ import rate_reference
 from quasidamp import dynamics, rates
 from quasidamp.cli import (
     SCHEMA,
+    _CSV_CHUNK_ROWS,
     ConfigError,
     _csv,
+    _emit,
     _violation,
     default_config,
     load_config,
@@ -515,16 +518,59 @@ def test_schema_valid_configs_exit_cleanly(capsys, config, command):
 
 def test_float_formatting_round_trips():
     values = [0.1, 1.0 / 3.0, 5.0, 1e-300, 530.9385860590878, -0.0]
-    fields = _csv({"x": values}).splitlines()[1:]
+    fields = "".join(_csv({"x": values})).splitlines()[1:]
     assert [float(field) for field in fields] == values
     assert fields[-1] == "-0"
-    assert _csv({"x": [math.nan, 3]}) == "x\n\n3\n"
-    assert _csv({"x": np.array([True, False])}) == "x\ntrue\nfalse\n"
+    assert "".join(_csv({"x": [math.nan, 3]})) == "x\n\n3\n"
+    assert "".join(_csv({"x": np.array([True, False])})) == "x\ntrue\nfalse\n"
 
 
 def test_csv_layout():
-    text = _csv({"a": [1.5, math.nan], "b": np.array([True, False])})
+    text = "".join(_csv({"a": [1.5, math.nan], "b": np.array([True, False])}))
     assert text == "a,b\n1.5,true\n,false\n"
+
+
+def test_csv_chunks_are_whole_rows_of_the_single_pass_text():
+    # about 2.5 chunks, NaN on both sides of the first chunk boundary
+    n = 2 * _CSV_CHUNK_ROWS + _CSV_CHUNK_ROWS // 2
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+    x[[0, 7, n - 1]] = [-0.0, 0.0, 1e-300]
+    y = rng.random(n)
+    y[[_CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS, n - 1]] = math.nan
+    flag = rng.random(n) < 0.5
+    chunks = list(_csv({"x": x, "y": y, "ok": flag}))
+
+    def field(value):
+        return "" if math.isnan(value) else "%.17g" % value
+
+    reference = "x,y,ok\n" + "".join(
+        "%s,%s,%s\n" % (field(a), field(b), "true" if c else "false")
+        for a, b, c in zip(x.tolist(), y.tolist(), flag.tolist())
+    )
+    assert "".join(chunks) == reference
+    assert chunks[0] == "x,y,ok\n"
+    assert [chunk.count("\n") for chunk in chunks[1:]] == [
+        _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS // 2
+    ]
+    assert chunks[1].endswith(",,true\n") or chunks[1].endswith(",,false\n")
+    assert chunks[2].split("\n")[0].split(",")[1] == ""
+
+
+def test_emit_memory_is_bounded_by_a_chunk(tmp_path, capsys):
+    # the whole text of the file (about 9 MB here) was built before writing
+    rng = np.random.default_rng(3)
+    columns = {f"c{i}": rng.random(50_000) for i in range(7)}
+    columns["ok"] = rng.random(50_000) < 0.5
+    tracemalloc.start()
+    try:
+        _emit(str(tmp_path), {"table.csv": _csv(columns)})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+    assert (tmp_path / "table.csv").read_text(encoding="utf-8") == "".join(_csv(columns))
+    assert capsys.readouterr().out == f"wrote {tmp_path / 'table.csv'}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -924,6 +970,34 @@ def test_unwritable_output_location_exits_2(tmp_path, capsys, where):
     assert captured.err.startswith(f"error: cannot write output to {str(out or '')!r}: ")
     assert captured.err.count("\n") == 1
     assert sorted(tmp_path.rglob("*")) == before  # nothing left behind
+
+
+@pytest.mark.parametrize("error", [OSError(28, "No space left on device"), KeyboardInterrupt()])
+def test_failure_while_writing_leaves_no_files(tmp_path, monkeypatch, capsys, error):
+    # trajectory.csv is open and part-written when its chunk source fails
+    import quasidamp.cli as cli_mod
+
+    def failing_csv(columns):
+        yield ",".join(columns) + "\n"
+        raise error
+
+    monkeypatch.setattr(cli_mod, "_csv", failing_csv)
+    cfg_path = write_config(tmp_path, drive={"t_max": 1e-4, "dt_output": 1e-5})
+    out = tmp_path / "out"
+    argv = ["dynamics", "--config", cfg_path, "--out", str(out)]
+    if isinstance(error, OSError):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: cannot write output to {str(out)!r}: No space left on device\n"
+        )
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+        captured = capsys.readouterr()
+    assert captured.out == ""
+    assert not (out / "trajectory.csv").exists()
+    assert not (out / "summary.json").exists()
 
 
 def test_usage_errors_return_2(tmp_path):

@@ -343,11 +343,20 @@ def test_factored_time_sum_matches_direct_sum(n_samples):
     direct = np.abs(np.exp(-1j * np.outer(series.t, evals)) @ weights)
     assert series.t.shape == (n_samples,)
     assert np.max(np.abs(series.amplitude - direct)) <= 1e-12
+    # the factored sum with fresh tables, as written before the tables were
+    # built in place, to the bit
+    dt = 60.0 / (n_samples - 1)
+    m = math.isqrt(n_samples - 1) + 1
+    coarse = np.exp(-1j * np.outer(np.arange(-(-n_samples // m)) * (m * dt), evals))
+    fine = np.exp(-1j * np.outer(np.arange(m) * dt, evals))
+    factored = np.abs(((coarse * weights) @ fine.T).ravel()[:n_samples])
+    assert series.amplitude.tobytes() == factored.tobytes()
 
 
 def test_finest_markov_bath_memory_is_bounded():
     # the dense path held (N+1)^2 matrices and an n_samples x (N+1) complex
-    # table, well over 64 MB at N = 2000
+    # table, well over 64 MB at N = 2000; fresh exp and weighted copies of the
+    # phase tables peaked at 6.08 MiB
     bath = flat_bath(2000, 0.005, 0.01)
     tracemalloc.start()
     try:
@@ -355,7 +364,7 @@ def test_finest_markov_bath_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert peak < 5.5 * 2**20
 
 
 def test_integrate_validates_inputs():
