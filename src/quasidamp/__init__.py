@@ -37,9 +37,6 @@ from .rates import (  # noqa: F401
     Channel,
     QuadratureError,
     RateGrid,
-    RateQuery,
-    RateResult,
-    decay_rate,
     decay_rates,
 )
 from .dynamics import (  # noqa: F401

@@ -68,7 +68,6 @@ SCHEMA = {
                 "scattering_length_a": _POSITIVE,
                 "atomic_mass": _POSITIVE,
                 "condensate_density_n0": _POSITIVE,
-                "volume_V": _POSITIVE,
                 "atom_count_N0": _POSITIVE,
                 "temperature_T": _NONNEGATIVE,
                 "a_bc": _POSITIVE,
@@ -475,13 +474,17 @@ def cmd_spectrum(cfg: RunConfig, out_dir: str) -> int:
     """spectrum.csv: Bogoliubov mode table on the configured qbar grid."""
     units = derive_units(cfg.params)
     modes = [bogoliubov_mode(kbar) for kbar in cfg.qbar_grid]
+    omega_s = [m.omega_bar * units.omega0 for m in modes]
+    for kbar, omega in zip(cfg.qbar_grid, omega_s):
+        if omega == math.inf:
+            raise ParameterError(f"mode frequency overflows at qbar = {kbar:.3g}")
     table = {
         "kbar": cfg.qbar_grid,
         "alpha": [m.alpha for m in modes],
         "u": [m.u for m in modes],
         "v": [m.v for m in modes],
         "omega_bar": [m.omega_bar for m in modes],
-        "omega_s": [m.omega_bar * units.omega0 for m in modes],
+        "omega_s": omega_s,
     }
     _emit(out_dir, {"spectrum.csv": _csv(table)})
     return 0

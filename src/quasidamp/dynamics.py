@@ -50,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import BogoliubovMode, ParameterError, PhysicalParams, bogoliubov_mode
-from .rates import Channel, RateQuery, decay_rate
+from .rates import Channel, decay_rates
 
 #: Below this mode total the squeezing denominators are reported undefined.
 _DEGENERACY_FLOOR = 1e-30
@@ -396,13 +396,10 @@ def run_squeezing(params: PhysicalParams, drive: DriveConfig) -> SqueezingRun:
     if drive.gamma_override is not None:
         gamma = drive.gamma_override
     else:
-        query = RateQuery(
-            qbar=drive.qbar_recoil,
-            temperature_T=params.temperature_T,
-            channel=Channel.SINGLE_LEVEL,
-            params=params,
+        rates = decay_rates(
+            params, Channel.SINGLE_LEVEL, [drive.qbar_recoil], [params.temperature_T]
         )
-        gamma = decay_rate(query).gamma_total
+        gamma = float(rates.gamma_total[0, 0])
 
     trajectory = evolve_moments(VACUUM, drive, gamma)
     r = readout(trajectory, mode)

@@ -41,8 +41,8 @@ class PhysicalParams:
     scattering_length_a : intraspecies s-wave scattering length (m)
     atomic_mass         : kg
     condensate_density_n0 : m^-3
-    volume_V            : m^3
-    atom_count_N0       : dimensionless, must equal n0 * V
+    atom_count_N0       : dimensionless, the condensate atoms that the
+                          depletion flag of a trajectory compares against
     temperature_T       : K
     two_level           : optional second-level parameters
     """
@@ -50,7 +50,6 @@ class PhysicalParams:
     scattering_length_a: float
     atomic_mass: float
     condensate_density_n0: float
-    volume_V: float
     atom_count_N0: float
     temperature_T: float = 0.0
     two_level: TwoLevelParams | None = None
@@ -63,19 +62,12 @@ class PhysicalParams:
                 raise ParameterError(f"{field.name} must be positive and finite, got {value}")
         if not (self.temperature_T >= 0.0 and math.isfinite(self.temperature_T)):
             raise ParameterError(f"temperature_T must be >= 0, got {self.temperature_T}")
-        expected = self.condensate_density_n0 * self.volume_V
-        if not abs(self.atom_count_N0 - expected) <= 1e-9 * expected < math.inf:
-            raise ParameterError(
-                f"atom_count_N0 = {self.atom_count_N0} inconsistent with "
-                f"n0*V = {expected}"
-            )
         # the rates and the dynamics divide by these scales and by k0^3/n0
         units = derive_units(self)
         scales = {
             "k0": units.k0,
             "k0^3/n0": units.k0 * units.k0 * units.k0 / self.condensate_density_n0,
             "hbar*omega0": HBAR * units.omega0,
-            "g": units.g_coupling,
         }
         for name, value in scales.items():
             if not sys.float_info.min <= value < math.inf:
@@ -96,16 +88,15 @@ class PhysicalParams:
 class UnitSystem:
     """Derived natural-unit scales.
 
-    k0         : momentum scale sqrt(8 pi a n0)  (m^-1)
-    omega0     : frequency scale hbar k0^2 / 2m  (s^-1)
-    g_coupling : contact coupling 4 pi hbar^2 a / m  (J m^3)
+    k0     : momentum scale sqrt(8 pi a n0)  (m^-1)
+    omega0 : frequency scale hbar k0^2 / 2m  (s^-1)
 
-    Note the exact identity g_coupling * n0 = hbar * omega0.
+    hbar * omega0 = g * n0 is the interaction energy per atom, with the
+    contact coupling g = 4 pi hbar^2 a / m.
     """
 
     k0: float
     omega0: float
-    g_coupling: float
 
 
 def derive_units(params: PhysicalParams) -> UnitSystem:
@@ -115,8 +106,7 @@ def derive_units(params: PhysicalParams) -> UnitSystem:
     n0 = params.condensate_density_n0
     k0 = math.sqrt(8.0 * math.pi * a * n0)
     omega0 = HBAR * k0 * k0 / (2.0 * m)
-    g = 4.0 * math.pi * HBAR * HBAR * a / m
-    return UnitSystem(k0=k0, omega0=omega0, g_coupling=g)
+    return UnitSystem(k0=k0, omega0=omega0)
 
 
 @dataclass(frozen=True)
@@ -227,7 +217,6 @@ PRESETS: dict[str, PhysicalParams] = {
         scattering_length_a=2.8e-9,
         atomic_mass=MASS_NA23,
         condensate_density_n0=1e20,
-        volume_V=1e-14,
         atom_count_N0=1e6,
         temperature_T=0.0,
     ),

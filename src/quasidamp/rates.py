@@ -16,8 +16,9 @@ et al., QUADPACK, 1983), written in numpy: the subinterval with the largest
 error estimate is bisected until the summed estimate meets
 max(epsabs, epsrel*|result|), with at most 200 subintervals per integral.
 
-`decay_rates(params, channel, qbar, temperature)` sweeps a (temperature,
-qbar) grid and returns a RateGrid of (len(temperature), len(qbar)) arrays.
+`decay_rates(params, channel, qbar, temperature)` is the one rate entry
+point: it sweeps a (temperature, qbar) grid and returns a RateGrid of
+(len(temperature), len(qbar)) arrays, and a single width is the 1x1 grid.
 Its setup runs per axis value, not per point: the units once, the Bose
 exponent and the single-level cutoff per temperature, the mode frequency,
 prefactors and scales per qbar, combined at each point by single IEEE
@@ -25,10 +26,9 @@ operations, so every point holds the bits of a one-point setup.  The
 integrals of each channel are then refined together as column arrays, one
 bisection per unfinished integral per pass.  Each integral's refinement
 depends on its own integrand alone, so a width is bit-identical whichever
-other points share the sweep; `decay_rate(query)` is the 1x1 grid and
-returns a RateResult of floats.  The refinement's work arrays are
-only as wide as the subintervals in use, rounded up to a multiple of 8 up to
-96 columns and to the full 200 beyond, so a sweep whose integrals need a
+other points share the sweep.  The refinement's work arrays are only as
+wide as the subintervals in use, rounded up to a multiple of 8 up to 96
+columns and to the full 200 beyond, so a sweep whose integrals need a
 handful of subintervals holds a few columns per integral, not 200.  The
 rounding keeps every sum bit-identical to one over full 200-column rows:
 numpy adds a row in 8 interleaved accumulators and splits a 200-entry row
@@ -50,7 +50,6 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -75,34 +74,6 @@ EPSREL = 1e-8
 class Channel(Enum):
     SINGLE_LEVEL = "single_level"
     TWO_LEVEL = "two_level"
-
-
-@dataclass(frozen=True)
-class RateQuery:
-    """One rate evaluation: decaying momentum, temperature, channel, medium."""
-
-    qbar: float
-    temperature_T: float
-    channel: Channel
-    params: PhysicalParams
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "qbar", _valid_qbar(self.qbar))
-        object.__setattr__(self, "temperature_T", _valid_temperature(self.temperature_T))
-
-
-@dataclass(frozen=True)
-class RateResult:
-    """Decay widths in s^-1 with quadrature diagnostics.
-
-    gamma_beliaev is the spontaneous width and gamma_landau the stimulated
-    one, in the query's channel; the error estimate covers both.
-    """
-
-    gamma_beliaev: float
-    gamma_landau: float
-    gamma_total: float
-    quadrature_error_estimate: float
 
 
 class QuadratureError(RuntimeError):
@@ -676,7 +647,7 @@ def decay_rates(params: PhysicalParams, channel: Channel, qbar: Sequence[float],
                 temperature: Sequence[float], epsrel: float = EPSREL) -> RateGrid:
     """Both channels at every (temperature, qbar) point, in one batched sweep.
 
-    Every width is bit-identical to a one-point call.  Raises
+    Every width is bit-identical to the 1x1 grid at its point.  Raises
     ParameterError for the first bad point in T-major order, and
     QuadratureError for the first point (spontaneous channel before
     stimulated) whose refinement hits the cap.
@@ -716,8 +687,3 @@ def decay_rates(params: PhysicalParams, channel: Channel, qbar: Sequence[float],
     return RateGrid(gamma_beliaev, gamma_landau, gamma_beliaev + gamma_landau,
                     errors[0] + errors[1])
 
-
-def decay_rate(query: RateQuery, epsrel: float = EPSREL) -> RateResult:
-    """Both channels at one point, as the 1x1 grid of decay_rates."""
-    grid = decay_rates(query.params, query.channel, [query.qbar], [query.temperature_T], epsrel)
-    return RateResult(*(float(column[0, 0]) for column in grid))

@@ -8,9 +8,10 @@ variable, an independent reduction of the same width that the tests
 integrate with scipy.  `refine_reference` is the batched refinement with
 work arrays _LIMIT columns wide, against which the production one, whose
 arrays are only as wide as the subintervals in use, must agree bit for bit.
-`integrals` is the one-point setup of a query's two integrals, which the
-production sweep builds per grid axis and must match bit for bit, and
-`first_error` the error a point-by-point sweep would stop at.
+`integrals` is the one-point setup of the two integrals of a point
+(params, channel, qbar, T), which the production sweep builds per grid axis
+and must match bit for bit, and `first_error` the error a point-by-point
+sweep would stop at.
 """
 
 import math
@@ -39,7 +40,6 @@ from quasidamp.rates import (
     TWO_LEVEL_FACTOR,
     Channel,
     QuadratureError,
-    RateQuery,
     _beliaev_vertex,
     _bose_cutoff_kbar,
     _inverse_temperature,
@@ -49,6 +49,8 @@ from quasidamp.rates import (
     _spontaneous_integrand,
     _stimulated_free_integrand,
     _stimulated_integrand,
+    _valid_qbar,
+    _valid_temperature,
 )
 
 
@@ -164,7 +166,7 @@ def beliaev_energy_integrand(qbar: float, omega_k: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# one-point setup of the two integrals of a query
+# one-point setup of the two integrals of a (params, channel, qbar, T) point
 
 
 @dataclass(frozen=True)
@@ -204,11 +206,11 @@ def _reduced(integrand, lo, hi, args, prefactor, scale, point) -> Integral:
     return Integral(integrand, lo, hi, args, EPSABS_OMEGA0 / prefactor, scale)
 
 
-def integrals(query: RateQuery) -> tuple[Integral, Integral]:
-    """The spontaneous and the stimulated integral of one query, set up
-    point by point with scalar arithmetic and its checks in their order."""
-    qbar, temperature, params = query.qbar, query.temperature_T, query.params
-    two_level = query.channel is Channel.TWO_LEVEL
+def integrals(params: PhysicalParams, channel: Channel, qbar: float,
+              temperature: float) -> tuple[Integral, Integral]:
+    """The spontaneous and the stimulated integral of one point, set up
+    with scalar arithmetic and its checks in their order."""
+    two_level = channel is Channel.TWO_LEVEL
     units = derive_units(params)
     gas = units.k0**3 / params.condensate_density_n0
     beta = _inverse_temperature(temperature, units.omega0)
@@ -258,10 +260,11 @@ def integrals(query: RateQuery) -> tuple[Integral, Integral]:
     return spontaneous, stimulated
 
 
-def grid_queries(params, channel, qbar, temperature) -> list[RateQuery]:
-    """One query per grid point, in T-major order."""
+def grid_queries(params, channel, qbar, temperature) -> list[tuple]:
+    """(params, channel, qbar, T) of every grid point in T-major order, each
+    point's qbar and T checked in that order."""
     return [
-        RateQuery(qbar=q, temperature_T=t, channel=channel, params=params)
+        (params, channel, _valid_qbar(q), _valid_temperature(t))
         for t in temperature for q in qbar
     ]
 
@@ -282,17 +285,17 @@ def first_error(params, channel, qbar, temperature, epsrel) -> Exception | None:
     T-major order, meets first: every point's setup before any refinement,
     then the spontaneous before the stimulated integral of each point."""
     try:
-        queries = grid_queries(params, channel, qbar, temperature)
-        setups = [integrals(query) for query in queries]
+        points = grid_queries(params, channel, qbar, temperature)
+        setups = [integrals(*point) for point in points]
     except ParameterError as exc:
         return exc
-    for query, setup in zip(queries, setups):
+    for (_, _, q, t), setup in zip(points, setups):
         for name, integral in zip(("spontaneous", "stimulated"), setup):
             width, error, converged = solve_alone(integral, epsrel)
             if not converged:
                 return QuadratureError(
                     f"quadrature did not converge within {rates._LIMIT} subintervals: "
-                    f"{name} width at qbar = {query.qbar:.6g}, T = {query.temperature_T:.6g} K",
+                    f"{name} width at qbar = {q:.6g}, T = {t:.6g} K",
                     partial_rate_s=width,
                     error_estimate_s=error,
                 )

@@ -37,7 +37,7 @@ from quasidamp.oracle import (
     tms_pair_table,
     wick_fourth_moment,
 )
-from quasidamp.rates import Channel, RateQuery, decay_rate
+from quasidamp.rates import Channel, decay_rates
 
 from moment_reference import dop853_from_vacuum, wick_spin
 
@@ -52,12 +52,14 @@ def check(number: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {number}: {detail}"
 
 
-def single_query(qbar, T=0.0):
-    return RateQuery(qbar=qbar, temperature_T=T, channel=Channel.SINGLE_LEVEL, params=SODIUM)
+def single_level(qbar, T=0.0):
+    """The single-level widths at one point, as a 1x1 grid."""
+    return decay_rates(SODIUM, Channel.SINGLE_LEVEL, [qbar], [T])
 
 
-def two_level_query(qbar, T=0.0):
-    return RateQuery(qbar=qbar, temperature_T=T, channel=Channel.TWO_LEVEL, params=SODIUM_TL)
+def two_level(qbar, T=0.0):
+    """The two-level widths at one point, as a 1x1 grid."""
+    return decay_rates(SODIUM_TL, Channel.TWO_LEVEL, [qbar], [T])
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +73,7 @@ def squeezing_runs():
 
 def test_criterion_01_rate_anchor():
     start = time.perf_counter()
-    gamma = decay_rate(single_query(5.0)).gamma_beliaev
+    gamma = single_level(5.0).gamma_beliaev[0, 0]
     elapsed = time.perf_counter() - start
     ratio = gamma / (dispersion(5.0) * derive_units(SODIUM).omega0)
     ok = 2.1e-3 <= ratio <= 3.5e-3 and elapsed < 5.0
@@ -86,9 +88,9 @@ def test_criterion_02_single_level_asymptote():
         closed = 3.0 * HBAR * q**5 / (
             320.0 * math.pi * SODIUM.atomic_mass * SODIUM.condensate_density_n0
         )
-        worst = max(worst, abs(decay_rate(single_query(qbar)).gamma_beliaev / closed - 1.0))
+        worst = max(worst, abs(single_level(qbar).gamma_beliaev[0, 0] / closed - 1.0))
     grid = np.geomspace(0.02, 0.1, 5)
-    gammas = [decay_rate(single_query(q)).gamma_beliaev for q in grid]
+    gammas = [single_level(q).gamma_beliaev[0, 0] for q in grid]
     slope = float(np.polyfit(np.log(grid), np.log(gammas), 1)[0])
     ok = worst <= 0.05 and abs(slope - 5.0) <= 0.1
     check(2, ok, f"max deviation from 3hq^5/(320 pi m n0) = {worst:.2e} <= 5%, "
@@ -104,8 +106,8 @@ def test_criterion_03_two_level_asymptote():
         closed = HBAR * q**5 / (
             96.0 * math.pi * SODIUM.atomic_mass * SODIUM.condensate_density_n0
         )
-        gamma2 = decay_rate(two_level_query(qbar)).gamma_beliaev
-        gamma1 = decay_rate(single_query(qbar)).gamma_beliaev
+        gamma2 = two_level(qbar).gamma_beliaev[0, 0]
+        gamma1 = single_level(qbar).gamma_beliaev[0, 0]
         worst = max(worst, abs(gamma2 / closed - 1.0))
         worst_ratio = max(worst_ratio, abs(gamma2 / gamma1 / (10.0 / 9.0) - 1.0))
     ok = worst <= 0.05 and worst_ratio <= 0.02
@@ -115,8 +117,8 @@ def test_criterion_03_two_level_asymptote():
 
 def test_criterion_04_landau_vanishes_at_zero_temperature():
     values = [
-        decay_rate(query(q)).gamma_landau
-        for query in (single_query, two_level_query)
+        rates(q).gamma_landau[0, 0]
+        for rates in (single_level, two_level)
         for q in (0.1, 1.0, 5.0)
     ]
     ok = all(v == 0.0 for v in values)

@@ -32,7 +32,7 @@ from quasidamp.dynamics import Readout, SqueezingRun
 from quasidamp.model import PRESETS, bogoliubov_mode, derive_units
 from quasidamp import oracle
 from quasidamp.oracle import Verdict
-from quasidamp.rates import Channel, QuadratureError, RateQuery, decay_rate
+from quasidamp.rates import Channel, QuadratureError, decay_rates
 
 
 def write_config(tmp_path, name="config.json", **body):
@@ -114,10 +114,17 @@ def test_schema_violation_names_offending_key(tmp_path):
         load_config(write_config(tmp_path, rate_query={"qbar": [-1.0]}))
 
 
-def test_inconsistent_params_rejected(tmp_path):
-    # overriding the density alone breaks N0 = n0 * V
-    with pytest.raises(ConfigError, match="atom_count_N0"):
-        load_config(write_config(tmp_path, params={"condensate_density_n0": 2e20}))
+def test_inconsistent_params_rejected(tmp_path, capsys):
+    # the density can be overridden alone: no volume ties it to the atom count
+    cfg = load_config(write_config(tmp_path, params={"condensate_density_n0": 2e20}))
+    assert cfg.params.condensate_density_n0 == 2e20
+    assert cfg.params.atom_count_N0 == PRESETS["sodium-paper"].atom_count_N0
+    # and a volume is not a parameter
+    path = write_config(tmp_path, params={"volume_V": 1e-14})
+    assert main(["rates", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config $.params: ") and "'volume_V'" in err
+    assert err.count("\n") == 1
 
 
 #: every PhysicalParams field without a default, at the sodium-paper values
@@ -125,7 +132,6 @@ _FULL_PARAMS = {
     "scattering_length_a": 2.8e-9,
     "atomic_mass": 3.8175e-26,
     "condensate_density_n0": 1e20,
-    "volume_V": 1e-14,
     "atom_count_N0": 1e6,
 }
 
@@ -197,7 +203,7 @@ _SCHEMA_INVALID_CONFIGS = [
     {"preset": 5},
     {"params": "sodium"},  # a string for an object
     {"rate_query": {"qbar": 0.5}},
-    {"params": {"volume_V": -1.0}},  # positive fields
+    {"params": {"atom_count_N0": -1.0}},  # positive fields
     {"drive": {"qbar_recoil": 0}},
     {"rate_query": {"qbar": [0.5, 0.0]}},
     {"params": {"temperature_T": -1e-9}},  # non-negative fields
@@ -312,11 +318,8 @@ def test_tiny_temperature_runs(tmp_path, capsys):
     )
     assert rc == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))
-    zero_t = decay_rate(
-        RateQuery(qbar=5.0, temperature_T=0.0, channel=Channel.SINGLE_LEVEL,
-                  params=PRESETS["sodium-paper"])
-    ).gamma_total
-    assert summary["gamma_used_s"] == pytest.approx(zero_t, rel=1e-9)
+    zero_t = decay_rates(PRESETS["sodium-paper"], Channel.SINGLE_LEVEL, [5.0], [0.0]).gamma_total
+    assert summary["gamma_used_s"] == pytest.approx(zero_t[0, 0], rel=1e-9)
 
 
 def test_subnormal_scattering_length_rejected(tmp_path, capsys):
@@ -333,8 +336,7 @@ def test_overflowing_natural_units_rejected(tmp_path, capsys):
     # k0**3 raised OverflowError inside the rate prefactor
     rc, err = run_raw_config(
         tmp_path, capsys, "dynamics",
-        '{"preset": "sodium-paper", "params": {"condensate_density_n0": 7e307,'
-        ' "volume_V": 1e-300, "atom_count_N0": 7e7}}',
+        '{"preset": "sodium-paper", "params": {"condensate_density_n0": 7e307}}',
     )
     assert rc == 2
     assert "out of double range" in err
@@ -428,7 +430,7 @@ def test_underflowing_width_prefactor_exits_2(tmp_path, capsys):
     rc, err = run_raw_config(
         tmp_path, capsys, "rates",
         '{"params": {"scattering_length_a": 1e-200, "atomic_mass": 1e-26,'
-        ' "condensate_density_n0": 1.0, "volume_V": 1.0, "atom_count_N0": 1.0},'
+        ' "condensate_density_n0": 1.0, "atom_count_N0": 1.0},'
         ' "rate_query": {"qbar": [1e100]}}',
     )
     assert rc == 2
@@ -477,7 +479,7 @@ _SCHEMA_VALID_CONFIG = _some_of({
     "params": _some_of({
         **{key: _POSITIVE_NUMBER for key in (
             "scattering_length_a", "atomic_mass", "condensate_density_n0",
-            "volume_V", "atom_count_N0", "a_bc",
+            "atom_count_N0", "a_bc",
         )},
         "temperature_T": _NONNEGATIVE_NUMBER,
     }),
@@ -668,9 +670,7 @@ def test_refinement_cap_exits_3_with_partial_rate(tmp_path, monkeypatch, capsys)
         rates.decay_rates(*grid)
     assert "spontaneous width at qbar = 5," in str(stall.value)
     # QUADPACK stopped at the same two subintervals gives the same partial sums
-    integral, _ = rate_reference.integrals(
-        RateQuery(qbar=5.0, temperature_T=0.0, channel=Channel.SINGLE_LEVEL, params=sodium)
-    )
+    integral, _ = rate_reference.integrals(sodium, Channel.SINGLE_LEVEL, 5.0, 0.0)
     capped = quad(
         lambda x: float(integral.integrand(np.float64(x), *integral.args)),
         integral.lo, integral.hi, epsabs=integral.epsabs, epsrel=rates.EPSREL,
@@ -941,6 +941,31 @@ def test_spectrum_output(tmp_path):
     assert float(unit_row[1]) == pytest.approx(2.0 - math.sqrt(3.0), rel=1e-12)
     assert float(unit_row[4]) == pytest.approx(math.sqrt(3.0), rel=1e-12)
     assert float(rows[1][5]) == pytest.approx(math.sqrt(675.0) * 9719.971923317471, rel=1e-9)
+
+
+@pytest.mark.parametrize("command", ["spectrum", "rates"])
+def test_overflowing_mode_frequency_exits_2(tmp_path, capsys, command):
+    # a 5e-324 kg atom puts omega0 at 7.5e301 s^-1, so at qbar = 1548 the
+    # mode frequency overflows; spectrum printed omega_s = inf and exited 0
+    rc, err = run_raw_config(
+        tmp_path, capsys, command,
+        '{"preset": "sodium-paper", "params": {"atomic_mass": 5e-324},'
+        ' "rate_query": {"qbar": [1.0, 1548.0]}}',
+    )
+    assert (rc, err) == (2, "error: mode frequency overflows at qbar = 1.55e+03\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["rates", "dynamics", "spectrum"])
+def test_heavy_atom_runs(tmp_path, capsys, command):
+    # at 1e233 kg the contact coupling 4 pi hbar^2 a / m is subnormal, but
+    # nothing reads it: hbar*omega0 = g*n0 and every scale in use are normal
+    rc, err = run_raw_config(
+        tmp_path, capsys, command,
+        '{"preset": "sodium-paper", "params": {"atomic_mass": 1e233},'
+        ' "drive": {"t_max": 1e-4, "dt_output": 5e-5}}',
+    )
+    assert (rc, err) == (0, "")
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from quasidamp.dynamics import (
     readout,
     run_squeezing,
 )
-from quasidamp.rates import Channel, RateQuery, decay_rate
+from quasidamp.rates import Channel, decay_rates
 
 from moment_reference import dop853_from_vacuum, drift_matrix, wick_spin
 
@@ -407,9 +407,7 @@ def test_xi12_matches_closed_form(raw, kbar):
 
 def test_xi12_matches_wick_on_damped_trajectory():
     params = dataclasses.replace(SODIUM, temperature_T=3e-7)
-    gamma = decay_rate(
-        RateQuery(qbar=5.0, temperature_T=3e-7, channel=Channel.SINGLE_LEVEL, params=params)
-    ).gamma_total
+    gamma = decay_rates(params, Channel.SINGLE_LEVEL, [5.0], [3e-7]).gamma_total[0, 0]
     assert gamma > 0.0
     traj = evolve_moments(VACUUM, drive(1e3, t_max=6e-3, dt=1e-6), gamma)
     mode = bogoliubov_mode(5.0)
@@ -461,12 +459,13 @@ def test_xi12_equal_along_driven_trajectory():
 
 def test_run_uses_computed_width():
     cfg = drive(1e3, t_max=1e-4, dt=5e-5)
-    run = run_squeezing(SODIUM, cfg)
-    expected = decay_rate(
-        RateQuery(qbar=5.0, temperature_T=0.0, channel=Channel.SINGLE_LEVEL, params=SODIUM)
-    ).gamma_total
-    assert run.gamma_used == pytest.approx(expected, rel=1e-12)
-    assert run.mode.kbar == 5.0
+    for temperature in (0.0, 3e-7):
+        params = dataclasses.replace(SODIUM, temperature_T=temperature)
+        run = run_squeezing(params, cfg)
+        rates = decay_rates(params, Channel.SINGLE_LEVEL, [5.0], [temperature])
+        assert run.gamma_used == rates.gamma_total[0, 0]
+        assert type(run.gamma_used) is float
+        assert run.mode.kbar == 5.0
 
 
 def test_run_respects_override():
@@ -507,9 +506,7 @@ def test_run_monotone_growth_before_depletion():
 
 
 def test_depletion_flag_trips_for_small_condensate():
-    small = dataclasses.replace(
-        SODIUM, volume_V=1e-16, atom_count_N0=1e4
-    )
+    small = dataclasses.replace(SODIUM, atom_count_N0=1e4)
     run = run_squeezing(small, drive(1e3, gamma=0.0, t_max=6e-3, dt=2e-5))
     flags = run.depletion_valid.tolist()
     assert flags[0] is True

@@ -46,15 +46,14 @@ def test_unit_definitions_recoverable():
     a, m, n0 = SODIUM.scattering_length_a, SODIUM.atomic_mass, SODIUM.condensate_density_n0
     assert units.k0 == pytest.approx(math.sqrt(8 * math.pi * a * n0), rel=1e-12)
     assert units.omega0 == pytest.approx(HBAR * units.k0**2 / (2 * m), rel=1e-12)
-    assert units.g_coupling == pytest.approx(4 * math.pi * HBAR**2 * a / m, rel=1e-12)
 
 
 def test_interaction_energy_equals_unit_frequency():
-    # g n0 = hbar * omega0 is an identity of this unit system, not a coincidence
+    # g n0 = hbar * omega0, with g = 4 pi hbar^2 a / m, is an identity of
+    # this unit system, not a coincidence
     units = derive_units(SODIUM)
-    assert units.g_coupling * SODIUM.condensate_density_n0 == pytest.approx(
-        HBAR * units.omega0, rel=1e-12
-    )
+    a, m, n0 = SODIUM.scattering_length_a, SODIUM.atomic_mass, SODIUM.condensate_density_n0
+    assert HBAR * units.omega0 == pytest.approx(4 * math.pi * HBAR**2 * a * n0 / m, rel=1e-12)
 
 
 def test_derive_units_scaling():
@@ -62,7 +61,6 @@ def test_derive_units_scaling():
         scattering_length_a=SODIUM.scattering_length_a,
         atomic_mass=SODIUM.atomic_mass,
         condensate_density_n0=4 * SODIUM.condensate_density_n0,
-        volume_V=SODIUM.volume_V,
         atom_count_N0=4 * SODIUM.atom_count_N0,
     )
     u1, u4 = derive_units(SODIUM), derive_units(quadrupled)
@@ -74,34 +72,11 @@ def test_derive_units_scaling():
 # parameter validation
 
 
-def test_params_check_density_count_consistency():
-    with pytest.raises(ParameterError):
-        PhysicalParams(
-            scattering_length_a=2.8e-9,
-            atomic_mass=MASS_NA23,
-            condensate_density_n0=1e20,
-            volume_V=1e-14,
-            atom_count_N0=2e6,  # != n0 * V
-        )
-
-
-def test_params_density_count_check_survives_overflow():
-    # n0*V = inf used to pass the consistency check with any atom count
-    with pytest.raises(ParameterError):
-        PhysicalParams(
-            scattering_length_a=2.8e-9,
-            atomic_mass=MASS_NA23,
-            condensate_density_n0=1e20,
-            volume_V=4e307,
-            atom_count_N0=6e5,
-        )
-
-
 @pytest.mark.parametrize(
     "field,value",
     [
         ("scattering_length_a", 5e-324),  # k0^3/n0 underflows
-        ("atomic_mass", 1e300),  # g and hbar*omega0 underflow
+        ("atomic_mass", 1e300),  # hbar*omega0 underflows
         ("condensate_density_n0", 1e300),  # k0^3 overflows
     ],
 )
@@ -110,11 +85,9 @@ def test_params_reject_unrepresentable_natural_units(field, value):
         scattering_length_a=2.8e-9,
         atomic_mass=MASS_NA23,
         condensate_density_n0=1e20,
-        volume_V=1e-14,
         atom_count_N0=1e6,
     )
     kwargs[field] = value
-    kwargs["atom_count_N0"] = kwargs["condensate_density_n0"] * kwargs["volume_V"]
     with pytest.raises(ParameterError, match="out of double range"):
         PhysicalParams(**kwargs)
 
@@ -134,7 +107,6 @@ def test_params_reject_nonphysical(field, value):
         scattering_length_a=2.8e-9,
         atomic_mass=MASS_NA23,
         condensate_density_n0=1e20,
-        volume_V=1e-14,
         atom_count_N0=1e6,
     )
     kwargs[field] = value
@@ -150,7 +122,6 @@ def test_two_level_params_validate():
         scattering_length_a=2.8e-9,
         atomic_mass=MASS_NA23,
         condensate_density_n0=1e20,
-        volume_V=1e-14,
         atom_count_N0=1e6,
         two_level=tl,
     )

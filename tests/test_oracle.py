@@ -71,6 +71,14 @@ def test_production_modules_do_not_import_oracle(module):
     assert not [name for name in imported if "oracle" in name.split(".")]
 
 
+def test_oracle_imports_no_production_path():
+    # the oracle cross-checks rates, dynamics and cli, so it shares none of
+    # their code, not even inside a function
+    imported = _imported_names("oracle")
+    production = {"rates", "dynamics", "cli"}
+    assert not [name for name in imported if production & set(name.split("."))]
+
+
 @pytest.mark.parametrize("module", ["model", "rates", "dynamics", "cli"])
 def test_production_modules_do_not_import_scipy_at_module_level(module):
     # the production path needs no scipy; only the tests use it, as a reference

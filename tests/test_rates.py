@@ -25,14 +25,13 @@ from quasidamp.model import (
 from quasidamp.rates import (
     Channel,
     QuadratureError,
-    RateQuery,
-    RateResult,
+    RateGrid,
     EPSREL,
     TWO_LEVEL_FACTOR,
     _LIMIT,
     _refine,
     _setup,
-    decay_rate,
+    _valid_temperature,
     decay_rates,
 )
 
@@ -54,17 +53,30 @@ SODIUM_TL = dataclasses.replace(
 )
 
 
-def single_query(qbar, T=0.0):
-    return RateQuery(qbar=qbar, temperature_T=T, channel=Channel.SINGLE_LEVEL, params=SODIUM)
+def single_level(qbar, T=0.0, params=SODIUM, epsrel=EPSREL):
+    """The single-level widths at one point, as a 1x1 grid."""
+    return decay_rates(params, Channel.SINGLE_LEVEL, [qbar], [T], epsrel)
 
 
-def two_level_query(qbar, T=0.0, params=SODIUM_TL):
-    return RateQuery(qbar=qbar, temperature_T=T, channel=Channel.TWO_LEVEL, params=params)
+def two_level(qbar, T=0.0, params=SODIUM_TL):
+    """The two-level widths at one point, as a 1x1 grid."""
+    return decay_rates(params, Channel.TWO_LEVEL, [qbar], [T])
 
 
-def stimulated_columns(query):
+def at(grid, i, j):
+    """Point (i, j) of a grid as four 1x1 columns."""
+    return tuple(column[i:i + 1, j:j + 1] for column in grid)
+
+
+def assert_same_bits(got, expected):
+    """Two sets of rate columns hold the same shapes and bytes."""
+    for a, b in zip(got, expected, strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def stimulated_columns(params, channel, qbar, T):
     """The stimulated integral columns of a one-point grid."""
-    return _setup(query.params, query.channel, [query.qbar], [query.temperature_T])[1]
+    return _setup(params, channel, [qbar], [T])[1]
 
 
 def assert_first_error(params, channel, qbar, temperature, epsrel=EPSREL):
@@ -88,30 +100,31 @@ def assert_first_error(params, channel, qbar, temperature, epsrel=EPSREL):
 def test_recoil_momentum_anchor():
     """The dimensionless width at the recoil-scale momentum qbar = 5."""
     units = derive_units(SODIUM)
-    gamma = decay_rate(single_query(5.0)).gamma_beliaev
+    gamma = single_level(5.0).gamma_beliaev[0, 0]
     ratio = gamma / (dispersion(5.0) * units.omega0)
     assert ratio == pytest.approx(0.002102458306139846, rel=1e-9)
 
 
 def test_decay_rate_frozen_total():
-    result = decay_rate(single_query(5.0))
-    assert isinstance(result, RateResult)
-    assert result.gamma_total == pytest.approx(530.9385860590878, rel=1e-9)
-    assert result.gamma_landau == 0.0
-    assert result.gamma_total == result.gamma_beliaev + result.gamma_landau
-    assert 0.0 < result.quadrature_error_estimate < 1e-4
+    result = single_level(5.0)
+    assert isinstance(result, RateGrid)
+    assert [column.shape for column in result] == [(1, 1)] * 4
+    assert result.gamma_total[0, 0] == pytest.approx(530.9385860590878, rel=1e-9)
+    assert result.gamma_landau[0, 0] == 0.0
+    assert result.gamma_total[0, 0] == result.gamma_beliaev[0, 0] + result.gamma_landau[0, 0]
+    assert 0.0 < result.quadrature_error_estimate[0, 0] < 1e-4
 
 
 def test_small_q_frozen_values():
     expected = {0.02: 3.46495057e-08, 0.05: 3.38103382e-06, 0.1: 1.07883884e-04}
     for qbar, gamma in expected.items():
-        assert decay_rate(single_query(qbar)).gamma_beliaev == pytest.approx(gamma, rel=1e-6)
+        assert single_level(qbar).gamma_beliaev[0, 0] == pytest.approx(gamma, rel=1e-6)
 
 
 def test_small_q_approaches_closed_form():
     # 3*hbar*q^5/(320*pi*m*n0), approached from below as qbar -> 0
     for qbar, tol in ((0.02, 5e-4), (0.05, 2e-3), (0.1, 5e-3)):
-        gamma = decay_rate(single_query(qbar)).gamma_beliaev
+        gamma = single_level(qbar).gamma_beliaev[0, 0]
         limit = beliaev_asymptote(qbar, Channel.SINGLE_LEVEL, SODIUM)
         assert gamma == pytest.approx(limit, rel=tol)
         assert gamma < limit
@@ -119,7 +132,7 @@ def test_small_q_approaches_closed_form():
 
 def test_fifth_power_scaling():
     grid = np.geomspace(0.02, 0.1, 5)
-    gammas = [decay_rate(single_query(q)).gamma_beliaev for q in grid]
+    gammas = [single_level(q).gamma_beliaev[0, 0] for q in grid]
     slope = np.polyfit(np.log(grid), np.log(gammas), 1)[0]
     assert slope == pytest.approx(5.0, abs=0.02)
 
@@ -137,8 +150,8 @@ def test_asymptote_values_and_validation():
 
 
 def test_thermal_occupation_enhances_splitting():
-    cold = decay_rate(single_query(1.0)).gamma_beliaev
-    warm = decay_rate(single_query(1.0, T=1e-6)).gamma_beliaev
+    cold = single_level(1.0).gamma_beliaev[0, 0]
+    warm = single_level(1.0, T=1e-6).gamma_beliaev[0, 0]
     assert warm > cold
 
 
@@ -181,7 +194,7 @@ def test_energy_route_matches_momentum_route():
         reduced, _ = quad(lambda w: beliaev_energy_integrand(qbar, w), 0.0, wq,
                           limit=200, epsabs=1e-13, epsrel=1e-10)
         gamma_energy = gas / (math.pi * qbar) * units.omega0 * reduced
-        gamma_momentum = decay_rate(single_query(qbar)).gamma_beliaev
+        gamma_momentum = single_level(qbar).gamma_beliaev[0, 0]
         assert gamma_energy == pytest.approx(gamma_momentum, rel=1e-6)
 
 
@@ -190,20 +203,20 @@ def test_energy_route_matches_momentum_route():
 
 
 def test_stimulated_exactly_zero_at_zero_temperature():
-    assert decay_rate(single_query(5.0)).gamma_landau == 0.0
-    assert decay_rate(two_level_query(5.0)).gamma_landau == 0.0
-    result = decay_rate(single_query(0.3))
-    assert result.gamma_landau == 0.0
-    assert result.gamma_total == result.gamma_beliaev
+    assert single_level(5.0).gamma_landau[0, 0] == 0.0
+    assert two_level(5.0).gamma_landau[0, 0] == 0.0
+    result = single_level(0.3)
+    assert result.gamma_landau[0, 0] == 0.0
+    assert result.gamma_total[0, 0] == result.gamma_beliaev[0, 0]
 
 
 def test_stimulated_frozen_value():
-    gamma = decay_rate(single_query(5.0, T=1e-6)).gamma_landau
+    gamma = single_level(5.0, T=1e-6).gamma_landau[0, 0]
     assert gamma == pytest.approx(1461.9636910876163, rel=1e-8)
 
 
 def test_stimulated_monotone_in_temperature():
-    rates = [decay_rate(single_query(1.0, T=t)).gamma_landau for t in (2e-7, 5e-7, 1e-6)]
+    rates = [single_level(1.0, T=t).gamma_landau[0, 0] for t in (2e-7, 5e-7, 1e-6)]
     assert rates[0] > 0.0
     assert rates[0] < rates[1] < rates[2]
 
@@ -212,8 +225,8 @@ def test_stimulated_dominates_for_slow_warm_modes():
     # deep in the phonon regime at microkelvin temperature the stimulated
     # channel outweighs the spontaneous one (which dies off like q^5)
     for qbar in (0.1, 0.3, 1.0):
-        result = decay_rate(single_query(qbar, T=1e-6))
-        assert result.gamma_landau > result.gamma_beliaev
+        result = single_level(qbar, T=1e-6)
+        assert result.gamma_landau[0, 0] > result.gamma_beliaev[0, 0]
 
 
 def test_stimulated_high_temperature_law():
@@ -223,7 +236,7 @@ def test_stimulated_high_temperature_law():
     ratios = []
     for multiple, expected in ((20, 0.95948), (100, 0.99156), (1000, 0.99910)):
         temperature = multiple * mu_over_kb
-        gamma = decay_rate(single_query(0.01, T=temperature)).gamma_landau
+        gamma = single_level(0.01, T=temperature).gamma_landau[0, 0]
         ratio = gamma / (2.0 * landau_high_t(0.01, temperature, SODIUM))
         assert ratio == pytest.approx(expected, rel=1e-4)
         ratios.append(ratio)
@@ -245,12 +258,12 @@ def test_stimulated_low_temperature_law():
     for multiple, expected in pinned.items():
         temperature = multiple * mu_over_kb
         for i, qbar in enumerate((1e-3, 3e-3, 1e-2)):
-            result = decay_rate(single_query(qbar, T=temperature))
+            result = single_level(qbar, T=temperature)
             law = 2.0 * landau_low_t(qbar, temperature, SODIUM)
-            ratios[multiple, qbar] = result.gamma_landau / law
+            ratios[multiple, qbar] = result.gamma_landau[0, 0] / law
             if expected is not None:
                 # no tighter than the row's own error estimate
-                tolerance = max(1e-6, result.quadrature_error_estimate / law)
+                tolerance = max(1e-6, result.quadrature_error_estimate[0, 0] / law)
                 assert ratios[multiple, qbar] == pytest.approx(expected[i], abs=tolerance)
     for qbar in (1e-3, 3e-3, 1e-2):
         assert ratios[0.1, qbar] < ratios[0.05, qbar] < ratios[0.02, qbar] < 1.0
@@ -282,14 +295,14 @@ def test_population_factors_balance_on_shell(kbar_i, kbar_j, temperature):
 def test_two_level_tracks_single_level_shape():
     # same splitting kinematics, different coupling combination: the ratio is
     # the constant 10/9 when a_bc = a_bb
-    single = decay_rate(single_query(0.05)).gamma_beliaev
-    double = decay_rate(two_level_query(0.05)).gamma_beliaev
+    single = single_level(0.05).gamma_beliaev[0, 0]
+    double = two_level(0.05).gamma_beliaev[0, 0]
     assert double == pytest.approx(10.0 / 9.0 * single, rel=1e-12)
     assert double == pytest.approx(3.756704244354953e-06, rel=1e-6)
 
 
 def test_two_level_asymptote():
-    gamma = decay_rate(two_level_query(0.02)).gamma_beliaev
+    gamma = two_level(0.02).gamma_beliaev[0, 0]
     limit = beliaev_asymptote(0.02, Channel.TWO_LEVEL, SODIUM_TL)
     assert gamma == pytest.approx(limit, rel=5e-3)
     ratio = beliaev_asymptote(0.02, Channel.TWO_LEVEL, SODIUM_TL) / beliaev_asymptote(
@@ -304,8 +317,8 @@ def test_interspecies_coupling_scaling():
     base = dataclasses.replace(SODIUM, two_level=TwoLevelParams(a_bc=1.0e-9))
     strong = dataclasses.replace(SODIUM, two_level=TwoLevelParams(a_bc=2.0e-9))
     for field, T in (("gamma_beliaev", 0.0), ("gamma_landau", 5e-7)):
-        weak_rate = getattr(decay_rate(two_level_query(0.3, T=T, params=base)), field)
-        strong_rate = getattr(decay_rate(two_level_query(0.3, T=T, params=strong)), field)
+        weak_rate = getattr(two_level(0.3, T=T, params=base), field)[0, 0]
+        strong_rate = getattr(two_level(0.3, T=T, params=strong), field)[0, 0]
         assert strong_rate == pytest.approx(4.0 * weak_rate, rel=1e-12)
 
 
@@ -320,7 +333,7 @@ def test_two_level_out_of_range_coupling_rejected(a_bc, temperature):
     # to 0 or inf
     params = dataclasses.replace(SODIUM, two_level=TwoLevelParams(a_bc=a_bc))
     with pytest.raises(ParameterError, match=r"\(a_bc/a\)\^2 = .* out of double range"):
-        decay_rate(two_level_query(0.5, T=temperature, params=params))
+        two_level(0.5, T=temperature, params=params)
     # a medium-wide check: the first point already fails it
     error = assert_first_error(params, Channel.TWO_LEVEL, [0.5, 5.0], [temperature, 1e-6])
     assert "(a_bc/a)^2" in str(error)
@@ -330,17 +343,15 @@ def test_underflowing_width_prefactor_rejected():
     # k0^3/n0/(pi*qbar) underflowed to 0 and the tolerance divided by it
     dilute = PhysicalParams(
         scattering_length_a=1e-200, atomic_mass=1e-26, condensate_density_n0=1.0,
-        volume_V=1.0, atom_count_N0=1.0,
+        atom_count_N0=1.0,
     )
-    query = RateQuery(qbar=1e100, temperature_T=0.0, channel=Channel.SINGLE_LEVEL,
-                      params=dilute)
     with pytest.raises(ParameterError, match="spontaneous width prefactor 0 is out of double"):
-        decay_rate(query)
+        single_level(1e100, params=dilute)
     # k0^3/n0 ~ 1e-100 with omega0 ~ 1e-75 s^-1: qbar = 1 is a valid point,
     # and 1e110 the first whose prefactor is subnormal
     sparse = PhysicalParams(
         scattering_length_a=8.6e-170, atomic_mass=1e-26, condensate_density_n0=1e100,
-        volume_V=1e-100, atom_count_N0=1.0,
+        atom_count_N0=1.0,
     )
     error = assert_first_error(
         sparse, Channel.SINGLE_LEVEL, [1.0, 1e110, 1e130], [0.0, 1e-6]
@@ -364,7 +375,7 @@ def test_overflowing_width_scale_rejected():
     # overflows: the message names the scale, not the prefactor
     params = dataclasses.replace(SODIUM, two_level=TwoLevelParams(a_bc=1e145))
     with pytest.raises(ParameterError) as raised:
-        decay_rate(two_level_query(0.5, T=1e-6, params=params))
+        two_level(0.5, T=1e-6, params=params)
     assert str(raised.value) == (
         "spontaneous width scale inf is out of double range at qbar = 0.5"
     )
@@ -387,12 +398,11 @@ def test_overflowing_bose_cutoff_rejected(channel, params):
 
 def test_two_level_stimulated_threshold_window():
     # free-particle kinematics forbids absorption below 1/(2 qbar) - qbar
-    slow = two_level_query(0.05, T=1e-6)
-    assert stimulated_columns(slow).lo[0] == pytest.approx(0.5 / 0.05 - 0.05, rel=1e-12)
-    assert decay_rate(slow).gamma_landau >= 0.0
-    fast = two_level_query(5.0, T=1e-6)
-    assert stimulated_columns(fast).lo[0] == 0.0
-    assert decay_rate(fast).gamma_landau > 0.0
+    slow = stimulated_columns(SODIUM_TL, Channel.TWO_LEVEL, 0.05, 1e-6)
+    assert slow.lo[0] == pytest.approx(0.5 / 0.05 - 0.05, rel=1e-12)
+    assert two_level(0.05, T=1e-6).gamma_landau[0, 0] >= 0.0
+    assert stimulated_columns(SODIUM_TL, Channel.TWO_LEVEL, 5.0, 1e-6).lo[0] == 0.0
+    assert two_level(5.0, T=1e-6).gamma_landau[0, 0] > 0.0
 
 
 @pytest.mark.parametrize("qbar", [1e-156, 4e-155])
@@ -401,14 +411,14 @@ def test_two_level_stimulated_window_empty_at_tiny_qbar(qbar):
     # tail: at 1e-156 its frequency overflows, at 4e-155 the Bose cutoff
     # above it did, and both raised ParameterError instead of a zero width
     params = dataclasses.replace(SODIUM, two_level=TwoLevelParams(a_bc=3e-9))
-    query = two_level_query(qbar, T=1e-13, params=params)
-    assert stimulated_columns(query).point.size == 0  # no integral: the window is empty
-    result = decay_rate(query)
-    assert result.gamma_landau == 0.0
-    single = decay_rate(dataclasses.replace(query, channel=Channel.SINGLE_LEVEL))
+    columns = stimulated_columns(params, Channel.TWO_LEVEL, qbar, 1e-13)
+    assert columns.point.size == 0  # no integral: the window is empty
+    result = two_level(qbar, T=1e-13, params=params)
+    assert result.gamma_landau[0, 0] == 0.0
+    single = single_level(qbar, T=1e-13, params=params)
     coupling = (3e-9 / SODIUM.scattering_length_a) ** 2
-    assert result.gamma_beliaev == pytest.approx(
-        TWO_LEVEL_FACTOR * coupling * single.gamma_beliaev, rel=1e-12
+    assert result.gamma_beliaev[0, 0] == pytest.approx(
+        TWO_LEVEL_FACTOR * coupling * single.gamma_beliaev[0, 0], rel=1e-12
     )
 
 
@@ -417,11 +427,13 @@ def test_two_level_stimulated_window_empty_at_tiny_qbar(qbar):
 
 
 def test_tightened_tolerance_stays_within_error_estimate():
-    for query in (single_query(5.0), single_query(1.0, T=1e-6)):
-        loose = decay_rate(query, epsrel=1e-6)
-        tight = decay_rate(query, epsrel=1e-10)
-        assert abs(loose.gamma_beliaev - tight.gamma_beliaev) <= loose.quadrature_error_estimate
-        assert tight.quadrature_error_estimate <= loose.quadrature_error_estimate * 1.01
+    for qbar, T in ((5.0, 0.0), (1.0, 1e-6)):
+        loose = single_level(qbar, T, epsrel=1e-6)
+        tight = single_level(qbar, T, epsrel=1e-10)
+        assert (abs(loose.gamma_beliaev - tight.gamma_beliaev)
+                <= loose.quadrature_error_estimate).all()
+        assert (tight.quadrature_error_estimate
+                <= loose.quadrature_error_estimate * 1.01).all()
 
 
 @pytest.mark.parametrize("T", [0.0, 1e-6])
@@ -429,39 +441,35 @@ def test_tightened_tolerance_stays_within_error_estimate():
 def test_channel_widths_equal_lone_integral_solves(qbar, T):
     # each channel's width is its own integral's, whichever other integrals
     # the sweep refines alongside it
-    for query in (single_query(qbar, T=T), two_level_query(qbar, T=T)):
-        result = decay_rate(query)
-        spontaneous, stimulated = integrals(query)
-        assert solve_alone(spontaneous, EPSREL)[0] == result.gamma_beliaev
-        assert solve_alone(stimulated, EPSREL)[0] == result.gamma_landau
+    for channel, params in ((Channel.SINGLE_LEVEL, SODIUM), (Channel.TWO_LEVEL, SODIUM_TL)):
+        result = decay_rates(params, channel, [qbar], [T])
+        spontaneous, stimulated = integrals(params, channel, qbar, T)
+        assert solve_alone(spontaneous, EPSREL)[0] == result.gamma_beliaev[0, 0]
+        assert solve_alone(stimulated, EPSREL)[0] == result.gamma_landau[0, 0]
 
 
 def test_integer_qbar_is_taken_as_float():
     # a JSON integer qbar squared to a Python int that numpy could not
     # exponentiate in the two-level stimulated integrand
-    as_int = two_level_query(2**32, T=1e-6)
-    assert isinstance(as_int.qbar, float)
-    assert decay_rate(as_int) == decay_rate(two_level_query(float(2**32), T=1e-6))
+    assert_same_bits(two_level(2**32, T=1e-6), two_level(float(2**32), T=1e-6))
 
 
 def test_stimulated_cutoff_survives_underflowing_thermal_energy():
     # k_B*T and hbar*omega0 both underflow here while hbar*omega0/(k_B*T)
     # stays finite; the Bose cutoff divided by the underflowed ratio
     heavy = dataclasses.replace(SODIUM, atomic_mass=7e231)
-    query = RateQuery(qbar=1.0, temperature_T=1e-302, channel=Channel.SINGLE_LEVEL,
-                      params=heavy)
-    assert decay_rate(query).gamma_landau == 0.0
+    assert single_level(1.0, T=1e-302, params=heavy).gamma_landau[0, 0] == 0.0
 
 
 @pytest.mark.parametrize("qbar", [0.0, -1.0, math.inf, math.nan])
 def test_query_rejects_bad_momentum(qbar):
-    with pytest.raises(ParameterError):
-        RateQuery(qbar=qbar, temperature_T=0.0, channel=Channel.SINGLE_LEVEL, params=SODIUM)
+    with pytest.raises(ParameterError, match="qbar must be > 0"):
+        single_level(qbar)
 
 
 def test_query_rejects_negative_temperature():
     with pytest.raises(ParameterError):
-        RateQuery(qbar=1.0, temperature_T=-1e-9, channel=Channel.SINGLE_LEVEL, params=SODIUM)
+        single_level(1.0, T=-1e-9)
     # the first point checks its temperature before the second its qbar
     error = assert_first_error(SODIUM, Channel.SINGLE_LEVEL, [1.0, 0.0], [-1e-9, 0.0])
     assert str(error).startswith("temperature_T must be >= 0")
@@ -470,7 +478,7 @@ def test_query_rejects_negative_temperature():
 @pytest.mark.parametrize("temperature", [math.inf, math.nan])
 def test_query_rejects_non_finite_temperature(temperature):
     with pytest.raises(ParameterError, match="finite"):
-        RateQuery(qbar=1.0, temperature_T=temperature, channel=Channel.SINGLE_LEVEL, params=SODIUM)
+        single_level(1.0, T=temperature)
 
 
 # ---------------------------------------------------------------------------
@@ -486,11 +494,10 @@ def test_batched_sweep_matches_quad_and_single_points():
     for channel, params in ((Channel.SINGLE_LEVEL, SODIUM), (Channel.TWO_LEVEL, SODIUM_TL)):
         grid = decay_rates(params, channel, qbars, temperatures)
         for (i, T), (j, qbar) in itertools.product(enumerate(temperatures), enumerate(qbars)):
-            query = RateQuery(qbar=qbar, temperature_T=T, channel=channel, params=params)
-            result = RateResult(*(float(column[i, j]) for column in grid))
-            spontaneous, stimulated = integrals(query)
-            for integral, width in ((spontaneous, result.gamma_beliaev),
-                                    (stimulated, result.gamma_landau)):
+            error_estimate = grid.quadrature_error_estimate[i, j]
+            spontaneous, stimulated = integrals(params, channel, qbar, T)
+            for integral, width in ((spontaneous, grid.gamma_beliaev[i, j]),
+                                    (stimulated, grid.gamma_landau[i, j])):
                 if integral.hi > integral.lo:
                     reduced, _ = quad(
                         lambda x: float(integral.integrand(np.float64(x), *integral.args)),
@@ -501,12 +508,12 @@ def test_batched_sweep_matches_quad_and_single_points():
                 else:
                     reference = 0.0
                     empty_windows += channel is Channel.TWO_LEVEL and T > 0.0
-                assert abs(width - reference) <= result.quadrature_error_estimate
+                assert abs(width - reference) <= error_estimate
                 assert width == pytest.approx(reference, rel=1e-10, abs=0.0)
             if T == 0.0:
-                assert result.gamma_landau == 0.0
+                assert grid.gamma_landau[i, j] == 0.0
             # no dependence on which other points share the sweep
-            assert decay_rate(query) == result
+            assert_same_bits(decay_rates(params, channel, [qbar], [T]), at(grid, i, j))
     assert empty_windows > 0
 
 
@@ -525,8 +532,8 @@ def test_setup_columns_match_one_point_setup(channel, params):
     # per-axis setup broadcast to the grid gives the bits of the scalar
     # setup of each point, and the sweep the width of each one-point call
     columns = _setup(params, channel, SETUP_QBAR, list(SETUP_T))
-    queries = grid_queries(params, channel, SETUP_QBAR, SETUP_T)
-    setups = [integrals(query) for query in queries]
+    points = grid_queries(params, channel, SETUP_QBAR, SETUP_T)
+    setups = [integrals(*point) for point in points]
     for got, k in zip(columns, (0, 1)):
         expected = [(point, setup[k]) for point, setup in enumerate(setups)
                     if setup[k].hi > setup[k].lo]
@@ -539,22 +546,21 @@ def test_setup_columns_match_one_point_setup(channel, params):
         assert len(got.args) == len(args)
         for got_arg, arg in zip(got.args, args):
             assert got_arg.tobytes() == arg.tobytes()
-    assert columns[1].point.size < len(queries)  # T = 0 rows hold no integral
+    assert columns[1].point.size < len(points)  # T = 0 rows hold no integral
 
     grid = decay_rates(params, channel, SETUP_QBAR, SETUP_T)
-    for point, query in enumerate(queries):
-        at = np.unravel_index(point, grid.gamma_total.shape)
-        assert decay_rate(query) == RateResult(*(float(column[at]) for column in grid))
+    for point, (_, _, qbar, T) in enumerate(points):
+        i, j = np.unravel_index(point, grid.gamma_total.shape)
+        assert_same_bits(decay_rates(params, channel, [qbar], [T]), at(grid, i, j))
 
 
 def test_negative_zero_temperature_is_zero():
     # -0.0 passes T >= 0; it must enter the sweep as the temperature 0
-    query = single_query(1.0, T=-0.0)
-    assert math.copysign(1.0, query.temperature_T) == 1.0
+    assert math.copysign(1.0, _valid_temperature(-0.0)) == 1.0
     grid = decay_rates(SODIUM, Channel.SINGLE_LEVEL, [1.0, 5.0], [-0.0, 0.0])
     for column in grid:
         assert column[0].tobytes() == column[1].tobytes()
-    assert decay_rate(query) == decay_rate(single_query(1.0))
+    assert_same_bits(single_level(1.0, T=-0.0), single_level(1.0))
 
 
 @pytest.mark.parametrize("limit, qbar, temperature, named", [
