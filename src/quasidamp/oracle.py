@@ -108,9 +108,10 @@ class AmplitudeSeries:
 
 
 #: Matrix entries in the one work buffer (1 MB) where the secular sums are
-#: evaluated a block of rows at a time, so a spectrum needs little more
-#: memory than that whatever the bath size (2^16 and 2^18 entries measured
-#: slower at 2000 modes).
+#: evaluated a block of rows at a time; also the size, in floats, of the two
+#: complex phase tables of one block of eigenvalues.  The bath engine thus
+#: needs little more memory than that whatever the bath size (2^16 and 2^18
+#: entries measured slower for the spectrum at 2000 modes).
 _BLOCK_ENTRIES = 1 << 17
 #: Safeguarded sweeps allowed per block after the first evaluation; the
 #: pole model took at most 5 on the Markov baths and 10 on random ones.
@@ -122,14 +123,14 @@ def _secular(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Secular sums at lambda = origin + tau for roots j, one row per root.
 
-    base[r, m] holds origin_r - Delta_m and is overwritten in place: base +
-    tau is lambda - Delta_m with no cancellation next to the origin pole.
+    base[r, m] holds Delta_m - origin_r and is overwritten in place: tau -
+    base is lambda - Delta_m with no cancellation next to the origin pole.
     Returns sum k2/(lambda - Delta), and the slope sum k2/(lambda - Delta)^2
     split into the poles below lambda and those above it.  Root j lies
     between poles j-1 and j, so the poles below it are the columns m < j;
     only the columns between the smallest and the largest j need a mask.
     """
-    np.add(base, tau[:, None], out=base)
+    np.subtract(tau[:, None], base, out=base)
     np.reciprocal(base, out=base)
     pole_sum = base @ k2
     np.multiply(base, base, out=base)
@@ -139,6 +140,17 @@ def _secular(
     slope_below = base[:, :first] @ k2[:first] + (mixed * below) @ k2[first:last]
     slope_above = base[:, last:] @ k2[last:] + (mixed * ~below) @ k2[first:last]
     return pole_sum, slope_below, slope_above
+
+
+def _pole_offsets(out: np.ndarray, d: np.ndarray, origin: np.ndarray) -> np.ndarray:
+    """out[r, m] = d[m] - d[origin[r]], filled by row copies and one pass.
+
+    tau - out then carries the bits of (d[origin] - d) + tau: both round the
+    same exact difference, and they could part only in the sign of a zero
+    at tau = -0, which no bracket holds.
+    """
+    np.copyto(out, d)
+    return np.subtract(out, d[origin, None], out=out)
 
 
 def _arrowhead_spectrum(
@@ -176,9 +188,8 @@ def _arrowhead_spectrum(
     for start in range(0, n + 1, rows):
         j = np.arange(start, min(start + rows, n + 1))
         origin, tau = _solve_roots(d, k2, j, lower[j], upper[j], tol, work)
-        inv = work[: j.size]
-        np.subtract(d[origin, None], d, out=inv)
-        np.add(inv, tau[:, None], out=inv)
+        inv = _pole_offsets(work[: j.size], d, origin)
+        np.subtract(tau[:, None], inv, out=inv)
         np.reciprocal(inv, out=inv)
         np.multiply(inv, inv, out=inv)
         weights[j] = 1.0 / (1.0 + inv @ k2)
@@ -217,8 +228,7 @@ def _solve_roots(
     def evaluate(
         o: np.ndarray, t: np.ndarray, jr: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        base = work[: jr.size]
-        np.subtract(d[o, None], d, out=base)
+        base = _pole_offsets(work[: jr.size], d, o)
         pole_sum, slope_lo, slope_hi = _secular(base, t, k2, jr)
         return d[o] + t - pole_sum, slope_lo, slope_hi
 
@@ -300,7 +310,10 @@ def integrate_discrete_bath(
     equation and the weights w_j = |<0|j>|^2 in closed form (see
     _arrowhead_spectrum) — no step error, and recurrences are faithful.  On
     the uniform grid t_k = (p*m + q)*dt with m = ceil(sqrt(n_samples)), the
-    sum is one (p, j) @ (j, q) product of exponential tables.
+    sum is a (p, j) @ (j, q) product of exponential tables, accumulated over
+    blocks of eigenvalues j whose two tables together hold _BLOCK_ENTRIES
+    floats, so the phase sum, like the spectrum, needs about 1 MB whatever
+    the bath size.
     """
     if not (t_max > 0.0 and math.isfinite(t_max)):
         raise ParameterError(f"t_max must be > 0 and finite, got {t_max}")
@@ -313,13 +326,18 @@ def integrate_discrete_bath(
     t = np.linspace(0.0, t_max, n_samples)
     dt = t_max / (n_samples - 1)
     m = math.isqrt(n_samples - 1) + 1
-    coarse = _phase_table(np.arange(-(-n_samples // m)) * (m * dt), evals)
-    coarse *= weights
-    fine = _phase_table(np.arange(m) * dt, evals)
-    b = (coarse @ fine.T).ravel()[:n_samples]
+    coarse_t = np.arange(-(-n_samples // m)) * (m * dt)
+    fine_t = np.arange(m) * dt
+    b = np.zeros((coarse_t.size, m), dtype=complex)
+    width = max(1, _BLOCK_ENTRIES // (4 * m))
+    for start in range(0, evals.size, width):
+        block = slice(start, start + width)
+        coarse = _phase_table(coarse_t, evals[block])
+        coarse *= weights[block]
+        b += coarse @ _phase_table(fine_t, evals[block]).T
     return AmplitudeSeries(
         t=t,
-        amplitude=np.abs(b),
+        amplitude=np.abs(b.ravel()[:n_samples]),
         revival_time=bath.revival_time,
         revival_warning=bool(t_max > bath.revival_time),
     )
@@ -332,7 +350,9 @@ def fit_decay_rate(
 
     Returns (gamma_fit, residual): gamma_fit is minus the slope of
     log|b(t)|^2, residual the RMS of the log-space fit residuals.  An input
-    amplitude exp(-t/2) therefore fits gamma_fit = 1.
+    amplitude exp(-t/2) therefore fits gamma_fit = 1.  The line is fitted in
+    closed form about the window's means, with no least-squares solver, so
+    the fit adds only a few window-length arrays to the engine's 1 MB.
     """
     t0, t1 = window
     t = series.t
@@ -345,10 +365,11 @@ def fit_decay_rate(
     if not np.all(amp > 0.0):
         raise ParameterError("amplitude must be nonzero inside the fit window")
     logp = 2.0 * np.log(amp)
-    slope, intercept = np.polyfit(t[mask], logp, 1)
-    fitted = slope * t[mask] + intercept
-    residual = float(np.sqrt(np.mean((logp - fitted) ** 2)))
-    return float(-slope) + 0.0, residual
+    tc = t[mask] - np.mean(t[mask])
+    yc = logp - np.mean(logp)
+    slope = float(tc @ yc / (tc @ tc))
+    residual = float(np.sqrt(np.mean((yc - slope * tc) ** 2)))
+    return -slope + 0.0, residual
 
 
 def default_fit_window(

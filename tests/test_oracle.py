@@ -342,37 +342,49 @@ def test_spectrum_matches_dense_on_random_baths(first, modes):
 
 
 @pytest.mark.parametrize("n_samples", [2, 3, 4095, 4096, 5000])
-def test_factored_time_sum_matches_direct_sum(n_samples):
+def test_factored_time_sum_matches_direct_sum(monkeypatch, n_samples):
     bath = windowed_bath(300, 0.03, 0.02)
-    series = integrate_discrete_bath(bath, 60.0, n_samples=n_samples)
-    evals, weights = _arrowhead_spectrum(
-        np.asarray(bath.detuning_grid), np.asarray(bath.couplings)
-    )
-    direct = np.abs(np.exp(-1j * np.outer(series.t, evals)) @ weights)
-    assert series.t.shape == (n_samples,)
-    assert np.max(np.abs(series.amplitude - direct)) <= 1e-12
-    # the factored sum with fresh tables, as written before the tables were
-    # built in place, to the bit
     dt = 60.0 / (n_samples - 1)
     m = math.isqrt(n_samples - 1) + 1
-    coarse = np.exp(-1j * np.outer(np.arange(-(-n_samples // m)) * (m * dt), evals))
-    fine = np.exp(-1j * np.outer(np.arange(m) * dt, evals))
-    factored = np.abs(((coarse * weights) @ fine.T).ravel()[:n_samples])
-    assert series.amplitude.tobytes() == factored.tobytes()
+    coarse_t = np.arange(-(-n_samples // m)) * (m * dt)
+    fine_t = np.arange(m) * dt
+    # one eigenvalue per block at 64 entries (several at n_samples <= 3),
+    # several blocks at 4096, and all 301 eigenvalues in one block at 2^17
+    for entries in (64, 4096, 1 << 17):
+        monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", entries)
+        series = integrate_discrete_bath(bath, 60.0, n_samples=n_samples)
+        evals, weights = _arrowhead_spectrum(
+            np.asarray(bath.detuning_grid), np.asarray(bath.couplings)
+        )
+        direct = np.abs(np.exp(-1j * np.outer(series.t, evals)) @ weights)
+        assert series.t.shape == (n_samples,)
+        assert np.max(np.abs(series.amplitude - direct)) <= 1e-12
+        # the blocked sum with fresh tables, in the same block order, to the bit
+        width = max(1, entries // (4 * m))
+        b = np.zeros((coarse_t.size, m), dtype=complex)
+        for start in range(0, evals.size, width):
+            block = slice(start, start + width)
+            coarse = np.exp(-1j * np.outer(coarse_t, evals[block]))
+            fine = np.exp(-1j * np.outer(fine_t, evals[block]))
+            b += (coarse * weights[block]) @ fine.T
+        factored = np.abs(b.ravel()[:n_samples])
+        assert series.amplitude.tobytes() == factored.tobytes()
 
 
 def test_finest_markov_bath_memory_is_bounded():
     # the dense path held (N+1)^2 matrices and an n_samples x (N+1) complex
-    # table, well over 64 MB at N = 2000; fresh exp and weighted copies of the
-    # phase tables peaked at 6.08 MiB
-    bath = flat_bath(2000, 0.005, 0.01)
-    tracemalloc.start()
-    try:
-        integrate_discrete_bath(bath, 75.0, n_samples=4096)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 5.5 * 2**20
+    # table, well over 64 MB at N = 2000; phase tables over all N + 1
+    # eigenvalues peaked at 4.11 MiB at N = 2000 and 8.06 MiB at N = 4000,
+    # the blocked sum at 1.26 and 1.30 MiB
+    for mode_count in (2000, 4000):
+        bath = flat_bath(mode_count, 10.0 / mode_count, 0.01)
+        tracemalloc.start()
+        try:
+            integrate_discrete_bath(bath, 75.0, n_samples=4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, mode_count
 
 
 def test_integrate_validates_inputs():
@@ -408,6 +420,30 @@ def test_fit_flat_input_gives_zero():
     gamma_fit, residual = fit_decay_rate(series, (0.0, 4.0))
     assert gamma_fit == 0.0
     assert residual == 0.0
+
+
+@pytest.mark.parametrize("source", ["markov-2000", "noisy"])
+def test_fit_matches_numpy_polyfit(source):
+    if source == "markov-2000":
+        # the series and window of markov_suite's finest bath
+        t_fit_end = 3.0 / GOLDEN_RULE_RATE
+        series = integrate_discrete_bath(
+            flat_bath(2000, 0.005, 0.01), 1.05 * t_fit_end, n_samples=4096
+        )
+        window = (0.5, t_fit_end)
+    else:
+        rng = np.random.default_rng(20260)
+        t = np.linspace(0.0, 30.0, 3000)
+        noise = 1.0 + 0.05 * rng.standard_normal(t.size)
+        series = AmplitudeSeries(t=t, amplitude=np.exp(-0.07 * t) * np.abs(noise))
+        window = (2.0, 25.0)
+    gamma_fit, residual = fit_decay_rate(series, window)
+    mask = (series.t >= window[0]) & (series.t <= window[1])
+    logp = 2.0 * np.log(series.amplitude[mask])
+    slope, intercept = np.polyfit(series.t[mask], logp, 1)
+    ref = float(np.sqrt(np.mean((logp - (slope * series.t[mask] + intercept)) ** 2)))
+    assert gamma_fit == pytest.approx(-slope, rel=1e-13)
+    assert residual == pytest.approx(ref, rel=1e-13)
 
 
 def test_fit_window_validation():
