@@ -119,7 +119,8 @@ _MAX_SWEEPS = 100
 
 
 def _secular(
-    base: np.ndarray, tau: np.ndarray, k2: np.ndarray, j: np.ndarray
+    base: np.ndarray, tau: np.ndarray, k2: np.ndarray, j: np.ndarray,
+    spare: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Secular sums at lambda = origin + tau for roots j, one row per root.
 
@@ -127,28 +128,37 @@ def _secular(
     base is lambda - Delta_m with no cancellation next to the origin pole.
     Returns sum k2/(lambda - Delta), and the slope sum k2/(lambda - Delta)^2
     split into the poles below lambda and those above it.  Root j lies
-    between poles j-1 and j, so the poles below it are the columns m < j;
-    only the columns between the smallest and the largest j need a mask.
+    between poles j-1 and j, so the columns m < min j are below every root
+    and those m >= max j above it.  In the columns between, the poles above
+    lambda are those where 1/(lambda - Delta) < 0; their terms move into
+    spare, which holds at least j.size * (max j - min j) entries, so no
+    sweep allocates a float array.
     """
     np.subtract(tau[:, None], base, out=base)
     np.reciprocal(base, out=base)
     pole_sum = base @ k2
-    np.multiply(base, base, out=base)
     first, last = int(j.min()), min(int(j.max()), k2.size)
     mixed = base[:, first:last]
-    below = np.arange(first, last) < j[:, None]
-    slope_below = base[:, :first] @ k2[:first] + (mixed * below) @ k2[first:last]
-    slope_above = base[:, last:] @ k2[last:] + (mixed * ~below) @ k2[first:last]
+    above = mixed < 0.0
+    np.multiply(base, base, out=base)
+    high = spare[: above.size].reshape(above.shape)
+    high.fill(0.0)
+    np.copyto(high, mixed, where=above)
+    np.copyto(mixed, 0.0, where=above)
+    slope_below = base[:, :last] @ k2[:last]
+    slope_above = high @ k2[first:last] + base[:, last:] @ k2[last:]
     return pole_sum, slope_below, slope_above
 
 
-def _pole_offsets(out: np.ndarray, d: np.ndarray, origin: np.ndarray) -> np.ndarray:
-    """out[r, m] = d[m] - d[origin[r]], filled by row copies and one pass.
+def _pole_offsets(work: np.ndarray, d: np.ndarray, origin: np.ndarray) -> np.ndarray:
+    """out[r, m] = d[m] - d[origin[r]] in the first rows of the flat work
+    buffer, filled by row copies and one pass.
 
     tau - out then carries the bits of (d[origin] - d) + tau: both round the
     same exact difference, and they could part only in the sign of a zero
     at tau = -0, which no bracket holds.
     """
+    out = work[: origin.size * d.size].reshape(origin.size, d.size)
     np.copyto(out, d)
     return np.subtract(out, d[origin, None], out=out)
 
@@ -163,10 +173,15 @@ def _arrowhead_spectrum(
     pair of adjacent poles and one beyond each end pole (Golub 1973;
     O'Leary & Stewart 1990).  The weights
     are |<0|j>|^2 = 1 / (1 + sum_m k_m^2 / (lambda_j - Delta_m)^2).  Modes
-    with k_m = 0 do not couple and are dropped.  The roots are solved a
-    block of rows at a time in one work buffer of _BLOCK_ENTRIES entries,
-    which every sweep and the weights pass overwrite in place, so memory
-    stays bounded and no sweep allocates a (rows x N) array.
+    with k_m = 0 do not couple and are dropped.  When the coupled bath is
+    mirror-symmetric to the bit, Delta_{n-1-m} = -Delta_m and
+    k_{n-1-m} = k_m (as flat_bath and windowed_bath build it), f is odd,
+    so only the roots j <= n/2 are solved and the rest are their exact
+    negations, lambda_{n-j} = -lambda_j, with the same weights; any other
+    bath has all n + 1 roots solved.  The roots are solved a block of rows
+    at a time in one work buffer of _BLOCK_ENTRIES entries, which every
+    sweep and the weights pass overwrite in place, so memory stays bounded
+    and no sweep allocates a (rows x N) array.
     """
     keep = couplings != 0.0
     d = poles[keep]
@@ -183,17 +198,23 @@ def _arrowhead_spectrum(
     tol = 4.0 * np.finfo(float).eps * (float(np.max(np.abs(d))) + reach)
     eigenvalues = np.empty(n + 1)
     weights = np.empty(n + 1)
-    rows = min(n + 1, max(1, _BLOCK_ENTRIES // n))
-    work = np.empty((rows, n))
-    for start in range(0, n + 1, rows):
-        j = np.arange(start, min(start + rows, n + 1))
+    mirrored = np.array_equal(d, -d[::-1]) and np.array_equal(k2, k2[::-1])
+    count = n // 2 + 1 if mirrored else n + 1
+    # each block of rows takes rows * n entries of the buffer for its sums
+    # and rows^2 more for its mixed columns (see _secular)
+    rows = max(1, min(count, (math.isqrt(n * n + 4 * _BLOCK_ENTRIES) - n) // 2))
+    work = np.empty(rows * (n + rows))
+    for start in range(0, count, rows):
+        j = np.arange(start, min(start + rows, count))
         origin, tau = _solve_roots(d, k2, j, lower[j], upper[j], tol, work)
-        inv = _pole_offsets(work[: j.size], d, origin)
+        inv = _pole_offsets(work, d, origin)
         np.subtract(tau[:, None], inv, out=inv)
         np.reciprocal(inv, out=inv)
         np.multiply(inv, inv, out=inv)
         weights[j] = 1.0 / (1.0 + inv @ k2)
         eigenvalues[j] = d[origin] + tau
+    eigenvalues[count:] = -eigenvalues[: n + 1 - count][::-1]
+    weights[count:] = weights[: n + 1 - count][::-1]
     return eigenvalues, weights
 
 
@@ -212,8 +233,8 @@ def _solve_roots(
     replaced by bisection.  The first evaluation, at the middle of each
     bracket, serves twice: the sign of f there picks the half that holds an
     inner root, and its sums take the first step.  Iteration stops once a
-    root moves by no more than tol.  work holds at least j.size rows of
-    d.size entries; its contents are overwritten.
+    root moves by no more than tol.  work is a flat buffer of at least
+    j.size * (d.size + j.size) entries; its contents are overwritten.
     """
     n = d.size
     outer = (j == 0) | (j == n)
@@ -228,8 +249,8 @@ def _solve_roots(
     def evaluate(
         o: np.ndarray, t: np.ndarray, jr: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        base = _pole_offsets(work[: jr.size], d, o)
-        pole_sum, slope_lo, slope_hi = _secular(base, t, k2, jr)
+        base = _pole_offsets(work, d, o)
+        pole_sum, slope_lo, slope_hi = _secular(base, t, k2, jr, work[base.size :])
         return d[o] + t - pole_sum, slope_lo, slope_hi
 
     f, slope_lo, slope_hi = evaluate(origin, tau, j)
@@ -370,15 +391,6 @@ def fit_decay_rate(
     slope = float(tc @ yc / (tc @ tc))
     residual = float(np.sqrt(np.mean((yc - slope * tc) ** 2)))
     return -slope + 0.0, residual
-
-
-def default_fit_window(
-    series: AmplitudeSeries, gamma_guess: float, transient: float = 0.0
-) -> tuple[float, float]:
-    """First three e-foldings of |b|^2 or half the revival time, whichever
-    is shorter, starting after an optional transient."""
-    t_end = min(3.0 / gamma_guess, 0.5 * series.revival_time, float(series.t[-1]))
-    return (transient, t_end)
 
 
 # ---------------------------------------------------------------------------

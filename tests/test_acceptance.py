@@ -314,3 +314,22 @@ def test_criterion_10_byte_determinism(tmp_path):
         )
     ok = snapshots[0] == snapshots[1]
     check(10, ok, "rates + dynamics outputs byte-identical across two runs")
+
+
+def test_criterion_11_high_momentum_collision_rate():
+    # at T = 0 a fast quasiparticle is a free atom colliding with the
+    # condensate: gamma_B -> n0 * sigma * hbar*k/m with sigma = 8 pi a^2
+    # (Beliaev 1958); the deficit falls roughly as qbar^-2
+    pinned = {5.0: 0.73539776, 10.0: 0.90485511, 30.0: 0.98447005,
+              100.0: 0.99811948, 300.0: 0.99974221, 1000.0: 0.99997198}
+    qbar = np.array(list(pinned))
+    gamma = decay_rates(SODIUM, Channel.SINGLE_LEVEL, qbar, [0.0]).gamma_beliaev[0]
+    k = qbar * derive_units(SODIUM).k0
+    sigma = 8.0 * math.pi * SODIUM.scattering_length_a**2
+    ratio = gamma / (SODIUM.condensate_density_n0 * sigma * HBAR * k / SODIUM.atomic_mass)
+    worst = float(np.max(np.abs(ratio / np.array(list(pinned.values())) - 1.0)))
+    deficit = 1.0 - ratio
+    ok = worst <= 1e-7 and bool(np.all(deficit > 0.0) and np.all(np.diff(deficit) < 0.0))
+    values = ", ".join(f"{r:.8f}" for r in ratio)
+    check(11, ok, f"gamma_B / (n0 8 pi a^2 hbar k/m) = {values} at qbar = "
+                  f"{qbar.tolist()}, pinned to {worst:.1e} <= 1e-7, deficit falling and > 0")

@@ -22,7 +22,6 @@ from quasidamp.oracle import (
     GaussianSecondMoments,
     MomentTableError,
     Verdict,
-    default_fit_window,
     fit_decay_rate,
     flat_bath,
     integrate_discrete_bath,
@@ -181,8 +180,9 @@ def test_golden_rule_emerges_from_dense_bath():
     bath = flat_bath(1000, 0.01, 0.01)
     gamma_gr = 2 * math.pi * 0.01**2 * 100.0
     series = integrate_discrete_bath(bath, 50.0, n_samples=2048)
-    window = default_fit_window(series, gamma_gr, transient=0.5)
-    gamma_fit, residual = fit_decay_rate(series, window)
+    # three e-foldings of |b|^2 after a short transient, well before the
+    # revival at 2*pi/0.01
+    gamma_fit, residual = fit_decay_rate(series, (0.5, 3.0 / gamma_gr))
     assert gamma_fit == pytest.approx(gamma_gr, rel=0.10)
     assert residual < 0.5
 
@@ -252,13 +252,28 @@ def _with_couplings(bath: BathSpec, couplings) -> BathSpec:
     return BathSpec(bath.detuning_grid, tuple(couplings))
 
 
+def _spectrum(bath: BathSpec) -> tuple[np.ndarray, np.ndarray]:
+    return _arrowhead_spectrum(np.asarray(bath.detuning_grid), np.asarray(bath.couplings))
+
+
 @pytest.mark.parametrize("mode_count", [1, 2, 3, 50, 200, 201])
 @pytest.mark.parametrize("make", [flat_bath, windowed_bath])
 def test_spectrum_matches_dense_eigh(make, mode_count):
     # even mode counts put a root at lambda = 0, odd ones a pole at Delta = 0
     spacing = 10.0 / mode_count
     kappa = math.sqrt(GOLDEN_RULE_RATE * spacing / (2.0 * math.pi))
-    _assert_matches_dense(make(mode_count, spacing, kappa))
+    bath = make(mode_count, spacing, kappa)
+    _assert_matches_dense(bath)
+    # the bath is its own mirror, so its roots j < n/2 and n - j are exact
+    # negations with the same weight, and a middle root is 0 to within tol
+    n = mode_count
+    evals, weights = _spectrum(bath)
+    pairs = (n + 1) // 2
+    assert np.array_equal(evals[n + 1 - pairs :], -evals[:pairs][::-1])
+    assert np.array_equal(weights, weights[::-1])
+    if n % 2 == 0:
+        tol = 4.0 * np.finfo(float).eps * (5.0 + 2.0 * math.sqrt(n * kappa**2))
+        assert abs(evals[n // 2]) <= tol
 
 
 def test_spectrum_with_decoupled_modes():
@@ -284,14 +299,8 @@ def test_spectrum_matches_dense_across_blocks(monkeypatch, entries):
     _assert_matches_dense(_with_couplings(bath, couplings))
 
 
-def _finest_markov_spectrum() -> None:
-    bath = flat_bath(2000, 0.005, 0.01)
-    _arrowhead_spectrum(np.asarray(bath.detuning_grid), np.asarray(bath.couplings))
-
-
-def test_spectrum_evaluates_few_rows_per_root(monkeypatch):
-    # the middle of each bracket is evaluated once, and its sums take the
-    # first step; evaluating it a second time makes about 5.1 rows per root
+def _rows_per_root(monkeypatch, bath: BathSpec) -> float:
+    """Secular rows evaluated per root while solving the bath's spectrum."""
     rows = []
     secular = oracle._secular
 
@@ -300,21 +309,51 @@ def test_spectrum_evaluates_few_rows_per_root(monkeypatch):
         return secular(base, tau, *rest)
 
     monkeypatch.setattr(oracle, "_secular", counted)
-    _finest_markov_spectrum()
-    assert sum(rows) <= 4.5 * 2001
+    _spectrum(bath)
+    return sum(rows) / (bath.mode_count + 1)
+
+
+def test_spectrum_evaluates_few_rows_per_root(monkeypatch):
+    # the middle of each bracket is evaluated once, and its sums take the
+    # first step: about 4.1 rows per root solved.  The flat bath is mirror
+    # symmetric, so only its roots j <= n/2 are solved, about 2.05 rows per
+    # root of the spectrum; solving all of them makes about 4.1
+    assert _rows_per_root(monkeypatch, flat_bath(2000, 0.005, 0.01)) <= 2.2
+
+
+def test_asymmetric_bath_solves_every_root(monkeypatch):
+    # shifted off resonance by a third of a spacing, the grid is no mirror
+    # of itself, so every root is solved
+    bath = flat_bath(2000, 0.005, 0.01)
+    shifted = BathSpec(tuple(np.asarray(bath.detuning_grid) + 0.005 / 3), bath.couplings)
+    assert _rows_per_root(monkeypatch, shifted) >= 4.0
+
+
+def test_bath_one_ulp_off_mirror_takes_the_full_path(monkeypatch):
+    bath = flat_bath(2000, 0.005, 0.01)
+    couplings = list(bath.couplings)
+    couplings[-1] = float(np.nextafter(couplings[-1], math.inf))
+    skewed = _with_couplings(bath, couplings)
+    assert _rows_per_root(monkeypatch, skewed) >= 4.0
+    evals, weights = _spectrum(bath)
+    full_evals, full_weights = _spectrum(skewed)
+    assert np.max(np.abs(full_evals - evals)) <= 1e-15
+    assert np.max(np.abs(full_weights - weights)) <= 1e-15
 
 
 def test_spectrum_sweeps_work_in_one_buffer(monkeypatch):
-    # fresh (rows x N) arrays in each sweep would take the peak past 3x
+    # the sums and the mixed columns of each block share one buffer of
+    # _BLOCK_ENTRIES floats (1 MiB), so no sweep adds a (rows x span) array
     monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", 1 << 17)
-    work_bytes = ((1 << 17) // 2000) * 2000 * 8
-    tracemalloc.start()
-    try:
-        _finest_markov_spectrum()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * work_bytes
+    for mode_count in (200, 500, 800, 2000):
+        bath = flat_bath(mode_count, 10.0 / mode_count, 0.01)
+        tracemalloc.start()
+        try:
+            _spectrum(bath)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 2**20, mode_count
 
 
 def test_fully_decoupled_bath_has_one_unit_weight():
@@ -458,15 +497,6 @@ def test_fit_window_validation():
     dead = AmplitudeSeries(t=t, amplitude=np.zeros_like(t))
     with pytest.raises(ParameterError):
         fit_decay_rate(dead, (0.0, 2.0))
-
-
-def test_default_fit_window_caps():
-    t = np.linspace(0.0, 100.0, 101)
-    series = AmplitudeSeries(t=t, amplitude=np.exp(-t), revival_time=8.0)
-    assert default_fit_window(series, 1.0) == (0.0, pytest.approx(3.0))
-    assert default_fit_window(series, 0.01) == (0.0, pytest.approx(4.0))  # revival/2
-    open_series = AmplitudeSeries(t=t, amplitude=np.exp(-t))  # no revival known
-    assert default_fit_window(open_series, 0.001) == (0.0, pytest.approx(100.0))  # grid end
 
 
 # ---------------------------------------------------------------------------
