@@ -2,16 +2,19 @@
 
 The package splits into:
 
-    model     units, Bogoliubov spectrum and mode functions, presets
+    model     units, Bogoliubov spectrum and mode functions, presets, and
+              the command inputs and errors (Channel, DriveConfig,
+              QuadratureError, IntegrationError); standard library only
     rates     Beliaev/Landau decay rates of a driven quasiparticle mode
     dynamics  damped pair-creation moment equations and squeezing readout,
               as arrays over the whole trajectory
-    oracle    independent numerical cross-checks (discrete bath, Wick/Fock),
-              imported on its own as quasidamp.oracle
+    oracle    independent numerical cross-checks (discrete bath, Wick/Fock)
     cli       JSON-config command-line front end
 
 Only numpy is needed at run time; the tests use scipy and jsonschema as
-independent references.
+independent references.  The package re-exports the names of `model`
+alone, so `import quasidamp` loads no numpy.  Import the numerical modules
+as modules: `quasidamp.rates`, `quasidamp.dynamics` and `quasidamp.oracle`.
 """
 
 __version__ = "0.1.0"
@@ -22,8 +25,12 @@ from .model import (  # noqa: F401
     MASS_NA23,
     PRESETS,
     BogoliubovMode,
+    Channel,
+    DriveConfig,
+    IntegrationError,
     ParameterError,
     PhysicalParams,
+    QuadratureError,
     TwoLevelParams,
     UnitSystem,
     bogoliubov_mode,
@@ -32,20 +39,4 @@ from .model import (  # noqa: F401
     group_velocity,
     inverse_dispersion,
     thermal_population,
-)
-from .rates import (  # noqa: F401
-    Channel,
-    QuadratureError,
-    RateGrid,
-    decay_rates,
-)
-from .dynamics import (  # noqa: F401
-    DriveConfig,
-    IntegrationError,
-    MomentState,
-    Readout,
-    Trajectory,
-    evolve_moments,
-    readout,
-    run_squeezing,
 )

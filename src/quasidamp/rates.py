@@ -50,7 +50,6 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Callable, Sequence
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -58,8 +57,10 @@ import numpy as np
 from .model import (
     HBAR,
     K_BOLTZMANN,
+    Channel,
     ParameterError,
     PhysicalParams,
+    QuadratureError,
     derive_units,
     dispersion,
     inverse_dispersion,
@@ -69,20 +70,6 @@ from .model import (
 #: relative on the reduced integral.
 EPSABS_OMEGA0 = 1e-10
 EPSREL = 1e-8
-
-
-class Channel(Enum):
-    SINGLE_LEVEL = "single_level"
-    TWO_LEVEL = "two_level"
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive refinement hit its cap; carries the partial result."""
-
-    def __init__(self, message: str, partial_rate_s: float, error_estimate_s: float):
-        super().__init__(message)
-        self.partial_rate_s = partial_rate_s
-        self.error_estimate_s = error_estimate_s
 
 
 # ---------------------------------------------------------------------------

@@ -333,3 +333,36 @@ def test_criterion_11_high_momentum_collision_rate():
     values = ", ".join(f"{r:.8f}" for r in ratio)
     check(11, ok, f"gamma_B / (n0 8 pi a^2 hbar k/m) = {values} at qbar = "
                   f"{qbar.tolist()}, pinned to {worst:.1e} <= 1e-7, deficit falling and > 0")
+
+
+def test_criterion_12_universal_zero_temperature_squeezing_curve():
+    # at T = 0 the squeezing limit depends on gamma/Omega and the mode's u, v
+    # alone: scaling Omega and gamma by k and the time grid by 1/k leaves
+    # every sample's xi3 unchanged
+    pinned = {1e-3: (4.181185483739659e-4, 1672), 1e-2: (1.5921374526377248e-3, 636),
+              0.1: (7.104512167069156e-3, 284), 1.0: (3.268985848471707e-2, 131)}
+
+    def minimum(ratio, k=1.0):
+        drive = DriveConfig(rabi_effective=1e3 * k, qbar_recoil=5.0,
+                            gamma_override=ratio * 1e3 * k, t_max=6e-3 / k, dt_output=1e-6 / k)
+        xi3 = run_squeezing(SODIUM, drive).readout.xi3
+        i = int(np.nanargmin(xi3))
+        return float(xi3[i]), i
+
+    worst_pin = worst_scale = 0.0
+    same_sample = True
+    measured = []
+    for ratio, (expected, sample) in pinned.items():
+        xi3_min, i = minimum(ratio)
+        measured.append(xi3_min)
+        worst_pin = max(worst_pin, abs(xi3_min / expected - 1.0))
+        same_sample &= i == sample
+        for k in (0.1, 10.0):
+            scaled, j = minimum(ratio, k)
+            worst_scale = max(worst_scale, abs(scaled / xi3_min - 1.0))
+            same_sample &= j == sample
+    ok = worst_pin <= 1e-9 and worst_scale <= 1e-12 and same_sample
+    values = ", ".join(f"{v:.4e}" for v in measured)
+    check(12, ok, f"xi3_min = {values} at gamma/Omega = {list(pinned)}, pinned to "
+                  f"{worst_pin:.1e} <= 1e-9; Omega, gamma x {{0.1, 10}} moves it "
+                  f"{worst_scale:.1e} <= 1e-12, argmin samples equal: {same_sample}")

@@ -308,6 +308,17 @@ def test_overflowing_literal_rejected(tmp_path, capsys, literal):
     assert "overflows a double" in err and err.count("\n") == 1
 
 
+def test_dt_output_longer_than_t_max_exits_2(tmp_path, capsys):
+    # one sample at dt_output = 1e-5 s would lie ten times past t_max
+    rc, err = run_raw_config(
+        tmp_path, capsys, "dynamics",
+        '{"preset": "sodium-paper", "drive": {"t_max": 1e-6, "dt_output": 1e-5}}',
+    )
+    assert rc == 2
+    assert err.startswith("error: dt_output") and "t_max" in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_tiny_temperature_runs(tmp_path, capsys):
     # hbar*omega underflows inside the thermal integrands at T = 1e-300 K;
     # the run completes and the width is the zero-temperature one
@@ -642,12 +653,10 @@ def test_rates_deterministic_across_runs(tmp_path):
 
 
 def test_rates_quadrature_failure_leaves_no_files(tmp_path, monkeypatch, capsys):
-    import quasidamp.cli as cli_mod
-
     def boom(params, channel, qbar, temperature, epsrel=1e-8):
         raise QuadratureError("synthetic stall", partial_rate_s=1.25, error_estimate_s=0.5)
 
-    monkeypatch.setattr(cli_mod, "decay_rates", boom)
+    monkeypatch.setattr(rates, "decay_rates", boom)
     out = tmp_path / "out"
     rc = main(["rates", "--config", write_config(tmp_path), "--out", str(out)])
     assert rc == 3
@@ -782,12 +791,13 @@ def per_sample_summary(run: SqueezingRun) -> dict:
 def summary_and_run(tmp_path, monkeypatch, config: dict, flags=()):
     """summary.json of a dynamics command and the SqueezingRun behind it."""
     runs = []
+    run_squeezing = dynamics.run_squeezing  # the original, or a test's stand-in
 
     def recording(params, drive):
-        runs.append(dynamics.run_squeezing(params, drive))
+        runs.append(run_squeezing(params, drive))
         return runs[-1]
 
-    monkeypatch.setattr("quasidamp.cli.run_squeezing", recording)
+    monkeypatch.setattr(dynamics, "run_squeezing", recording)
     cfg_path = write_config(tmp_path, **config)
     out = tmp_path / "out"
     with warnings.catch_warnings():

@@ -10,13 +10,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from quasidamp.model import (
+    MAX_OUTPUT_STEPS,
     PRESETS,
     BogoliubovMode,
     ParameterError,
     bogoliubov_mode,
 )
 from quasidamp.dynamics import (
-    MAX_OUTPUT_STEPS,
     VACUUM,
     DriveConfig,
     IntegrationError,
@@ -327,6 +327,28 @@ def test_drive_config_step_cap():
         rabi_effective=1e3, qbar_recoil=5.0, t_max=MAX_OUTPUT_STEPS * 1e-6, dt_output=1.0e-6
     )
     assert round(capped.t_max / capped.dt_output) == MAX_OUTPUT_STEPS
+
+
+def test_drive_config_rejects_dt_output_beyond_t_max():
+    with pytest.raises(ParameterError, match="dt_output .* exceeds t_max"):
+        DriveConfig(rabi_effective=1e3, qbar_recoil=5.0, t_max=1e-6, dt_output=1e-5)
+    with pytest.raises(ParameterError, match="exceeds t_max"):
+        DriveConfig(rabi_effective=1e3, qbar_recoil=5.0, t_max=0.3, dt_output=0.1 + 0.2)
+    DriveConfig(rabi_effective=1e3, qbar_recoil=5.0, t_max=1e-5, dt_output=1e-5)
+
+
+@pytest.mark.parametrize("t_max, dt, samples", [
+    (2.5e-6, 1e-6, 3),  # t_max/dt = 2.5000000000000004: the grid stops at 2e-6 s
+    (2.6e-6, 1e-6, 3),
+    (0.3, 0.1, 4),  # 2.9999999999999996 is 3 steps up to roundoff
+    (6e-3, 1e-6, 6001),  # the dynamics-long grid
+    (1e-5, 1e-5, 2),
+])
+def test_output_grid_never_passes_t_max(t_max, dt, samples):
+    traj = evolve_moments(VACUUM, drive(0.0, t_max=t_max, dt=dt), gamma=100.0)
+    assert len(traj.t) == samples
+    assert traj.t[-1] <= t_max * (1.0 + 1e-12)
+    assert traj.t[-1] + dt > t_max * (1.0 + 1e-12)
 
 
 # ---------------------------------------------------------------------------

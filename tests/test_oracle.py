@@ -1,6 +1,7 @@
 """Discrete-bath and Wick/Fock verification engines."""
 
 import ast
+import json
 import math
 import os
 import subprocess
@@ -85,21 +86,58 @@ def test_production_modules_do_not_import_scipy_at_module_level(module):
     assert not [name for name in imported if name.split(".")[0] == "scipy"]
 
 
-def test_cli_import_loads_no_scipy():
-    # nor jsonschema, which only the tests use, nor the oracle, which only
-    # the oracle command imports
+def _loaded_after(code: str, *modules: str) -> list[str]:
+    """Which of modules a cold interpreter has loaded after running code."""
     src = str(Path(quasidamp.__file__).resolve().parents[1])
-    probe = (
-        "import sys, quasidamp.cli; "
-        "print(sorted(m for m in sys.modules"
-        " if m.split('.')[0] in ('scipy', 'jsonschema') or m == 'quasidamp.oracle'))"
-    )
+    report = f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))"
+    probe = f"{code}\nimport json, sys\n{report}"
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
         timeout=120, check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_cli_import_loads_no_scipy():
+    # nor jsonschema, which only the tests use, nor the oracle, which only
+    # the oracle command imports
+    assert _loaded_after("import quasidamp.cli", "scipy", "jsonschema", "quasidamp.oracle") == []
+
+
+@pytest.mark.parametrize("module", ["model", "cli"])
+def test_config_modules_import_no_numerical_module_at_module_level(module):
+    # config resolution runs on model and the standard library; the commands
+    # import rates, dynamics and numpy when they run
+    imported = _imported_names(module, module_level=True)
+    numerical = {"numpy", "rates", "dynamics", "oracle"}
+    assert not [name for name in imported if numerical & set(name.lstrip(".").split("."))]
+
+
+_NUMERICAL = ("numpy", "quasidamp.rates", "quasidamp.dynamics", "quasidamp.oracle")
+
+
+@pytest.mark.parametrize("code", [
+    "import quasidamp",
+    "from quasidamp.cli import load_config; load_config(CONFIG)",
+    "from quasidamp.cli import default_config; default_config()",
+    "from quasidamp.cli import main; assert main(['--help']) == 0",
+    "from quasidamp.cli import main; assert main(['--version']) == 0",
+    "from quasidamp.cli import main; assert main(['rates']) == 2",
+])
+def test_config_resolution_and_help_load_no_numpy(tmp_path, code):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "preset": "sodium-paper",
+        "rate_query": {"qbar": [0.02, 5.0], "temperature": [0.0, 1e-6]},
+    }), encoding="utf-8")
+    assert _loaded_after(f"CONFIG = {str(config)!r}\n{code}", *_NUMERICAL) == []
+
+
+def test_oracle_command_loads_neither_rates_nor_dynamics(tmp_path):
+    argv = ["oracle", "--suite", "wick", "--out", str(tmp_path / "out")]
+    code = f"from quasidamp.cli import main; assert main({argv!r}) == 0"
+    assert _loaded_after(code, *_NUMERICAL) == ["numpy", "quasidamp.oracle"]
 
 
 # ---------------------------------------------------------------------------
