@@ -169,12 +169,19 @@ def bogoliubov_mode(kbar: float) -> BogoliubovMode:
     identical to 1 + kbar^2 - kbar*sqrt(2 + kbar^2) but free of cancellation
     at large kbar; u comes from the exact identity
     u^2 = (1 + kbar^2 + omega_bar)/(2*omega_bar), so u^2 - v^2 = 1 holds to
-    machine precision by construction.
+    machine precision by construction.  Below kbar ~ 7.85e-17, where
+    omega_bar ~ sqrt(2)*kbar is under half an ulp of 1, the denominator
+    rounds to 1 and no pair u, v is left to represent.
     """
     if not (kbar > 0.0 and math.isfinite(kbar)):
         raise ParameterError(f"kbar must be > 0 (k=0 is the condensate), got {kbar}")
     w = dispersion(kbar)
     denom = 1.0 + kbar * kbar + w
+    if denom == 1.0:
+        raise ParameterError(
+            f"kbar = {kbar:.3g} is too small: v/u rounds to 1, "
+            "so u^2 - v^2 = 1 cannot hold in doubles"
+        )
     alpha = 1.0 / denom
     u = math.sqrt(denom / (2.0 * w))
     v = alpha * u

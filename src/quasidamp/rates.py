@@ -33,6 +33,10 @@ handful of subintervals holds a few columns per integral, not 200.  The
 rounding keeps every sum bit-identical to one over full 200-column rows:
 numpy adds a row in 8 interleaved accumulators and splits a 200-entry row
 after its first 96, so zero padding up to such a width adds no rounding.
+A pass of _BATCH integrals bounds these work arrays; its integrands are
+evaluated in blocks of at most _BLOCK_NODES quadrature nodes, which bound
+their temporaries, and each node enters only its own subinterval's sums,
+so neither the pass nor the block a width falls in moves a bit of it.
 
 Everything is evaluated in natural units (momenta in k0, frequencies in
 omega0); the dimensionless gas parameter k0^3/n0 carries the overall scale
@@ -249,11 +253,18 @@ _UFLOW = float(np.finfo(float).tiny)
 #: Subintervals per integral before refinement gives up (QUADPACK's limit).
 _LIMIT = 200
 
-#: Integrals refined together in one pass.  It caps a pass's working memory
-#: at four float arrays of _BATCH rows, each as wide as _width allows for the
-#: subintervals in use (32 KB per array at 8 columns, 0.8 MB at _LIMIT);
-#: longer sweeps run in consecutive passes, which cannot change any result.
+#: Integrals refined together in one pass.  It caps a pass's work arrays at
+#: four float arrays of _BATCH rows, each as wide as _width allows for the
+#: subintervals in use (32 KB per array at 8 columns, 0.8 MB at _LIMIT), and
+#: sets the number of passes, each one _qk21 call per bisection; longer
+#: sweeps run in consecutive passes, which cannot change any result.
 _BATCH = 512
+
+#: Quadrature nodes per integrand evaluation in _qk21: 128 whole intervals
+#: or 64 bisected integrals, 21 KB per float temporary, so the ~20 that an
+#: integrand holds at once fit in a 2 MB L2 cache whatever _BATCH is.
+#: Over a whole 512-integral pass each would be 172 KB, 3.3 MB at the peak.
+_BLOCK_NODES = 2688
 
 #: Widest work array narrower than _LIMIT.  numpy sums a row of at most 128
 #: entries in 8 interleaved accumulators and splits a longer one after its
@@ -274,10 +285,23 @@ _MAX_BOSE_EXPONENT = 746.0
 def _qk21(f: Callable, args: list[np.ndarray], lo: np.ndarray, hi: np.ndarray):
     """G10K21 on each subinterval [lo, hi] (QUADPACK qk21, vectorised).
 
-    Returns (result, abserr, resasc), each shaped like lo.  Row sums run
-    over a fixed 21 nodes, so every entry depends on its own subinterval
-    alone.
+    lo and hi are (rows, k) arrays, args broadcast per row.  Returns a
+    (3,) + lo.shape array of (result, abserr, resasc).  f runs on blocks of
+    whole rows of at most _BLOCK_NODES nodes (one row if a row holds more),
+    so its temporaries stay the size of one block whatever the number of
+    rows.  Row sums run over a fixed 21 nodes, so every entry depends on
+    its own subinterval alone, not on the block it falls in.
     """
+    out = np.empty((3,) + lo.shape)
+    rows = max(1, _BLOCK_NODES // (21 * lo.shape[1]))
+    for start in range(0, lo.shape[0], rows):
+        block = slice(start, start + rows)
+        out[:, block] = _qk21_block(f, [arg[block] for arg in args], lo[block], hi[block])
+    return out
+
+
+def _qk21_block(f: Callable, args: list[np.ndarray], lo: np.ndarray, hi: np.ndarray):
+    """_qk21 on one block: (result, abserr, resasc), each shaped like lo."""
     centre = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     with np.errstate(all="ignore"):  # masked-out nodes may compute inf/nan

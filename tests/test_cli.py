@@ -966,6 +966,27 @@ def test_overflowing_mode_frequency_exits_2(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+_TOO_SMALL_MODE = (
+    "error: kbar = 7.8e-17 is too small: v/u rounds to 1, "
+    "so u^2 - v^2 = 1 cannot hold in doubles\n"
+)
+
+
+@pytest.mark.parametrize("command", ["dynamics", "spectrum"])
+@pytest.mark.parametrize("kbar, expected", [(7.9e-17, (0, "")), (7.8e-17, (2, _TOO_SMALL_MODE))])
+def test_smallest_mode_momentum(tmp_path, capsys, command, kbar, expected):
+    # below kbar ~ 7.85e-17, 1 + kbar^2 + omega_bar rounds to 1: the
+    # one-line error names the momentum and why it cannot be represented
+    if command == "dynamics":
+        body = {"drive": {"qbar_recoil": kbar, "t_max": 1e-4, "dt_output": 5e-5}}
+    else:
+        body = {"rate_query": {"qbar": [kbar, 1.0]}}
+    rc, err = run_raw_config(tmp_path, capsys, command,
+                             json.dumps({"preset": "sodium-paper", **body}))
+    assert (rc, err) == expected
+    assert (tmp_path / "out").exists() == (rc == 0)
+
+
 @pytest.mark.parametrize("command", ["rates", "dynamics", "spectrum"])
 def test_heavy_atom_runs(tmp_path, capsys, command):
     # at 1e233 kg the contact coupling 4 pi hbar^2 a / m is subnormal, but

@@ -230,6 +230,13 @@ def test_mode_limits():
     assert large.alpha < 1e-5 and large.u == pytest.approx(1.0, abs=1e-9)
     with pytest.raises(ParameterError):
         bogoliubov_mode(0.0)
+    # below kbar ~ 7.85e-17, 1 + kbar^2 + omega_bar rounds to 1 and alpha to 1
+    assert bogoliubov_mode(7.9e-17).alpha < 1.0
+    with pytest.raises(ParameterError) as raised:
+        bogoliubov_mode(7.8e-17)
+    assert str(raised.value) == (
+        "kbar = 7.8e-17 is too small: v/u rounds to 1, so u^2 - v^2 = 1 cannot hold in doubles"
+    )
 
 
 def test_mode_dataclass_validates():

@@ -613,28 +613,63 @@ def _bench_like_grid():
 
 
 def test_sweep_work_is_pinned(monkeypatch):
-    # G10K21 subinterval evaluations of the 2016-point sweep, pinned; setup
-    # that depends on the medium alone runs once per sweep
-    counts = {"subintervals": 0, "derive_units": 0}
+    # G10K21 subinterval evaluations and passes of the 2016-point sweep,
+    # pinned, with no integrand call past the block budget; setup that
+    # depends on the medium alone runs once per sweep
+    counts = {"subintervals": 0, "qk21": 0, "derive_units": 0}
+    nodes = []
     qk21, derive = rates._qk21, rates.derive_units
 
     def counting_qk21(f, args, lo, hi):
         counts["subintervals"] += lo.size
+        counts["qk21"] += 1
         return qk21(f, args, lo, hi)
 
     def counting_derive(params):
         counts["derive_units"] += 1
         return derive(params)
 
+    def sizing(integrand):
+        def sized(x, *args):
+            nodes.append(x.size)
+            return integrand(x, *args)
+        return sized
+
     monkeypatch.setattr(rates, "_qk21", counting_qk21)
     monkeypatch.setattr(rates, "derive_units", counting_derive)
+    for name in ("_spontaneous_integrand", "_stimulated_integrand"):
+        monkeypatch.setattr(rates, name, sizing(getattr(rates, name)))
     decay_rates(SODIUM, Channel.SINGLE_LEVEL, *_bench_like_grid())
-    assert counts == {"subintervals": 19660, "derive_units": 1}
+    assert counts == {"subintervals": 19660, "qk21": 43, "derive_units": 1}
+    assert sum(nodes) == 21 * 19660 and max(nodes) <= rates._BLOCK_NODES
+
+
+# qbar from 1e-3 to 300 and T = 0 through 1e-6 K, in both channels
+BLOCK_QBAR = np.geomspace(1e-3, 300.0, 9).tolist()
+BLOCK_T = (0.0, 1e-300, 1e-13, 1e-6)
+BLOCK_CHANNELS = ((Channel.SINGLE_LEVEL, SODIUM),
+                  (Channel.TWO_LEVEL, dataclasses.replace(SODIUM, two_level=TwoLevelParams(a_bc=3e-9))))
+
+
+@pytest.mark.parametrize("block_nodes", [21, 42, 10**9])
+@pytest.mark.parametrize("batch", [1, 7, 4096])
+def test_blocks_and_passes_move_no_bit(monkeypatch, block_nodes, batch):
+    # block budgets of one whole interval (a bisected row exceeds it and
+    # runs alone), of one bisected row, and past any pass; passes of one
+    # integral, of 7 (the last one short), and of the whole grid
+    expected = [decay_rates(params, channel, BLOCK_QBAR, BLOCK_T)
+                for channel, params in BLOCK_CHANNELS]
+    monkeypatch.setattr(rates, "_BLOCK_NODES", block_nodes)
+    monkeypatch.setattr(rates, "_BATCH", batch)
+    for (channel, params), grid in zip(BLOCK_CHANNELS, expected):
+        assert_same_bits(decay_rates(params, channel, BLOCK_QBAR, BLOCK_T), grid)
 
 
 def test_sweep_traced_peak_bounded():
     # work arrays as wide as _LIMIT for every batch took the peak past 12 MB,
-    # and passes of 1024 integrals to 6.05 MB
+    # passes of 1024 integrals to 6.05 MB, and integrands evaluated over a
+    # whole 512-integral pass to 3.26 MB; blocks of 2688 nodes hold 0.99-1.02
+    # MB, and of 5376 nodes 1.33 MB
     qbars, temperatures = _bench_like_grid()
     tracemalloc.start()
     try:
@@ -642,4 +677,4 @@ def test_sweep_traced_peak_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.5e6
+    assert peak <= 1.6e6
