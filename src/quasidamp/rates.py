@@ -403,8 +403,9 @@ class _Columns(NamedTuple):
     scale: np.ndarray
 
 
-def _solve(integrals: _Columns, epsrel: float):
-    """(value, abserr, converged) of every integral, refined _BATCH at a time."""
+def _solve(integrals: _Columns):
+    """(value, abserr, converged) of every integral, refined _BATCH at a time
+    to the relative tolerance EPSREL."""
     n = integrals.lo.size
     value, abserr = np.empty(n), np.empty(n)
     converged = np.empty(n, dtype=bool)
@@ -412,7 +413,7 @@ def _solve(integrals: _Columns, epsrel: float):
         part = slice(start, start + _BATCH)
         value[part], abserr[part], converged[part] = _refine(
             integrals.integrand, [arg[part] for arg in integrals.args],
-            integrals.lo[part], integrals.hi[part], integrals.epsabs[part], epsrel,
+            integrals.lo[part], integrals.hi[part], integrals.epsabs[part], EPSREL,
         )
     return value, abserr, converged
 
@@ -441,48 +442,16 @@ def _valid_temperature(temperature_T) -> float:
     return abs(temperature_T)  # -0.0 passes the check; it is the temperature 0
 
 
-def _valid_axes(qbar, temperature) -> tuple[list[float], list[float]]:
-    """Both grid axes as checked floats.
-
-    The checks run in the order a T-major walk over the points meets them:
-    the first point checks qbar[0], then temperature[0]; the rest of its row
-    checks the other qbar, and the later rows the other temperatures.
-    """
-    qbar, temperature = list(qbar), list(temperature)
-    if qbar and temperature:
-        _valid_qbar(qbar[0])
-        _valid_temperature(temperature[0])
-    return [_valid_qbar(q) for q in qbar], [_valid_temperature(t) for t in temperature]
-
-
 def _normal(x):
     """x is a normal double: finite, and neither 0 nor subnormal."""
     return (x >= sys.float_info.min) & (x < math.inf)
 
 
-def _raise_first(shape: tuple[int, int], checks) -> None:
-    """Raise the error of the first failing point, if any point fails.
-
-    checks are (mask, error) pairs in the order a point is checked: mask
-    marks the points that fail the check and broadcasts to the grid, and
-    error(i, j) is the check's exception at point (i, j).  Points are taken
-    in T-major order, and at the first failing point its first failing check
-    is raised, as a point-by-point sweep would.
-    """
-    failed = np.zeros(shape, dtype=bool)
-    for mask, _ in checks:
-        failed |= mask
-    if failed.any():
-        i, j = np.unravel_index(failed.argmax(), shape)
-        for mask, error in checks:
-            if np.broadcast_to(mask, shape)[i, j]:
-                raise error(i, j)
-
-
-def _range_error(channel: str, name: str, value: float, qbar: float) -> ParameterError:
-    return ParameterError(
-        f"{channel} {name} {value:.3g} is out of double range at qbar = {qbar:.3g}"
-    )
+def _check(bad, error) -> None:
+    """Raise error(*index) at the first True entry of the mask bad, in
+    index order (T-major on the grid), if there is one."""
+    if bad.any():
+        raise error(*np.unravel_index(bad.argmax(), bad.shape))
 
 
 def _setup(params: PhysicalParams, channel: Channel, qbar: list[float],
@@ -529,31 +498,26 @@ def _setup(params: PhysicalParams, channel: Channel, qbar: list[float],
     The two-level cutoff depends on both, and is computed at each point
     whose window is not empty.  Each width is reported per mode frequency,
     each prefactor divides the tolerance and each scale multiplies the
-    integral, so all must be normal doubles; the first point that breaks a
-    check raises ParameterError, see _raise_first.
+    integral, so all must be normal doubles.  Checks raise ParameterError at
+    their first failing qbar or T-major point, in this order: the coupling
+    ratio, the mode frequencies, too-hot points, the spontaneous then the
+    stimulated prefactors and scales, and the Bose cutoffs.
     """
     two_level = channel is Channel.TWO_LEVEL
     units = derive_units(params)
     omega0 = units.omega0
     gas = units.k0**3 / params.condensate_density_n0
     shape = (len(temperature), len(qbar))
+    ratio = params.bc_scattering_length / params.scattering_length_a
+    ratio_sq = ratio * ratio
+    if two_level and not _normal(ratio_sq):
+        raise ParameterError(
+            f"interspecies coupling (a_bc/a)^2 = {ratio_sq:.3g} is out of double range")
 
     beta = np.array([_inverse_temperature(t, omega0) for t in temperature]).reshape(-1, 1)
     thermal = beta < math.inf  # not T = 0, nor too cold for any thermal occupation
-
-    # errors of the scalar calls, held until the first failing point is known
-    mode_error = np.full(len(qbar), None)
-    cutoff_error = np.full(shape, None)
-    wq = np.empty(len(qbar))
-    for j, q in enumerate(qbar):
-        try:
-            wq[j] = dispersion(q)
-        except ParameterError as exc:
-            mode_error[j] = exc
-            wq[j] = math.nan
+    wq = np.array([dispersion(q) for q in qbar])
     q = np.array(qbar)
-    ratio = params.bc_scattering_length / params.scattering_length_a
-    ratio_sq = ratio * ratio
     with np.errstate(all="ignore"):  # out-of-range values fail the checks below
         omega_q = wq * omega0
         sq = q / np.sqrt(wq)
@@ -574,43 +538,31 @@ def _setup(params: PhysicalParams, channel: Channel, qbar: list[float],
         stimulated_scale = stimulated_prefactor * omega0
         too_hot = ~(beta * wq >= _MIN_BOSE_EXPONENT)
 
+    _check(~(omega_q > 0.0), lambda j: ParameterError(
+        f"mode frequency underflows at qbar = {qbar[j]:.3g}"))
+    _check(~(omega_q < math.inf), lambda j: ParameterError(
+        f"mode frequency overflows at qbar = {qbar[j]:.3g}"))
+    _check(too_hot, lambda i, j: ParameterError(
+        f"T = {temperature[i]:.3g} K is too hot at qbar = {qbar[j]:.3g}: the "
+        f"thermal occupation exceeds {1.0 / _MIN_BOSE_EXPONENT:.0e}"))
+    ranges = [("spontaneous width prefactor", prefactor), ("spontaneous width scale", scale)]
+    if thermal.any():  # only T > 0 sets up stimulated integrals
+        ranges += [("stimulated width prefactor", stimulated_prefactor),
+                   ("stimulated width scale", stimulated_scale)]
+    for name, value in ranges:
+        _check(~_normal(value), lambda j: ParameterError(
+            f"{name} {value[j]:.3g} is out of double range at qbar = {qbar[j]:.3g}"))
+
     # the Bose cutoff: per open window in the two-level channel, and per
     # temperature in the single-level one, whose window is the full axis
     hi = lo.copy()
     if two_level:
         for i, j in zip(*np.nonzero(window)):
-            try:
-                cutoff = _bose_cutoff_kbar(float(omega_low[j]), temperature[i], omega0)
-                hi[i, j] = max(float(kmin[j]), cutoff)
-            except ParameterError as exc:
-                cutoff_error[i, j] = exc
+            cutoff = _bose_cutoff_kbar(float(omega_low[j]), temperature[i], omega0)
+            hi[i, j] = max(float(kmin[j]), cutoff)
     else:
         for i in np.flatnonzero(thermal):
-            try:
-                hi[i] = _bose_cutoff_kbar(0.0, temperature[i], omega0)
-            except ParameterError as exc:
-                cutoff_error[i] = exc
-
-    _raise_first(shape, (
-        (~(omega_q > 0.0), lambda i, j: mode_error[j] or ParameterError(
-            f"mode frequency underflows at qbar = {qbar[j]:.3g}")),
-        (~(omega_q < math.inf), lambda i, j: ParameterError(
-            f"mode frequency overflows at qbar = {qbar[j]:.3g}")),
-        (too_hot, lambda i, j: ParameterError(
-            f"T = {temperature[i]:.3g} K is too hot at qbar = {qbar[j]:.3g}: the "
-            f"thermal occupation exceeds {1.0 / _MIN_BOSE_EXPONENT:.0e}")),
-        (two_level and not _normal(ratio_sq), lambda i, j: ParameterError(
-            f"interspecies coupling (a_bc/a)^2 = {ratio_sq:.3g} is out of double range")),
-        (~_normal(prefactor), lambda i, j: _range_error(
-            "spontaneous", "width prefactor", prefactor[j], qbar[j])),
-        (~_normal(scale), lambda i, j: _range_error(
-            "spontaneous", "width scale", scale[j], qbar[j])),
-        (cutoff_error.astype(bool), lambda i, j: cutoff_error[i, j]),
-        (thermal & ~_normal(stimulated_prefactor), lambda i, j: _range_error(
-            "stimulated", "width prefactor", stimulated_prefactor[j], qbar[j])),
-        (thermal & ~_normal(stimulated_scale), lambda i, j: _range_error(
-            "stimulated", "width scale", stimulated_scale[j], qbar[j])),
-    ))
+            hi[i] = _bose_cutoff_kbar(0.0, temperature[i], omega0)
 
     def columns(integrand, live, lo, hi, args, prefactor, scale) -> _Columns:
         point = np.flatnonzero(live)
@@ -655,39 +607,35 @@ class RateGrid(NamedTuple):
 
 
 def decay_rates(params: PhysicalParams, channel: Channel, qbar: Sequence[float],
-                temperature: Sequence[float], epsrel: float = EPSREL) -> RateGrid:
+                temperature: Sequence[float]) -> RateGrid:
     """Both channels at every (temperature, qbar) point, in one batched sweep.
 
     Every width is bit-identical to the 1x1 grid at its point.  Raises
-    ParameterError for the first bad point in T-major order, and
-    QuadratureError for the first point (spontaneous channel before
-    stimulated) whose refinement hits the cap.
+    ParameterError for a bad qbar, then a bad temperature, then as _setup
+    checks, and QuadratureError at the first point in T-major order whose
+    spontaneous integral hits the refinement cap, or, if none does, whose
+    stimulated one does.
     """
-    qbar, temperature = _valid_axes(qbar, temperature)
-    integrals = _setup(params, channel, qbar, temperature)
-    if not (epsrel >= 0.0 and math.isfinite(epsrel)):
-        raise ParameterError(f"epsrel must be >= 0 and finite, got {epsrel}")
+    qbar = [_valid_qbar(q) for q in qbar]
+    temperature = [_valid_temperature(t) for t in temperature]
     shape = (len(temperature), len(qbar))
-    widths, errors, stalled = [], [], []
-    for columns in integrals:
-        value, abserr, converged = _solve(columns, epsrel)
+    widths, errors = [], []
+    for name, columns in zip(("spontaneous", "stimulated"),
+                             _setup(params, channel, qbar, temperature)):
+        value, abserr, converged = _solve(columns)
         width, error = np.zeros(shape), np.zeros(shape)
-        failed = np.zeros(shape, dtype=bool)
+        stalled = np.zeros(shape, dtype=bool)
         width.flat[columns.point] = columns.scale * value
         error.flat[columns.point] = columns.scale * abserr
-        failed.flat[columns.point] = ~converged
-        widths.append(width)
-        errors.append(error)
-        stalled.append(failed)
-    _raise_first(shape, [
-        (failed, lambda i, j, name=name, width=width, error=error: QuadratureError(
+        stalled.flat[columns.point] = ~converged
+        _check(stalled, lambda i, j: QuadratureError(
             f"quadrature did not converge within {_LIMIT} subintervals: "
             f"{name} width at qbar = {qbar[j]:.6g}, T = {temperature[i]:.6g} K",
             partial_rate_s=float(width[i, j]),
             error_estimate_s=float(error[i, j]),
         ))
-        for name, failed, width, error in zip(("spontaneous", "stimulated"), stalled, widths, errors)
-    ])
+        widths.append(width)
+        errors.append(error)
     gamma_beliaev, gamma_landau = widths
     negative = gamma_landau[gamma_landau < 0.0]
     if negative.size:

@@ -10,8 +10,7 @@ work arrays _LIMIT columns wide, against which the production one, whose
 arrays are only as wide as the subintervals in use, must agree bit for bit.
 `integrals` is the one-point setup of the two integrals of a point
 (params, channel, qbar, T), which the production sweep builds per grid axis
-and must match bit for bit, and `first_error` the error a point-by-point
-sweep would stop at.
+and must match bit for bit.
 """
 
 import math
@@ -39,7 +38,6 @@ from quasidamp.rates import (
     EPSABS_OMEGA0,
     TWO_LEVEL_FACTOR,
     Channel,
-    QuadratureError,
     _beliaev_vertex,
     _bose_cutoff_kbar,
     _inverse_temperature,
@@ -209,7 +207,7 @@ def _reduced(integrand, lo, hi, args, prefactor, scale, point) -> Integral:
 def integrals(params: PhysicalParams, channel: Channel, qbar: float,
               temperature: float) -> tuple[Integral, Integral]:
     """The spontaneous and the stimulated integral of one point, set up
-    with scalar arithmetic and its checks in their order."""
+    with scalar arithmetic and checks."""
     two_level = channel is Channel.TWO_LEVEL
     units = derive_units(params)
     gas = units.k0**3 / params.condensate_density_n0
@@ -261,8 +259,8 @@ def integrals(params: PhysicalParams, channel: Channel, qbar: float,
 
 
 def grid_queries(params, channel, qbar, temperature) -> list[tuple]:
-    """(params, channel, qbar, T) of every grid point in T-major order, each
-    point's qbar and T checked in that order."""
+    """(params, channel, qbar, T) of every grid point in T-major order, with
+    qbar and T checked."""
     return [
         (params, channel, _valid_qbar(q), _valid_temperature(t))
         for t in temperature for q in qbar
@@ -278,25 +276,3 @@ def solve_alone(integral: Integral, epsrel: float) -> tuple[float, float, bool]:
         np.array([integral.lo]), np.array([integral.hi]), np.array([integral.epsabs]), epsrel,
     )
     return integral.scale * float(value[0]), integral.scale * float(abserr[0]), bool(converged[0])
-
-
-def first_error(params, channel, qbar, temperature, epsrel) -> Exception | None:
-    """The error a sweep that sets up and refines one point at a time, in
-    T-major order, meets first: every point's setup before any refinement,
-    then the spontaneous before the stimulated integral of each point."""
-    try:
-        points = grid_queries(params, channel, qbar, temperature)
-        setups = [integrals(*point) for point in points]
-    except ParameterError as exc:
-        return exc
-    for (_, _, q, t), setup in zip(points, setups):
-        for name, integral in zip(("spontaneous", "stimulated"), setup):
-            width, error, converged = solve_alone(integral, epsrel)
-            if not converged:
-                return QuadratureError(
-                    f"quadrature did not converge within {rates._LIMIT} subintervals: "
-                    f"{name} width at qbar = {q:.6g}, T = {t:.6g} K",
-                    partial_rate_s=width,
-                    error_estimate_s=error,
-                )
-    return None

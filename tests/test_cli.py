@@ -1,6 +1,5 @@
 """Config loading, subcommands, file formats, and exit codes."""
 
-import dataclasses
 import json
 import math
 import os
@@ -390,19 +389,25 @@ def test_too_hot_temperature_rejected(tmp_path, capsys):
     assert rc == 2
     assert "too hot" in err and err.count("\n") == 1
     # on a grid the T = 0 row is valid and the first too-hot point follows it
-    axes = {"qbar": [1e-220, 1e-200], "temperature": [0, 6.7e307]}
-    params = dataclasses.replace(PRESETS["sodium-paper"], scattering_length_a=3.3e8)
-    expected = rate_reference.first_error(
-        params, Channel.SINGLE_LEVEL, axes["qbar"], axes["temperature"], rates.EPSREL
-    )
-    assert "too hot at qbar = 1e-220" in str(expected)
     rc, err = run_raw_config(
         tmp_path, capsys, "rates",
         json.dumps({"preset": "sodium-paper", "params": {"scattering_length_a": 3.3e8},
-                    "rate_query": axes}),
+                    "rate_query": {"qbar": [1e-220, 1e-200], "temperature": [0, 6.7e307]}}),
     )
     assert rc == 2
-    assert err == f"error: {expected}\n"
+    assert err == (
+        "error: T = 6.7e+307 K is too hot at qbar = 1e-220: the thermal occupation "
+        "exceeds 1e+150\n"
+    )
+    # too hot, an overflowing Bose cutoff and an overflowing mode frequency
+    # on one grid: one line names the mode frequency, which is checked first
+    rc, err = run_raw_config(
+        tmp_path, capsys, "rates",
+        json.dumps({"preset": "sodium-paper", "rate_query": {
+            "qbar": [1e-200, 1.0, 1e90, 1e160], "temperature": [1e-6, 1e300]}}),
+    )
+    assert rc == 2
+    assert err == "error: kbar = 1e+160 is too large: omega_bar overflows\n"
 
 
 def test_negative_zero_temperature_prints_zero(tmp_path, capsys):
@@ -653,7 +658,7 @@ def test_rates_deterministic_across_runs(tmp_path):
 
 
 def test_rates_quadrature_failure_leaves_no_files(tmp_path, monkeypatch, capsys):
-    def boom(params, channel, qbar, temperature, epsrel=1e-8):
+    def boom(params, channel, qbar, temperature):
         raise QuadratureError("synthetic stall", partial_rate_s=1.25, error_estimate_s=0.5)
 
     monkeypatch.setattr(rates, "decay_rates", boom)
@@ -698,20 +703,18 @@ def test_refinement_cap_exits_3_with_partial_rate(tmp_path, monkeypatch, capsys)
     assert f"error estimate {stall.value.error_estimate_s:.6g}" in err
     assert err.count("\n") == 1
 
-    # on a 2 x 3 grid at four subintervals the first row converges, and the
-    # first stall in T-major order is a stimulated integral, ahead of a
-    # spontaneous one later in its row
+    # on a 2 x 3 grid at four subintervals the first row converges; the
+    # spontaneous stall at (5, 1e-6) is named ahead of the stimulated one
+    # at the earlier point (0.3, 1e-6)
     monkeypatch.setattr(rates, "_LIMIT", 4)
-    axes = {"qbar": [0.3, 1.0, 5.0], "temperature": [0.0, 1e-6]}
-    expected = rate_reference.first_error(
-        sodium, Channel.SINGLE_LEVEL, axes["qbar"], axes["temperature"], rates.EPSREL
+    cfg_path = write_config(
+        tmp_path, rate_query={"qbar": [0.3, 1.0, 5.0], "temperature": [0.0, 1e-6]}
     )
-    assert "stimulated width at qbar = 0.3, T = 1e-06 K" in str(expected)
-    cfg_path = write_config(tmp_path, rate_query=axes)
     assert main(["rates", "--config", cfg_path, "--out", str(out)]) == 3
     assert capsys.readouterr().err == (
-        f"quadrature failure: {expected} (partial rate {expected.partial_rate_s:.6g} s^-1, "
-        f"error estimate {expected.error_estimate_s:.6g} s^-1)\n"
+        "quadrature failure: quadrature did not converge within 4 subintervals: "
+        "spontaneous width at qbar = 5, T = 1e-06 K "
+        "(partial rate 1922.31 s^-1, error estimate 3.70985e-05 s^-1)\n"
     )
 
 

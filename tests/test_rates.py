@@ -38,7 +38,6 @@ from quasidamp.rates import (
 from rate_reference import (
     beliaev_asymptote,
     beliaev_energy_integrand,
-    first_error,
     grid_queries,
     integrals,
     landau_high_t,
@@ -53,9 +52,9 @@ SODIUM_TL = dataclasses.replace(
 )
 
 
-def single_level(qbar, T=0.0, params=SODIUM, epsrel=EPSREL):
+def single_level(qbar, T=0.0, params=SODIUM):
     """The single-level widths at one point, as a 1x1 grid."""
-    return decay_rates(params, Channel.SINGLE_LEVEL, [qbar], [T], epsrel)
+    return decay_rates(params, Channel.SINGLE_LEVEL, [qbar], [T])
 
 
 def two_level(qbar, T=0.0, params=SODIUM_TL):
@@ -74,23 +73,16 @@ def assert_same_bits(got, expected):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def error_of(params, channel, qbar, temperature, kind=ParameterError):
+    """The error a grid sweep raises."""
+    with pytest.raises(kind) as raised:
+        decay_rates(params, channel, qbar, temperature)
+    return raised.value
+
+
 def stimulated_columns(params, channel, qbar, T):
     """The stimulated integral columns of a one-point grid."""
     return _setup(params, channel, [qbar], [T])[1]
-
-
-def assert_first_error(params, channel, qbar, temperature, epsrel=EPSREL):
-    """The sweep stops where a point-by-point sweep in T-major order does,
-    with the same error; returns that error."""
-    expected = first_error(params, channel, qbar, temperature, epsrel)
-    assert expected is not None
-    with pytest.raises(type(expected)) as raised:
-        decay_rates(params, channel, qbar, temperature, epsrel)
-    assert str(raised.value) == str(expected)
-    if isinstance(expected, QuadratureError):
-        assert raised.value.partial_rate_s == expected.partial_rate_s
-        assert raised.value.error_estimate_s == expected.error_estimate_s
-    return raised.value
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +314,9 @@ def test_interspecies_coupling_scaling():
         assert strong_rate == pytest.approx(4.0 * weak_rate, rel=1e-12)
 
 
-# a_bc whose (a_bc/a)^2 underflows to 0, is subnormal, or overflows
-OUT_OF_RANGE_A_BC = (1e-200, 1e-170, 1e150, 1e200)
+# a_bc whose (a_bc/a)^2 underflows to 0, is subnormal, or overflows, and
+# how the message prints it
+OUT_OF_RANGE_A_BC = {1e-200: "0", 1e-170: "1.48e-323", 1e150: "inf", 1e200: "inf"}
 
 
 @pytest.mark.parametrize("temperature", [0.0, 1e-6])
@@ -334,9 +327,11 @@ def test_two_level_out_of_range_coupling_rejected(a_bc, temperature):
     params = dataclasses.replace(SODIUM, two_level=TwoLevelParams(a_bc=a_bc))
     with pytest.raises(ParameterError, match=r"\(a_bc/a\)\^2 = .* out of double range"):
         two_level(0.5, T=temperature, params=params)
-    # a medium-wide check: the first point already fails it
-    error = assert_first_error(params, Channel.TWO_LEVEL, [0.5, 5.0], [temperature, 1e-6])
-    assert "(a_bc/a)^2" in str(error)
+    # a medium-wide check: a grid fails it too
+    error = error_of(params, Channel.TWO_LEVEL, [0.5, 5.0], [temperature, 1e-6])
+    assert str(error) == (
+        f"interspecies coupling (a_bc/a)^2 = {OUT_OF_RANGE_A_BC[a_bc]} is out of double range"
+    )
 
 
 def test_underflowing_width_prefactor_rejected():
@@ -353,11 +348,10 @@ def test_underflowing_width_prefactor_rejected():
         scattering_length_a=8.6e-170, atomic_mass=1e-26, condensate_density_n0=1e100,
         atom_count_N0=1.0,
     )
-    error = assert_first_error(
-        sparse, Channel.SINGLE_LEVEL, [1.0, 1e110, 1e130], [0.0, 1e-6]
+    error = error_of(sparse, Channel.SINGLE_LEVEL, [1.0, 1e110, 1e130], [0.0, 1e-6])
+    assert str(error) == (
+        "spontaneous width prefactor 1.01e-312 is out of double range at qbar = 1e+110"
     )
-    assert str(error).startswith("spontaneous width prefactor ")
-    assert str(error).endswith("at qbar = 1e+110")
 
 
 def test_overflowing_mode_frequency_rejected():
@@ -365,7 +359,7 @@ def test_overflowing_mode_frequency_rejected():
     # point, but at qbar = 1548 the mode frequency overflowed and the width
     # per mode frequency read 0
     light = dataclasses.replace(SODIUM, atomic_mass=5e-324)
-    error = assert_first_error(light, Channel.SINGLE_LEVEL, [1.0, 1548.0], [0.0, 1e-6])
+    error = error_of(light, Channel.SINGLE_LEVEL, [1.0, 1548.0], [0.0, 1e-6])
     assert str(error) == "mode frequency overflows at qbar = 1.55e+03"
 
 
@@ -381,7 +375,7 @@ def test_overflowing_width_scale_rejected():
     )
     # at qbar = 2000 the scale is finite, so the first failing point is
     # the second of the first row
-    error = assert_first_error(params, Channel.TWO_LEVEL, [2e3, 0.5, 0.1], [1e-6, 2e-6])
+    error = error_of(params, Channel.TWO_LEVEL, [2e3, 0.5, 0.1], [1e-6, 2e-6])
     assert str(error) == "spontaneous width scale inf is out of double range at qbar = 0.5"
 
 
@@ -389,11 +383,18 @@ def test_overflowing_width_scale_rejected():
     (Channel.SINGLE_LEVEL, SODIUM), (Channel.TWO_LEVEL, SODIUM_TL),
 ])
 def test_overflowing_bose_cutoff_rejected(channel, params):
-    # at 1e300 K the thermal frequency times the cutoff margin overflows;
-    # the error held while the grid is checked must still be raised, after
-    # the valid first row
-    error = assert_first_error(params, channel, [1e90, 1e100], [1e-6, 1e300])
+    # at 1e300 K the thermal frequency times the cutoff margin overflows,
+    # and is raised after the valid first row
+    error = error_of(params, channel, [1e90, 1e100], [1e-6, 1e300])
     assert str(error) == "omega_bar must be >= 0, got inf"
+    # with it, too-hot points (the first one and wherever T = 1e300 K) and
+    # an overflowing mode frequency at qbar = 1e160: the mode frequency is
+    # checked first, so it is named, on every call and at that point alone
+    qbar, temperature = [1e-200, 1.0, 1e90, 1e160], [1e-6, 1e300]
+    expected = "kbar = 1e+160 is too large: omega_bar overflows"
+    for _ in range(2):
+        assert str(error_of(params, channel, qbar, temperature)) == expected
+    assert str(error_of(params, channel, [1e160], [1e-6])) == expected
 
 
 def test_two_level_stimulated_threshold_window():
@@ -426,10 +427,12 @@ def test_two_level_stimulated_window_empty_at_tiny_qbar(qbar):
 # quadrature control and validation
 
 
-def test_tightened_tolerance_stays_within_error_estimate():
+def test_tightened_tolerance_stays_within_error_estimate(monkeypatch):
     for qbar, T in ((5.0, 0.0), (1.0, 1e-6)):
-        loose = single_level(qbar, T, epsrel=1e-6)
-        tight = single_level(qbar, T, epsrel=1e-10)
+        monkeypatch.setattr(rates, "EPSREL", 1e-6)
+        loose = single_level(qbar, T)
+        monkeypatch.setattr(rates, "EPSREL", 1e-10)
+        tight = single_level(qbar, T)
         assert (abs(loose.gamma_beliaev - tight.gamma_beliaev)
                 <= loose.quadrature_error_estimate).all()
         assert (tight.quadrature_error_estimate
@@ -470,9 +473,12 @@ def test_query_rejects_bad_momentum(qbar):
 def test_query_rejects_negative_temperature():
     with pytest.raises(ParameterError):
         single_level(1.0, T=-1e-9)
-    # the first point checks its temperature before the second its qbar
-    error = assert_first_error(SODIUM, Channel.SINGLE_LEVEL, [1.0, 0.0], [-1e-9, 0.0])
-    assert str(error).startswith("temperature_T must be >= 0")
+    # after a valid first row, the bad temperature is named
+    error = error_of(SODIUM, Channel.SINGLE_LEVEL, [1.0, 5.0], [0.0, -1e-9])
+    assert str(error) == "temperature_T must be >= 0 and finite, got -1e-09"
+    # every qbar is checked before any temperature
+    error = error_of(SODIUM, Channel.SINGLE_LEVEL, [1.0, 0.0], [-1e-9, 0.0])
+    assert str(error) == "qbar must be > 0 and a normal double, got 0.0"
 
 
 @pytest.mark.parametrize("temperature", [math.inf, math.nan])
@@ -564,15 +570,25 @@ def test_negative_zero_temperature_is_zero():
 
 
 @pytest.mark.parametrize("limit, qbar, temperature, named", [
-    # an earlier point's stimulated integral before a later spontaneous one
-    (4, [0.3, 1.0, 5.0], [0.0, 1e-6], "stimulated width at qbar = 0.3, T = 1e-06 K"),
+    # of three stimulated stalls, the first in T-major order is named
+    (4, [0.3, 1.0], [0.0, 1e-6, 2e-6], "stimulated width at qbar = 0.3, T = 1e-06 K"),
     # both stall at one point: the spontaneous integral is named
     (2, [5.0], [1e-6], "spontaneous width at qbar = 5, T = 1e-06 K"),
+    # a spontaneous stall is named ahead of the stimulated one at the
+    # earlier point (0.3, 1e-6)
+    (4, [0.3, 1.0, 5.0], [0.0, 1e-6], "spontaneous width at qbar = 5, T = 1e-06 K"),
 ])
 def test_quadrature_failure_names_first_point(monkeypatch, limit, qbar, temperature, named):
     monkeypatch.setattr(rates, "_LIMIT", limit)
-    error = assert_first_error(SODIUM, Channel.SINGLE_LEVEL, qbar, temperature)
-    assert str(error).endswith(named)
+    error = error_of(SODIUM, Channel.SINGLE_LEVEL, qbar, temperature, QuadratureError)
+    assert str(error) == f"quadrature did not converge within {limit} subintervals: {named}"
+    # the partial width and its error are those of the named point alone
+    q, T = next((q, T) for T in temperature for q in qbar
+                if named.endswith(f"qbar = {q:.6g}, T = {T:.6g} K"))
+    alone = error_of(SODIUM, Channel.SINGLE_LEVEL, [q], [T], QuadratureError)
+    assert str(alone) == str(error)
+    assert alone.partial_rate_s == error.partial_rate_s
+    assert alone.error_estimate_s == error.error_estimate_s
 
 
 # ---------------------------------------------------------------------------
