@@ -52,7 +52,6 @@ from .model import (
     TwoLevelParams,
     bogoliubov_mode,
     derive_units,
-    dispersion,
 )
 
 
@@ -388,14 +387,13 @@ def cmd_rates(cfg: RunConfig, out_dir: str) -> int:
     units = derive_units(cfg.params)
     qbar, temperature = cfg.qbar_grid, cfg.temperature_grid
     grid = rates.decay_rates(cfg.params, cfg.channel, qbar, temperature)
-    omega = np.array([dispersion(q) * units.omega0 for q in qbar])
     table = {
         "qbar": np.tile(qbar, len(temperature)),
         "temperature_K": np.repeat(temperature, len(qbar)),
         "gamma_beliaev_s": grid.gamma_beliaev.ravel(),
         "gamma_landau_s": grid.gamma_landau.ravel(),
         "gamma_total_s": grid.gamma_total.ravel(),
-        "gamma_over_omega": (grid.gamma_total / omega).ravel(),
+        "gamma_over_omega": grid.gamma_over_omega.ravel(),
         "quad_err": grid.quadrature_error_estimate.ravel(),
     }
     meta = {

@@ -24,12 +24,25 @@ check on any trajectory.  Physical occupations are recovered at readout,
 n_a = x2 - 1, and the quasiparticle-to-particle map uses the mode
 coefficients: n_b+/- = u^2 x1(+/-) + v^2 (x1(-/+) + 1).
 
-In the shifted variables (x1 - n0_eq, x2 + n0_eq, Re c, Im c, x1m - n0_eq)
-the system is homogeneous, so it is integrated by a single matrix
-exponential per output step, taken once in numpy: Re c and x1m decouple
-into scalar exponentials, and the coupled (x1, x2, Im c) block is
-exponentiated by Taylor scaling and squaring.  The tests check the result
-against an adaptive Runge-Kutta integration of the complex equations.
+Two quadratic invariants of the flow obey linear equations of their own:
+the cone defect D = x1 x2 - |c|^2 and the gap s = x2 - x1,
+
+    D' = -gamma D + gamma n0_eq x2
+    s' = gamma (x1 - n0_eq)
+
+so they are propagated as two more components of the state, exactly like
+the moments.  D >= 0 is the Cauchy-Schwarz bound |c|^2 <= x1 x2, and from a
+vacuum start D stays exactly 0; undamped, s stays exactly 1.  The readout
+takes xi3 and positivity from D and s, whose closed forms carry none of the
+O(n^2) cancellation of |c|^2 against x1 x2.
+
+In the shifted variables (x1 - n0_eq, x2 + n0_eq, Re c, Im c, x1m - n0_eq,
+D + n0_eq^2, s + 2 n0_eq) the system is homogeneous, so it is integrated by
+a single matrix exponential per output step, taken once in numpy: Re c and
+x1m decouple into scalar exponentials, and the coupled (x1, x2, Im c, D, s)
+block is exponentiated by Taylor scaling and squaring.  The tests check the
+result against an adaptive Runge-Kutta integration of the complex equations
+and against a 50-digit propagation.
 
 The trajectory stays in numpy arrays from the propagator through the
 readout to the SqueezingRun that run_squeezing returns: occupations, xi3,
@@ -74,15 +87,31 @@ class MomentState:
     x2: float
     c: complex
 
+    @property
+    def defect(self) -> float:
+        """The cone defect D = x1 x2 - |c|^2."""
+        return self.x1 * self.x2 - abs(self.c) ** 2
+
+    @property
+    def gap(self) -> float:
+        """The gap s = x2 - x1."""
+        return self.x2 - self.x1
+
 
 class Trajectory(NamedTuple):
-    """Moments on the output grid, one array entry per sample (c complex)."""
+    """Moments on the output grid, one array entry per sample (c complex).
+
+    defect and gap are the propagated invariants D and s; the columns are
+    views of one propagated array.
+    """
 
     t: np.ndarray
     x1: np.ndarray
     x1m: np.ndarray
     x2: np.ndarray
     c: np.ndarray
+    defect: np.ndarray
+    gap: np.ndarray
 
     def state(self, i: int) -> MomentState:
         """Sample i as a MomentState."""
@@ -95,21 +124,25 @@ class Trajectory(NamedTuple):
         )
 
 
-def _real_generator(rabi: float, gamma: float) -> np.ndarray:
-    """Real 5x5 generator on (x1 - n0, x2 + n0, Re c, Im c, x1m - n0)."""
+def _real_generator(rabi: float, gamma: float, n0_eq: float = 0.0) -> np.ndarray:
+    """Real 7x7 generator on (x1 - n0, x2 + n0, Re c, Im c, x1m - n0, D + n0^2,
+    s + 2 n0)."""
     return np.array(
         [
-            [-gamma, 0.0, 0.0, -2.0 * rabi, 0.0],
-            [0.0, 0.0, 0.0, -2.0 * rabi, 0.0],
-            [0.0, 0.0, -0.5 * gamma, 0.0, 0.0],
-            [-rabi, -rabi, 0.0, -0.5 * gamma, 0.0],
-            [0.0, 0.0, 0.0, 0.0, -gamma],
+            [-gamma, 0.0, 0.0, -2.0 * rabi, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, -2.0 * rabi, 0.0, 0.0, 0.0],
+            [0.0, 0.0, -0.5 * gamma, 0.0, 0.0, 0.0, 0.0],
+            [-rabi, -rabi, 0.0, -0.5 * gamma, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, -gamma, 0.0, 0.0],
+            [0.0, gamma * n0_eq, 0.0, 0.0, 0.0, -gamma, 0.0],
+            [gamma, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
         ]
     )
 
 
-#: (x1 - n0, x2 + n0, Im c): the block of the real generator the drive couples.
-_COUPLED = np.ix_((0, 1, 3), (0, 1, 3))
+#: (x1 - n0, x2 + n0, Im c, D + n0^2, s + 2 n0): the block of the real
+#: generator the drive couples.
+_COUPLED = np.ix_((0, 1, 3, 5, 6), (0, 1, 3, 5, 6))
 
 #: Taylor degree for exp(X) at ||X||_1 <= 1/2, where the remainder
 #: 0.5^17/17! ~ 2e-20 is far below roundoff.
@@ -137,16 +170,17 @@ def _expm_taylor(x: np.ndarray) -> np.ndarray:
     return result
 
 
-def _propagator(rabi: float, gamma: float, dt: float) -> np.ndarray:
-    """exp(G dt) for the real generator G = _real_generator(rabi, gamma).
+def _propagator(rabi: float, gamma: float, dt: float, n0_eq: float = 0.0) -> np.ndarray:
+    """exp(G dt) for the real generator G = _real_generator(rabi, gamma, n0_eq).
 
     Re c and x1m - n0 decouple and decay as plain exponentials; only the
-    3x3 block on (x1 - n0, x2 + n0, Im c) needs a matrix exponential.
+    5x5 block on (x1 - n0, x2 + n0, Im c, D + n0^2, s + 2 n0) needs a matrix
+    exponential.
     """
-    prop = np.zeros((5, 5))
+    prop = np.zeros((7, 7))
     prop[2, 2] = math.exp(-0.5 * gamma * dt)
     prop[4, 4] = math.exp(-gamma * dt)
-    prop[_COUPLED] = _expm_taylor(_real_generator(rabi, gamma)[_COUPLED] * dt)
+    prop[_COUPLED] = _expm_taylor(_real_generator(rabi, gamma, n0_eq)[_COUPLED] * dt)
     return prop
 
 
@@ -162,31 +196,6 @@ def _validate_initial(state: MomentState) -> None:
     bound = state.x1 * state.x2
     if abs(state.c) ** 2 > bound * (1.0 + 1e-9) + 1e-9:
         raise ParameterError(f"|c|^2 = {abs(state.c)**2} exceeds x1*x2 = {bound}")
-
-
-def _clip_to_cone(x1: np.ndarray, x2: np.ndarray, cr: np.ndarray, ci: np.ndarray) -> None:
-    """Project c back inside |c|^2 <= x1*x2 where roundoff pokes it outside.
-
-    The exact flow never leaves the cone (the defect x1*x2 - |c|^2 obeys
-    d/dt defect = -gamma*defect, so it stays >= 0), but the emitted doubles
-    can land a few ulp outside, which would read as a Cauchy-Schwarz
-    violation downstream.  Only roundoff-sized excesses (relative < 1e-10)
-    are corrected; anything larger is a real problem and is left visible.
-    Rescales cr and ci in place by sqrt(x1*x2/|c|^2), then steps the samples
-    still outside one ulp toward 0 until none is.
-    """
-    bound = x1 * x2
-    mag2 = cr * cr + ci * ci
-    clip = np.flatnonzero(
-        (mag2 > bound) & (bound >= 0.0) & (mag2 <= bound * (1.0 + 1e-10) + 1e-10)
-    )
-    scale = np.sqrt(bound[clip] / mag2[clip])
-    cr[clip] *= scale
-    ci[clip] *= scale
-    while clip.size:
-        clip = clip[cr[clip] * cr[clip] + ci[clip] * ci[clip] > bound[clip]]
-        cr[clip] = np.nextafter(cr[clip], 0.0)
-        ci[clip] = np.nextafter(ci[clip], 0.0)
 
 
 def evolve_moments(
@@ -217,34 +226,23 @@ def evolve_moments(
     if abs(ratio - n_steps) > 1e-12 * ratio:
         n_steps = math.floor(ratio)
     dt = drive.dt_output
-    propagator = _propagator(drive.rabi_effective, gamma, dt)
-    z = np.empty((n_steps + 1, 5))
-    z[0] = (
-        initial.x1 - n0_eq,
-        initial.x2 + n0_eq,
-        initial.c.real,
-        initial.c.imag,
-        initial.x1m - n0_eq,
-    )
+    propagator = _propagator(drive.rabi_effective, gamma, dt, n0_eq)
+    shift = np.array([-n0_eq, n0_eq, 0.0, 0.0, -n0_eq, n0_eq * n0_eq, 2.0 * n0_eq])
+    z = np.empty((n_steps + 1, 7))
+    z[0] = (initial.x1, initial.x2, initial.c.real, initial.c.imag, initial.x1m,
+            initial.defect, initial.gap)
+    z[0] += shift
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         for i in range(n_steps):
             z[i + 1] = propagator @ z[i]
-
-    x1 = z[:, 0] + n0_eq
-    x2 = z[:, 1] - n0_eq
-    with np.errstate(over="ignore", invalid="ignore"):
-        # the cone check and the readout multiply moments, so their
-        # products must stay finite too
-        valid = np.isfinite(z).all(axis=1) & np.isfinite(
-            x1 * x2 + z[:, 2] ** 2 + z[:, 3] ** 2
-        )
+        z -= shift
+        # the readout multiplies moments, so their products must stay finite too
+        valid = np.isfinite(z).all(axis=1) & np.isfinite(z[:, 1] * (z[:, 0] + z[:, 1]))
     n_valid = n_steps + 1 if valid.all() else int(np.argmin(valid))
-    x1, x2, z = x1[:n_valid], x2[:n_valid], z[:n_valid]
-    _clip_to_cone(x1, x2, z[:, 2], z[:, 3])
-    c = np.empty(n_valid, dtype=complex)
-    c.real, c.imag = z[:, 2], z[:, 3]
+    z = z[:n_valid]
     trajectory = Trajectory(
-        t=initial.t + dt * np.arange(n_valid), x1=x1, x1m=z[:, 4] + n0_eq, x2=x2, c=c
+        t=initial.t + dt * np.arange(n_valid), x1=z[:, 0], x1m=z[:, 4], x2=z[:, 1],
+        c=z[:, 2:4].view(complex)[:, 0], defect=z[:, 5], gap=z[:, 6],
     )
     if n_valid <= n_steps:
         raise IntegrationError(
@@ -279,12 +277,6 @@ class SqueezingRun:
     mode: BogoliubovMode
 
 
-def _block_eigmin(p: np.ndarray, q: np.ndarray, off2: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of the Hermitian 2x2 [[p, w*], [w, q]], |w|^2 = off2."""
-    half_gap = 0.5 * (p - q)
-    return 0.5 * (p + q) - np.sqrt(half_gap * half_gap + off2)
-
-
 def readout(trajectory: Trajectory, mode: BogoliubovMode) -> Readout:
     """Occupations and squeezing parameters of every sample in one pass.
 
@@ -293,35 +285,38 @@ def readout(trajectory: Trajectory, mode: BogoliubovMode) -> Readout:
     quantum depletion of each partner mode: n_b+/- = u^2 x1(+/-) +
     v^2 (x1(-/+) + 1).  xi3 = [n_a(n_a+1) + n_b(n_b+1) - 2 u^2 |c|^2] /
     (n_a + n_b) is the relative-number squeezing, normalized to the
-    coherent-state value.  xi12 is xi1 = xi2 of the pseudo-spin
+    coherent-state value.  With u^2 = 1 + v^2, w = v^2 (x1m + 1) and
+    |c|^2 = x1 x2 - D its numerator is, term by term free of the O(n^2)
+    cancellation,
+
+        (s - v^2 x1)(s - v^2 x1 - 1) + w (2 u^2 x1 + w + 1) + 2 u^2 D,
+
+    which is s(s - 1) + 2D at u = 1.  xi12 is xi1 = xi2 of the pseudo-spin
     J1 = (a^dag b + b^dag a)/2, J2 = (a^dag b - b^dag a)/(2i), whose means
-    vanish identically for these states since <a^dag b> = 0.  Raises
-    IntegrationError, carrying the last valid state, when a sample is not a
-    physical Gaussian state.
+    vanish identically for these states since <a^dag b> = 0; it reads
+    u^2 |c|^2 as u^2 (x1 x2 - D).  Raises IntegrationError, carrying the
+    last valid state, when a sample is not a physical Gaussian state.
     """
-    t, x1, x1m, x2, c = trajectory
+    t, x1, x1m, x2, _, defect, gap = trajectory
     u2 = mode.u * mode.u
     v2 = mode.v * mode.v
+    w = v2 * (x1m + 1.0)
     n_a = x2 - 1.0
-    n_b_plus = u2 * x1 + v2 * (x1m + 1.0)
-    n_b_minus = u2 * x1m + v2 * (x1 + 1.0)
-    # |<a b>|^2 with b = u beta_+ + v beta_-^dag.  float_power is libm's
-    # pow(|c|, 2), the same as Python's `abs(c) ** 2`; a plain square differs
-    # in the last bit for ~0.1% of samples, which the cancellation in xi3
-    # amplifies into changed digits of written trajectories.
-    covariance = u2 * np.float_power(np.abs(c), 2.0)
+    n_b_plus = u2 * x1 + w
 
     # The pair table over {a, a^dag, b, b^dag} is Hermitian and satisfies
     # both commutators by construction (<a a^dag> - <a^dag a> = x2 - n_a = 1,
     # <b b^dag> = n_b + 1, <a b> = <b a> = u c), so positivity of its Gram
     # matrix G[x, y] = <x^dag y> is the one condition a trajectory can break.
     # G splits into the blocks {a, b^dag} = [[n_a, u c*], [u c, n_b + 1]] and
-    # {a^dag, b} = [[x2, u c], [u c*, n_b]]; both smallest eigenvalues must
-    # stay above -1e-10 of the largest diagonal entry (pure states sit on 0).
+    # {a^dag, b} = [[x2, u c], [u c*, n_b]], whose determinants are
+    # u^2 (s - 1 + D) + v^2 x1m n_a and w x2 + u^2 D.  The smallest
+    # eigenvalue is about det/trace, and must stay above -1e-10 of the
+    # largest diagonal entry (pure states sit on 0).
     floor = -1e-10 * np.maximum(1.0, np.maximum(x2, n_b_plus + 1.0))
-    positive = (_block_eigmin(n_a, n_b_plus + 1.0, covariance) >= floor) & (
-        _block_eigmin(x2, n_b_plus, covariance) >= floor
-    )
+    positive = u2 * (gap - 1.0 + defect) + v2 * x1m * n_a >= floor * (n_a + n_b_plus + 1.0)
+    positive &= w * x2 + u2 * defect >= floor * (x2 + n_b_plus)
+    del floor
     if not positive.all():
         bad = int(np.argmin(positive))
         last = max(bad - 1, 0)
@@ -332,13 +327,29 @@ def readout(trajectory: Trajectory, mode: BogoliubovMode) -> Readout:
     # xi3 = [Var n_a + Var n_b - 2 Cov(n_a, n_b)] / (n_a + n_b) and, for
     # J1 = (a^dag b + b^dag a)/2, J2 = (a^dag b - b^dag a)/(2i) with zero
     # means, xi1 = xi2 = Var(J_i)/(J/2), J/2 = (n_a + n_b)/4, which the Wick
-    # expansion of the Gaussian state reduces to the closed form below.
+    # expansion of the Gaussian state reduces to the closed forms of the
+    # docstring.  They are summed in place, term by term, so that few
+    # temporaries are alive at once; xi12's numerator is
+    # 2 (u^2 |c|^2 + n_a n_b) + n_a + n_b.
     total = n_a + n_b_plus
     with np.errstate(divide="ignore", invalid="ignore"):
-        xi3 = (n_a * (n_a + 1.0) + n_b_plus * (n_b_plus + 1.0) - 2.0 * covariance) / total
-        xi12 = (2.0 * covariance + 2.0 * n_a * n_b_plus + n_a + n_b_plus) / total
+        xi3 = gap - v2 * x1  # e = s - v^2 x1, then e (e - 1)
+        xi3 *= xi3 - 1.0
+        xi3 += w * (2.0 * u2 * x1 + w + 1.0)
+        xi3 += 2.0 * u2 * defect
+        xi3 /= total
+        del w
+        xi12 = x1 * x2 - defect
+        xi12 *= u2
+        xi12 += n_a * n_b_plus
+        xi12 *= 2.0
+        xi12 += n_a
+        xi12 += n_b_plus
+        xi12 /= total
     xi3[total < _DEGENERACY_FLOOR] = np.nan
     xi12[0.25 * total < _DEGENERACY_FLOOR] = np.nan
+    n_b_minus = v2 * (x1 + 1.0)
+    n_b_minus += u2 * x1m
     return Readout(n_a, n_b_plus, n_b_minus, xi12, xi3)
 
 

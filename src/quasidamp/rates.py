@@ -66,7 +66,6 @@ from .model import (
     PhysicalParams,
     QuadratureError,
     derive_units,
-    dispersion,
     inverse_dispersion,
 )
 
@@ -145,7 +144,8 @@ def _bose_cutoff_kbar(omega_bar_low: float, temperature_T: float, omega0: float)
 
     Truncates where the thermal occupation has fallen ~1e-14 below its value
     at the larger of (window lower edge, thermal frequency k_B T/hbar); the
-    +3 margin covers the 1/(1-e^-x) enhancement of the Bose tail.
+    +3 margin covers the 1/(1-e^-x) enhancement of the Bose tail.  inf
+    when the cutoff frequency is not a finite double.
     """
     omega_bar_thermal = K_BOLTZMANN * temperature_T / (HBAR * omega0)
     if omega_bar_thermal == 0.0:
@@ -154,7 +154,8 @@ def _bose_cutoff_kbar(omega_bar_low: float, temperature_T: float, omega0: float)
         omega_bar_thermal = (K_BOLTZMANN / HBAR) * (temperature_T / omega0)
     x_ref = max(omega_bar_low, omega_bar_thermal) / omega_bar_thermal
     x_cut = x_ref + math.log(1e14) + 3.0
-    return inverse_dispersion(x_cut * omega_bar_thermal)
+    omega_bar_cut = x_cut * omega_bar_thermal
+    return inverse_dispersion(omega_bar_cut) if omega_bar_cut < math.inf else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +456,9 @@ def _check(bad, error) -> None:
 
 
 def _setup(params: PhysicalParams, channel: Channel, qbar: list[float],
-           temperature: list[float]) -> tuple[_Columns, _Columns]:
-    """The spontaneous and the stimulated integrals of a (temperature, qbar) grid.
+           temperature: list[float]) -> tuple[_Columns, _Columns, np.ndarray]:
+    """The spontaneous and the stimulated integrals of a (temperature, qbar)
+    grid, and the mode frequency omega_q in s^-1 per qbar.
 
     Spontaneous, s^-1: gamma/omega0 = (k0^3/n0)/(pi*qbar) * I with
 
@@ -516,9 +518,9 @@ def _setup(params: PhysicalParams, channel: Channel, qbar: list[float],
 
     beta = np.array([_inverse_temperature(t, omega0) for t in temperature]).reshape(-1, 1)
     thermal = beta < math.inf  # not T = 0, nor too cold for any thermal occupation
-    wq = np.array([dispersion(q) for q in qbar])
     q = np.array(qbar)
     with np.errstate(all="ignore"):  # out-of-range values fail the checks below
+        wq = _omega(q)
         omega_q = wq * omega0
         sq = q / np.sqrt(wq)
         prefactor = gas / (math.pi * q)
@@ -560,9 +562,13 @@ def _setup(params: PhysicalParams, channel: Channel, qbar: list[float],
         for i, j in zip(*np.nonzero(window)):
             cutoff = _bose_cutoff_kbar(float(omega_low[j]), temperature[i], omega0)
             hi[i, j] = max(float(kmin[j]), cutoff)
+        _check(hi == math.inf, lambda i, j: ParameterError(
+            f"Bose cutoff overflows at qbar = {qbar[j]:.3g}, T = {temperature[i]:.3g} K"))
     else:
         for i in np.flatnonzero(thermal):
             hi[i] = _bose_cutoff_kbar(0.0, temperature[i], omega0)
+        _check(hi == math.inf, lambda i, _: ParameterError(
+            f"Bose cutoff overflows at T = {temperature[i]:.3g} K"))
 
     def columns(integrand, live, lo, hi, args, prefactor, scale) -> _Columns:
         point = np.flatnonzero(live)
@@ -585,7 +591,7 @@ def _setup(params: PhysicalParams, channel: Channel, qbar: list[float],
     stimulated = columns(
         integrand, window & (hi > lo), lo, hi, args, stimulated_prefactor, stimulated_scale,
     )
-    return spontaneous, stimulated
+    return spontaneous, stimulated, omega_q
 
 
 # ---------------------------------------------------------------------------
@@ -597,13 +603,15 @@ class RateGrid(NamedTuple):
 
     Each field is a (len(temperature), len(qbar)) array.  gamma_beliaev is
     the spontaneous width and gamma_landau the stimulated one, in the
-    grid's channel; the error estimate covers both.
+    grid's channel; the error estimate covers both.  gamma_over_omega is
+    gamma_total per mode frequency omega_q.
     """
 
     gamma_beliaev: np.ndarray
     gamma_landau: np.ndarray
     gamma_total: np.ndarray
     quadrature_error_estimate: np.ndarray
+    gamma_over_omega: np.ndarray
 
 
 def decay_rates(params: PhysicalParams, channel: Channel, qbar: Sequence[float],
@@ -620,8 +628,8 @@ def decay_rates(params: PhysicalParams, channel: Channel, qbar: Sequence[float],
     temperature = [_valid_temperature(t) for t in temperature]
     shape = (len(temperature), len(qbar))
     widths, errors = [], []
-    for name, columns in zip(("spontaneous", "stimulated"),
-                             _setup(params, channel, qbar, temperature)):
+    *channels, omega_q = _setup(params, channel, qbar, temperature)
+    for name, columns in zip(("spontaneous", "stimulated"), channels):
         value, abserr, converged = _solve(columns)
         width, error = np.zeros(shape), np.zeros(shape)
         stalled = np.zeros(shape, dtype=bool)
@@ -643,6 +651,7 @@ def decay_rates(params: PhysicalParams, channel: Channel, qbar: Sequence[float],
             f"stimulated width came out negative ({negative[0]} s^-1): population "
             "factor ordering violated"
         )
-    return RateGrid(gamma_beliaev, gamma_landau, gamma_beliaev + gamma_landau,
-                    errors[0] + errors[1])
+    gamma_total = gamma_beliaev + gamma_landau
+    return RateGrid(gamma_beliaev, gamma_landau, gamma_total, errors[0] + errors[1],
+                    gamma_total / omega_q)
 

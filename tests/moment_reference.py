@@ -1,12 +1,16 @@
 """Test-side references for the moment equations and their readout.
 
 The complex 3x3 generator below is written independently of the production
-real 5x5 one, and `dop853_from_vacuum` integrates it with scipy's adaptive
+real 7x7 one, and `dop853_moments` integrates it with scipy's adaptive
 Runge-Kutta; the tests compare the production matrix-exponential
-propagation against it.  `wick_spin` evaluates the pseudo-spin means and
-variances by the oracle's Wick expansion, against which the tests check
-the production closed form.
+propagation against it.  `decimal_from_vacuum` propagates the moments and
+the invariants D and s in 50-digit decimal arithmetic, against which the
+tests check xi3 where the double-precision closed form cancels.
+`wick_spin` evaluates the pseudo-spin means and variances by the oracle's
+Wick expansion, against which the tests check the production closed form.
 """
+
+from decimal import Decimal, localcontext
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -23,7 +27,7 @@ def drift_matrix(rabi: float, gamma: float) -> np.ndarray:
     <a beta> - c.c.); the discarded combination <a beta> + c.c. obeys a
     closed decaying equation and stays zero when started at zero.  The
     production integrator evolves the equivalent real system of
-    (x1, x2, Re c, Im c) — see dynamics._real_generator.
+    (x1, x2, Re c, Im c) and the invariants — see dynamics._real_generator.
     """
     if gamma < 0.0:
         raise ParameterError(f"gamma must be >= 0, got {gamma}")
@@ -39,16 +43,19 @@ def drift_matrix(rabi: float, gamma: float) -> np.ndarray:
     )
 
 
-def dop853_from_vacuum(rabi: float, gamma: float, t_eval: np.ndarray):
-    """(x1, x2, c) on t_eval for a vacuum start (n0_eq = 0), by DOP853.
+def dop853_moments(rabi: float, gamma: float, t_eval: np.ndarray,
+                   initial: MomentState, n0_eq: float = 0.0):
+    """(x1, x2, c) on t_eval from initial (at initial.t), relaxing toward
+    n0_eq, by DOP853.
 
-    From the vacuum Re c stays 0, so c = (c - c.c.)/2.
+    Re c obeys Re c' = -(gamma/2) Re c on its own, so it is the closed-form
+    decay of its initial value, and c = Re c + (c - c.c.)/2.
     """
     generator = drift_matrix(rabi, gamma)
     sol = solve_ivp(
         lambda _t, y: generator @ y,
-        (0.0, t_eval[-1]),
-        np.array([0.0, 1.0, 0.0], dtype=complex),
+        (initial.t, t_eval[-1]),
+        np.array([initial.x1 - n0_eq, initial.x2 + n0_eq, 2j * initial.c.imag]),
         t_eval=t_eval,
         method="DOP853",
         rtol=1e-11,
@@ -56,7 +63,59 @@ def dop853_from_vacuum(rabi: float, gamma: float, t_eval: np.ndarray):
     )
     assert sol.success, sol.message
     x1, x2, c_minus_cc = sol.y
-    return x1.real, x2.real, 0.5 * c_minus_cc
+    re_c = initial.c.real * np.exp(-0.5 * gamma * (t_eval - initial.t))
+    return x1.real + n0_eq, x2.real - n0_eq, re_c + 0.5 * c_minus_cc
+
+
+def decimal_from_vacuum(rabi: float, gamma: float, dt: float, steps: int):
+    """(x1, x2, Im c, D, s) at t = 0, dt, ..., steps*dt from the vacuum at
+    n0_eq = 0, each a 50-digit Decimal.
+
+    The step exp(G dt) is a 40-term Taylor series of the 5x5 real generator
+    of x1' = -gamma x1 - 2 rabi Im c, x2' = -2 rabi Im c,
+    Im c' = -rabi (x1 + x2) - (gamma/2) Im c, D' = -gamma D, s' = gamma x1,
+    summed in 50-digit arithmetic from the exact values of the doubles
+    rabi, gamma and dt.  Its D and s rows are as exact as the generator's.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        rabi, gamma, dt = Decimal(rabi), Decimal(gamma), Decimal(dt)
+        zero = Decimal(0)
+        generator = [
+            [-gamma, zero, -2 * rabi, zero, zero],
+            [zero, zero, -2 * rabi, zero, zero],
+            [-rabi, -rabi, -gamma / 2, zero, zero],
+            [zero, zero, zero, -gamma, zero],
+            [gamma, zero, zero, zero, zero],
+        ]
+        x = [[entry * dt for entry in row] for row in generator]
+        term = [[Decimal(int(i == j)) for j in range(5)] for i in range(5)]
+        step = [row[:] for row in term]
+        for k in range(1, 40):
+            term = [[sum(term[i][m] * x[m][j] for m in range(5)) / k for j in range(5)]
+                    for i in range(5)]
+            step = [[step[i][j] + term[i][j] for j in range(5)] for i in range(5)]
+        states = [[zero, Decimal(1), zero, zero, Decimal(1)]]
+        for _ in range(steps):
+            y = states[-1]
+            states.append([sum(row[j] * y[j] for j in range(5)) for row in step])
+        return states
+
+
+def decimal_xi3(states, mode: BogoliubovMode) -> np.ndarray:
+    """xi3 = [n_a(n_a+1) + n_b(n_b+1) - 2 u^2 |c|^2] / (n_a + n_b) of each
+    state of decimal_from_vacuum, evaluated in 50 digits with x1m = 0, Re c = 0
+    and u^2 = 1 + v^2 from the double v."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        v2 = Decimal(mode.v) ** 2
+        u2 = 1 + v2
+        xi3 = []
+        for x1, x2, im_c, _, _ in states:
+            n_a = x2 - 1
+            n_b = u2 * x1 + v2
+            xi3.append((n_a * (n_a + 1) + n_b * (n_b + 1) - 2 * u2 * im_c * im_c) / (n_a + n_b))
+        return np.array([float(value) for value in xi3])
 
 
 def pair_table(state: MomentState, mode: BogoliubovMode) -> GaussianSecondMoments:

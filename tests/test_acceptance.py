@@ -39,7 +39,7 @@ from quasidamp.oracle import (
 )
 from quasidamp.rates import Channel, decay_rates
 
-from moment_reference import dop853_from_vacuum, wick_spin
+from moment_reference import dop853_moments, wick_spin
 
 SODIUM = PRESETS["sodium-paper"]
 SODIUM_TL = dataclasses.replace(
@@ -141,10 +141,11 @@ def test_criterion_05_moment_integrator():
     # invariants, over gamma/Omega in {0, 0.1, 1}
     cross_worst = 0.0
     x2_min = math.inf
-    cone_worst = -math.inf
+    defect_min = math.inf
+    cone_worst = 0.0
     for gamma in (0.0, 0.1 * rabi, rabi):
         a = evolve_moments(VACUUM, drive, gamma)
-        x1, x2, c = dop853_from_vacuum(rabi, gamma, a.t)
+        x1, x2, c = dop853_moments(rabi, gamma, a.t, VACUUM)
         scale = np.maximum(1.0, np.maximum(np.abs(a.x1), np.abs(a.x2)))
         cross_worst = max(
             cross_worst,
@@ -153,7 +154,10 @@ def test_criterion_05_moment_integrator():
             (np.abs(a.c - c) / np.maximum(1.0, np.abs(a.c))).max(),
         )
         x2_min = min(x2_min, a.x2.min())
-        cone_worst = max(cone_worst, (np.abs(a.c) ** 2 - a.x1 * a.x2).max())
+        defect_min = min(defect_min, a.defect.min())
+        bound = a.x1 * a.x2
+        cone = np.abs(bound - np.abs(a.c) ** 2 - a.defect) / np.maximum(1.0, bound)
+        cone_worst = max(cone_worst, cone.max())
 
     # passive-mode exponential decay: log-linear fit residual
     gamma = 700.0
@@ -166,12 +170,13 @@ def test_criterion_05_moment_integrator():
         and cross_worst <= 1e-8
         and residual < 1e-10
         and x2_min >= 1.0 - 1e-9
-        and cone_worst <= 1e-9
+        and defect_min >= 0.0
+        and cone_worst <= 1e-12
     )
     check(5, ok, f"closed form {closed_worst:.2e} <= 1e-8, cross-check {cross_worst:.2e}"
                  f" <= 1e-8, log-fit residual {residual:.2e} < 1e-10, "
-                 f"x2 >= 1-1e-9 (min {x2_min:.12f}), |c|^2 - x1 x2 <= 1e-9 "
-                 f"(max {cone_worst:.2e})")
+                 f"x2 >= 1-1e-9 (min {x2_min:.12f}), defect D >= 0 (min {defect_min:.2e}), "
+                 f"|x1 x2 - |c|^2 - D| <= 1e-12 max(1, x1 x2) (max {cone_worst:.2e})")
 
 
 def test_criterion_06_squeezing_initial_condition():

@@ -407,7 +407,7 @@ def test_too_hot_temperature_rejected(tmp_path, capsys):
             "qbar": [1e-200, 1.0, 1e90, 1e160], "temperature": [1e-6, 1e300]}}),
     )
     assert rc == 2
-    assert err == "error: kbar = 1e+160 is too large: omega_bar overflows\n"
+    assert err == "error: mode frequency overflows at qbar = 1e+160\n"
 
 
 def test_negative_zero_temperature_prints_zero(tmp_path, capsys):
@@ -874,13 +874,13 @@ def test_dynamics_integration_failure(tmp_path, capsys):
 
 
 def test_dynamics_non_positive_state_exits_3(tmp_path, capsys, monkeypatch):
-    # a trajectory whose pair correlator leaves the physical cone ends in
-    # one "integration failure" line, not a traceback
+    # a trajectory whose cone defect turns negative ends in one
+    # "integration failure" line, not a traceback
     evolve = dynamics.evolve_moments
 
     def doctored(*args, **kwargs):
         trajectory = evolve(*args, **kwargs)
-        trajectory.c[3] *= 10.0
+        trajectory.defect[3] = -99.0 * trajectory.x1[3] * trajectory.x2[3]
         return trajectory
 
     monkeypatch.setattr(dynamics, "evolve_moments", doctored)

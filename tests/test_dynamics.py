@@ -23,7 +23,6 @@ from quasidamp.dynamics import (
     MomentState,
     SqueezingRun,
     Trajectory,
-    _clip_to_cone,
     _propagator,
     _real_generator,
     evolve_moments,
@@ -32,7 +31,13 @@ from quasidamp.dynamics import (
 )
 from quasidamp.rates import Channel, decay_rates
 
-from moment_reference import dop853_from_vacuum, drift_matrix, wick_spin
+from moment_reference import (
+    decimal_from_vacuum,
+    decimal_xi3,
+    dop853_moments,
+    drift_matrix,
+    wick_spin,
+)
 
 SODIUM = PRESETS["sodium-paper"]
 
@@ -112,8 +117,8 @@ def test_propagator_matches_scipy_expm(rabi, gamma):
         # Re c and x1m decouple and decay as plain exponentials
         assert prop[2, 2] == math.exp(-0.5 * gamma * dt)
         assert prop[4, 4] == math.exp(-gamma * dt)
-        coupled = np.zeros((5, 5), dtype=bool)
-        coupled[np.ix_((0, 1, 3), (0, 1, 3))] = True
+        coupled = np.zeros((7, 7), dtype=bool)
+        coupled[np.ix_((0, 1, 3, 5, 6), (0, 1, 3, 5, 6))] = True
         coupled[2, 2] = coupled[4, 4] = True
         assert not prop[~coupled].any()
 
@@ -190,7 +195,7 @@ def test_integrator_cross_check(gamma_ratio):
     a = evolve_moments(VACUUM, cfg, gamma)
     assert len(a.t) == 101
     worst = 0.0
-    for i, (x1, x2, c) in enumerate(zip(*dop853_from_vacuum(rabi, gamma, a.t))):
+    for i, (x1, x2, c) in enumerate(zip(*dop853_moments(rabi, gamma, a.t, VACUUM))):
         worst = max(
             worst,
             rel_gap(a.x1[i], x1),
@@ -202,45 +207,17 @@ def test_integrator_cross_check(gamma_ratio):
 
 @pytest.mark.parametrize("gamma", [0.0, 100.0, 1e3])
 def test_correlator_cone(gamma):
-    # |c|^2 <= x1*x2 everywhere; for the undamped vacuum start the state stays
-    # pure, so the bound is saturated
+    # the propagated defect D = x1*x2 - |c|^2 is the cone bound |c|^2 <= x1*x2:
+    # a vacuum start at T = 0 stays on the cone, so D is exactly 0 for every
+    # gamma, and the moments agree with it to roundoff
     traj = evolve_moments(VACUUM, drive(1e3, t_max=5e-3, dt=1e-5), gamma)
-    bound = traj.x1[1:] * traj.x2[1:]
-    defect = bound - np.abs(traj.c[1:]) ** 2
-    assert np.all(defect >= 0.0)
+    assert not traj.defect.any()
+    bound = traj.x1 * traj.x2
+    residual = np.abs(bound - np.abs(traj.c) ** 2 - traj.defect)
+    assert np.all(residual <= 1e-12 * np.maximum(1.0, bound))
+    # and s = x2 - x1 is exactly 1 when undamped
     if gamma == 0.0:
-        assert np.all(defect <= 1e-6 * np.maximum(1.0, bound))
-
-
-def clip_one(x1, x2, cr, ci):
-    """The cone clip's rule on one sample: a scalar reference."""
-    bound = x1 * x2
-    mag2 = cr * cr + ci * ci
-    if not (mag2 > bound >= 0.0) or mag2 > bound * (1.0 + 1e-10) + 1e-10:
-        return cr, ci
-    scale = math.sqrt(bound / mag2)
-    cr, ci = cr * scale, ci * scale
-    while cr * cr + ci * ci > bound:
-        cr, ci = math.nextafter(cr, 0.0), math.nextafter(ci, 0.0)
-    return cr, ci
-
-
-def test_cone_clip_matches_per_sample_rule():
-    # inside, on, roundoff-outside and far-outside samples
-    rng = np.random.default_rng(5)
-    n = 4000
-    x1 = rng.uniform(0.0, 1e3, n)
-    x2 = 1.0 + rng.uniform(0.0, 1e3, n)
-    excess = rng.choice([-1e-9, 0.0, 1e-16, 1e-13, 1e-11, 1e-9], n)
-    phase = rng.uniform(0.0, 2.0 * math.pi, n)
-    magnitude = np.sqrt(x1 * x2 * (1.0 + excess))
-    cr, ci = magnitude * np.cos(phase), magnitude * np.sin(phase)
-    expected = [clip_one(*sample) for sample in zip(x1.tolist(), x2.tolist(),
-                                                    cr.tolist(), ci.tolist())]
-    before = cr.copy()
-    _clip_to_cone(x1, x2, cr, ci)
-    assert list(zip(cr.tolist(), ci.tolist())) == expected
-    assert (cr != before).sum() > n // 4
+        assert np.all(traj.gap == 1.0)
 
 
 def test_commutator_floor():
@@ -253,8 +230,8 @@ def test_anti_normal_floor_drives_growth():
     # the naive normal-ordered closure started from vacuum (all moments zero)
     # has nothing to grow from; the anti-normal floor x2 = 1 is the seed
     rabi, gamma, t = 1e3, 200.0, 2e-3
-    naive = expm(_real_generator(rabi, gamma) * t) @ np.zeros(5)
-    assert np.array_equal(naive, np.zeros(5))
+    naive = expm(_real_generator(rabi, gamma) * t) @ np.zeros(7)
+    assert np.array_equal(naive, np.zeros(7))
     traj = evolve_moments(VACUUM, drive(rabi, t_max=t, dt=t), gamma)
     assert traj.x2[0] - 1.0 == 0.0  # n_a(0) = 0 after vacuum subtraction
     assert traj.x2[-1] - 1.0 > 1.0  # while the pipeline grows
@@ -442,16 +419,20 @@ def test_readout_matches_per_sample_loop():
     # so occupations and xi3 agree exactly (written trajectories stay
     # byte-stable); xi1 = xi2 is checked against the Wick engine above
     mode = bogoliubov_mode(5.0)
-    traj = evolve_moments(VACUUM, drive(1e3, t_max=6e-3, dt=1e-5), gamma=700.0)
+    traj = evolve_moments(
+        MomentState(t=0.0, x1=0.17, x1m=0.17, x2=1.0, c=0.0j),
+        drive(1e3, t_max=6e-3, dt=1e-5), gamma=700.0, n0_eq=0.17,
+    )
     r = readout(traj, mode)
     u2, v2 = mode.u * mode.u, mode.v * mode.v
     for i in range(len(traj.t)):
-        s = traj.state(i)
-        n_a = s.x2 - 1.0
-        n_b = u2 * s.x1 + v2 * (s.x1m + 1.0)
-        n_b_minus = u2 * s.x1m + v2 * (s.x1 + 1.0)
-        covariance = mode.u * mode.u * (abs(s.c) ** 2)
-        xi3 = (n_a * (n_a + 1.0) + n_b * (n_b + 1.0) - 2.0 * covariance) / (n_a + n_b)
+        x1, x1m, d, s = traj.x1[i], traj.x1m[i], traj.defect[i], traj.gap[i]
+        w = v2 * (x1m + 1.0)
+        n_a = traj.x2[i] - 1.0
+        n_b = u2 * x1 + w
+        n_b_minus = u2 * x1m + v2 * (x1 + 1.0)
+        e = s - v2 * x1
+        xi3 = (e * (e - 1.0) + w * (2.0 * u2 * x1 + w + 1.0) + 2.0 * u2 * d) / (n_a + n_b)
         assert (r.n_a[i], r.n_b_plus[i], r.n_b_minus[i], r.xi3[i]) == (n_a, n_b, n_b_minus, xi3)
 
 
@@ -459,14 +440,46 @@ def test_readout_rejects_non_positive_state():
     mode = bogoliubov_mode(5.0)
     traj = evolve_moments(VACUUM, drive(1e3, t_max=1e-4, dt=1e-5), gamma=0.0)
     readout(traj, mode)  # the true trajectory is positive
-    # push sample 5 past the {a, b^dag} Gram block bound u^2 |c|^2 <= n_a (n_b + 1)
-    n_a = traj.x2[5] - 1.0
-    n_b = mode.u**2 * traj.x1[5] + mode.v**2 * (traj.x1m[5] + 1.0)
+    # push sample 5 outside the cone: with s = 1 and x1m = 0 the {a, b^dag}
+    # Gram block determinant u^2 (s - 1 + D) + v^2 x1m n_a is u^2 D < 0
     sample_4 = traj.state(4)
-    traj.c[5] *= 1.01 * math.sqrt(n_a * (n_b + 1.0)) / (mode.u * abs(traj.c[5]))
+    traj.defect[5] = -0.01 * traj.x1[5] * traj.x2[5]
     with pytest.raises(IntegrationError, match="not positive") as err:
         readout(traj, mode)
     assert err.value.last_valid == sample_4
+
+
+@pytest.mark.parametrize("gamma", [0.0, 603.18, 3384.28])
+def test_xi3_matches_50_digit_propagation(gamma):
+    # the dynamics-long grid: 6001 samples at 1 us, where the undamped
+    # moments reach 4e4 and n_a(n_a+1) + n_b(n_b+1) - 2 u^2 |c|^2 cancels
+    # about 8 of the 16 digits of a double
+    traj = evolve_moments(VACUUM, drive(1e3, t_max=6e-3, dt=1e-6), gamma)
+    reference = decimal_from_vacuum(1e3, gamma, 1e-6, len(traj.t) - 1)
+    xi3 = decimal_xi3(reference, bogoliubov_mode(5.0))
+    assert len(xi3) == 6001
+    got = readout(traj, bogoliubov_mode(5.0)).xi3
+    assert np.max(np.abs(got - xi3) / xi3) <= 1e-11
+    gap = np.array([float(state[4]) for state in reference])
+    assert np.max(np.abs(traj.gap - gap) / gap) <= 1e-12
+
+
+@pytest.mark.parametrize("gamma", [531.0, 3384.0])
+def test_thermal_start_matches_dop853(gamma):
+    # a thermal start relaxing to n0_eq couples x2 into the defect's row
+    # (D' = -gamma D + gamma n0_eq x2), which every T = 0 run leaves at 0
+    n_th, rabi = 0.17, 1e3
+    initial = MomentState(t=0.0, x1=n_th, x1m=n_th, x2=1.0, c=0.0j)
+    traj = evolve_moments(initial, drive(rabi, t_max=5e-3, dt=5e-5), gamma, n0_eq=n_th)
+    assert (traj.defect[0], traj.gap[0]) == pytest.approx((n_th, 1.0 - n_th), rel=1e-15)
+    x1, x2, c = dop853_moments(rabi, gamma, traj.t, initial, n0_eq=n_th)
+    defect, gap = x1 * x2 - np.abs(c) ** 2, x2 - x1
+    scale = np.maximum(1.0, x2)
+    assert np.max(np.abs(traj.x1 - x1) / scale) < 1e-9
+    assert np.max(np.abs(traj.x2 - x2) / scale) < 1e-9
+    assert np.max(np.abs(traj.c - c) / scale) < 1e-9
+    assert np.max(np.abs(traj.gap - gap) / scale) < 1e-9
+    assert np.max(np.abs(traj.defect - defect) / (scale * scale)) < 1e-9
 
 
 def test_xi12_equal_along_driven_trajectory():

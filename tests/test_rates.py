@@ -100,7 +100,9 @@ def test_recoil_momentum_anchor():
 def test_decay_rate_frozen_total():
     result = single_level(5.0)
     assert isinstance(result, RateGrid)
-    assert [column.shape for column in result] == [(1, 1)] * 4
+    assert [column.shape for column in result] == [(1, 1)] * 5
+    omega_q = dispersion(5.0) * derive_units(SODIUM).omega0
+    assert result.gamma_over_omega[0, 0] == result.gamma_total[0, 0] / omega_q
     assert result.gamma_total[0, 0] == pytest.approx(530.9385860590878, rel=1e-9)
     assert result.gamma_landau[0, 0] == 0.0
     assert result.gamma_total[0, 0] == result.gamma_beliaev[0, 0] + result.gamma_landau[0, 0]
@@ -384,14 +386,19 @@ def test_overflowing_width_scale_rejected():
 ])
 def test_overflowing_bose_cutoff_rejected(channel, params):
     # at 1e300 K the thermal frequency times the cutoff margin overflows,
-    # and is raised after the valid first row
+    # and is raised after the valid first row; at 1e307 K the thermal
+    # frequency itself does.  The message names T, and qbar in the
+    # two-level channel, whose cutoff depends on both
+    at = "qbar = 1e+90, " if channel is Channel.TWO_LEVEL else ""
     error = error_of(params, channel, [1e90, 1e100], [1e-6, 1e300])
-    assert str(error) == "omega_bar must be >= 0, got inf"
+    assert str(error) == f"Bose cutoff overflows at {at}T = 1e+300 K"
+    error = error_of(params, channel, [1e90], [1e307])
+    assert str(error) == f"Bose cutoff overflows at {at}T = 1e+307 K"
     # with it, too-hot points (the first one and wherever T = 1e300 K) and
     # an overflowing mode frequency at qbar = 1e160: the mode frequency is
     # checked first, so it is named, on every call and at that point alone
     qbar, temperature = [1e-200, 1.0, 1e90, 1e160], [1e-6, 1e300]
-    expected = "kbar = 1e+160 is too large: omega_bar overflows"
+    expected = "mode frequency overflows at qbar = 1e+160"
     for _ in range(2):
         assert str(error_of(params, channel, qbar, temperature)) == expected
     assert str(error_of(params, channel, [1e160], [1e-6])) == expected
