@@ -101,8 +101,8 @@ class MomentState:
 class Trajectory(NamedTuple):
     """Moments on the output grid, one array entry per sample (c complex).
 
-    defect and gap are the propagated invariants D and s; the columns are
-    views of one propagated array.
+    defect and gap are the propagated invariants D and s; x1, x2, defect
+    and gap are views of one propagated array.
     """
 
     t: np.ndarray
@@ -140,9 +140,11 @@ def _real_generator(rabi: float, gamma: float, n0_eq: float = 0.0) -> np.ndarray
     )
 
 
-#: (x1 - n0, x2 + n0, Im c, D + n0^2, s + 2 n0): the block of the real
-#: generator the drive couples.
-_COUPLED = np.ix_((0, 1, 3, 5, 6), (0, 1, 3, 5, 6))
+#: (x1 - n0, x2 + n0, D + n0^2, Im c, s + 2 n0): the block of the real
+#: generator the drive couples.  D and s take the places of Re c and x1m,
+#: which no coupled moment depends on, so each coupled row adds its
+#: nonzero products in the same positions as a step of the full state.
+_COUPLED = np.ix_((0, 1, 5, 3, 6), (0, 1, 5, 3, 6))
 
 #: Taylor degree for exp(X) at ||X||_1 <= 1/2, where the remainder
 #: 0.5^17/17! ~ 2e-20 is far below roundoff.
@@ -174,7 +176,7 @@ def _propagator(rabi: float, gamma: float, dt: float, n0_eq: float = 0.0) -> np.
     """exp(G dt) for the real generator G = _real_generator(rabi, gamma, n0_eq).
 
     Re c and x1m - n0 decouple and decay as plain exponentials; only the
-    5x5 block on (x1 - n0, x2 + n0, Im c, D + n0^2, s + 2 n0) needs a matrix
+    5x5 block on (x1 - n0, x2 + n0, D + n0^2, Im c, s + 2 n0) needs a matrix
     exponential.
     """
     prop = np.zeros((7, 7))
@@ -227,22 +229,32 @@ def evolve_moments(
         n_steps = math.floor(ratio)
     dt = drive.dt_output
     propagator = _propagator(drive.rabi_effective, gamma, dt, n0_eq)
-    shift = np.array([-n0_eq, n0_eq, 0.0, 0.0, -n0_eq, n0_eq * n0_eq, 2.0 * n0_eq])
-    z = np.empty((n_steps + 1, 7))
-    z[0] = (initial.x1, initial.x2, initial.c.real, initial.c.imag, initial.x1m,
-            initial.defect, initial.gap)
+    # the coupled block steps by a matrix product; Re c and x1m - n0 decay
+    # by one factor per step, as running products
+    coupled = propagator[_COUPLED]
+    shift = np.array([-n0_eq, n0_eq, n0_eq * n0_eq, 0.0, 2.0 * n0_eq])
+    z = np.empty((n_steps + 1, 5))
+    z[0] = (initial.x1, initial.x2, initial.defect, initial.c.imag, initial.gap)
     z[0] += shift
+    c = np.full(n_steps + 1, propagator[2, 2], dtype=complex)
+    c[0] = initial.c.real
+    x1m = np.full(n_steps + 1, propagator[4, 4])
+    x1m[0] = initial.x1m - n0_eq
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         for i in range(n_steps):
-            z[i + 1] = propagator @ z[i]
+            z[i + 1] = coupled @ z[i]
         z -= shift
         # the readout multiplies moments, so their products must stay finite too
         valid = np.isfinite(z).all(axis=1) & np.isfinite(z[:, 1] * (z[:, 0] + z[:, 1]))
+    np.multiply.accumulate(c.real, out=c.real)
+    c.imag = z[:, 3]
+    np.multiply.accumulate(x1m, out=x1m)
+    x1m += n0_eq
     n_valid = n_steps + 1 if valid.all() else int(np.argmin(valid))
     z = z[:n_valid]
     trajectory = Trajectory(
-        t=initial.t + dt * np.arange(n_valid), x1=z[:, 0], x1m=z[:, 4], x2=z[:, 1],
-        c=z[:, 2:4].view(complex)[:, 0], defect=z[:, 5], gap=z[:, 6],
+        t=initial.t + dt * np.arange(n_valid), x1=z[:, 0], x1m=x1m[:n_valid], x2=z[:, 1],
+        c=c[:n_valid], defect=z[:, 2], gap=z[:, 4],
     )
     if n_valid <= n_steps:
         raise IntegrationError(
@@ -328,9 +340,8 @@ def readout(trajectory: Trajectory, mode: BogoliubovMode) -> Readout:
     # J1 = (a^dag b + b^dag a)/2, J2 = (a^dag b - b^dag a)/(2i) with zero
     # means, xi1 = xi2 = Var(J_i)/(J/2), J/2 = (n_a + n_b)/4, which the Wick
     # expansion of the Gaussian state reduces to the closed forms of the
-    # docstring.  They are summed in place, term by term, so that few
-    # temporaries are alive at once; xi12's numerator is
-    # 2 (u^2 |c|^2 + n_a n_b) + n_a + n_b.
+    # docstring.  xi3 is summed in place, term by term, so that few
+    # temporaries are alive at once.
     total = n_a + n_b_plus
     with np.errstate(divide="ignore", invalid="ignore"):
         xi3 = gap - v2 * x1  # e = s - v^2 x1, then e (e - 1)
@@ -339,13 +350,7 @@ def readout(trajectory: Trajectory, mode: BogoliubovMode) -> Readout:
         xi3 += 2.0 * u2 * defect
         xi3 /= total
         del w
-        xi12 = x1 * x2 - defect
-        xi12 *= u2
-        xi12 += n_a * n_b_plus
-        xi12 *= 2.0
-        xi12 += n_a
-        xi12 += n_b_plus
-        xi12 /= total
+        xi12 = (2.0 * u2 * (x1 * x2 - defect) + 2.0 * n_a * n_b_plus + n_a + n_b_plus) / total
     xi3[total < _DEGENERACY_FLOOR] = np.nan
     xi12[0.25 * total < _DEGENERACY_FLOOR] = np.nan
     n_b_minus = v2 * (x1 + 1.0)
