@@ -453,7 +453,7 @@ def test_readout_rejects_non_positive_state():
 def test_xi3_matches_50_digit_propagation(gamma):
     # the dynamics-long grid: 6001 samples at 1 us, where the undamped
     # moments reach 4e4 and n_a(n_a+1) + n_b(n_b+1) - 2 u^2 |c|^2 cancels
-    # about 8 of the 16 digits of a double
+    # terms near 2e9 down to a numerator near 3e2
     traj = evolve_moments(VACUUM, drive(1e3, t_max=6e-3, dt=1e-6), gamma)
     reference = decimal_from_vacuum(1e3, gamma, 1e-6, len(traj.t) - 1)
     xi3 = decimal_xi3(reference, bogoliubov_mode(5.0))
