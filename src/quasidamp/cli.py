@@ -279,7 +279,8 @@ def load_config(path: str) -> RunConfig:
     """Parse, validate, and resolve a JSON config file.
 
     NaN/Infinity tokens and literals too large for a double are rejected
-    while parsing, before the schema sees them.
+    while parsing, before the schema sees them.  Any file that is not a
+    valid config, whatever its bytes, raises ConfigError.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -295,6 +296,10 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(
             f"invalid JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config {path} nests arrays or objects too deeply") from exc
     if not isinstance(user, dict):
         raise ConfigError(f"config root must be a JSON object, got {type(user).__name__}")
     return _resolve(user)
@@ -355,7 +360,10 @@ def _emit(out_dir: str, files: dict[str, Iterable[str]]) -> None:
     """
     written: list[str] = []
     try:
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except ValueError as exc:  # a NUL or lone surrogate, which no path can hold
+            raise OSError(str(exc)) from exc
         for name, chunks in files.items():
             path = os.path.join(out_dir, name)
             with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -36,15 +36,16 @@ vacuum start D stays exactly 0; undamped, s stays exactly 1.  The readout
 takes xi3 and positivity from D and s, whose closed forms carry none of the
 O(n^2) cancellation of |c|^2 against x1 x2.
 
-In the shifted variables (x1 - n0_eq, x2 + n0_eq, Re c, Im c, x1m - n0_eq,
-D + n0_eq^2, s + 2 n0_eq) the system is homogeneous, so it is integrated by
-a single matrix exponential per output step, taken once in numpy: Re c and
-x1m decouple into scalar exponentials, and the coupled (x1, x2, Im c, D, s)
-block is exponentiated by Taylor scaling and squaring.  The tests check the
-result against an adaptive Runge-Kutta integration of the complex equations
+In the shifted variables (x1 - n0_eq, x2 + n0_eq, D + n0_eq^2, Im c,
+s + 2 n0_eq) the coupled moments obey a homogeneous linear system, so the
+5-component state is stepped by a single matrix exponential per output
+step, taken once in numpy by Taylor scaling and squaring.  Re c and
+x1m - n0_eq couple to nothing and decay by the scalar factors
+exp(-gamma dt/2) and exp(-gamma dt) per step.  The tests check the result
+against an adaptive Runge-Kutta integration of the complex equations
 and against a 50-digit propagation.
 
-The trajectory stays in numpy arrays from the propagator through the
+The trajectory stays in numpy arrays from the stepping through the
 readout to the SqueezingRun that run_squeezing returns: occupations, xi3,
 and the pseudo-spin variances in closed form,
 xi1 = xi2 = (2 u^2 |c|^2 + 2 n_a n_b + n_a + n_b)/(n_a + n_b), are computed
@@ -124,27 +125,18 @@ class Trajectory(NamedTuple):
         )
 
 
-def _real_generator(rabi: float, gamma: float, n0_eq: float = 0.0) -> np.ndarray:
-    """Real 7x7 generator on (x1 - n0, x2 + n0, Re c, Im c, x1m - n0, D + n0^2,
-    s + 2 n0)."""
+def _generator(rabi: float, gamma: float, n0_eq: float) -> np.ndarray:
+    """Real generator on (x1 - n0, x2 + n0, D + n0^2, Im c, s + 2 n0)."""
     return np.array(
         [
-            [-gamma, 0.0, 0.0, -2.0 * rabi, 0.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, -2.0 * rabi, 0.0, 0.0, 0.0],
-            [0.0, 0.0, -0.5 * gamma, 0.0, 0.0, 0.0, 0.0],
-            [-rabi, -rabi, 0.0, -0.5 * gamma, 0.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 0.0, -gamma, 0.0, 0.0],
-            [0.0, gamma * n0_eq, 0.0, 0.0, 0.0, -gamma, 0.0],
-            [gamma, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [-gamma, 0.0, 0.0, -2.0 * rabi, 0.0],
+            [0.0, 0.0, 0.0, -2.0 * rabi, 0.0],
+            [0.0, gamma * n0_eq, -gamma, 0.0, 0.0],
+            [-rabi, -rabi, 0.0, -0.5 * gamma, 0.0],
+            [gamma, 0.0, 0.0, 0.0, 0.0],
         ]
     )
 
-
-#: (x1 - n0, x2 + n0, D + n0^2, Im c, s + 2 n0): the block of the real
-#: generator the drive couples.  D and s take the places of Re c and x1m,
-#: which no coupled moment depends on, so each coupled row adds its
-#: nonzero products in the same positions as a step of the full state.
-_COUPLED = np.ix_((0, 1, 5, 3, 6), (0, 1, 5, 3, 6))
 
 #: Taylor degree for exp(X) at ||X||_1 <= 1/2, where the remainder
 #: 0.5^17/17! ~ 2e-20 is far below roundoff.
@@ -170,20 +162,6 @@ def _expm_taylor(x: np.ndarray) -> np.ndarray:
         for _ in range(squarings):
             result = result @ result
     return result
-
-
-def _propagator(rabi: float, gamma: float, dt: float, n0_eq: float = 0.0) -> np.ndarray:
-    """exp(G dt) for the real generator G = _real_generator(rabi, gamma, n0_eq).
-
-    Re c and x1m - n0 decouple and decay as plain exponentials; only the
-    5x5 block on (x1 - n0, x2 + n0, D + n0^2, Im c, s + 2 n0) needs a matrix
-    exponential.
-    """
-    prop = np.zeros((7, 7))
-    prop[2, 2] = math.exp(-0.5 * gamma * dt)
-    prop[4, 4] = math.exp(-gamma * dt)
-    prop[_COUPLED] = _expm_taylor(_real_generator(rabi, gamma, n0_eq)[_COUPLED] * dt)
-    return prop
 
 
 def _validate_initial(state: MomentState) -> None:
@@ -228,21 +206,20 @@ def evolve_moments(
     if abs(ratio - n_steps) > 1e-12 * ratio:
         n_steps = math.floor(ratio)
     dt = drive.dt_output
-    propagator = _propagator(drive.rabi_effective, gamma, dt, n0_eq)
-    # the coupled block steps by a matrix product; Re c and x1m - n0 decay
+    # the 5-component state steps by a matrix product; Re c and x1m - n0 decay
     # by one factor per step, as running products
-    coupled = propagator[_COUPLED]
+    step = _expm_taylor(_generator(drive.rabi_effective, gamma, n0_eq) * dt)
     shift = np.array([-n0_eq, n0_eq, n0_eq * n0_eq, 0.0, 2.0 * n0_eq])
     z = np.empty((n_steps + 1, 5))
     z[0] = (initial.x1, initial.x2, initial.defect, initial.c.imag, initial.gap)
     z[0] += shift
-    c = np.full(n_steps + 1, propagator[2, 2], dtype=complex)
+    c = np.full(n_steps + 1, math.exp(-0.5 * gamma * dt), dtype=complex)
     c[0] = initial.c.real
-    x1m = np.full(n_steps + 1, propagator[4, 4])
+    x1m = np.full(n_steps + 1, math.exp(-gamma * dt))
     x1m[0] = initial.x1m - n0_eq
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         for i in range(n_steps):
-            z[i + 1] = coupled @ z[i]
+            z[i + 1] = step @ z[i]
         z -= shift
         # the readout multiplies moments, so their products must stay finite too
         valid = np.isfinite(z).all(axis=1) & np.isfinite(z[:, 1] * (z[:, 0] + z[:, 1]))
@@ -307,7 +284,8 @@ def readout(trajectory: Trajectory, mode: BogoliubovMode) -> Readout:
     J1 = (a^dag b + b^dag a)/2, J2 = (a^dag b - b^dag a)/(2i), whose means
     vanish identically for these states since <a^dag b> = 0; it reads
     u^2 |c|^2 as u^2 (x1 x2 - D).  Raises IntegrationError, carrying the
-    last valid state, when a sample is not a physical Gaussian state.
+    last valid state, when a sample is not a physical Gaussian state or its
+    squeezing parameters overflow.
     """
     t, x1, x1m, x2, _, defect, gap = trajectory
     u2 = mode.u * mode.u
@@ -343,7 +321,7 @@ def readout(trajectory: Trajectory, mode: BogoliubovMode) -> Readout:
     # docstring.  xi3 is summed in place, term by term, so that few
     # temporaries are alive at once.
     total = n_a + n_b_plus
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
         xi3 = gap - v2 * x1  # e = s - v^2 x1, then e (e - 1)
         xi3 *= xi3 - 1.0
         xi3 += w * (2.0 * u2 * x1 + w + 1.0)
@@ -351,8 +329,18 @@ def readout(trajectory: Trajectory, mode: BogoliubovMode) -> Readout:
         xi3 /= total
         del w
         xi12 = (2.0 * u2 * (x1 * x2 - defect) + 2.0 * n_a * n_b_plus + n_a + n_b_plus) / total
-    xi3[total < _DEGENERACY_FLOOR] = np.nan
-    xi12[0.25 * total < _DEGENERACY_FLOOR] = np.nan
+    undefined3 = total < _DEGENERACY_FLOOR
+    undefined12 = 0.25 * total < _DEGENERACY_FLOOR
+    xi3[undefined3] = np.nan
+    xi12[undefined12] = np.nan
+    # past a degenerate denominator, a non-finite xi is an overflow of the
+    # moment products, which evolve_moments keeps finite only up to x2 (x1 + x2)
+    finite = (np.isfinite(xi3) | undefined3) & (np.isfinite(xi12) | undefined12)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise IntegrationError(
+            f"squeezing parameters overflow at t = {t[bad]}", trajectory.state(max(bad - 1, 0))
+        )
     n_b_minus = v2 * (x1 + 1.0)
     n_b_minus += u2 * x1m
     return Readout(n_a, n_b_plus, n_b_minus, xi12, xi3)

@@ -1,7 +1,7 @@
 """Test-side references for the moment equations and their readout.
 
 The complex 3x3 generator below is written independently of the production
-real 7x7 one, and `dop853_moments` integrates it with scipy's adaptive
+real 5x5 one, and `dop853_moments` integrates it with scipy's adaptive
 Runge-Kutta; the tests compare the production matrix-exponential
 propagation against it.  `decimal_from_vacuum` propagates the moments and
 the invariants D and s in 50-digit decimal arithmetic, against which the
@@ -26,8 +26,9 @@ def drift_matrix(rabi: float, gamma: float) -> np.ndarray:
     Acts on the vector (<beta^dag beta> - n0_eq, <a a^dag> + n0_eq,
     <a beta> - c.c.); the discarded combination <a beta> + c.c. obeys a
     closed decaying equation and stays zero when started at zero.  The
-    production integrator evolves the equivalent real system of
-    (x1, x2, Re c, Im c) and the invariants — see dynamics._real_generator.
+    production integrator steps the equivalent real system of (x1, x2, Im c)
+    and the invariants D and s, and decays Re c and x1m as scalars — see
+    dynamics._generator.
     """
     if gamma < 0.0:
         raise ParameterError(f"gamma must be >= 0, got {gamma}")

@@ -20,6 +20,7 @@ from quasidamp.cli import (
     SCHEMA,
     _CSV_CHUNK_ROWS,
     ConfigError,
+    RunConfig,
     _csv,
     _emit,
     _violation,
@@ -180,6 +181,50 @@ def test_non_object_root(tmp_path):
 def test_missing_file():
     with pytest.raises(ConfigError, match="cannot read"):
         load_config("/nonexistent/config.json")
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b"\xff\xfe{}", "is not UTF-8 text"),
+    (b"[" * 200_000 + b"]" * 200_000, "nests arrays or objects too deeply"),
+], ids=["non_utf8", "nested_200000_deep"])
+def test_unparseable_file_exits_2_with_one_line(tmp_path, capsys, raw, message):
+    path = tmp_path / "raw.json"
+    path.write_bytes(raw)
+    with pytest.raises(ConfigError, match=message):
+        load_config(str(path))
+    assert main(["dynamics", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {path} {message}") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+_CONFIG_KEYS = sorted({
+    key for section in SCHEMA["properties"].values() for key in section.get("properties", {})
+} | set(SCHEMA["properties"]))
+
+_JSON_TREE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from(["sodium-paper", "single_level", "two_level"]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(_CONFIG_KEYS) | st.text(max_size=4), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=64) | st.one_of(
+    _JSON_TREE, st.dictionaries(st.sampled_from(_CONFIG_KEYS), _JSON_TREE, max_size=4)
+).map(lambda tree: json.dumps(tree).encode()))
+def test_load_config_never_crashes(raw):
+    # whatever a file holds, load_config returns a RunConfig or raises ConfigError
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        try:
+            assert isinstance(load_config(path), RunConfig)
+        except ConfigError:
+            pass
 
 
 def test_default_config_matches_preset(tmp_path):
@@ -464,6 +509,22 @@ def test_dynamics_overflowing_moments_exit_3_without_warnings(tmp_path, capsys):
         )
     assert rc == 3
     assert err.startswith("integration failure") and err.count("\n") == 1
+
+
+def test_dynamics_readout_overflow_exits_3_without_warnings(tmp_path, capsys):
+    # the moments stay finite up to t_max, but from t = 0.1778 s the
+    # squeezing parameters' products overflow: no inf row may be written
+    rc, err = run_raw_config(
+        tmp_path, capsys, "dynamics",
+        '{"preset": "sodium-paper", "drive": {"qbar_recoil": 5, "rabi_effective": 1e3,'
+        ' "gamma_override": 0, "t_max": 0.1779, "dt_output": 1e-4}}',
+    )
+    assert rc == 3
+    assert err == (
+        "integration failure: squeezing parameters overflow at t = 0.1778"
+        " (last valid state at t = 0.1777 s)\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 _POSITIVE_NUMBER = st.one_of(
@@ -1006,9 +1067,10 @@ def test_heavy_atom_runs(tmp_path, capsys, command):
 # exit codes and process entry
 
 
-@pytest.mark.parametrize(
-    "where", ["empty_directory", "existing_file", "under_a_file", "second_file_is_a_directory"]
-)
+@pytest.mark.parametrize("where", [
+    "empty_directory", "existing_file", "under_a_file", "second_file_is_a_directory",
+    "nul_in_name", "lone_surrogate_in_name",
+])
 def test_unwritable_output_location_exits_2(tmp_path, capsys, where):
     # rates writes rates.csv, then rates.meta.json: a failure leaves neither
     blocker = tmp_path / "blocker"
@@ -1019,6 +1081,9 @@ def test_unwritable_output_location_exits_2(tmp_path, capsys, where):
         "existing_file": blocker,
         "under_a_file": blocker / "sub",
         "second_file_is_a_directory": tmp_path / "out",
+        # strings the schema accepts but no path can hold
+        "nul_in_name": tmp_path / "a\u0000b",
+        "lone_surrogate_in_name": tmp_path / "a\ud800b",
     }[where]
     cfg_path = write_config(tmp_path, output={"directory": ""})
     before = sorted(tmp_path.rglob("*"))

@@ -23,8 +23,8 @@ from quasidamp.dynamics import (
     MomentState,
     SqueezingRun,
     Trajectory,
-    _propagator,
-    _real_generator,
+    _expm_taylor,
+    _generator,
     evolve_moments,
     readout,
     run_squeezing,
@@ -108,19 +108,14 @@ def test_generator_damped_growth_eigenvalue():
 @pytest.mark.parametrize("rabi", [0.0, 1e2, 1e3, 5e3])
 @pytest.mark.parametrize("gamma", [0.0, 1.0, 200.0, 1e4, 1e5])
 def test_propagator_matches_scipy_expm(rabi, gamma):
-    # dt up to 1e-3 s puts gamma*dt at 100 and rabi*dt at 5
-    for dt in (1e-6, 1e-5, 1e-4, 1e-3):
-        prop = _propagator(rabi, gamma, dt)
-        reference = expm(_real_generator(rabi, gamma) * dt)
-        scale = np.abs(reference).max()
-        assert np.abs(prop - reference).max() <= 1e-12 * scale
-        # Re c and x1m decouple and decay as plain exponentials
-        assert prop[2, 2] == math.exp(-0.5 * gamma * dt)
-        assert prop[4, 4] == math.exp(-gamma * dt)
-        coupled = np.zeros((7, 7), dtype=bool)
-        coupled[np.ix_((0, 1, 3, 5, 6), (0, 1, 3, 5, 6))] = True
-        coupled[2, 2] = coupled[4, 4] = True
-        assert not prop[~coupled].any()
+    # dt up to 1e-3 s puts gamma*dt at 100 and rabi*dt at 5; n0_eq > 0 puts
+    # the D row's gamma*n0_eq entry into the comparison
+    for n0_eq in (0.0, 0.17):
+        for dt in (1e-6, 1e-5, 1e-4, 1e-3):
+            generator = _generator(rabi, gamma, n0_eq) * dt
+            reference = expm(generator)
+            scale = np.abs(reference).max()
+            assert np.abs(_expm_taylor(generator) - reference).max() <= 1e-12 * scale
 
 
 def test_real_and_complex_generators_agree():
@@ -172,6 +167,23 @@ def test_passive_mode_is_exactly_exponential():
     coeffs, residuals, *_ = np.polyfit(traj.t, np.log(traj.x1m), 1, full=True)
     assert coeffs[0] == pytest.approx(-gamma, rel=1e-10)
     assert residuals[0] < 1e-10
+
+
+@pytest.mark.parametrize("gamma", [0.0, 300.0, 3000.0])
+def test_decoupled_moments_decay_as_scalar_exponentials(gamma):
+    # Re c and x1m couple to nothing: from a start with Re c != 0 they decay
+    # by exp(-gamma t/2) and exp(-gamma t) while the coupled moments follow
+    # the adaptive Runge-Kutta reference
+    rabi, n0_eq = 1e3, 0.1
+    initial = MomentState(t=0.0, x1=1.0, x1m=0.4, x2=1.5, c=0.3 + 0.2j)
+    traj = evolve_moments(initial, drive(rabi, t_max=3e-3, dt=3e-5), gamma, n0_eq=n0_eq)
+    x1, x2, c = dop853_moments(rabi, gamma, traj.t, initial, n0_eq=n0_eq)
+    scale = 1e-9 * np.maximum(1.0, x2)
+    assert np.all(np.abs(traj.x1 - x1) <= scale)
+    assert np.all(np.abs(traj.x2 - x2) <= scale)
+    assert np.all(np.abs(traj.c - c) <= scale)
+    assert np.abs(traj.c.real - 0.3 * np.exp(-0.5 * gamma * traj.t)).max() <= 1e-13
+    assert np.abs(traj.x1m - (n0_eq + 0.3 * np.exp(-gamma * traj.t))).max() <= 1e-13
 
 
 def test_passive_mode_vacuum_stays_empty():
@@ -230,8 +242,8 @@ def test_anti_normal_floor_drives_growth():
     # the naive normal-ordered closure started from vacuum (all moments zero)
     # has nothing to grow from; the anti-normal floor x2 = 1 is the seed
     rabi, gamma, t = 1e3, 200.0, 2e-3
-    naive = expm(_real_generator(rabi, gamma) * t) @ np.zeros(7)
-    assert np.array_equal(naive, np.zeros(7))
+    naive = expm(_generator(rabi, gamma, 0.0) * t) @ np.zeros(5)
+    assert np.array_equal(naive, np.zeros(5))
     traj = evolve_moments(VACUUM, drive(rabi, t_max=t, dt=t), gamma)
     assert traj.x2[0] - 1.0 == 0.0  # n_a(0) = 0 after vacuum subtraction
     assert traj.x2[-1] - 1.0 > 1.0  # while the pipeline grows
