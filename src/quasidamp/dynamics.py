@@ -331,11 +331,13 @@ def readout(trajectory: Trajectory, mode: BogoliubovMode) -> Readout:
         xi12 = (2.0 * u2 * (x1 * x2 - defect) + 2.0 * n_a * n_b_plus + n_a + n_b_plus) / total
     undefined3 = total < _DEGENERACY_FLOOR
     undefined12 = 0.25 * total < _DEGENERACY_FLOOR
+    del total
     xi3[undefined3] = np.nan
     xi12[undefined12] = np.nan
     # past a degenerate denominator, a non-finite xi is an overflow of the
     # moment products, which evolve_moments keeps finite only up to x2 (x1 + x2)
     finite = (np.isfinite(xi3) | undefined3) & (np.isfinite(xi12) | undefined12)
+    del undefined3, undefined12
     if not finite.all():
         bad = int(np.argmin(finite))
         raise IntegrationError(
