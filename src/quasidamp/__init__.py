@@ -31,10 +31,7 @@ from .model import (  # noqa: F401
     ParameterError,
     PhysicalParams,
     QuadratureError,
-    TwoLevelParams,
-    UnitSystem,
     bogoliubov_mode,
-    derive_units,
     dispersion,
     group_velocity,
     inverse_dispersion,

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .model import (
+    MAX_RATE_POINTS,
     PRESETS,
     Channel,
     DriveConfig,
@@ -49,9 +50,7 @@ from .model import (
     ParameterError,
     PhysicalParams,
     QuadratureError,
-    TwoLevelParams,
     bogoliubov_mode,
-    derive_units,
 )
 
 
@@ -168,7 +167,7 @@ def _preset_params(name: str) -> dict:
     if name not in PRESETS:
         known = ", ".join(sorted(PRESETS))
         raise ConfigError(f"unknown preset {name!r} (known presets: {known})")
-    return {k: v for k, v in vars(PRESETS[name]).items() if k != "two_level"}
+    return {k: v for k, v in vars(PRESETS[name]).items() if v is not None}
 
 
 _JSON_TYPES = {
@@ -237,16 +236,19 @@ def _resolve(user: dict) -> RunConfig:
         if field.default is dataclasses.MISSING and field.name not in values:
             raise ConfigError(f"params.{field.name} is required (no preset supplies it)")
 
-    a_bc = values.pop("a_bc", None)
     try:
-        params = PhysicalParams(
-            **values, two_level=None if a_bc is None else TwoLevelParams(a_bc=a_bc)
-        )
+        params = PhysicalParams(**values)
         drive = DriveConfig(**merged["drive"])
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
 
     rq = merged["rate_query"]
+    points = len(rq["qbar"]) * len(rq["temperature"])
+    if points > MAX_RATE_POINTS:
+        raise ConfigError(
+            f"rate_query grid of {len(rq['qbar'])} qbar x {len(rq['temperature'])} "
+            f"temperature values = {points} points exceeds the limit of {MAX_RATE_POINTS}"
+        )
     return RunConfig(
         preset=preset,
         params=params,
@@ -379,7 +381,11 @@ def _emit(out_dir: str, files: dict[str, Iterable[str]]) -> None:
             raise ConfigError(f"cannot write output to {out_dir!r}: {exc.strerror or exc}") from exc
         raise
     for path in written:
-        print(f"wrote {path}")
+        line = f"wrote {path}"
+        try:
+            print(line)
+        except UnicodeEncodeError:  # escape what stdout cannot encode, as stderr does
+            print(line.encode(sys.stdout.encoding, "backslashreplace").decode(sys.stdout.encoding))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +398,6 @@ def cmd_rates(cfg: RunConfig, out_dir: str) -> int:
 
     from . import rates
 
-    units = derive_units(cfg.params)
     qbar, temperature = cfg.qbar_grid, cfg.temperature_grid
     grid = rates.decay_rates(cfg.params, cfg.channel, qbar, temperature)
     table = {
@@ -410,7 +415,7 @@ def cmd_rates(cfg: RunConfig, out_dir: str) -> int:
         "channel": cfg.channel.value,
         "qbar": list(cfg.qbar_grid),
         "temperature_K": list(cfg.temperature_grid),
-        "units": {"k0_m^-1": units.k0, "omega0_s^-1": units.omega0},
+        "units": {"k0_m^-1": cfg.params.k0, "omega0_s^-1": cfg.params.omega0},
         "config": cfg.resolved,
     }
     _emit(out_dir, {"rates.csv": _csv(table), "rates.meta.json": _json(meta)})
@@ -497,9 +502,9 @@ def cmd_oracle(suite: str, out_dir: str) -> int:
 
 def cmd_spectrum(cfg: RunConfig, out_dir: str) -> int:
     """spectrum.csv: Bogoliubov mode table on the configured qbar grid."""
-    units = derive_units(cfg.params)
+    omega0 = cfg.params.omega0
     modes = [bogoliubov_mode(kbar) for kbar in cfg.qbar_grid]
-    omega_s = [m.omega_bar * units.omega0 for m in modes]
+    omega_s = [m.omega_bar * omega0 for m in modes]
     for kbar, omega in zip(cfg.qbar_grid, omega_s):
         if omega == math.inf:
             raise ParameterError(f"mode frequency overflows at qbar = {kbar:.3g}")

@@ -5,7 +5,7 @@ angular frequencies in omega0 = hbar k0^2 / (2 m).  In these units the
 quasiparticle dispersion is omega_bar(kbar) = kbar*sqrt(2 + kbar^2), which
 interpolates between the phonon branch sqrt(2)*kbar and the free-particle
 branch kbar^2.  SI values enter only through `PhysicalParams` and leave only
-through `UnitSystem`.
+through its scales `k0` and `omega0`.
 
 The module also holds what config resolution needs from the numerical
 layers: the rate channel (`Channel`), the drive and output grid of a
@@ -32,17 +32,6 @@ class ParameterError(ValueError):
 
 
 @dataclass(frozen=True)
-class TwoLevelParams:
-    """Second internal level: interspecies s-wave scattering length (m)."""
-
-    a_bc: float
-
-    def __post_init__(self) -> None:
-        if not (self.a_bc > 0.0 and math.isfinite(self.a_bc)):
-            raise ParameterError(f"a_bc must be positive and finite, got {self.a_bc}")
-
-
-@dataclass(frozen=True)
 class PhysicalParams:
     """Condensate and atomic constants in SI units.
 
@@ -52,7 +41,12 @@ class PhysicalParams:
     atom_count_N0       : dimensionless, the condensate atoms that the
                           depletion flag of a trajectory compares against
     temperature_T       : K
-    two_level           : optional second-level parameters
+    a_bc                : interspecies s-wave scattering length (m) of the
+                          second internal level; None for one level
+
+    k0 and omega0 are the natural-unit scales.  hbar * omega0 = g * n0 is
+    the interaction energy per atom, with the contact coupling
+    g = 4 pi hbar^2 a / m.
     """
 
     scattering_length_a: float
@@ -60,7 +54,7 @@ class PhysicalParams:
     condensate_density_n0: float
     atom_count_N0: float
     temperature_T: float = 0.0
-    two_level: TwoLevelParams | None = None
+    a_bc: float | None = None
 
     def __post_init__(self) -> None:
         # every field without a default is a positive physical quantity
@@ -70,12 +64,14 @@ class PhysicalParams:
                 raise ParameterError(f"{field.name} must be positive and finite, got {value}")
         if not (self.temperature_T >= 0.0 and math.isfinite(self.temperature_T)):
             raise ParameterError(f"temperature_T must be >= 0, got {self.temperature_T}")
+        if self.a_bc is not None and not (self.a_bc > 0.0 and math.isfinite(self.a_bc)):
+            raise ParameterError(f"a_bc must be positive and finite, got {self.a_bc}")
         # the rates and the dynamics divide by these scales and by k0^3/n0
-        units = derive_units(self)
+        k0 = self.k0
         scales = {
-            "k0": units.k0,
-            "k0^3/n0": units.k0 * units.k0 * units.k0 / self.condensate_density_n0,
-            "hbar*omega0": HBAR * units.omega0,
+            "k0": k0,
+            "k0^3/n0": k0 * k0 * k0 / self.condensate_density_n0,
+            "hbar*omega0": HBAR * self.omega0,
         }
         for name, value in scales.items():
             if not sys.float_info.min <= value < math.inf:
@@ -85,36 +81,22 @@ class PhysicalParams:
                 )
 
     @property
+    def k0(self) -> float:
+        """Momentum scale sqrt(8 pi a n0) (m^-1)."""
+        return math.sqrt(8.0 * math.pi * self.scattering_length_a * self.condensate_density_n0)
+
+    @property
+    def omega0(self) -> float:
+        """Frequency scale hbar k0^2 / 2m (s^-1)."""
+        k0 = self.k0
+        return HBAR * k0 * k0 / (2.0 * self.atomic_mass)
+
+    @property
     def bc_scattering_length(self) -> float:
         """Interspecies scattering length; defaults to the intraspecies value."""
-        if self.two_level is not None:
-            return self.two_level.a_bc
+        if self.a_bc is not None:
+            return self.a_bc
         return self.scattering_length_a
-
-
-@dataclass(frozen=True)
-class UnitSystem:
-    """Derived natural-unit scales.
-
-    k0     : momentum scale sqrt(8 pi a n0)  (m^-1)
-    omega0 : frequency scale hbar k0^2 / 2m  (s^-1)
-
-    hbar * omega0 = g * n0 is the interaction energy per atom, with the
-    contact coupling g = 4 pi hbar^2 a / m.
-    """
-
-    k0: float
-    omega0: float
-
-
-def derive_units(params: PhysicalParams) -> UnitSystem:
-    """Compute the natural-unit scales from SI parameters."""
-    a = params.scattering_length_a
-    m = params.atomic_mass
-    n0 = params.condensate_density_n0
-    k0 = math.sqrt(8.0 * math.pi * a * n0)
-    omega0 = HBAR * k0 * k0 / (2.0 * m)
-    return UnitSystem(k0=k0, omega0=omega0)
 
 
 @dataclass(frozen=True)
@@ -138,12 +120,13 @@ class BogoliubovMode:
             raise ParameterError("kbar and omega_bar must be > 0")
         if not (0.0 <= self.alpha < 1.0):
             raise ParameterError(f"alpha must be in [0, 1), got {self.alpha}")
-        if self.u < 1.0 - 1e-12:
+        # written so that a NaN fails each check
+        if not self.u >= 1.0 - 1e-12:
             raise ParameterError(f"u must be >= 1, got {self.u}")
-        if abs(self.v - self.alpha * self.u) > 1e-12 * max(1.0, self.v):
+        if not abs(self.v - self.alpha * self.u) <= 1e-12 * max(1.0, self.v):
             raise ParameterError("v must equal alpha*u")
         norm = self.u * self.u - self.v * self.v
-        if abs(norm - 1.0) > 1e-12 * max(1.0, self.u * self.u):
+        if not abs(norm - 1.0) <= 1e-12 * max(1.0, self.u * self.u):
             raise ParameterError(f"u^2 - v^2 must be 1, got {norm}")
 
 
@@ -171,7 +154,8 @@ def bogoliubov_mode(kbar: float) -> BogoliubovMode:
     u^2 = (1 + kbar^2 + omega_bar)/(2*omega_bar), so u^2 - v^2 = 1 holds to
     machine precision by construction.  Below kbar ~ 7.85e-17, where
     omega_bar ~ sqrt(2)*kbar is under half an ulp of 1, the denominator
-    rounds to 1 and no pair u, v is left to represent.
+    rounds to 1 and no pair u, v is left to represent; above kbar ~ 9.48e153
+    it overflows, though omega_bar itself is still finite.
     """
     if not (kbar > 0.0 and math.isfinite(kbar)):
         raise ParameterError(f"kbar must be > 0 (k=0 is the condensate), got {kbar}")
@@ -182,6 +166,8 @@ def bogoliubov_mode(kbar: float) -> BogoliubovMode:
             f"kbar = {kbar:.3g} is too small: v/u rounds to 1, "
             "so u^2 - v^2 = 1 cannot hold in doubles"
         )
+    if denom == math.inf:
+        raise ParameterError(f"kbar = {kbar:.3g} is too large: 1 + kbar^2 + omega_bar overflows")
     alpha = 1.0 / denom
     u = math.sqrt(denom / (2.0 * w))
     v = alpha * u
@@ -254,6 +240,9 @@ class IntegrationError(RuntimeError):
 
 #: Longest trajectory, in output steps, that a DriveConfig accepts.
 MAX_OUTPUT_STEPS = 1_000_000
+
+#: Most (qbar, temperature) points that a config's rate grid may hold.
+MAX_RATE_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,6 @@ from .model import (
     ParameterError,
     PhysicalParams,
     QuadratureError,
-    derive_units,
     inverse_dispersion,
 )
 
@@ -506,9 +505,8 @@ def _setup(params: PhysicalParams, channel: Channel, qbar: list[float],
     stimulated prefactors and scales, and the Bose cutoffs.
     """
     two_level = channel is Channel.TWO_LEVEL
-    units = derive_units(params)
-    omega0 = units.omega0
-    gas = units.k0**3 / params.condensate_density_n0
+    omega0 = params.omega0
+    gas = params.k0**3 / params.condensate_density_n0
     shape = (len(temperature), len(qbar))
     ratio = params.bc_scattering_length / params.scattering_length_a
     ratio_sq = ratio * ratio

@@ -25,7 +25,6 @@ from quasidamp.model import (
     K_BOLTZMANN,
     ParameterError,
     PhysicalParams,
-    derive_units,
     dispersion,
     group_velocity,
     inverse_dispersion,
@@ -61,8 +60,7 @@ def beliaev_asymptote(qbar: float, channel: Channel, params: PhysicalParams) -> 
     """
     if not (qbar > 0.0 and math.isfinite(qbar)):
         raise ParameterError(f"qbar must be > 0, got {qbar}")
-    units = derive_units(params)
-    q = qbar * units.k0
+    q = qbar * params.k0
     base = HBAR * q**5 / (math.pi * params.atomic_mass * params.condensate_density_n0)
     if channel is Channel.SINGLE_LEVEL:
         return 3.0 * base / 320.0
@@ -76,7 +74,7 @@ def landau_high_t(qbar: float, temperature_T: float, params: PhysicalParams) -> 
     Szepfalusy & Kondor, Ann. Phys. 82, 1 (1974): the amplitude damping of a
     phonon at kB*T >> mu; the occupation width is twice this.
     """
-    q = qbar * derive_units(params).k0
+    q = qbar * params.k0
     return 3.0 * math.pi / 8.0 * K_BOLTZMANN * temperature_T * params.scattering_length_a * q / HBAR
 
 
@@ -88,10 +86,9 @@ def landau_low_t(qbar: float, temperature_T: float, params: PhysicalParams) -> f
     speed c = sqrt(mu/m) and mu = hbar*omega0; the occupation width is
     twice this.
     """
-    units = derive_units(params)
-    q = qbar * units.k0
+    q = qbar * params.k0
     mass, n0 = params.atomic_mass, params.condensate_density_n0
-    c = math.sqrt(HBAR * units.omega0 / mass)
+    c = math.sqrt(HBAR * params.omega0 / mass)
     thermal = K_BOLTZMANN * temperature_T
     return 3.0 * math.pi**3 / 40.0 * thermal**4 * q / (mass * n0 * HBAR**3 * c**4)
 
@@ -209,13 +206,12 @@ def integrals(params: PhysicalParams, channel: Channel, qbar: float,
     """The spontaneous and the stimulated integral of one point, set up
     with scalar arithmetic and checks."""
     two_level = channel is Channel.TWO_LEVEL
-    units = derive_units(params)
-    gas = units.k0**3 / params.condensate_density_n0
-    beta = _inverse_temperature(temperature, units.omega0)
+    gas = params.k0**3 / params.condensate_density_n0
+    beta = _inverse_temperature(temperature, params.omega0)
     wq = dispersion(qbar)
-    if wq * units.omega0 == 0.0:
+    if wq * params.omega0 == 0.0:
         raise ParameterError(f"mode frequency underflows at qbar = {qbar:.3g}")
-    if wq * units.omega0 == math.inf:
+    if wq * params.omega0 == math.inf:
         raise ParameterError(f"mode frequency overflows at qbar = {qbar:.3g}")
     if not beta * wq >= _MIN_BOSE_EXPONENT:
         raise ParameterError(
@@ -225,7 +221,7 @@ def integrals(params: PhysicalParams, channel: Channel, qbar: float,
     sq = qbar / math.sqrt(wq)
 
     prefactor = gas / (math.pi * qbar)
-    scale = prefactor * units.omega0
+    scale = prefactor * params.omega0
     if two_level:
         scale = TWO_LEVEL_FACTOR * _coupling_ratio_sq(params) * scale
     spontaneous = _reduced(
@@ -238,10 +234,10 @@ def integrals(params: PhysicalParams, channel: Channel, qbar: float,
         stimulated = Integral(_stimulated_integrand, 0.0, 0.0, (), 0.0, 1.0)
     elif not two_level:
         prefactor = 2.0 * gas / (math.pi * qbar)
-        kmax = _bose_cutoff_kbar(0.0, temperature, units.omega0)
+        kmax = _bose_cutoff_kbar(0.0, temperature, params.omega0)
         stimulated = _reduced(
             _stimulated_integrand, 0.0, kmax, (wq, sq, 1.0 / sq, beta),
-            prefactor, prefactor * units.omega0, point,
+            prefactor, prefactor * params.omega0, point,
         )
     else:
         prefactor = _coupling_ratio_sq(params) * gas / (4.0 * math.pi * qbar)
@@ -250,10 +246,10 @@ def integrals(params: PhysicalParams, channel: Channel, qbar: float,
         if beta * omega_low > _MAX_BOSE_EXPONENT:
             kmax = kmin
         else:
-            kmax = max(kmin, _bose_cutoff_kbar(omega_low, temperature, units.omega0))
+            kmax = max(kmin, _bose_cutoff_kbar(omega_low, temperature, params.omega0))
         stimulated = _reduced(
             _stimulated_free_integrand, kmin, kmax, (qbar * qbar, beta),
-            prefactor, prefactor * units.omega0, point,
+            prefactor, prefactor * params.omega0, point,
         )
     return spontaneous, stimulated
 

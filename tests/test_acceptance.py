@@ -24,9 +24,7 @@ from quasidamp.dynamics import (
 from quasidamp.model import (
     HBAR,
     PRESETS,
-    TwoLevelParams,
     bogoliubov_mode,
-    derive_units,
     dispersion,
 )
 from quasidamp.oracle import (
@@ -42,9 +40,7 @@ from quasidamp.rates import Channel, decay_rates
 from moment_reference import dop853_moments, wick_spin
 
 SODIUM = PRESETS["sodium-paper"]
-SODIUM_TL = dataclasses.replace(
-    SODIUM, two_level=TwoLevelParams(a_bc=SODIUM.scattering_length_a)
-)
+SODIUM_TL = dataclasses.replace(SODIUM, a_bc=SODIUM.scattering_length_a)
 
 
 def check(number: int, ok: bool, detail: str) -> None:
@@ -75,16 +71,15 @@ def test_criterion_01_rate_anchor():
     start = time.perf_counter()
     gamma = single_level(5.0).gamma_beliaev[0, 0]
     elapsed = time.perf_counter() - start
-    ratio = gamma / (dispersion(5.0) * derive_units(SODIUM).omega0)
+    ratio = gamma / (dispersion(5.0) * SODIUM.omega0)
     ok = 2.1e-3 <= ratio <= 3.5e-3 and elapsed < 5.0
     check(1, ok, f"gamma_B/omega_q = {ratio:.6g} in [2.1e-3, 3.5e-3], {elapsed:.2f} s < 5 s")
 
 
 def test_criterion_02_single_level_asymptote():
-    units = derive_units(SODIUM)
     worst = 0.0
     for qbar in (0.02, 0.05):
-        q = qbar * units.k0
+        q = qbar * SODIUM.k0
         closed = 3.0 * HBAR * q**5 / (
             320.0 * math.pi * SODIUM.atomic_mass * SODIUM.condensate_density_n0
         )
@@ -98,11 +93,10 @@ def test_criterion_02_single_level_asymptote():
 
 
 def test_criterion_03_two_level_asymptote():
-    units = derive_units(SODIUM)
     worst = 0.0
     worst_ratio = 0.0
     for qbar in (0.02, 0.05):
-        q = qbar * units.k0
+        q = qbar * SODIUM.k0
         closed = HBAR * q**5 / (
             96.0 * math.pi * SODIUM.atomic_mass * SODIUM.condensate_density_n0
         )
@@ -329,7 +323,7 @@ def test_criterion_11_high_momentum_collision_rate():
               100.0: 0.99811948, 300.0: 0.99974221, 1000.0: 0.99997198}
     qbar = np.array(list(pinned))
     gamma = decay_rates(SODIUM, Channel.SINGLE_LEVEL, qbar, [0.0]).gamma_beliaev[0]
-    k = qbar * derive_units(SODIUM).k0
+    k = qbar * SODIUM.k0
     sigma = 8.0 * math.pi * SODIUM.scattering_length_a**2
     ratio = gamma / (SODIUM.condensate_density_n0 * sigma * HBAR * k / SODIUM.atomic_mass)
     worst = float(np.max(np.abs(ratio / np.array(list(pinned.values())) - 1.0)))

@@ -1,5 +1,6 @@
 """Config loading, subcommands, file formats, and exit codes."""
 
+import io
 import json
 import math
 import os
@@ -29,7 +30,7 @@ from quasidamp.cli import (
     main,
 )
 from quasidamp.dynamics import Readout, SqueezingRun
-from quasidamp.model import PRESETS, bogoliubov_mode, derive_units
+from quasidamp.model import MAX_RATE_POINTS, PRESETS, bogoliubov_mode
 from quasidamp import oracle
 from quasidamp.oracle import Verdict
 from quasidamp.rates import Channel, QuadratureError, decay_rates
@@ -48,8 +49,7 @@ def write_config(tmp_path, name="config.json", **body):
 
 def test_preset_expansion(tmp_path):
     cfg = load_config(write_config(tmp_path))
-    units = derive_units(cfg.params)
-    assert units.k0 == pytest.approx(2.65e6, rel=2e-3)
+    assert cfg.params.k0 == pytest.approx(2.65e6, rel=2e-3)
     assert cfg.preset == "sodium-paper"
     assert cfg.params.atom_count_N0 == pytest.approx(1e6)
 
@@ -363,6 +363,22 @@ def test_dt_output_longer_than_t_max_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_rate_grid_over_the_cap_exits_2(tmp_path, capsys):
+    # 101 x 9901 is one point over the cap; at 20 000 x 20 000 the sweep
+    # setup asked for a 2.98 GiB array and ended in a traceback
+    assert 101 * 9901 == MAX_RATE_POINTS + 1
+    grid = {"qbar": [1.0] * 101, "temperature": [0.0] * 9901}
+    rc, err = run_raw_config(tmp_path, capsys, "rates",
+                             json.dumps({"preset": "sodium-paper", "rate_query": grid}))
+    assert (rc, err) == (2, (
+        "error: rate_query grid of 101 qbar x 9901 temperature values = 1000001 points "
+        "exceeds the limit of 1000000\n"
+    ))
+    assert not (tmp_path / "out").exists()
+    at_cap = {"qbar": [1.0] * 100, "temperature": [0.0] * 10_000}
+    assert len(load_config(write_config(tmp_path, rate_query=at_cap)).qbar_grid) == 100
+
+
 def test_tiny_temperature_runs(tmp_path, capsys):
     # hbar*omega underflows inside the thermal integrands at T = 1e-300 K;
     # the run completes and the width is the zero-temperature one
@@ -650,6 +666,22 @@ def test_emit_memory_is_bounded_by_a_chunk(tmp_path, capsys):
     assert peak < 2e6
     assert (tmp_path / "table.csv").read_text(encoding="utf-8") == "".join(_csv(columns))
     assert capsys.readouterr().out == f"wrote {tmp_path / 'table.csv'}\n"
+
+
+def test_wrote_line_escapes_what_a_strict_stdout_cannot_encode(tmp_path, monkeypatch):
+    # a directory named by the byte 0xff decodes to a lone surrogate, which
+    # a strict UTF-8 stdout cannot encode; the run crashed after writing
+    out = str(tmp_path / os.fsdecode(b"out\xff"))
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    cfg_path = write_config(tmp_path, drive={"t_max": 1e-4, "dt_output": 5e-5})
+    assert main(["dynamics", "--config", cfg_path, "--out", out]) == 0
+    stdout.flush()
+    shown = f"{tmp_path}/out\\udcff"
+    assert stdout.buffer.getvalue().decode("utf-8") == (
+        f"wrote {shown}/trajectory.csv\nwrote {shown}/summary.json\n"
+    )
+    assert sorted(os.listdir(out)) == ["summary.json", "trajectory.csv"]
 
 
 # ---------------------------------------------------------------------------
@@ -1049,6 +1081,23 @@ def test_smallest_mode_momentum(tmp_path, capsys, command, kbar, expected):
                              json.dumps({"preset": "sodium-paper", **body}))
     assert (rc, err) == expected
     assert (tmp_path / "out").exists() == (rc == 0)
+
+
+@pytest.mark.parametrize("command, body", [
+    ("dynamics", {"drive": {"qbar_recoil": 1.2e154, "gamma_override": 0.0,
+                            "t_max": 1e-4, "dt_output": 5e-5}}),
+    # the heavy atom keeps omega_s finite at this qbar
+    ("spectrum", {"params": {"atomic_mass": 1e233}, "rate_query": {"qbar": [1.0, 1.2e154]}}),
+])
+def test_largest_mode_momentum(tmp_path, capsys, command, body):
+    # above kbar ~ 9.48e153, 1 + kbar^2 + omega_bar overflows and u, v were
+    # NaN: spectrum wrote empty u and v fields, dynamics exited 3
+    rc, err = run_raw_config(tmp_path, capsys, command,
+                             json.dumps({"preset": "sodium-paper", **body}))
+    assert (rc, err) == (
+        2, "error: kbar = 1.2e+154 is too large: 1 + kbar^2 + omega_bar overflows\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["rates", "dynamics", "spectrum"])

@@ -1,5 +1,6 @@
 """Units, dispersion, and Bogoliubov mode functions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,9 +15,7 @@ from quasidamp.model import (
     BogoliubovMode,
     ParameterError,
     PhysicalParams,
-    TwoLevelParams,
     bogoliubov_mode,
-    derive_units,
     dispersion,
     group_velocity,
     inverse_dispersion,
@@ -33,39 +32,35 @@ kbar_range = st.floats(min_value=1e-3, max_value=1e3)
 
 
 def test_sodium_preset_units():
-    units = derive_units(SODIUM)
-    assert units.k0 == pytest.approx(2.65e6, rel=2e-3)
-    assert units.omega0 == pytest.approx(9.72e3, rel=1e-3)
+    assert SODIUM.k0 == pytest.approx(2.65e6, rel=2e-3)
+    assert SODIUM.omega0 == pytest.approx(9.72e3, rel=1e-3)
     # pinned to full precision so silent changes surface
-    assert units.k0 == pytest.approx(2652766.017582617, rel=1e-12)
-    assert units.omega0 == pytest.approx(9719.971923317471, rel=1e-12)
+    assert SODIUM.k0 == pytest.approx(2652766.017582617, rel=1e-12)
+    assert SODIUM.omega0 == pytest.approx(9719.971923317471, rel=1e-12)
 
 
 def test_unit_definitions_recoverable():
-    units = derive_units(SODIUM)
     a, m, n0 = SODIUM.scattering_length_a, SODIUM.atomic_mass, SODIUM.condensate_density_n0
-    assert units.k0 == pytest.approx(math.sqrt(8 * math.pi * a * n0), rel=1e-12)
-    assert units.omega0 == pytest.approx(HBAR * units.k0**2 / (2 * m), rel=1e-12)
+    assert SODIUM.k0 == pytest.approx(math.sqrt(8 * math.pi * a * n0), rel=1e-12)
+    assert SODIUM.omega0 == pytest.approx(HBAR * SODIUM.k0**2 / (2 * m), rel=1e-12)
 
 
 def test_interaction_energy_equals_unit_frequency():
     # g n0 = hbar * omega0, with g = 4 pi hbar^2 a / m, is an identity of
     # this unit system, not a coincidence
-    units = derive_units(SODIUM)
     a, m, n0 = SODIUM.scattering_length_a, SODIUM.atomic_mass, SODIUM.condensate_density_n0
-    assert HBAR * units.omega0 == pytest.approx(4 * math.pi * HBAR**2 * a * n0 / m, rel=1e-12)
+    assert HBAR * SODIUM.omega0 == pytest.approx(4 * math.pi * HBAR**2 * a * n0 / m, rel=1e-12)
 
 
-def test_derive_units_scaling():
+def test_unit_scaling():
     quadrupled = PhysicalParams(
         scattering_length_a=SODIUM.scattering_length_a,
         atomic_mass=SODIUM.atomic_mass,
         condensate_density_n0=4 * SODIUM.condensate_density_n0,
         atom_count_N0=4 * SODIUM.atom_count_N0,
     )
-    u1, u4 = derive_units(SODIUM), derive_units(quadrupled)
-    assert u4.k0 == pytest.approx(2 * u1.k0, rel=1e-12)
-    assert u4.omega0 == pytest.approx(4 * u1.omega0, rel=1e-12)
+    assert quadrupled.k0 == pytest.approx(2 * SODIUM.k0, rel=1e-12)
+    assert quadrupled.omega0 == pytest.approx(4 * SODIUM.omega0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -115,17 +110,16 @@ def test_params_reject_nonphysical(field, value):
 
 
 def test_two_level_params_validate():
-    with pytest.raises(ParameterError):
-        TwoLevelParams(a_bc=0.0)
-    tl = TwoLevelParams(a_bc=1.4e-9)
     p = PhysicalParams(
         scattering_length_a=2.8e-9,
         atomic_mass=MASS_NA23,
         condensate_density_n0=1e20,
         atom_count_N0=1e6,
-        two_level=tl,
+        a_bc=1.4e-9,
     )
     assert p.bc_scattering_length == 1.4e-9
+    with pytest.raises(ParameterError, match="a_bc must be positive and finite"):
+        dataclasses.replace(p, a_bc=0.0)
     # default: no second level declared -> bc coupling falls back to a_bb
     assert SODIUM.bc_scattering_length == SODIUM.scattering_length_a
 
@@ -237,11 +231,22 @@ def test_mode_limits():
     assert str(raised.value) == (
         "kbar = 7.8e-17 is too small: v/u rounds to 1, so u^2 - v^2 = 1 cannot hold in doubles"
     )
+    # above kbar ~ 9.48e153, 1 + kbar^2 + omega_bar overflows while omega_bar does not
+    assert bogoliubov_mode(9.48e153).u == 1.0
+    with pytest.raises(ParameterError) as raised:
+        bogoliubov_mode(9.49e153)
+    assert str(raised.value) == (
+        "kbar = 9.49e+153 is too large: 1 + kbar^2 + omega_bar overflows"
+    )
 
 
 def test_mode_dataclass_validates():
     with pytest.raises(ParameterError):
         BogoliubovMode(kbar=1.0, alpha=0.5, u=1.2, v=0.9, omega_bar=math.sqrt(3.0))
+    # NaN coefficients fail the checks rather than slip past their comparisons
+    for u, v in ((math.nan, math.nan), (1.0, math.nan)):
+        with pytest.raises(ParameterError):
+            BogoliubovMode(kbar=1e154, alpha=0.0, u=u, v=v, omega_bar=1e308)
 
 
 # ---------------------------------------------------------------------------
@@ -249,17 +254,15 @@ def test_mode_dataclass_validates():
 
 
 def test_thermal_population_examples():
-    units = derive_units(SODIUM)
-    t_match = HBAR * units.omega0 / K_BOLTZMANN
-    assert thermal_population(units.omega0, t_match) == pytest.approx(
+    t_match = HBAR * SODIUM.omega0 / K_BOLTZMANN
+    assert thermal_population(SODIUM.omega0, t_match) == pytest.approx(
         1.0 / (math.e - 1.0), rel=1e-12
     )
-    assert thermal_population(units.omega0, t_match) == pytest.approx(0.5819767, rel=1e-7)
+    assert thermal_population(SODIUM.omega0, t_match) == pytest.approx(0.5819767, rel=1e-7)
 
 
 def test_thermal_population_zero_temperature_exact():
-    units = derive_units(SODIUM)
-    assert thermal_population(units.omega0, 0.0) == 0.0
+    assert thermal_population(SODIUM.omega0, 0.0) == 0.0
     assert thermal_population(1e-12, 0.0) == 0.0
 
 

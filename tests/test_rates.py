@@ -17,8 +17,6 @@ from quasidamp.model import (
     PRESETS,
     ParameterError,
     PhysicalParams,
-    TwoLevelParams,
-    derive_units,
     dispersion,
     thermal_population,
 )
@@ -47,9 +45,7 @@ from rate_reference import (
 )
 
 SODIUM = PRESETS["sodium-paper"]
-SODIUM_TL = dataclasses.replace(
-    SODIUM, two_level=TwoLevelParams(a_bc=SODIUM.scattering_length_a)
-)
+SODIUM_TL = dataclasses.replace(SODIUM, a_bc=SODIUM.scattering_length_a)
 
 
 def single_level(qbar, T=0.0, params=SODIUM):
@@ -91,9 +87,8 @@ def stimulated_columns(params, channel, qbar, T):
 
 def test_recoil_momentum_anchor():
     """The dimensionless width at the recoil-scale momentum qbar = 5."""
-    units = derive_units(SODIUM)
     gamma = single_level(5.0).gamma_beliaev[0, 0]
-    ratio = gamma / (dispersion(5.0) * units.omega0)
+    ratio = gamma / (dispersion(5.0) * SODIUM.omega0)
     assert ratio == pytest.approx(0.002102458306139846, rel=1e-9)
 
 
@@ -101,7 +96,7 @@ def test_decay_rate_frozen_total():
     result = single_level(5.0)
     assert isinstance(result, RateGrid)
     assert [column.shape for column in result] == [(1, 1)] * 5
-    omega_q = dispersion(5.0) * derive_units(SODIUM).omega0
+    omega_q = dispersion(5.0) * SODIUM.omega0
     assert result.gamma_over_omega[0, 0] == result.gamma_total[0, 0] / omega_q
     assert result.gamma_total[0, 0] == pytest.approx(530.9385860590878, rel=1e-9)
     assert result.gamma_landau[0, 0] == 0.0
@@ -132,8 +127,7 @@ def test_fifth_power_scaling():
 
 
 def test_asymptote_values_and_validation():
-    units = derive_units(SODIUM)
-    q = 0.05 * units.k0
+    q = 0.05 * SODIUM.k0
     base = 6.62607015e-34 / (2 * math.pi)  # hbar
     expected = 3 * base * q**5 / (320 * math.pi * SODIUM.atomic_mass * SODIUM.condensate_density_n0)
     assert beliaev_asymptote(0.05, Channel.SINGLE_LEVEL, SODIUM) == pytest.approx(expected, rel=1e-12)
@@ -182,12 +176,11 @@ def test_half_window_doubling():
 
 def test_energy_route_matches_momentum_route():
     for qbar in (1.0, 5.0):
-        units = derive_units(SODIUM)
-        gas = units.k0**3 / SODIUM.condensate_density_n0
+        gas = SODIUM.k0**3 / SODIUM.condensate_density_n0
         wq = dispersion(qbar)
         reduced, _ = quad(lambda w: beliaev_energy_integrand(qbar, w), 0.0, wq,
                           limit=200, epsabs=1e-13, epsrel=1e-10)
-        gamma_energy = gas / (math.pi * qbar) * units.omega0 * reduced
+        gamma_energy = gas / (math.pi * qbar) * SODIUM.omega0 * reduced
         gamma_momentum = single_level(qbar).gamma_beliaev[0, 0]
         assert gamma_energy == pytest.approx(gamma_momentum, rel=1e-6)
 
@@ -226,7 +219,7 @@ def test_stimulated_dominates_for_slow_warm_modes():
 def test_stimulated_high_temperature_law():
     # at kB*T >> mu = hbar*omega0 a phonon's occupation width approaches
     # twice the Szepfalusy-Kondor amplitude damping (3*pi/8) kB*T*a*q/hbar
-    mu_over_kb = HBAR * derive_units(SODIUM).omega0 / K_BOLTZMANN
+    mu_over_kb = HBAR * SODIUM.omega0 / K_BOLTZMANN
     ratios = []
     for multiple, expected in ((20, 0.95948), (100, 0.99156), (1000, 0.99910)):
         temperature = multiple * mu_over_kb
@@ -242,7 +235,7 @@ def test_stimulated_low_temperature_law():
     # at kB*T << mu a phonon's occupation width approaches twice the
     # Hohenberg-Martin amplitude damping; the ratio is flat in qbar and
     # rises towards 1 as T falls
-    mu_over_kb = HBAR * derive_units(SODIUM).omega0 / K_BOLTZMANN
+    mu_over_kb = HBAR * SODIUM.omega0 / K_BOLTZMANN
     pinned = {
         0.1: (0.688922, 0.688906, 0.688727),
         0.05: (0.890701, 0.890677, 0.890452),
@@ -273,9 +266,8 @@ def test_population_factors_balance_on_shell(kbar_i, kbar_j, temperature):
     # n_i n_j = n_q (1 + n_i + n_j) whenever omega_q = omega_i + omega_j:
     # the identity that makes spontaneous + stimulated consistent with a
     # thermal steady state
-    units = derive_units(SODIUM)
-    w_i = dispersion(kbar_i) * units.omega0
-    w_j = dispersion(kbar_j) * units.omega0
+    w_i = dispersion(kbar_i) * SODIUM.omega0
+    w_j = dispersion(kbar_j) * SODIUM.omega0
     n_i = thermal_population(w_i, temperature)
     n_j = thermal_population(w_j, temperature)
     n_q = thermal_population(w_i + w_j, temperature)
@@ -308,8 +300,8 @@ def test_two_level_asymptote():
 def test_interspecies_coupling_scaling():
     # widths scale with the square of the interspecies coupling, so doubling
     # a_bc quadruples both channels
-    base = dataclasses.replace(SODIUM, two_level=TwoLevelParams(a_bc=1.0e-9))
-    strong = dataclasses.replace(SODIUM, two_level=TwoLevelParams(a_bc=2.0e-9))
+    base = dataclasses.replace(SODIUM, a_bc=1.0e-9)
+    strong = dataclasses.replace(SODIUM, a_bc=2.0e-9)
     for field, T in (("gamma_beliaev", 0.0), ("gamma_landau", 5e-7)):
         weak_rate = getattr(two_level(0.3, T=T, params=base), field)[0, 0]
         strong_rate = getattr(two_level(0.3, T=T, params=strong), field)[0, 0]
@@ -326,7 +318,7 @@ OUT_OF_RANGE_A_BC = {1e-200: "0", 1e-170: "1.48e-323", 1e150: "inf", 1e200: "inf
 def test_two_level_out_of_range_coupling_rejected(a_bc, temperature):
     # the width prefactor divided the tolerance by 0, or scaled the widths
     # to 0 or inf
-    params = dataclasses.replace(SODIUM, two_level=TwoLevelParams(a_bc=a_bc))
+    params = dataclasses.replace(SODIUM, a_bc=a_bc)
     with pytest.raises(ParameterError, match=r"\(a_bc/a\)\^2 = .* out of double range"):
         two_level(0.5, T=temperature, params=params)
     # a medium-wide check: a grid fails it too
@@ -369,7 +361,7 @@ def test_overflowing_width_scale_rejected():
     # (a_bc/a)^2 ~ 1.3e307 is a normal double and the spontaneous prefactor
     # does not carry it, but the width scale 10/9 (a_bc/a)^2 prefactor omega0
     # overflows: the message names the scale, not the prefactor
-    params = dataclasses.replace(SODIUM, two_level=TwoLevelParams(a_bc=1e145))
+    params = dataclasses.replace(SODIUM, a_bc=1e145)
     with pytest.raises(ParameterError) as raised:
         two_level(0.5, T=1e-6, params=params)
     assert str(raised.value) == (
@@ -418,7 +410,7 @@ def test_two_level_stimulated_window_empty_at_tiny_qbar(qbar):
     # the absorption threshold 1/(2 qbar) - qbar lies far beyond the thermal
     # tail: at 1e-156 its frequency overflows, at 4e-155 the Bose cutoff
     # above it did, and both raised ParameterError instead of a zero width
-    params = dataclasses.replace(SODIUM, two_level=TwoLevelParams(a_bc=3e-9))
+    params = dataclasses.replace(SODIUM, a_bc=3e-9)
     columns = stimulated_columns(params, Channel.TWO_LEVEL, qbar, 1e-13)
     assert columns.point.size == 0  # no integral: the window is empty
     result = two_level(qbar, T=1e-13, params=params)
@@ -539,7 +531,7 @@ SETUP_T = (0.0, 1e-300, 1e-13, 2e-7, 1e-6)
 
 @pytest.mark.parametrize("channel, params", [
     (Channel.SINGLE_LEVEL, SODIUM),
-    (Channel.TWO_LEVEL, dataclasses.replace(SODIUM, two_level=TwoLevelParams(a_bc=3e-9))),
+    (Channel.TWO_LEVEL, dataclasses.replace(SODIUM, a_bc=3e-9)),
 ])
 def test_setup_columns_match_one_point_setup(channel, params):
     # per-axis setup broadcast to the grid gives the bits of the scalar
@@ -638,19 +630,20 @@ def _bench_like_grid():
 def test_sweep_work_is_pinned(monkeypatch):
     # G10K21 subinterval evaluations and passes of the 2016-point sweep,
     # pinned, with no integrand call past the block budget; setup that
-    # depends on the medium alone runs once per sweep
-    counts = {"subintervals": 0, "qk21": 0, "derive_units": 0}
+    # depends on the medium alone runs once per sweep, as often as in a
+    # one-point sweep (k0 is read once directly and once inside omega0)
+    counts = {"subintervals": 0, "qk21": 0, "k0": 0}
     nodes = []
-    qk21, derive = rates._qk21, rates.derive_units
+    qk21, k0 = rates._qk21, PhysicalParams.k0.fget
 
     def counting_qk21(f, args, lo, hi):
         counts["subintervals"] += lo.size
         counts["qk21"] += 1
         return qk21(f, args, lo, hi)
 
-    def counting_derive(params):
-        counts["derive_units"] += 1
-        return derive(params)
+    def counting_k0(params):
+        counts["k0"] += 1
+        return k0(params)
 
     def sizing(integrand):
         def sized(x, *args):
@@ -659,19 +652,22 @@ def test_sweep_work_is_pinned(monkeypatch):
         return sized
 
     monkeypatch.setattr(rates, "_qk21", counting_qk21)
-    monkeypatch.setattr(rates, "derive_units", counting_derive)
+    monkeypatch.setattr(PhysicalParams, "k0", property(counting_k0))
     for name in ("_spontaneous_integrand", "_stimulated_integrand"):
         monkeypatch.setattr(rates, name, sizing(getattr(rates, name)))
     decay_rates(SODIUM, Channel.SINGLE_LEVEL, *_bench_like_grid())
-    assert counts == {"subintervals": 19660, "qk21": 43, "derive_units": 1}
+    assert counts == {"subintervals": 19660, "qk21": 43, "k0": 2}
     assert sum(nodes) == 21 * 19660 and max(nodes) <= rates._BLOCK_NODES
+    counts["k0"] = 0
+    decay_rates(SODIUM, Channel.SINGLE_LEVEL, [5.0], [0.0])
+    assert counts["k0"] == 2
 
 
 # qbar from 1e-3 to 300 and T = 0 through 1e-6 K, in both channels
 BLOCK_QBAR = np.geomspace(1e-3, 300.0, 9).tolist()
 BLOCK_T = (0.0, 1e-300, 1e-13, 1e-6)
 BLOCK_CHANNELS = ((Channel.SINGLE_LEVEL, SODIUM),
-                  (Channel.TWO_LEVEL, dataclasses.replace(SODIUM, two_level=TwoLevelParams(a_bc=3e-9))))
+                  (Channel.TWO_LEVEL, dataclasses.replace(SODIUM, a_bc=3e-9)))
 
 
 @pytest.mark.parametrize("block_nodes", [21, 42, 10**9])
