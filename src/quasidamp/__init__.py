@@ -33,7 +33,6 @@ from .model import (  # noqa: F401
     QuadratureError,
     bogoliubov_mode,
     dispersion,
-    group_velocity,
     inverse_dispersion,
     thermal_population,
 )

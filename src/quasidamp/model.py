@@ -140,11 +140,6 @@ def dispersion(kbar: float) -> float:
     return omega_bar
 
 
-def group_velocity(kbar: float) -> float:
-    """d(omega_bar)/d(kbar) = 2(1 + kbar^2)/sqrt(2 + kbar^2)."""
-    return 2.0 * (1.0 + kbar * kbar) / math.sqrt(2.0 + kbar * kbar)
-
-
 def bogoliubov_mode(kbar: float) -> BogoliubovMode:
     """Mode coefficients at dimensionless momentum kbar > 0.
 

@@ -13,8 +13,10 @@ Gauss-Kronrod quadrature.
 
 The quadrature is QUADPACK's G10K21 rule with its error estimate (Piessens
 et al., QUADPACK, 1983), written in numpy: the subinterval with the largest
-error estimate is bisected until the summed estimate meets
-max(epsabs, epsrel*|result|), with at most 200 subintervals per integral.
+error estimate is bisected until the summed estimate is at most
+EPSREL*|result|, with no absolute floor and at most 200 subintervals per
+integral.  So every integrand factor is a product of positive terms, never
+a cancelling difference: the vertex below, and `_bose_drop`.
 
 `decay_rates(params, channel, qbar, temperature)` is the one rate entry
 point: it sweeps a (temperature, qbar) grid and returns a RateGrid of
@@ -40,13 +42,18 @@ so neither the pass nor the block a width falls in moves a bit of it.
 
 Everything is evaluated in natural units (momenta in k0, frequencies in
 omega0); the dimensionless gas parameter k0^3/n0 carries the overall scale
-and rates convert to s^-1 only on return.  Vertex functions are written in
-the sign-convention-free combinations
+and rates convert to s^-1 only on return.  Both channels share one vertex,
+of z <-> x + y with z the mode of highest energy, in s = u - v of the mode
+coefficients (u, v >= 0 as in `model`), s^2 = kbar/c, c = sqrt(2 + kbar^2):
 
-    s = u - v   (density channel,  s^2 = kbar^2/omega_bar)
-    d = u + v   (phase channel,    d^2 = omega_bar/kbar^2,  s*d = 1)
+    V = [3 s_z s_x s_y + Sigma/(s_z s_x s_y)]/4
+    Sigma = [s_x^2 (z^2 - x^2) + s_y^2 (z^2 - y^2)]/(2 + z^2)
+    z^2 - x^2 = omega_y (omega_z + omega_x)/(2 + z^2 + x^2)
 
-of the mode coefficients, with u, v taken positive as in `model`.
+It is the textbook u_z u_x u_y - v_z v_x v_y - (u_z - v_z)(u_x v_y + v_x u_y)
+(Giorgini, PRA 57, 2949 (1998); Pitaevskii & Stringari, PLA 235, 398 (1997))
+in s and 1/s = u + v, whose Sigma = s_x^2 + s_y^2 - s_z^2 energy conservation
+turns into the positive sum above: no terms of order q^(-1/2) cancel.
 """
 
 from __future__ import annotations
@@ -68,18 +75,16 @@ from .model import (
     inverse_dispersion,
 )
 
-#: Default quadrature tolerances: absolute on gamma in units of omega0,
-#: relative on the reduced integral.
-EPSABS_OMEGA0 = 1e-10
+#: Relative tolerance of every reduced integral.
 EPSREL = 1e-8
 
 
 # ---------------------------------------------------------------------------
-# spectrum, vertex functions and occupations on arrays
+# spectrum, vertex and occupations on arrays
 #
-# The array forms of model.dispersion, model.inverse_dispersion and
-# model.group_velocity, without their argument checks: quadrature nodes are
-# interior to windows the callers have already validated.
+# The array forms of model.dispersion and model.inverse_dispersion, without
+# their argument checks: quadrature nodes are interior to windows the
+# callers have already validated.
 
 
 def _omega(kbar):
@@ -90,42 +95,35 @@ def _momentum(omega_bar):
     return omega_bar / np.sqrt(1.0 + np.hypot(1.0, omega_bar))
 
 
-def _sd(kbar, omega_bar):
-    """Density and phase combinations (s, d) = (u-v, u+v) at kbar, whose
-    frequency omega_bar the caller already holds."""
-    s = kbar / np.sqrt(omega_bar)
-    return s, 1.0 / s
+def _vertex(z, x, y):
+    """Amplitude of z <-> x + y, each mode a (kbar^2, omega_bar, s) triple,
+    z the one of highest energy and omega_z = omega_x + omega_y.
 
-
-def _final_state(pbar):
-    """(s, d, omega_bar'(pbar)) of a final-state quasiparticle: its frequency
-    and its group velocity share pbar^2 and sqrt(2 + pbar^2)."""
-    pp = pbar * pbar
-    root = np.sqrt(2.0 + pp)
-    s, d = _sd(pbar, pbar * root)
-    return s, d, 2.0 * (1.0 + pp) / root
-
-
-def _beliaev_vertex(sq, dq, sk, dk, sp, dp):
-    """Splitting amplitude q -> k + p, symmetric under k <-> p.
-
-    The d*d (phase-phase) part enters with opposite sign to the 3 s*s
-    density part; both apparent 1/sqrt(k) edge divergences of the d factors
-    cancel against it, leaving an amplitude that vanishes like sqrt(k) at
-    either edge of the window.
+    Every term is positive (see the module docstring), so the amplitude
+    keeps its relative precision down to the smallest momenta.
     """
-    return (sq * (3.0 * sk * sp - dk * dp) + dq * (sk * dp + dk * sp)) / 4.0
-
-
-def _landau_vertex(sq, dq, si, di, sj, dj):
-    """Absorption amplitude q + i -> j (j carries the combined energy)."""
-    return (sq * (3.0 * si * sj + di * dj) + dq * (si * dj - di * sj)) / 4.0
+    (zz, wz, sz), (xx, wx, sx), (yy, wy, sy) = z, x, y
+    cz2 = 2.0 + zz
+    sigma = (sx * sx * wy * ((wz + wx) / (cz2 + xx))
+             + sy * sy * wx * ((wz + wy) / (cz2 + yy))) / cz2
+    product = sz * sx * sy
+    return (3.0 * product + sigma / product) / 4.0
 
 
 def _bose(x):
-    """Planck occupation 1/(e^x - 1) at x = hbar*omega/(kB*T), as in
-    model.thermal_population; exactly 0 at x = inf (T = 0)."""
-    return np.where(x > 700.0, np.exp(-x), 1.0 / np.expm1(np.minimum(x, 700.0)))
+    """Planck occupation 1/(e^x - 1) at x = hbar*omega/(kB*T), as
+    e^-x/(1 - e^-x), which neither overflows nor cancels; exactly 0 at
+    x = inf (T = 0)."""
+    return np.exp(-x) / -np.expm1(-x)
+
+
+def _bose_drop(beta, omega_bar, gap):
+    """n(omega_bar) - n(omega_bar + gap) at Bose exponent beta per unit
+    omega_bar, as n(omega_bar) (1 - e^(-beta gap))/(1 - e^(-beta (omega_bar
+    + gap))): a product of positive factors, which keeps its relative
+    precision where gap << omega_bar and the difference would cancel."""
+    ratio = np.expm1(-beta * gap) / np.expm1(-beta * (omega_bar + gap))
+    return _bose(beta * omega_bar) * ratio
 
 
 def _inverse_temperature(temperature_T: float, omega0: float) -> float:
@@ -161,43 +159,52 @@ def _bose_cutoff_kbar(omega_bar_low: float, temperature_T: float, omega0: float)
 # integrands: f(x, *args) on node arrays, args broadcast per integral
 
 
-def _spontaneous_integrand(theta, qbar, wq, sq, dq, beta):
-    """k M^2 (1 + n_k + n_p*) pbar*/omega_bar'(pbar*) dk/dtheta at
+def _spontaneous_integrand(theta, qbar, wq, sq, beta):
+    """k V^2 (1 + n_k + n_p*) pbar*/omega_bar'(pbar*) dk/dtheta at
     k = qbar*sin^2(theta), with pbar* fixed by energy conservation."""
-    sin_t = np.sin(theta)
+    sin_t, cos_t = np.sin(theta), np.cos(theta)
     kbar = qbar * sin_t * sin_t
-    wk = _omega(kbar)
-    wp = wq - wk
+    kk = kbar * kbar
+    ck = np.sqrt(2.0 + kk)
+    wk = kbar * ck
+    qq = qbar * qbar
+    # omega_q - omega_k = (q - k)(q + k)(2 + q^2 + k^2)/(omega_q + omega_k), q - k = q cos^2
+    wp = qbar * cos_t * cos_t * (qbar + kbar) * ((2.0 + qq + kk) / (wq + wk))
     pbar = _momentum(wp)
-    sk, dk = _sd(kbar, wk)
-    sp, dp, velocity = _final_state(pbar)
-    vertex = _beliaev_vertex(sq, dq, sk, dk, sp, dp)
+    pp = pbar * pbar
+    cp = np.sqrt(2.0 + pp)
+    vertex = _vertex((qq, wq, sq), (kk, wk, np.sqrt(kbar / ck)), (pp, wp, np.sqrt(pbar / cp)))
     occupation = 1.0 + _bose(beta * wk) + _bose(beta * wp)
-    jacobian = qbar * np.sin(2.0 * theta)  # dk/dtheta
+    jacobian = 2.0 * qbar * sin_t * cos_t  # dk/dtheta
+    velocity = 2.0 * (1.0 + pp) / cp  # omega_bar'(pbar)
     value = kbar * vertex * vertex * occupation * pbar / velocity * jacobian
     return np.where((kbar > 0.0) & (wp > 0.0), value, 0.0)
 
 
-def _stimulated_integrand(kbar, wq, sq, dq, beta):
-    """k L^2 (n_k - n_{k+q}) Pbar*/omega_bar'(Pbar*), with Pbar* carrying
+def _stimulated_integrand(kbar, qbar, wq, sq, beta):
+    """k V^2 (n_k - n_{k+q}) jbar*/omega_bar'(jbar*), with jbar* carrying
     the combined energy."""
-    wk = _omega(kbar)
+    kk = kbar * kbar
+    ck = np.sqrt(2.0 + kk)
+    wk = kbar * ck
     wj = wq + wk
     jbar = _momentum(wj)
-    si, di = _sd(kbar, wk)
-    sj, dj, velocity = _final_state(jbar)
-    vertex = _landau_vertex(sq, dq, si, di, sj, dj)
-    delta_n = _bose(beta * wk) - _bose(beta * wj)
+    jj = jbar * jbar
+    cj = np.sqrt(2.0 + jj)
+    vertex = _vertex((jj, wj, np.sqrt(jbar / cj)), (qbar * qbar, wq, sq),
+                     (kk, wk, np.sqrt(kbar / ck)))
+    delta_n = _bose_drop(beta, wk, wq)
+    velocity = 2.0 * (1.0 + jj) / cj  # omega_bar'(jbar)
     value = kbar * vertex * vertex * delta_n * jbar / velocity
     return np.where(kbar > 0.0, value, 0.0)
 
 
 def _stimulated_free_integrand(kbar, eq, beta):
     """k s_k^2 (n_b(w_k) - n_free(eq + w_k)) for a free-particle final state."""
-    wk = _omega(kbar)
-    s, _ = _sd(kbar, wk)
-    delta_n = _bose(beta * wk) - _bose(beta * (eq + wk))
-    return np.where(kbar > 0.0, kbar * s * s * delta_n, 0.0)
+    ck = np.sqrt(2.0 + kbar * kbar)
+    wk = kbar * ck
+    delta_n = _bose_drop(beta, wk, eq)
+    return np.where(kbar > 0.0, kbar * kbar / ck * delta_n, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +337,7 @@ def _width(columns: int) -> int:
     return width if width <= _NARROW_MAX else _LIMIT
 
 
-def _refine(f, args, lo, hi, epsabs, epsrel):
+def _refine(f, args, lo, hi, epsrel):
     """One pass of adaptive G10K21 over at most _BATCH integrals of f.
 
     Integral i runs over [lo[i], hi[i]] with args[j][i] as the integrand's
@@ -351,9 +358,7 @@ def _refine(f, args, lo, hi, epsabs, epsrel):
     res[:, 0], err[:, 0] = whole[:, 0], whole_err[:, 0]
     area, errsum = whole[:, 0], whole_err[:, 0]
     # QUADPACK distrusts a whole-interval estimate that equals resasc
-    done = (errsum == 0.0) | (
-        (errsum <= np.maximum(epsabs, epsrel * np.abs(area))) & (errsum != resasc[:, 0])
-    )
+    done = (errsum == 0.0) | ((errsum <= epsrel * np.abs(area)) & (errsum != resasc[:, 0]))
     used = 1
     active = np.flatnonzero(~done)
     while active.size and used < _LIMIT:
@@ -378,7 +383,7 @@ def _refine(f, args, lo, hi, epsabs, epsrel):
         used += 1
         area[active] = res[active].sum(axis=1)
         errsum[active] = err[active].sum(axis=1)
-        met = errsum[active] <= np.maximum(epsabs[active], epsrel * np.abs(area[active]))
+        met = errsum[active] <= epsrel * np.abs(area[active])
         done[active] = met
         active = active[~met]
     return area, errsum, done
@@ -388,8 +393,7 @@ class _Columns(NamedTuple):
     """One integrand's integrals over a grid, as columns.
 
     Integral k belongs to the grid point point[k] (flat, in T-major order);
-    its width in s^-1 is scale[k] * int_lo[k]^hi[k] integrand(x, *args[:][k]) dx,
-    refined to the absolute tolerance epsabs[k] on the reduced integral.
+    its width in s^-1 is scale[k] * int_lo[k]^hi[k] integrand(x, *args[:][k]) dx.
     Points whose channel has no allowed final state hold no integral: their
     width is exactly 0.
     """
@@ -399,7 +403,6 @@ class _Columns(NamedTuple):
     lo: np.ndarray
     hi: np.ndarray
     args: list[np.ndarray]
-    epsabs: np.ndarray
     scale: np.ndarray
 
 
@@ -413,7 +416,7 @@ def _solve(integrals: _Columns):
         part = slice(start, start + _BATCH)
         value[part], abserr[part], converged[part] = _refine(
             integrals.integrand, [arg[part] for arg in integrals.args],
-            integrals.lo[part], integrals.hi[part], integrals.epsabs[part], EPSREL,
+            integrals.lo[part], integrals.hi[part], EPSREL,
         )
     return value, abserr, converged
 
@@ -461,7 +464,7 @@ def _setup(params: PhysicalParams, channel: Channel, qbar: list[float],
 
     Spontaneous, s^-1: gamma/omega0 = (k0^3/n0)/(pi*qbar) * I with
 
-        I = int_0^qbar dk k M^2 (1 + n_k + n_p*) pbar*/omega_bar'(pbar*)
+        I = int_0^qbar dk k V^2 (1 + n_k + n_p*) pbar*/omega_bar'(pbar*)
 
     and pbar* fixed by energy conservation.  Integration runs over
     k = qbar*sin^2(theta), which is exact and keeps the quadrature nodes
@@ -476,9 +479,9 @@ def _setup(params: PhysicalParams, channel: Channel, qbar: list[float],
     Stimulated, exactly 0 at T = 0.  Single level, s^-1:
     gamma/omega0 = 2(k0^3/n0)/(pi*qbar) * I with
 
-        I = int_0^inf dk k L^2 (n_k - n_{k+q}) Pbar*/omega_bar'(Pbar*)
+        I = int_0^inf dk k V^2 (n_k - n_{k+q}) jbar*/omega_bar'(jbar*)
 
-    Pbar* carries the combined energy; the triangle constraint holds for all
+    jbar* carries the combined energy; the triangle constraint holds for all
     k > 0 (the dispersion is superadditive), so the window is the full axis,
     truncated where the thermal tail is negligible.  Two level: a free
     particle at qbar absorbs a thermal quasiparticle k and stays a free
@@ -497,12 +500,13 @@ def _setup(params: PhysicalParams, channel: Channel, qbar: list[float],
     prefactors and scales per qbar.  A point combines them with single IEEE
     operations, so every column entry has the bits of a one-point setup.
     The two-level cutoff depends on both, and is computed at each point
-    whose window is not empty.  Each width is reported per mode frequency,
-    each prefactor divides the tolerance and each scale multiplies the
-    integral, so all must be normal doubles.  Checks raise ParameterError at
-    their first failing qbar or T-major point, in this order: the coupling
-    ratio, the mode frequencies, too-hot points, the spontaneous then the
-    stimulated prefactors and scales, and the Bose cutoffs.
+    whose window is not empty.  Each width is reported per mode frequency
+    and is its integral times a scale, the prefactor times omega0, so all
+    three must be normal doubles, which keep their full precision.  Checks
+    raise ParameterError at their first failing qbar or T-major point, in
+    this order: the coupling ratio, the mode frequencies, too-hot points,
+    the spontaneous then the stimulated prefactors and scales, and the Bose
+    cutoffs.
     """
     two_level = channel is Channel.TWO_LEVEL
     omega0 = params.omega0
@@ -518,9 +522,10 @@ def _setup(params: PhysicalParams, channel: Channel, qbar: list[float],
     thermal = beta < math.inf  # not T = 0, nor too cold for any thermal occupation
     q = np.array(qbar)
     with np.errstate(all="ignore"):  # out-of-range values fail the checks below
-        wq = _omega(q)
+        cq = np.sqrt(2.0 + q * q)
+        wq = q * cq
         omega_q = wq * omega0
-        sq = q / np.sqrt(wq)
+        sq = np.sqrt(q / cq)
         prefactor = gas / (math.pi * q)
         scale = prefactor * omega0
         if two_level:
@@ -568,7 +573,7 @@ def _setup(params: PhysicalParams, channel: Channel, qbar: list[float],
         _check(hi == math.inf, lambda i, _: ParameterError(
             f"Bose cutoff overflows at T = {temperature[i]:.3g} K"))
 
-    def columns(integrand, live, lo, hi, args, prefactor, scale) -> _Columns:
+    def columns(integrand, live, lo, hi, args, scale) -> _Columns:
         point = np.flatnonzero(live)
         at = np.unravel_index(point, shape)
 
@@ -576,19 +581,17 @@ def _setup(params: PhysicalParams, channel: Channel, qbar: list[float],
             return np.broadcast_to(value, shape)[at]
 
         return _Columns(integrand, point, pick(lo), pick(hi), [pick(a) for a in args],
-                        EPSABS_OMEGA0 / pick(prefactor), pick(scale))
+                        pick(scale))
 
     spontaneous = columns(
         _spontaneous_integrand, np.ones(shape, dtype=bool), 0.0, 0.5 * math.pi,
-        (q, wq, sq, 1.0 / sq, beta), prefactor, scale,
+        (q, wq, sq, beta), scale,
     )
     if two_level:
         integrand, args = _stimulated_free_integrand, (q * q, beta)
     else:
-        integrand, args = _stimulated_integrand, (wq, sq, 1.0 / sq, beta)
-    stimulated = columns(
-        integrand, window & (hi > lo), lo, hi, args, stimulated_prefactor, stimulated_scale,
-    )
+        integrand, args = _stimulated_integrand, (q, wq, sq, beta)
+    stimulated = columns(integrand, window & (hi > lo), lo, hi, args, stimulated_scale)
     return spontaneous, stimulated, omega_q
 
 

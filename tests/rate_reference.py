@@ -4,10 +4,11 @@ Closed forms the production quadrature is checked against: the T = 0
 phonon-regime (q^5) law of the spontaneous width, the low-temperature
 (Hohenberg-Martin) and high-temperature (Szepfalusy-Kondor) laws of the
 stimulated one, and the spontaneous integrand rewritten in the energy
-variable, an independent reduction of the same width that the tests
-integrate with scipy.  `refine_reference` is the batched refinement with
-work arrays _LIMIT columns wide, against which the production one, whose
-arrays are only as wide as the subintervals in use, must agree bit for bit.
+variable with the textbook u, v vertex and the group velocity, an
+independent reduction of the same width that the tests integrate with
+scipy.  `refine_reference` is the batched refinement with work arrays
+_LIMIT columns wide, against which the production one, whose arrays are
+only as wide as the subintervals in use, must agree bit for bit.
 `integrals` is the one-point setup of the two integrals of a point
 (params, channel, qbar, T), which the production sweep builds per grid axis
 and must match bit for bit.
@@ -25,8 +26,8 @@ from quasidamp.model import (
     K_BOLTZMANN,
     ParameterError,
     PhysicalParams,
+    bogoliubov_mode,
     dispersion,
-    group_velocity,
     inverse_dispersion,
 )
 from quasidamp import rates
@@ -34,21 +35,19 @@ from quasidamp.rates import (
     _LIMIT,
     _MAX_BOSE_EXPONENT,
     _MIN_BOSE_EXPONENT,
-    EPSABS_OMEGA0,
     TWO_LEVEL_FACTOR,
     Channel,
-    _beliaev_vertex,
     _bose_cutoff_kbar,
     _inverse_temperature,
     _omega,
     _qk21,
-    _sd,
     _spontaneous_integrand,
     _stimulated_free_integrand,
     _stimulated_integrand,
     _valid_qbar,
     _valid_temperature,
 )
+from vertex_reference import textbook_vertex
 
 
 def beliaev_asymptote(qbar: float, channel: Channel, params: PhysicalParams) -> float:
@@ -93,7 +92,7 @@ def landau_low_t(qbar: float, temperature_T: float, params: PhysicalParams) -> f
     return 3.0 * math.pi**3 / 40.0 * thermal**4 * q / (mass * n0 * HBAR**3 * c**4)
 
 
-def refine_reference(f, args, lo, hi, epsabs, epsrel):
+def refine_reference(f, args, lo, hi, epsrel):
     """Adaptive G10K21 over full (n, _LIMIT) work arrays.
 
     The same bisection as rates._refine, with every argmax and sum taken
@@ -110,9 +109,7 @@ def refine_reference(f, args, lo, hi, epsabs, epsrel):
     a[:, 0], b[:, 0] = lo, hi
     res[:, 0], err[:, 0] = whole[:, 0], whole_err[:, 0]
     area, errsum = whole[:, 0], whole_err[:, 0]
-    done = (errsum == 0.0) | (
-        (errsum <= np.maximum(epsabs, epsrel * np.abs(area))) & (errsum != resasc[:, 0])
-    )
+    done = (errsum == 0.0) | ((errsum <= epsrel * np.abs(area)) & (errsum != resasc[:, 0]))
     used = np.ones(n, dtype=np.intp)
     active = np.flatnonzero(~done)
     while active.size:
@@ -133,10 +130,15 @@ def refine_reference(f, args, lo, hi, epsabs, epsrel):
         used[active] += 1
         area[active] = res[active].sum(axis=1)
         errsum[active] = err[active].sum(axis=1)
-        met = errsum[active] <= np.maximum(epsabs[active], epsrel * np.abs(area[active]))
+        met = errsum[active] <= epsrel * np.abs(area[active])
         done[active] = met
         active = active[~met & (used[active] < _LIMIT)]
     return area, errsum, done, used
+
+
+def group_velocity(kbar: float) -> float:
+    """d(omega_bar)/d(kbar) = 2(1 + kbar^2)/sqrt(2 + kbar^2)."""
+    return 2.0 * (1.0 + kbar * kbar) / math.sqrt(2.0 + kbar * kbar)
 
 
 def beliaev_energy_integrand(qbar: float, omega_k: float) -> float:
@@ -144,20 +146,18 @@ def beliaev_energy_integrand(qbar: float, omega_k: float) -> float:
 
     gamma/omega0 = (k0^3/n0)/(pi*qbar) * int_0^wq dw F(w); F is symmetric
     about wq/2 because the splitting amplitude is symmetric in its two final
-    momenta.
+    momenta.  The amplitude is the textbook u, v form on `model`'s mode
+    coefficients, whose cancellation is harmless at the qbar >= 0.5 the
+    tests use.
     """
     wq = dispersion(qbar)
     if not (0.0 < omega_k < wq):
         return 0.0
     kbar = inverse_dispersion(omega_k)
     pbar = inverse_dispersion(wq - omega_k)
-    sq, dq = _sd(qbar, wq)
-    sk, dk = _sd(kbar, dispersion(kbar))
-    sp, dp = _sd(pbar, dispersion(pbar))
-    vertex = _beliaev_vertex(sq, dq, sk, dk, sp, dp)
-    return float(
-        (kbar / group_velocity(kbar)) * vertex * vertex * (pbar / group_velocity(pbar))
-    )
+    q, k, p = (bogoliubov_mode(m) for m in (qbar, kbar, pbar))
+    vertex = textbook_vertex((q.u, q.v), (k.u, k.v), (p.u, p.v))
+    return (kbar / group_velocity(kbar)) * vertex * vertex * (pbar / group_velocity(pbar))
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +168,7 @@ def beliaev_energy_integrand(qbar: float, omega_k: float) -> float:
 class Integral:
     """One reduced magnitude integral and its conversion to a width.
 
-    The width in s^-1 is scale * int_lo^hi integrand(x, *args) dx, refined
-    to the absolute tolerance epsabs on the reduced integral.  lo == hi
+    The width in s^-1 is scale * int_lo^hi integrand(x, *args) dx.  lo == hi
     marks a channel with no allowed final state: its width is exactly 0.
     """
 
@@ -177,7 +176,6 @@ class Integral:
     lo: float
     hi: float
     args: tuple[float, ...]
-    epsabs: float
     scale: float
 
 
@@ -198,7 +196,7 @@ def _reduced(integrand, lo, hi, args, prefactor, scale, point) -> Integral:
             raise ParameterError(
                 f"{channel} {name} {value:.3g} is out of double range at qbar = {qbar:.3g}"
             )
-    return Integral(integrand, lo, hi, args, EPSABS_OMEGA0 / prefactor, scale)
+    return Integral(integrand, lo, hi, args, scale)
 
 
 def integrals(params: PhysicalParams, channel: Channel, qbar: float,
@@ -208,7 +206,8 @@ def integrals(params: PhysicalParams, channel: Channel, qbar: float,
     two_level = channel is Channel.TWO_LEVEL
     gas = params.k0**3 / params.condensate_density_n0
     beta = _inverse_temperature(temperature, params.omega0)
-    wq = dispersion(qbar)
+    cq = math.sqrt(2.0 + qbar * qbar)
+    wq = qbar * cq
     if wq * params.omega0 == 0.0:
         raise ParameterError(f"mode frequency underflows at qbar = {qbar:.3g}")
     if wq * params.omega0 == math.inf:
@@ -218,25 +217,25 @@ def integrals(params: PhysicalParams, channel: Channel, qbar: float,
             f"T = {temperature:.3g} K is too hot at qbar = {qbar:.3g}: the "
             f"thermal occupation exceeds {1.0 / _MIN_BOSE_EXPONENT:.0e}"
         )
-    sq = qbar / math.sqrt(wq)
+    sq = math.sqrt(qbar / cq)
 
     prefactor = gas / (math.pi * qbar)
     scale = prefactor * params.omega0
     if two_level:
         scale = TWO_LEVEL_FACTOR * _coupling_ratio_sq(params) * scale
     spontaneous = _reduced(
-        _spontaneous_integrand, 0.0, 0.5 * math.pi, (qbar, wq, sq, 1.0 / sq, beta),
+        _spontaneous_integrand, 0.0, 0.5 * math.pi, (qbar, wq, sq, beta),
         prefactor, scale, ("spontaneous", qbar),
     )
 
     point = ("stimulated", qbar)
     if beta == math.inf:
-        stimulated = Integral(_stimulated_integrand, 0.0, 0.0, (), 0.0, 1.0)
+        stimulated = Integral(_stimulated_integrand, 0.0, 0.0, (), 1.0)
     elif not two_level:
         prefactor = 2.0 * gas / (math.pi * qbar)
         kmax = _bose_cutoff_kbar(0.0, temperature, params.omega0)
         stimulated = _reduced(
-            _stimulated_integrand, 0.0, kmax, (wq, sq, 1.0 / sq, beta),
+            _stimulated_integrand, 0.0, kmax, (qbar, wq, sq, beta),
             prefactor, prefactor * params.omega0, point,
         )
     else:
@@ -269,6 +268,6 @@ def solve_alone(integral: Integral, epsrel: float) -> tuple[float, float, bool]:
         return 0.0, 0.0, True
     value, abserr, converged = rates._refine(
         integral.integrand, [np.array([arg]) for arg in integral.args],
-        np.array([integral.lo]), np.array([integral.hi]), np.array([integral.epsabs]), epsrel,
+        np.array([integral.lo]), np.array([integral.hi]), epsrel,
     )
     return integral.scale * float(value[0]), integral.scale * float(abserr[0]), bool(converged[0])

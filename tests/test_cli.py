@@ -780,7 +780,7 @@ def test_refinement_cap_exits_3_with_partial_rate(tmp_path, monkeypatch, capsys)
     integral, _ = rate_reference.integrals(sodium, Channel.SINGLE_LEVEL, 5.0, 0.0)
     capped = quad(
         lambda x: float(integral.integrand(np.float64(x), *integral.args)),
-        integral.lo, integral.hi, epsabs=integral.epsabs, epsrel=rates.EPSREL,
+        integral.lo, integral.hi, epsabs=0.0, epsrel=rates.EPSREL,
         limit=2, full_output=1,
     )
     assert stall.value.partial_rate_s == pytest.approx(integral.scale * capped[0], rel=1e-12)

@@ -17,7 +17,6 @@ from quasidamp.model import (
     PhysicalParams,
     bogoliubov_mode,
     dispersion,
-    group_velocity,
     inverse_dispersion,
     thermal_population,
 )
@@ -143,13 +142,6 @@ def test_phonon_limit():
 def test_free_particle_limit():
     for kbar in (1e2, 1e3):
         assert dispersion(kbar) == pytest.approx(kbar**2 + 1.0, rel=1e-4)
-
-
-@given(kbar_range)
-def test_group_velocity_matches_slope(kbar):
-    h = kbar * 1e-6
-    numeric = (dispersion(kbar + h) - dispersion(kbar - h)) / (2 * h)
-    assert group_velocity(kbar) == pytest.approx(numeric, rel=1e-7)
 
 
 @given(kbar_range)
