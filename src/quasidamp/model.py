@@ -217,7 +217,7 @@ class Channel(Enum):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive refinement hit its cap; carries the partial result."""
+    """Refinement hit its cap or gave a negative width; carries the partial result."""
 
     def __init__(self, message: str, partial_rate_s: float, error_estimate_s: float):
         super().__init__(message)

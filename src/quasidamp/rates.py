@@ -27,14 +27,11 @@ prefactors and scales per qbar, combined at each point by single IEEE
 operations, so every point holds the bits of a one-point setup.  The
 integrals of each channel are then refined together as column arrays, one
 bisection per unfinished integral per pass.  Each integral's refinement
-depends on its own integrand alone, so a width is bit-identical whichever
-other points share the sweep.  The refinement's work arrays are only as
-wide as the subintervals in use, rounded up to a multiple of 8 up to 96
-columns and to the full 200 beyond, so a sweep whose integrals need a
-handful of subintervals holds a few columns per integral, not 200.  The
-rounding keeps every sum bit-identical to one over full 200-column rows:
-numpy adds a row in 8 interleaved accumulators and splits a 200-entry row
-after its first 96, so zero padding up to such a width adds no rounding.
+depends on its own integrand alone, and its sums run over its own
+subintervals alone, so a width is bit-identical whichever other points
+share the sweep.  The refinement's work arrays double as the subintervals
+in use grow, so a sweep whose integrals need a handful of subintervals
+holds a few columns per integral, not 200.
 A pass of _BATCH integrals bounds these work arrays; its integrands are
 evaluated in blocks of at most _BLOCK_NODES quadrature nodes, which bound
 their temporaries, and each node enters only its own subinterval's sums,
@@ -261,10 +258,12 @@ _UFLOW = float(np.finfo(float).tiny)
 _LIMIT = 200
 
 #: Integrals refined together in one pass.  It caps a pass's work arrays at
-#: four float arrays of _BATCH rows, each as wide as _width allows for the
-#: subintervals in use (32 KB per array at 8 columns, 0.8 MB at _LIMIT), and
-#: sets the number of passes, each one _qk21 call per bisection; longer
-#: sweeps run in consecutive passes, which cannot change any result.
+#: four float arrays of _BATCH rows, each doubling in width as the
+#: subintervals in use grow: 4 KB per array per column, 32 KB at the 8
+#: columns of a 2016-point sweep over qbar 0.02-10 and T 0-1 uK, 0.8 MB at
+#: _LIMIT.  It also sets the number of passes, each one _qk21 call per
+#: bisection; longer sweeps run in consecutive passes, which cannot change
+#: any result.
 _BATCH = 512
 
 #: Quadrature nodes per integrand evaluation in _qk21: 128 whole intervals
@@ -272,12 +271,6 @@ _BATCH = 512
 #: integrand holds at once fit in a 2 MB L2 cache whatever _BATCH is.
 #: Over a whole 512-integral pass each would be 172 KB, 3.3 MB at the peak.
 _BLOCK_NODES = 2688
-
-#: Widest work array narrower than _LIMIT.  numpy sums a row of at most 128
-#: entries in 8 interleaved accumulators and splits a longer one after its
-#: first 96 entries, so a zero-padded row whose width is a multiple of 8 and
-#: at most 96 sums to the bits of the full _LIMIT-wide row.
-_NARROW_MAX = 96
 
 #: Smallest Bose exponent hbar*omega_q/(k_B*T) accepted at the decaying
 #: mode.  Bisection can put nodes ~1e-120 of omega_q from the window edge,
@@ -330,13 +323,6 @@ def _qk21_block(f: Callable, args: list[np.ndarray], lo: np.ndarray, hi: np.ndar
     return resk * half, abserr, resasc
 
 
-def _width(columns: int) -> int:
-    """Work-array width that holds `columns` subintervals: the next multiple
-    of 8 up to _NARROW_MAX, _LIMIT beyond it."""
-    width = -(-columns // 8) * 8
-    return width if width <= _NARROW_MAX else _LIMIT
-
-
 def _refine(f, args, lo, hi, epsrel):
     """One pass of adaptive G10K21 over at most _BATCH integrals of f.
 
@@ -344,15 +330,13 @@ def _refine(f, args, lo, hi, epsrel):
     j-th parameter.  Returns (value, abserr, converged) per integral.
 
     Every unfinished integral is bisected once per pass, so all of them hold
-    the same number of subintervals, `used`.  The work arrays grow with it
-    (see _width); their unused columns stay zero, which changes no argmax
-    and, by the rule of _NARROW_MAX, no row sum.
+    the same number of subintervals, `used`, and every argmax and sum runs
+    over those columns alone.  The work arrays double when they fill.
     """
     n = lo.size
     args = [arg[:, None, None] for arg in args]
     whole, whole_err, resasc = _qk21(f, args, lo[:, None], hi[:, None])
-    width = _width(2)
-    work = np.zeros((4, n, width))
+    work = np.zeros((4, n, 1))
     a, b, res, err = work
     a[:, 0], b[:, 0] = lo, hi
     res[:, 0], err[:, 0] = whole[:, 0], whole_err[:, 0]
@@ -362,12 +346,10 @@ def _refine(f, args, lo, hi, epsrel):
     used = 1
     active = np.flatnonzero(~done)
     while active.size and used < _LIMIT:
-        if used == width:
-            grown = _width(used + 1)
-            work = np.pad(work, ((0, 0), (0, 0), (0, grown - width)))
+        if used == work.shape[2]:
+            work = np.pad(work, ((0, 0), (0, 0), (0, min(used, _LIMIT - used))))
             a, b, res, err = work
-            width = grown
-        worst = err[active].argmax(axis=1)
+        worst = err[active, :used].argmax(axis=1)
         left, right = a[active, worst], b[active, worst]
         mid = 0.5 * (left + right)
         halves, halves_err, _ = _qk21(
@@ -381,8 +363,8 @@ def _refine(f, args, lo, hi, epsrel):
         a[active, used], b[active, used] = mid, right
         res[active, used], err[active, used] = halves[:, 1], halves_err[:, 1]
         used += 1
-        area[active] = res[active].sum(axis=1)
-        errsum[active] = err[active].sum(axis=1)
+        area[active] = res[active, :used].sum(axis=1)
+        errsum[active] = err[active, :used].sum(axis=1)
         met = errsum[active] <= epsrel * np.abs(area[active])
         done[active] = met
         active = active[~met]
@@ -504,9 +486,9 @@ def _setup(params: PhysicalParams, channel: Channel, qbar: list[float],
     and is its integral times a scale, the prefactor times omega0, so all
     three must be normal doubles, which keep their full precision.  Checks
     raise ParameterError at their first failing qbar or T-major point, in
-    this order: the coupling ratio, the mode frequencies, too-hot points,
-    the spontaneous then the stimulated prefactors and scales, and the Bose
-    cutoffs.
+    this order: the coupling ratio, the mode frequencies, a qbar whose
+    1 + qbar^2 + omega_bar overflows, too-hot points, the spontaneous then
+    the stimulated prefactors and scales, and the Bose cutoffs.
     """
     two_level = channel is Channel.TWO_LEVEL
     omega0 = params.omega0
@@ -525,6 +507,7 @@ def _setup(params: PhysicalParams, channel: Channel, qbar: list[float],
         cq = np.sqrt(2.0 + q * q)
         wq = q * cq
         omega_q = wq * omega0
+        mode_sum = 1.0 + q * q + wq  # the size of the integrands' 2 + q^2 + k^2, w_q + w_k
         sq = np.sqrt(q / cq)
         prefactor = gas / (math.pi * q)
         scale = prefactor * omega0
@@ -547,6 +530,8 @@ def _setup(params: PhysicalParams, channel: Channel, qbar: list[float],
         f"mode frequency underflows at qbar = {qbar[j]:.3g}"))
     _check(~(omega_q < math.inf), lambda j: ParameterError(
         f"mode frequency overflows at qbar = {qbar[j]:.3g}"))
+    _check(~(mode_sum < math.inf), lambda j: ParameterError(
+        f"qbar = {qbar[j]:.3g} is too large: 1 + kbar^2 + omega_bar overflows"))
     _check(too_hot, lambda i, j: ParameterError(
         f"T = {temperature[i]:.3g} K is too hot at qbar = {qbar[j]:.3g}: the "
         f"thermal occupation exceeds {1.0 / _MIN_BOSE_EXPONENT:.0e}"))
@@ -622,8 +607,8 @@ def decay_rates(params: PhysicalParams, channel: Channel, qbar: Sequence[float],
     Every width is bit-identical to the 1x1 grid at its point.  Raises
     ParameterError for a bad qbar, then a bad temperature, then as _setup
     checks, and QuadratureError at the first point in T-major order whose
-    spontaneous integral hits the refinement cap, or, if none does, whose
-    stimulated one does.
+    spontaneous integral hits the refinement cap, then whose spontaneous
+    width is negative, then the same two checks on the stimulated channel.
     """
     qbar = [_valid_qbar(q) for q in qbar]
     temperature = [_valid_temperature(t) for t in temperature]
@@ -637,21 +622,17 @@ def decay_rates(params: PhysicalParams, channel: Channel, qbar: Sequence[float],
         width.flat[columns.point] = columns.scale * value
         error.flat[columns.point] = columns.scale * abserr
         stalled.flat[columns.point] = ~converged
-        _check(stalled, lambda i, j: QuadratureError(
-            f"quadrature did not converge within {_LIMIT} subintervals: "
-            f"{name} width at qbar = {qbar[j]:.6g}, T = {temperature[i]:.6g} K",
-            partial_rate_s=float(width[i, j]),
-            error_estimate_s=float(error[i, j]),
-        ))
+        for bad, fault in ((stalled, f"did not converge within {_LIMIT} subintervals"),
+                           (width < 0.0, "gave a negative width")):
+            _check(bad, lambda i, j: QuadratureError(
+                f"quadrature {fault}: "
+                f"{name} width at qbar = {qbar[j]:.6g}, T = {temperature[i]:.6g} K",
+                partial_rate_s=float(width[i, j]),
+                error_estimate_s=float(error[i, j]),
+            ))
         widths.append(width)
         errors.append(error)
     gamma_beliaev, gamma_landau = widths
-    negative = gamma_landau[gamma_landau < 0.0]
-    if negative.size:
-        raise RuntimeError(
-            f"stimulated width came out negative ({negative[0]} s^-1): population "
-            "factor ordering violated"
-        )
     gamma_total = gamma_beliaev + gamma_landau
     return RateGrid(gamma_beliaev, gamma_landau, gamma_total, errors[0] + errors[1],
                     gamma_total / omega_q)

@@ -7,8 +7,9 @@ stimulated one, and the spontaneous integrand rewritten in the energy
 variable with the textbook u, v vertex and the group velocity, an
 independent reduction of the same width that the tests integrate with
 scipy.  `refine_reference` is the batched refinement with work arrays
-_LIMIT columns wide, against which the production one, whose arrays are
-only as wide as the subintervals in use, must agree bit for bit.
+_LIMIT columns wide and each integral summed on its own, against which the
+production one, whose arrays grow with the subintervals in use and whose
+sums run over all active rows at once, must agree bit for bit.
 `integrals` is the one-point setup of the two integrals of a point
 (params, channel, qbar, T), which the production sweep builds per grid axis
 and must match bit for bit.
@@ -96,8 +97,9 @@ def refine_reference(f, args, lo, hi, epsrel):
     """Adaptive G10K21 over full (n, _LIMIT) work arrays.
 
     The same bisection as rates._refine, with every argmax and sum taken
-    over whole _LIMIT-wide rows.  Returns (value, abserr, converged, used),
-    used being the subinterval count of each integral.
+    over one integral's own subintervals at a time.  Returns (value,
+    abserr, converged, used), used being the subinterval count of each
+    integral.
     """
     n = lo.size
     args = [arg[:, None, None] for arg in args]
@@ -113,7 +115,7 @@ def refine_reference(f, args, lo, hi, epsrel):
     used = np.ones(n, dtype=np.intp)
     active = np.flatnonzero(~done)
     while active.size:
-        worst = err[active].argmax(axis=1)
+        worst = np.array([err[i, :used[i]].argmax() for i in active])
         left, right = a[active, worst], b[active, worst]
         mid = 0.5 * (left + right)
         halves, halves_err, _ = _qk21(
@@ -128,8 +130,8 @@ def refine_reference(f, args, lo, hi, epsrel):
         a[active, slot], b[active, slot] = mid, right
         res[active, slot], err[active, slot] = halves[:, 1], halves_err[:, 1]
         used[active] += 1
-        area[active] = res[active].sum(axis=1)
-        errsum[active] = err[active].sum(axis=1)
+        area[active] = [res[i, :used[i]].sum() for i in active]
+        errsum[active] = [err[i, :used[i]].sum() for i in active]
         met = errsum[active] <= epsrel * np.abs(area[active])
         done[active] = met
         active = active[~met & (used[active] < _LIMIT)]
@@ -212,6 +214,8 @@ def integrals(params: PhysicalParams, channel: Channel, qbar: float,
         raise ParameterError(f"mode frequency underflows at qbar = {qbar:.3g}")
     if wq * params.omega0 == math.inf:
         raise ParameterError(f"mode frequency overflows at qbar = {qbar:.3g}")
+    if 1.0 + qbar * qbar + wq == math.inf:
+        raise ParameterError(f"qbar = {qbar:.3g} is too large: 1 + kbar^2 + omega_bar overflows")
     if not beta * wq >= _MIN_BOSE_EXPONENT:
         raise ParameterError(
             f"T = {temperature:.3g} K is too hot at qbar = {qbar:.3g}: the "

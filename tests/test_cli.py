@@ -514,6 +514,19 @@ def test_underflowing_width_prefactor_exits_2(tmp_path, capsys):
     assert err == "error: spontaneous width prefactor 0 is out of double range at qbar = 1e+100\n"
 
 
+def test_qbar_overflowing_vertex_sums_exits_2(tmp_path, capsys):
+    # qbar 1.2e154 exited 3 from a stalled quadrature, with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, err = run_raw_config(
+            tmp_path, capsys, "rates",
+            '{"preset": "sodium-paper", "params": {"atomic_mass": 1e20},'
+            ' "rate_query": {"qbar": [9e153, 1.2e154]}}',
+        )
+    assert rc == 2
+    assert err == "error: qbar = 1.2e+154 is too large: 1 + kbar^2 + omega_bar overflows\n"
+
+
 def test_dynamics_overflowing_moments_exit_3_without_warnings(tmp_path, capsys):
     # finite moments whose product overflows used to warn from the cone clip
     with warnings.catch_warnings():
@@ -809,6 +822,22 @@ def test_refinement_cap_exits_3_with_partial_rate(tmp_path, monkeypatch, capsys)
         "spontaneous width at qbar = 5, T = 1e-06 K "
         "(partial rate 1922.31 s^-1, error estimate 3.70985e-05 s^-1)\n"
     )
+
+
+def test_negative_width_exits_3_with_one_line(tmp_path, monkeypatch, capsys):
+    # a negative width ended in a RuntimeError traceback (exit 1)
+    stimulated = rates._stimulated_integrand
+    monkeypatch.setattr(rates, "_stimulated_integrand", lambda x, *args: -stimulated(x, *args))
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, rate_query={"qbar": [0.3, 1.0], "temperature": [0.0, 1e-6]})
+    assert main(["rates", "--config", cfg_path, "--out", str(out)]) == 3
+    assert not out.exists() or not any(out.iterdir())
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "quadrature failure: quadrature gave a negative width: "
+        "stimulated width at qbar = 0.3, T = 1e-06 K (partial rate -"
+    )
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+import warnings
 from decimal import Decimal
 
 import numpy as np
@@ -450,6 +451,22 @@ def test_overflowing_mode_frequency_rejected():
     assert str(error) == "mode frequency overflows at qbar = 1.55e+03"
 
 
+def test_qbar_overflowing_vertex_sums_rejected():
+    # a 1e20 kg atom keeps the mode frequency finite past qbar ~9.48e153,
+    # where 1 + qbar^2 + omega_bar and the vertex's sums overflow: qbar
+    # 1.2e154 stalled at the refinement cap with a RuntimeWarning
+    heavy = dataclasses.replace(SODIUM, atomic_mass=1e20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        width = single_level(9e153, params=heavy).gamma_beliaev[0, 0]
+        error = error_of(heavy, Channel.SINGLE_LEVEL, [9e153, 1.2e154], [0.0, 1e-6])
+        # the mode frequencies are checked first: at 1.4e154 omega_bar overflows
+        first = error_of(heavy, Channel.SINGLE_LEVEL, [1.2e154, 1.4e154], [0.0])
+    assert width == pytest.approx(4.961049246432911e110, rel=1e-12)
+    assert str(error) == "qbar = 1.2e+154 is too large: 1 + kbar^2 + omega_bar overflows"
+    assert str(first) == "mode frequency overflows at qbar = 1.4e+154"
+
+
 def test_overflowing_width_scale_rejected():
     # (a_bc/a)^2 ~ 1.3e307 is a normal double and the spontaneous prefactor
     # does not carry it, but the width scale 10/9 (a_bc/a)^2 prefactor omega0
@@ -683,6 +700,25 @@ def test_quadrature_failure_names_first_point(monkeypatch, limit, qbar, temperat
     assert alone.error_estimate_s == error.error_estimate_s
 
 
+@pytest.mark.parametrize("negated, named, field, point", [
+    (("_stimulated_integrand",), "stimulated width at qbar = 0.3, T = 1e-06 K",
+     "gamma_landau", (1, 0)),
+    # with both channels negative the spontaneous width of the first point
+    # in T-major order is named
+    (("_spontaneous_integrand", "_stimulated_integrand"),
+     "spontaneous width at qbar = 0.3, T = 0 K", "gamma_beliaev", (0, 0)),
+], ids=["stimulated", "both"])
+def test_negative_width_raises_quadrature_error(monkeypatch, negated, named, field, point):
+    grid = (SODIUM, Channel.SINGLE_LEVEL, [0.3, 1.0], [0.0, 1e-6])
+    expected = getattr(decay_rates(*grid), field)[point]
+    for name in negated:
+        monkeypatch.setattr(rates, name, lambda x, *args, f=getattr(rates, name): -f(x, *args))
+    error = error_of(*grid, QuadratureError)
+    assert str(error) == f"quadrature gave a negative width: {named}"
+    # negation is exact: the partial width is the true one negated
+    assert error.partial_rate_s == -expected and error.error_estimate_s > 0.0
+
+
 # ---------------------------------------------------------------------------
 # refinement bookkeeping and the work of a sweep
 
@@ -692,9 +728,8 @@ def _wave_on_peak(x, k, w):
 
 
 def test_refine_matches_full_width_reference():
-    # the work arrays grow with the subintervals in use; at a width that is
-    # a multiple of 8 and at most 96, numpy's pairwise row sum gives the
-    # bits of the full _LIMIT-wide row, and beyond it the width is _LIMIT
+    # the work arrays double as the subintervals in use grow (1, 2, 4, ...,
+    # 128, then _LIMIT columns); integrals stop inside the last two steps
     k, w = (a.ravel() for a in np.meshgrid(np.geomspace(1.0, 1500.0, 9),
                                            np.geomspace(1e-1, 1e-9, 9)))
     # a wave of 1.6e4 periods that 200 subintervals cannot resolve runs
@@ -702,13 +737,26 @@ def test_refine_matches_full_width_reference():
     k, w = np.append(k, 1e5), np.append(w, 1e-1)
     lo, hi = np.zeros(k.size), np.ones(k.size)
     value, abserr, converged, used = refine_reference(_wave_on_peak, [k, w], lo, hi, 1e-9)
-    assert used.min() <= 8 and ((8 < used) & (used <= 96)).any()
-    assert ((96 < used) & (used < _LIMIT)).any()
+    assert ((64 < used) & (used <= 128)).any()
+    assert ((128 < used) & (used < _LIMIT)).any()
     assert used[-1] == _LIMIT and not converged[-1] and converged[:-1].all()
     got = _refine(_wave_on_peak, [k, w], lo, hi, 1e-9)
     assert got[0].tobytes() == value.tobytes()
     assert got[1].tobytes() == abserr.tobytes()
     assert (got[2] == converged).all()
+
+
+@pytest.mark.parametrize("rows", [1, 7, 512])
+def test_block_row_sums_equal_lone_row_sums(rows):
+    # _refine sums the first `used` columns of all its active rows at once;
+    # a width is its own integral's only while numpy adds each row of such
+    # a block to the bits of that row summed alone
+    rng = np.random.default_rng(rows)
+    x = rng.standard_normal((512, _LIMIT)) * 10.0 ** rng.uniform(-12, 12, (512, _LIMIT))
+    for used in range(1, _LIMIT + 1):
+        alone = np.array([row[:used].sum() for row in x[:rows]])
+        for block in (x[:rows, :used], x[np.arange(rows), :used]):
+            assert block.sum(axis=1).tobytes() == alone.tobytes(), used
 
 
 def _bench_like_grid():
