@@ -347,7 +347,9 @@ def _refine(f, args, lo, hi, epsrel):
     active = np.flatnonzero(~done)
     while active.size and used < _LIMIT:
         if used == work.shape[2]:
-            work = np.pad(work, ((0, 0), (0, 0), (0, min(used, _LIMIT - used))))
+            grown = np.zeros((4, n, used + min(used, _LIMIT - used)))
+            grown[:, :, :used] = work
+            work = grown
             a, b, res, err = work
         worst = err[active, :used].argmax(axis=1)
         left, right = a[active, worst], b[active, worst]

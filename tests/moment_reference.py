@@ -5,18 +5,23 @@ real 5x5 one, and `dop853_moments` integrates it with scipy's adaptive
 Runge-Kutta; the tests compare the production matrix-exponential
 propagation against it.  `decimal_from_vacuum` propagates the moments and
 the invariants D and s in 50-digit decimal arithmetic, against which the
-tests check xi3 where the double-precision closed form cancels.
+tests check xi3 where the double-precision closed form cancels;
+`decimal_doublings` reaches the same 50-digit states at t = 2^j dt by
+squaring the step, up to a million steps.  `float64_step_loop` steps the
+production step matrix one sample at a time in doubles, the propagation
+that evolve_moments' doubling scan replaced.
 `wick_spin` evaluates the pseudo-spin means and variances by the oracle's
 Wick expansion, against which the tests check the production closed form.
 """
 
+import math
 from decimal import Decimal, localcontext
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from quasidamp.dynamics import MomentState
-from quasidamp.model import BogoliubovMode, ParameterError
+from quasidamp.dynamics import MomentState, Trajectory, _expm_taylor, _generator
+from quasidamp.model import BogoliubovMode, DriveConfig, ParameterError
 from quasidamp.oracle import GaussianSecondMoments, wick_fourth_moment
 
 
@@ -68,39 +73,110 @@ def dop853_moments(rabi: float, gamma: float, t_eval: np.ndarray,
     return x1.real + n0_eq, x2.real - n0_eq, re_c + 0.5 * c_minus_cc
 
 
+def _decimal_step(rabi, gamma, dt):
+    """exp(G dt) of the 5x5 real generator, in the current decimal context.
+
+    G is the generator of x1' = -gamma x1 - 2 rabi Im c, x2' = -2 rabi Im c,
+    Im c' = -rabi (x1 + x2) - (gamma/2) Im c, D' = -gamma D, s' = gamma x1
+    on (x1, x2, Im c, D, s); the step is a 40-term Taylor series summed from
+    the exact values of the doubles rabi, gamma and dt.
+    """
+    rabi, gamma, dt = Decimal(rabi), Decimal(gamma), Decimal(dt)
+    zero = Decimal(0)
+    generator = [
+        [-gamma, zero, -2 * rabi, zero, zero],
+        [zero, zero, -2 * rabi, zero, zero],
+        [-rabi, -rabi, -gamma / 2, zero, zero],
+        [zero, zero, zero, -gamma, zero],
+        [gamma, zero, zero, zero, zero],
+    ]
+    x = [[entry * dt for entry in row] for row in generator]
+    term = [[Decimal(int(i == j)) for j in range(5)] for i in range(5)]
+    step = [row[:] for row in term]
+    for k in range(1, 40):
+        term = [[v / k for v in row] for row in _decimal_matmul(term, x)]
+        step = [[step[i][j] + term[i][j] for j in range(5)] for i in range(5)]
+    return step
+
+
+def _decimal_matmul(a, b):
+    return [[sum(a[i][m] * b[m][j] for m in range(5)) for j in range(5)] for i in range(5)]
+
+
+def _decimal_vacuum():
+    return [Decimal(0), Decimal(1), Decimal(0), Decimal(0), Decimal(1)]
+
+
 def decimal_from_vacuum(rabi: float, gamma: float, dt: float, steps: int):
     """(x1, x2, Im c, D, s) at t = 0, dt, ..., steps*dt from the vacuum at
-    n0_eq = 0, each a 50-digit Decimal.
+    n0_eq = 0, each a 50-digit Decimal, stepped by the 50-digit exp(G dt).
 
-    The step exp(G dt) is a 40-term Taylor series of the 5x5 real generator
-    of x1' = -gamma x1 - 2 rabi Im c, x2' = -2 rabi Im c,
-    Im c' = -rabi (x1 + x2) - (gamma/2) Im c, D' = -gamma D, s' = gamma x1,
-    summed in 50-digit arithmetic from the exact values of the doubles
-    rabi, gamma and dt.  Its D and s rows are as exact as the generator's.
+    Its D and s rows are as exact as the generator's.
     """
     with localcontext() as ctx:
         ctx.prec = 50
-        rabi, gamma, dt = Decimal(rabi), Decimal(gamma), Decimal(dt)
-        zero = Decimal(0)
-        generator = [
-            [-gamma, zero, -2 * rabi, zero, zero],
-            [zero, zero, -2 * rabi, zero, zero],
-            [-rabi, -rabi, -gamma / 2, zero, zero],
-            [zero, zero, zero, -gamma, zero],
-            [gamma, zero, zero, zero, zero],
-        ]
-        x = [[entry * dt for entry in row] for row in generator]
-        term = [[Decimal(int(i == j)) for j in range(5)] for i in range(5)]
-        step = [row[:] for row in term]
-        for k in range(1, 40):
-            term = [[sum(term[i][m] * x[m][j] for m in range(5)) / k for j in range(5)]
-                    for i in range(5)]
-            step = [[step[i][j] + term[i][j] for j in range(5)] for i in range(5)]
-        states = [[zero, Decimal(1), zero, zero, Decimal(1)]]
+        step = _decimal_step(rabi, gamma, dt)
+        states = [_decimal_vacuum()]
         for _ in range(steps):
             y = states[-1]
             states.append([sum(row[j] * y[j] for j in range(5)) for row in step])
         return states
+
+
+def decimal_doublings(rabi: float, gamma: float, dt: float, doublings: int):
+    """(x1, x2, Im c, D, s) at t = 2^j dt for j = 0, ..., doublings from the
+    vacuum at n0_eq = 0, each a 50-digit Decimal.
+
+    The state at 2^j dt is exp(G dt) squared j times, applied to the vacuum,
+    so a million-step time costs twenty 5x5 products instead of a million
+    steps.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        power = _decimal_step(rabi, gamma, dt)
+        vacuum = _decimal_vacuum()
+        states = []
+        for j in range(doublings + 1):
+            if j:
+                power = _decimal_matmul(power, power)
+            states.append([sum(row[i] * vacuum[i] for i in range(5)) for row in power])
+        return states
+
+
+def float64_step_loop(initial: MomentState, drive: DriveConfig, gamma: float,
+                      n0_eq: float = 0.0) -> Trajectory:
+    """Every sample of evolve_moments' output grid, stepped one sample at a
+    time in doubles: z[i + 1] = step @ z[i] with the production step matrix,
+    and Re c and x1m - n0_eq multiplied by their decay factors each step.
+
+    Non-finite samples are kept, not reported, so a test can find where this
+    loop first overflows.
+    """
+    ratio = drive.t_max / drive.dt_output
+    n_steps = round(ratio)
+    if abs(ratio - n_steps) > 1e-12 * ratio:
+        n_steps = math.floor(ratio)
+    dt = drive.dt_output
+    step = _expm_taylor(_generator(drive.rabi_effective, gamma, n0_eq) * dt)
+    shift = np.array([-n0_eq, n0_eq, n0_eq * n0_eq, 0.0, 2.0 * n0_eq])
+    z = np.empty((n_steps + 1, 5))
+    z[0] = (initial.x1, initial.x2, initial.defect, initial.c.imag, initial.gap)
+    z[0] += shift
+    c = np.empty(n_steps + 1, dtype=complex)
+    x1m = np.empty(n_steps + 1)
+    c[0], x1m[0] = initial.c.real, initial.x1m - n0_eq
+    decay_c, decay_x1m = math.exp(-0.5 * gamma * dt), math.exp(-gamma * dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps):
+            z[i + 1] = step @ z[i]
+            c.real[i + 1] = c.real[i] * decay_c
+            x1m[i + 1] = x1m[i] * decay_x1m
+        z -= shift
+    c.imag = z[:, 3]
+    return Trajectory(
+        t=initial.t + dt * np.arange(n_steps + 1), x1=z[:, 0], x1m=x1m + n0_eq, x2=z[:, 1],
+        c=c, defect=z[:, 2], gap=z[:, 4],
+    )
 
 
 def decimal_xi3(states, mode: BogoliubovMode) -> np.ndarray:

@@ -556,6 +556,21 @@ def test_dynamics_readout_overflow_exits_3_without_warnings(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_dynamics_small_qbar_readout_overflow_exits_3_without_warnings(tmp_path, capsys):
+    # at qbar 1e-10, u^2 and v^2 are near 1e9, so the positivity floor times
+    # a trace overflows before the squeezing parameters do
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, err = run_raw_config(
+            tmp_path, capsys, "dynamics",
+            '{"preset": "sodium-paper", "drive": {"qbar_recoil": 1e-10, "rabi_effective": 1000,'
+            ' "gamma_override": 0, "t_max": 0.1779, "dt_output": 1e-4}}',
+        )
+    assert rc == 3
+    assert err.startswith("integration failure: squeezing parameters overflow at t = 0.1672")
+    assert err.count("\n") == 1
+
+
 _POSITIVE_NUMBER = st.one_of(
     st.floats(min_value=0.0, max_value=1e308, exclude_min=True),
     st.integers(min_value=1, max_value=10**12),

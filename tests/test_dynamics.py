@@ -32,10 +32,12 @@ from quasidamp.dynamics import (
 from quasidamp.rates import Channel, decay_rates
 
 from moment_reference import (
+    decimal_doublings,
     decimal_from_vacuum,
     decimal_xi3,
     dop853_moments,
     drift_matrix,
+    float64_step_loop,
     wick_spin,
 )
 
@@ -267,6 +269,59 @@ def test_overflowing_generator_is_an_integration_error():
     assert err.value.last_valid == VACUUM
 
 
+def _step_loop_exit(cfg: DriveConfig, mode: BogoliubovMode) -> tuple[str, float]:
+    """Message and last valid time of the IntegrationError that the float64
+    step loop's trajectory earns: its first sample whose moments, or the
+    product x2 (x1 + x2), are not finite, else the readout's own failure."""
+    loop = float64_step_loop(VACUUM, cfg, cfg.gamma_override)
+    moments = np.stack([loop.x1, loop.x2, loop.defect, loop.c.imag, loop.gap], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        valid = np.isfinite(moments).all(axis=1) & np.isfinite(loop.x2 * (loop.x1 + loop.x2))
+    if not valid.all():
+        bad = int(np.argmin(valid))
+        return f"non-finite state at t = {loop.t[bad]}", float(loop.t[max(bad - 1, 0)])
+    with pytest.raises(IntegrationError) as err:
+        readout(loop, mode)
+    return str(err.value), err.value.last_valid.t
+
+
+@pytest.mark.parametrize("qbar, rabi, gamma, t_max, dt", [
+    # the readout overflows first: x2 (x1 + x2) stays finite up to t_max
+    (1e-10, 1e3, 0.0, 0.1779, 1e-4),
+    (1e-10, 1e3, 0.0, 0.1779, 1e-5),
+    (1e-3, 1e3, 0.0, 0.1779, 1e-4),
+    (5.0, 1e3, 0.0, 0.1779, 1e-5),
+    (1e8, 1e3, 0.0, 0.1779, 1e-4),
+    # the moments overflow after 18 or 178 samples, inside a doubling level
+    (1e-10, 1e5, 1e3, 6e-3, 1e-5),
+    (1e-3, 1e5, 0.0, 0.1779, 1e-4),
+    (5.0, 1e5, 0.0, 6e-3, 1e-5),
+    (5.0, 1e5, 1e3, 0.1779, 1e-4),
+    (1e3, 1e5, 1e3, 6e-3, 1e-5),
+    (1e8, 1e5, 0.0, 0.1779, 1e-5),
+    # the step matrix, or its first few powers, overflow
+    (5.0, 5.8e6, 0.0, 6e-3, 1e-5),
+    (1e3, 5.8e6, 1e3, 0.1779, 1e-4),
+    (1e-3, 5.8e6, 1e3, 6e-3, 1e-5),
+    (5.0, 1e8, 1e3, 6e-3, 1e-5),
+    (1e-10, 1e8, 0.0, 0.1779, 1e-4),
+])
+def test_overflow_exit_matches_step_loop(qbar, rabi, gamma, t_max, dt):
+    # a power of the step can overflow where the loop's products stay finite
+    # (inf * 0 = nan), which must not end the run earlier than the loop did
+    cfg = DriveConfig(
+        rabi_effective=rabi, qbar_recoil=qbar, gamma_override=gamma, t_max=t_max, dt_output=dt
+    )
+    mode = bogoliubov_mode(qbar)
+    message, last_t = _step_loop_exit(cfg, mode)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError) as err:
+            readout(evolve_moments(VACUUM, cfg, gamma), mode)
+    assert str(err.value) == message
+    assert err.value.last_valid.t == last_t
+
+
 def test_evolve_validation():
     cfg = drive()
     with pytest.raises(ParameterError):
@@ -474,6 +529,25 @@ def test_xi3_matches_50_digit_propagation(gamma):
     assert np.max(np.abs(got - xi3) / xi3) <= 1e-11
     gap = np.array([float(state[4]) for state in reference])
     assert np.max(np.abs(traj.gap - gap) / gap) <= 1e-12
+
+
+@pytest.mark.parametrize("gamma", [0.0, 603.18, 3384.28])
+def test_xi3_matches_50_digit_doublings_up_to_the_step_cap(gamma):
+    # a million 6 ns steps over the 6 ms trajectory, checked at t = 2^j dt,
+    # j = 0..19; the worst error sits near j = 11, where n_a ~ 1e-4 is held
+    # as x2 - 1 (measured 2.8e-10 / 2.0e-10 / 3.9e-11 for the doubling scan,
+    # 2.6e-10 / 3.7e-10 / 5.1e-11 for a step-by-step loop)
+    mode = bogoliubov_mode(5.0)
+    cfg = drive(1e3, t_max=6e-3, dt=6e-9)
+    traj = evolve_moments(VACUUM, cfg, gamma)
+    assert len(traj.t) == MAX_OUTPUT_STEPS + 1
+    reference = decimal_doublings(1e3, gamma, 6e-9, 19)
+    at = 2 ** np.arange(20)
+    sampled = Trajectory(*(field[at] for field in traj))
+    xi3 = decimal_xi3(reference, mode)
+    assert np.max(np.abs(readout(sampled, mode).xi3 - xi3) / xi3) <= 5e-10
+    gap = np.array([float(state[4]) for state in reference])
+    assert np.max(np.abs(sampled.gap - gap) / gap) <= 5e-11
 
 
 @pytest.mark.parametrize("gamma", [531.0, 3384.0])
