@@ -33,6 +33,5 @@ from .model import (  # noqa: F401
     QuadratureError,
     bogoliubov_mode,
     dispersion,
-    inverse_dispersion,
     thermal_population,
 )

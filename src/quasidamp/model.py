@@ -169,18 +169,6 @@ def bogoliubov_mode(kbar: float) -> BogoliubovMode:
     return BogoliubovMode(kbar=kbar, alpha=alpha, u=u, v=v, omega_bar=w)
 
 
-def inverse_dispersion(omega_bar: float) -> float:
-    """Momentum kbar with dispersion(kbar) = omega_bar, for omega_bar >= 0.
-
-    Uses kbar = omega_bar/sqrt(1 + sqrt(1 + omega_bar^2)) rather than the
-    equivalent sqrt(sqrt(1 + omega_bar^2) - 1); the latter loses half the
-    significant digits for omega_bar << 1.
-    """
-    if not (omega_bar >= 0.0 and math.isfinite(omega_bar)):
-        raise ParameterError(f"omega_bar must be >= 0, got {omega_bar}")
-    return omega_bar / math.sqrt(1.0 + math.hypot(1.0, omega_bar))
-
-
 def thermal_population(omega: float, temperature_T: float) -> float:
     """Planck occupation [exp(hbar*omega/kB*T) - 1]^-1; exactly 0 at T = 0.
 
@@ -280,11 +268,25 @@ class DriveConfig:
             raise ParameterError(
                 f"dt_output = {self.dt_output:.6g} s exceeds t_max = {self.t_max:.6g} s"
             )
-        if self.t_max / self.dt_output > MAX_OUTPUT_STEPS:
+        if self.t_max / self.dt_output == math.inf or self.output_steps > MAX_OUTPUT_STEPS:
             raise ParameterError(
-                f"t_max/dt_output = {self.t_max / self.dt_output:.6g} output steps "
+                f"t_max/dt_output = {self.t_max / self.dt_output:.10g} output steps "
                 f"exceeds the limit of {MAX_OUTPUT_STEPS}"
             )
+
+    @property
+    def output_steps(self) -> int:
+        """Steps on the output grid.
+
+        t_max/dt_output counts as the integer within 1e-12 of it, if there is
+        one (0.3/0.1 = 2.9999999999999996 is 3 steps), and is rounded down
+        otherwise, so the last sample never passes t_max beyond roundoff.
+        """
+        ratio = self.t_max / self.dt_output
+        steps = round(ratio)
+        if abs(ratio - steps) > 1e-12 * ratio:
+            steps = math.floor(ratio)
+        return steps
 
 
 #: Named parameter presets.  Nothing outside this table hard-codes a species.

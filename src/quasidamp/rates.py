@@ -21,12 +21,13 @@ a cancelling difference: the vertex below, and `_bose_drop`.
 `decay_rates(params, channel, qbar, temperature)` is the one rate entry
 point: it sweeps a (temperature, qbar) grid and returns a RateGrid of
 (len(temperature), len(qbar)) arrays, and a single width is the 1x1 grid.
-Its setup runs per axis value, not per point: the units once, the Bose
-exponent and the single-level cutoff per temperature, the mode frequency,
-prefactors and scales per qbar, combined at each point by single IEEE
-operations, so every point holds the bits of a one-point setup.  The
-integrals of each channel are then refined together as column arrays, one
-bisection per unfinished integral per pass.  Each integral's refinement
+Its setup runs on whole arrays, with no loop over temperatures or points:
+the units once, the Bose exponent as a temperature column, the mode
+frequency, prefactors and scales as a qbar row, and one Bose-cutoff
+expression for both channels on the grid they broadcast to.  Each entry is
+formed by the IEEE operations of a one-point setup, so every point holds
+its bits.  The integrals of each channel are then refined together as
+column arrays, one bisection per unfinished integral per pass.  Each integral's refinement
 depends on its own integrand alone, and its sums run over its own
 subintervals alone, so a width is bit-identical whichever other points
 share the sweep.  The refinement's work arrays double as the subintervals
@@ -69,7 +70,6 @@ from .model import (
     ParameterError,
     PhysicalParams,
     QuadratureError,
-    inverse_dispersion,
 )
 
 #: Relative tolerance of every reduced integral.
@@ -79,9 +79,9 @@ EPSREL = 1e-8
 # ---------------------------------------------------------------------------
 # spectrum, vertex and occupations on arrays
 #
-# The array forms of model.dispersion and model.inverse_dispersion, without
-# their argument checks: quadrature nodes are interior to windows the
-# callers have already validated.
+# The array form of model.dispersion and its inverse, without argument
+# checks: quadrature nodes are interior to windows the callers have already
+# validated.
 
 
 def _omega(kbar):
@@ -89,6 +89,8 @@ def _omega(kbar):
 
 
 def _momentum(omega_bar):
+    # not the equivalent sqrt(sqrt(1 + omega_bar^2) - 1), which loses half
+    # the significant digits for omega_bar << 1
     return omega_bar / np.sqrt(1.0 + np.hypot(1.0, omega_bar))
 
 
@@ -123,33 +125,24 @@ def _bose_drop(beta, omega_bar, gap):
     return _bose(beta * omega_bar) * ratio
 
 
-def _inverse_temperature(temperature_T: float, omega0: float) -> float:
-    """hbar*omega0/(kB*T): the Bose exponent per unit omega_bar, inf at T = 0.
-
-    Grouped so that hbar*omega0 cannot underflow at tiny temperatures.
-    """
-    if temperature_T == 0.0:
-        return math.inf
-    return (HBAR / K_BOLTZMANN) * (omega0 / temperature_T)
-
-
-def _bose_cutoff_kbar(omega_bar_low: float, temperature_T: float, omega0: float) -> float:
-    """Upper integration limit for stimulated integrals.
+def _bose_cutoff_kbar(omega_bar_low, temperature_T, omega0):
+    """Upper integration limit for stimulated integrals, on arrays.
 
     Truncates where the thermal occupation has fallen ~1e-14 below its value
     at the larger of (window lower edge, thermal frequency k_B T/hbar); the
     +3 margin covers the 1/(1-e^-x) enhancement of the Bose tail.  inf
-    when the cutoff frequency is not a finite double.
+    where the cutoff frequency is not a finite double.
     """
     omega_bar_thermal = K_BOLTZMANN * temperature_T / (HBAR * omega0)
-    if omega_bar_thermal == 0.0:
-        # k_B*T or hbar*omega0 underflowed; regrouped, it is nonzero
-        # whenever _inverse_temperature is finite
-        omega_bar_thermal = (K_BOLTZMANN / HBAR) * (temperature_T / omega0)
-    x_ref = max(omega_bar_low, omega_bar_thermal) / omega_bar_thermal
+    # where k_B*T or hbar*omega0 underflowed; regrouped, it is nonzero
+    # wherever the Bose exponent is finite
+    omega_bar_thermal = np.where(omega_bar_thermal == 0.0,
+                                 (K_BOLTZMANN / HBAR) * (temperature_T / omega0),
+                                 omega_bar_thermal)
+    x_ref = np.maximum(omega_bar_low, omega_bar_thermal) / omega_bar_thermal
     x_cut = x_ref + math.log(1e14) + 3.0
     omega_bar_cut = x_cut * omega_bar_thermal
-    return inverse_dispersion(omega_bar_cut) if omega_bar_cut < math.inf else math.inf
+    return np.where(omega_bar_cut < math.inf, _momentum(omega_bar_cut), math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -479,18 +472,19 @@ def _setup(params: PhysicalParams, channel: Channel, qbar: list[float],
     is left at that threshold (its occupation underflows, or at tiny qbar
     its frequency overflows) the window is empty.
 
-    Setup runs per axis value: the medium's units once, the Bose exponent
-    and the single-level cutoff per temperature, the mode frequency,
-    prefactors and scales per qbar.  A point combines them with single IEEE
-    operations, so every column entry has the bits of a one-point setup.
-    The two-level cutoff depends on both, and is computed at each point
-    whose window is not empty.  Each width is reported per mode frequency
-    and is its integral times a scale, the prefactor times omega0, so all
-    three must be normal doubles, which keep their full precision.  Checks
-    raise ParameterError at their first failing qbar or T-major point, in
-    this order: the coupling ratio, the mode frequencies, a qbar whose
-    1 + qbar^2 + omega_bar overflows, too-hot points, the spontaneous then
-    the stimulated prefactors and scales, and the Bose cutoffs.
+    Setup runs on whole arrays, with no loop over temperatures or points:
+    the medium's units once, the Bose exponent as a temperature column, the
+    mode frequency, prefactors and scales as a qbar row.  The window edges
+    and the Bose cutoff of both channels come from one expression on the
+    grid (the single-level window starts at kbar = 0, the two-level one at
+    the threshold above), so every column entry has the bits of a one-point
+    setup.  Each width is reported per mode frequency and is its integral
+    times a scale, the prefactor times omega0, so all three must be normal
+    doubles, which keep their full precision.  Checks raise ParameterError
+    at their first failing qbar or T-major point, in this order: the
+    coupling ratio, the mode frequencies, a qbar whose 1 + qbar^2 +
+    omega_bar overflows, too-hot points, the spontaneous then the
+    stimulated prefactors and scales, and the Bose cutoffs.
     """
     two_level = channel is Channel.TWO_LEVEL
     omega0 = params.omega0
@@ -502,10 +496,13 @@ def _setup(params: PhysicalParams, channel: Channel, qbar: list[float],
         raise ParameterError(
             f"interspecies coupling (a_bc/a)^2 = {ratio_sq:.3g} is out of double range")
 
-    beta = np.array([_inverse_temperature(t, omega0) for t in temperature]).reshape(-1, 1)
-    thermal = beta < math.inf  # not T = 0, nor too cold for any thermal occupation
+    t = np.array(temperature).reshape(-1, 1)
     q = np.array(qbar)
     with np.errstate(all="ignore"):  # out-of-range values fail the checks below
+        # hbar*omega0/(k_B*T) per unit omega_bar, grouped so that hbar*omega0
+        # cannot underflow; inf at T = 0 and where omega0/T overflows
+        beta = (HBAR / K_BOLTZMANN) * (omega0 / t)
+        thermal = beta < math.inf  # not T = 0, nor too cold for any thermal occupation
         cq = np.sqrt(2.0 + q * q)
         wq = q * cq
         omega_q = wq * omega0
@@ -517,16 +514,16 @@ def _setup(params: PhysicalParams, channel: Channel, qbar: list[float],
             scale = TWO_LEVEL_FACTOR * ratio_sq * scale
             stimulated_prefactor = ratio_sq * gas / (4.0 * math.pi * q)
             kmin = np.maximum(0.0, 0.5 / q - q)
-            omega_low = _omega(kmin)  # inf when kmin^2 overflows
-            lo = np.broadcast_to(kmin, shape)
-            # past the Bose tail at the threshold the window is empty
-            window = thermal & ~(beta * omega_low > _MAX_BOSE_EXPONENT)
         else:
             stimulated_prefactor = 2.0 * gas / (math.pi * q)
-            lo = np.zeros(shape)
-            window = np.broadcast_to(thermal, shape)
+            kmin = 0.0  # the single-level window is the full axis
         stimulated_scale = stimulated_prefactor * omega0
         too_hot = ~(beta * wq >= _MIN_BOSE_EXPONENT)
+        lo = np.broadcast_to(kmin, shape)
+        omega_low = _omega(kmin)  # inf when kmin^2 overflows
+        # past the Bose tail at the threshold the window is empty
+        window = thermal & ~(beta * omega_low > _MAX_BOSE_EXPONENT)
+        hi = np.where(window, np.maximum(lo, _bose_cutoff_kbar(omega_low, t, omega0)), lo)
 
     _check(~(omega_q > 0.0), lambda j: ParameterError(
         f"mode frequency underflows at qbar = {qbar[j]:.3g}"))
@@ -544,21 +541,10 @@ def _setup(params: PhysicalParams, channel: Channel, qbar: list[float],
     for name, value in ranges:
         _check(~_normal(value), lambda j: ParameterError(
             f"{name} {value[j]:.3g} is out of double range at qbar = {qbar[j]:.3g}"))
-
-    # the Bose cutoff: per open window in the two-level channel, and per
-    # temperature in the single-level one, whose window is the full axis
-    hi = lo.copy()
-    if two_level:
-        for i, j in zip(*np.nonzero(window)):
-            cutoff = _bose_cutoff_kbar(float(omega_low[j]), temperature[i], omega0)
-            hi[i, j] = max(float(kmin[j]), cutoff)
-        _check(hi == math.inf, lambda i, j: ParameterError(
-            f"Bose cutoff overflows at qbar = {qbar[j]:.3g}, T = {temperature[i]:.3g} K"))
-    else:
-        for i in np.flatnonzero(thermal):
-            hi[i] = _bose_cutoff_kbar(0.0, temperature[i], omega0)
-        _check(hi == math.inf, lambda i, _: ParameterError(
-            f"Bose cutoff overflows at T = {temperature[i]:.3g} K"))
+    # the two-level cutoff depends on qbar too, through the window's lower edge
+    _check(hi == math.inf, lambda i, j: ParameterError(
+        "Bose cutoff overflows at " + (f"qbar = {qbar[j]:.3g}, " if two_level else "")
+        + f"T = {temperature[i]:.3g} K"))
 
     def columns(integrand, live, lo, hi, args, scale) -> _Columns:
         point = np.flatnonzero(live)
@@ -610,7 +596,11 @@ def decay_rates(params: PhysicalParams, channel: Channel, qbar: Sequence[float],
     ParameterError for a bad qbar, then a bad temperature, then as _setup
     checks, and QuadratureError at the first point in T-major order whose
     spontaneous integral hits the refinement cap, then whose spontaneous
-    width is negative, then the same two checks on the stimulated channel.
+    width is negative; then ParameterError at the first point whose
+    spontaneous integral (of order qbar^6, so below qbar ~1e-51 at T = 0 in
+    the sodium preset) is not a normal double, where the width would lose
+    digits or read 0 with no error; then the stall and negative-width checks
+    on the stimulated channel.
     """
     qbar = [_valid_qbar(q) for q in qbar]
     temperature = [_valid_temperature(t) for t in temperature]
@@ -632,6 +622,11 @@ def decay_rates(params: PhysicalParams, channel: Channel, qbar: Sequence[float],
                 partial_rate_s=float(width[i, j]),
                 error_estimate_s=float(error[i, j]),
             ))
+        if name == "spontaneous":  # one integral per point, in T-major order
+            _check(~_normal(value.reshape(shape)), lambda i, j: ParameterError(
+                f"spontaneous width underflows at qbar = {qbar[j]:.3g}, "
+                f"T = {temperature[i]:.3g} K: its reduced integral is not a normal "
+                "double (at T = 0 the width there is the q^5 law)"))
         widths.append(width)
         errors.append(error)
     gamma_beliaev, gamma_landau = widths

@@ -29,7 +29,6 @@ from quasidamp.model import (
     PhysicalParams,
     bogoliubov_mode,
     dispersion,
-    inverse_dispersion,
 )
 from quasidamp import rates
 from quasidamp.rates import (
@@ -39,7 +38,6 @@ from quasidamp.rates import (
     TWO_LEVEL_FACTOR,
     Channel,
     _bose_cutoff_kbar,
-    _inverse_temperature,
     _omega,
     _qk21,
     _spontaneous_integrand,
@@ -138,6 +136,12 @@ def refine_reference(f, args, lo, hi, epsrel):
     return area, errsum, done, used
 
 
+def inverse_dispersion(omega_bar: float) -> float:
+    """Momentum kbar with dispersion(kbar) = omega_bar, for omega_bar >= 0,
+    as kbar = omega_bar/sqrt(1 + sqrt(1 + omega_bar^2))."""
+    return omega_bar / math.sqrt(1.0 + math.hypot(1.0, omega_bar))
+
+
 def group_velocity(kbar: float) -> float:
     """d(omega_bar)/d(kbar) = 2(1 + kbar^2)/sqrt(2 + kbar^2)."""
     return 2.0 * (1.0 + kbar * kbar) / math.sqrt(2.0 + kbar * kbar)
@@ -207,7 +211,8 @@ def integrals(params: PhysicalParams, channel: Channel, qbar: float,
     with scalar arithmetic and checks."""
     two_level = channel is Channel.TWO_LEVEL
     gas = params.k0**3 / params.condensate_density_n0
-    beta = _inverse_temperature(temperature, params.omega0)
+    # the Bose exponent hbar*omega0/(kB*T), inf at T = 0 and where omega0/T overflows
+    beta = math.inf if temperature == 0.0 else (HBAR / K_BOLTZMANN) * (params.omega0 / temperature)
     cq = math.sqrt(2.0 + qbar * qbar)
     wq = qbar * cq
     if wq * params.omega0 == 0.0:
@@ -237,7 +242,7 @@ def integrals(params: PhysicalParams, channel: Channel, qbar: float,
         stimulated = Integral(_stimulated_integrand, 0.0, 0.0, (), 1.0)
     elif not two_level:
         prefactor = 2.0 * gas / (math.pi * qbar)
-        kmax = _bose_cutoff_kbar(0.0, temperature, params.omega0)
+        kmax = float(_bose_cutoff_kbar(0.0, temperature, params.omega0))
         stimulated = _reduced(
             _stimulated_integrand, 0.0, kmax, (qbar, wq, sq, beta),
             prefactor, prefactor * params.omega0, point,
@@ -249,7 +254,7 @@ def integrals(params: PhysicalParams, channel: Channel, qbar: float,
         if beta * omega_low > _MAX_BOSE_EXPONENT:
             kmax = kmin
         else:
-            kmax = max(kmin, _bose_cutoff_kbar(omega_low, temperature, params.omega0))
+            kmax = max(kmin, float(_bose_cutoff_kbar(omega_low, temperature, params.omega0)))
         stimulated = _reduced(
             _stimulated_free_integrand, kmin, kmax, (qbar * qbar, beta),
             prefactor, prefactor * params.omega0, point,

@@ -30,7 +30,7 @@ from quasidamp.cli import (
     main,
 )
 from quasidamp.dynamics import Readout, SqueezingRun
-from quasidamp.model import MAX_RATE_POINTS, PRESETS, bogoliubov_mode
+from quasidamp.model import MAX_OUTPUT_STEPS, MAX_RATE_POINTS, PRESETS, bogoliubov_mode
 from quasidamp import oracle
 from quasidamp.oracle import Verdict
 from quasidamp.rates import Channel, QuadratureError, decay_rates
@@ -413,6 +413,28 @@ def test_overflowing_natural_units_rejected(tmp_path, capsys):
     assert "out of double range" in err
 
 
+def test_step_count_is_capped_after_rounding(tmp_path, capsys):
+    # t_max/dt_output = 1000000.0000000001 is the 1 000 000 steps the
+    # trajectory takes, but the raw ratio exceeded the cap and exited 2
+    path = tmp_path / "raw.json"
+    path.write_text(
+        '{"preset": "sodium-paper", "drive": {"t_max": 0.017, "dt_output": 1.7e-8}}',
+        encoding="utf-8",
+    )
+    assert load_config(str(path)).drive.output_steps == MAX_OUTPUT_STEPS
+    rc, err = run_raw_config(
+        tmp_path, capsys, "dynamics",
+        '{"preset": "sodium-paper", "drive": {"t_max": 0.017, "dt_output": %r}}'
+        % (0.017 / (MAX_OUTPUT_STEPS + 1)),
+    )
+    assert rc == 2
+    assert err == (
+        f"error: t_max/dt_output = {MAX_OUTPUT_STEPS + 1} output steps exceeds the limit "
+        f"of {MAX_OUTPUT_STEPS}\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_subnormal_temperature_runs(tmp_path, capsys):
     # k_B*T underflowed to 0 in the Bose cutoff; no thermal occupation is
     # representable, so the stimulated width is exactly 0
@@ -423,6 +445,20 @@ def test_subnormal_temperature_runs(tmp_path, capsys):
     assert rc == 0
     table = (tmp_path / "out" / "rates.csv").read_text(encoding="utf-8").splitlines()
     assert all(row.split(",")[3] == "0" for row in table[1:])
+
+
+@pytest.mark.parametrize("qbar", ["1e-55", "1e-51"])
+def test_underflowing_spontaneous_width_exits_2(tmp_path, capsys, qbar):
+    # the spontaneous integral underflowed to 0 (1e-55) or a subnormal
+    # (1e-51), and the row was written with quad_err 0 and exit 0
+    rc, err = run_raw_config(
+        tmp_path, capsys, "rates",
+        '{"preset": "sodium-paper", "rate_query": {"qbar": [%s, 5.0]}}' % qbar,
+    )
+    assert rc == 2
+    assert err.startswith(f"error: spontaneous width underflows at qbar = {float(qbar):.3g}, ")
+    assert "q^5 law" in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("qbar", ["5e-324", "5e307"])

@@ -373,6 +373,17 @@ def test_drive_config_step_cap():
     assert round(capped.t_max / capped.dt_output) == MAX_OUTPUT_STEPS
 
 
+def test_drive_config_caps_the_rounded_step_count():
+    # the cap counts the steps that the output grid takes, not the raw
+    # ratio: t_max/dt_output = 1000000.0000000001 at a = 17 (0.017 s at
+    # 17 ns) is 1 000 000 steps, and 63 of these configs were rejected
+    for a in range(1, 1000):
+        cfg = DriveConfig(rabi_effective=1e3, qbar_recoil=5.0, t_max=a * 1e-3, dt_output=a * 1e-9)
+        assert cfg.output_steps == MAX_OUTPUT_STEPS
+    with pytest.raises(ParameterError, match="1000001 output steps exceeds the limit"):
+        DriveConfig(rabi_effective=1e3, qbar_recoil=5.0, t_max=0.017, dt_output=0.017 / 1000001)
+
+
 def test_drive_config_rejects_dt_output_beyond_t_max():
     with pytest.raises(ParameterError, match="dt_output .* exceeds t_max"):
         DriveConfig(rabi_effective=1e3, qbar_recoil=5.0, t_max=1e-6, dt_output=1e-5)
@@ -389,8 +400,9 @@ def test_drive_config_rejects_dt_output_beyond_t_max():
     (1e-5, 1e-5, 2),
 ])
 def test_output_grid_never_passes_t_max(t_max, dt, samples):
-    traj = evolve_moments(VACUUM, drive(0.0, t_max=t_max, dt=dt), gamma=100.0)
-    assert len(traj.t) == samples
+    cfg = drive(0.0, t_max=t_max, dt=dt)
+    traj = evolve_moments(VACUUM, cfg, gamma=100.0)
+    assert len(traj.t) == samples == cfg.output_steps + 1
     assert traj.t[-1] <= t_max * (1.0 + 1e-12)
     assert traj.t[-1] + dt > t_max * (1.0 + 1e-12)
 

@@ -27,7 +27,6 @@ from quasidamp.rates import (
     QuadratureError,
     RateGrid,
     EPSREL,
-    TWO_LEVEL_FACTOR,
     _LIMIT,
     _refine,
     _setup,
@@ -138,12 +137,27 @@ def test_fifth_power_law_down_to_tiny_momenta(channel, params):
     # the T = 0 width is the q^5 law up to its O(q^2) correction, with an
     # error estimate inside the tolerance; a vertex that cancelled terms of
     # order q^(-1/2) read 0.99957 of the law at qbar 1e-6 and 11.7 at 1e-8
-    qbar = [10.0**-e for e in (4, 6, 8, 12, 16, 20, 25, 30)]
+    qbar = [10.0**-e for e in (4, 6, 8, 12, 16, 20, 25, 30)] + [3e-51]
     grid = decay_rates(params, channel, qbar, [0.0])
     for j, q in enumerate(qbar):
         law = beliaev_asymptote(q, channel, params)
         assert grid.gamma_beliaev[0, j] == pytest.approx(law, rel=1e-6)
         assert grid.quadrature_error_estimate[0, j] <= EPSREL * grid.gamma_total[0, j]
+
+
+@pytest.mark.parametrize("channel, params", [
+    (Channel.SINGLE_LEVEL, SODIUM), (Channel.TWO_LEVEL, dataclasses.replace(SODIUM, a_bc=3e-9)),
+])
+@pytest.mark.parametrize("qbar", [1e-55, 1e-51])
+def test_underflowing_spontaneous_integral_rejected(channel, params, qbar):
+    # the reduced integral, about 0.01875 qbar^6 at T = 0, is 0 at 1e-55 and
+    # subnormal at 1e-51, where the width read 0 or lost digits with an
+    # error estimate of 0; the first such point after a valid one is named
+    error = error_of(params, channel, [5.0, qbar], [0.0, 1e-13])
+    assert str(error) == (
+        f"spontaneous width underflows at qbar = {qbar:.3g}, T = 0 K: its reduced "
+        "integral is not a normal double (at T = 0 the width there is the q^5 law)"
+    )
 
 
 def test_asymptote_values_and_validation():
@@ -523,13 +537,10 @@ def test_two_level_stimulated_window_empty_at_tiny_qbar(qbar):
     params = dataclasses.replace(SODIUM, a_bc=3e-9)
     columns = stimulated_columns(params, Channel.TWO_LEVEL, qbar, 1e-13)
     assert columns.point.size == 0  # no integral: the window is empty
-    result = two_level(qbar, T=1e-13, params=params)
-    assert result.gamma_landau[0, 0] == 0.0
-    single = single_level(qbar, T=1e-13, params=params)
-    coupling = (3e-9 / SODIUM.scattering_length_a) ** 2
-    assert result.gamma_beliaev[0, 0] == pytest.approx(
-        TWO_LEVEL_FACTOR * coupling * single.gamma_beliaev[0, 0], rel=1e-12
-    )
+    # the sweep gets past the setup and stops only at the spontaneous
+    # integral, which underflows at so small a qbar
+    error = error_of(params, Channel.TWO_LEVEL, [qbar], [1e-13])
+    assert str(error).startswith(f"spontaneous width underflows at qbar = {qbar:.3g}, ")
 
 
 # ---------------------------------------------------------------------------
@@ -633,10 +644,11 @@ def test_batched_sweep_matches_quad_and_single_points():
 
 
 # qbar from deep in the phonon regime to far in the free-particle one, with
-# 1/sqrt(2), where the two-level absorption threshold reaches 0; T = 0 and
+# 1/sqrt(2), where the two-level absorption threshold reaches 0; T = 0,
+# 5e-324 K (omega0/T overflows, so the Bose exponent is inf as at T = 0) and
 # 1e-300 K (no thermal occupation reaches the two-level threshold) among them
 SETUP_QBAR = sorted(np.geomspace(1e-8, 300.0, 21).tolist() + [2.0**-0.5])
-SETUP_T = (0.0, 1e-300, 1e-13, 2e-7, 1e-6)
+SETUP_T = (0.0, 5e-324, 1e-300, 1e-13, 2e-7, 1e-6)
 
 
 @pytest.mark.parametrize("channel, params", [
