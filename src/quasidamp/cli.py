@@ -328,21 +328,31 @@ def _csv(columns: dict) -> Iterator[str]:
 
     Yields the header line, then whole rows _CSV_CHUNK_ROWS at a time.
     Numbers print as %.17g with NaN as an empty field; boolean columns
-    print as true/false.
+    print as true/false.  A text column, a list of str, holds numbers its
+    caller has already formatted with %.17g and prints as is: a column that
+    repeats a few values formats each of them once.
     """
     import numpy as np
 
-    arrays = [np.asarray(column) for column in columns.values()]
-    row = ",".join("%s" if a.dtype == bool else "%.17g" for a in arrays) + "\n"
+    arrays = [
+        column if isinstance(column, list) and all(isinstance(v, str) for v in column[:1])
+        else np.asarray(column)
+        for column in columns.values()
+    ]
+    row = ",".join(
+        "%.17g" if isinstance(a, np.ndarray) and a.dtype != bool else "%s" for a in arrays
+    ) + "\n"
     yield ",".join(columns) + "\n"
     for start in range(0, len(arrays[0]), _CSV_CHUNK_ROWS):
         values = [
-            np.where(part, "true", "false").tolist() if part.dtype == bool
+            part if isinstance(part, list)
+            else np.where(part, "true", "false").tolist() if part.dtype == bool
             else part.astype(float).tolist()
             for part in (a[start:start + _CSV_CHUNK_ROWS] for a in arrays)
         ]
         body = "".join([row % fields for fields in zip(*values)])
         # "nan" can only be a whole field: the others are numbers or true/false
+        # (text columns are numbers too)
         yield body.replace("nan", "")
 
 
@@ -394,15 +404,16 @@ def _emit(out_dir: str, files: dict[str, Iterable[str]]) -> None:
 
 def cmd_rates(cfg: RunConfig, out_dir: str) -> int:
     """rates.csv + rates.meta.json over the (temperature, qbar) grid."""
-    import numpy as np
-
     from . import rates
 
     qbar, temperature = cfg.qbar_grid, cfg.temperature_grid
     grid = rates.decay_rates(cfg.params, cfg.channel, qbar, temperature)
+    # the axes repeat their values across the grid: each is formatted once
+    qbar_text = ["%.17g" % q for q in qbar]
+    temperature_text = ["%.17g" % t for t in temperature]
     table = {
-        "qbar": np.tile(qbar, len(temperature)),
-        "temperature_K": np.repeat(temperature, len(qbar)),
+        "qbar": qbar_text * len(temperature),
+        "temperature_K": [text for text in temperature_text for _ in qbar],
         "gamma_beliaev_s": grid.gamma_beliaev.ravel(),
         "gamma_landau_s": grid.gamma_landau.ravel(),
         "gamma_total_s": grid.gamma_total.ravel(),

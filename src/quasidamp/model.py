@@ -247,6 +247,12 @@ class DriveConfig:
     dt_output: float = 1e-5
 
     def __post_init__(self) -> None:
+        # JSON integers arrive as int: 500 and 500.0 are the same drive and
+        # must print the same
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if value is not None:
+                object.__setattr__(self, field.name, float(value))
         if not (self.rabi_effective >= 0.0 and math.isfinite(self.rabi_effective)):
             raise ParameterError(
                 f"rabi_effective must be >= 0 and finite, got {self.rabi_effective}"

@@ -37,6 +37,13 @@ A pass of _BATCH integrals bounds these work arrays; its integrands are
 evaluated in blocks of at most _BLOCK_NODES quadrature nodes, which bound
 their temporaries, and each node enters only its own subinterval's sums,
 so neither the pass nor the block a width falls in moves a bit of it.
+A spontaneous width depends on the temperature only through the occupation
+1 + n_k + n_p*; the decay kinematics and the vertex depend on qbar and the
+node alone.  Its integrals run qbar-major, and in a block each run of
+neighbouring integrals with one qbar on the same nodes computes those
+factors once (`_splitting`) and hands them to every row's occupation
+(`_occupied`).  Each factor is elementwise in the same inputs, and the
+product keeps its order, so every width keeps its bits.
 
 Everything is evaluated in natural units (momenta in k0, frequencies in
 omega0); the dimensionless gas parameter k0^3/n0 carries the overall scale
@@ -151,7 +158,33 @@ def _bose_cutoff_kbar(omega_bar_low, temperature_T, omega0):
 
 def _spontaneous_integrand(theta, qbar, wq, sq, beta):
     """k V^2 (1 + n_k + n_p*) pbar*/omega_bar'(pbar*) dk/dtheta at
-    k = qbar*sin^2(theta), with pbar* fixed by energy conservation."""
+    k = qbar*sin^2(theta), with pbar* fixed by energy conservation.
+
+    On a block (theta of shape (rows, ...), args of (rows, 1, 1)) each run
+    of neighbouring rows with the same qbar, wq, sq and nodes takes the
+    temperature-free factors from its first row.
+    """
+    if np.ndim(theta) > 1 and len(theta) > 1:
+        rows = len(theta)
+        starts = np.ones(rows, dtype=bool)
+        starts[1:] = (theta[1:] != theta[:-1]).reshape(rows - 1, -1).any(axis=1)
+        for arg in (qbar, wq, sq):
+            starts[1:] |= (arg[1:] != arg[:-1]).ravel()
+        if not starts.all():
+            first = np.flatnonzero(starts)
+            # each row's run, as an index into first; np.cumsum(starts) - 1 is
+            # the same, but pages in 128 KB more of numpy's code (peak RSS)
+            owner = np.zeros(rows, dtype=np.intp)
+            owner[first] = np.arange(first.size)
+            owner = np.maximum.accumulate(owner)
+            factors = _splitting(theta[first], qbar[first], wq[first], sq[first])
+            return _occupied(*(factor[owner] for factor in factors), beta)
+    return _occupied(*_splitting(theta, qbar, wq, sq), beta)
+
+
+def _splitting(theta, qbar, wq, sq):
+    """The temperature-free factors of the spontaneous integrand:
+    (kbar V^2, pbar*, omega_bar'(pbar*), dk/dtheta, w_k, w_p*, live)."""
     sin_t, cos_t = np.sin(theta), np.cos(theta)
     kbar = qbar * sin_t * sin_t
     kk = kbar * kbar
@@ -164,11 +197,18 @@ def _spontaneous_integrand(theta, qbar, wq, sq, beta):
     pp = pbar * pbar
     cp = np.sqrt(2.0 + pp)
     vertex = _vertex((qq, wq, sq), (kk, wk, np.sqrt(kbar / ck)), (pp, wp, np.sqrt(pbar / cp)))
-    occupation = 1.0 + _bose(beta * wk) + _bose(beta * wp)
     jacobian = 2.0 * qbar * sin_t * cos_t  # dk/dtheta
     velocity = 2.0 * (1.0 + pp) / cp  # omega_bar'(pbar)
-    value = kbar * vertex * vertex * occupation * pbar / velocity * jacobian
-    return np.where((kbar > 0.0) & (wp > 0.0), value, 0.0)
+    return kbar * vertex * vertex, pbar, velocity, jacobian, wk, wp, (kbar > 0.0) & (wp > 0.0)
+
+
+def _occupied(kvv, pbar, velocity, jacobian, wk, wp, live, beta):
+    """The spontaneous integrand from its `_splitting` factors at Bose
+    exponent beta, multiplied in the order k V^2 (1 + n_k + n_p*) pbar* /
+    omega_bar'(pbar*) dk/dtheta."""
+    occupation = 1.0 + _bose(beta * wk) + _bose(beta * wp)
+    value = kvv * occupation * pbar / velocity * jacobian
+    return np.where(live, value, 0.0)
 
 
 def _stimulated_integrand(kbar, qbar, wq, sq, beta):
@@ -369,7 +409,10 @@ def _refine(f, args, lo, hi, epsrel):
 class _Columns(NamedTuple):
     """One integrand's integrals over a grid, as columns.
 
-    Integral k belongs to the grid point point[k] (flat, in T-major order);
+    Integral k belongs to the grid point point[k] (a flat T-major index);
+    the spontaneous integrals are listed qbar-major, each qbar's
+    temperatures side by side, where their integrand shares its
+    temperature-free factors, and the stimulated ones T-major;
     its width in s^-1 is scale[k] * int_lo[k]^hi[k] integrand(x, *args[:][k]) dx.
     Points whose channel has no allowed final state hold no integral: their
     width is exactly 0.
@@ -546,8 +589,7 @@ def _setup(params: PhysicalParams, channel: Channel, qbar: list[float],
         "Bose cutoff overflows at " + (f"qbar = {qbar[j]:.3g}, " if two_level else "")
         + f"T = {temperature[i]:.3g} K"))
 
-    def columns(integrand, live, lo, hi, args, scale) -> _Columns:
-        point = np.flatnonzero(live)
+    def columns(integrand, point, lo, hi, args, scale) -> _Columns:
         at = np.unravel_index(point, shape)
 
         def pick(value):
@@ -556,15 +598,16 @@ def _setup(params: PhysicalParams, channel: Channel, qbar: list[float],
         return _Columns(integrand, point, pick(lo), pick(hi), [pick(a) for a in args],
                         pick(scale))
 
-    spontaneous = columns(
-        _spontaneous_integrand, np.ones(shape, dtype=bool), 0.0, 0.5 * math.pi,
-        (q, wq, sq, beta), scale,
+    spontaneous = columns(  # qbar-major: each qbar's temperatures side by side
+        _spontaneous_integrand, np.arange(t.size * q.size).reshape(shape).T.ravel(),
+        0.0, 0.5 * math.pi, (q, wq, sq, beta), scale,
     )
     if two_level:
         integrand, args = _stimulated_free_integrand, (q * q, beta)
     else:
         integrand, args = _stimulated_integrand, (q, wq, sq, beta)
-    stimulated = columns(integrand, window & (hi > lo), lo, hi, args, stimulated_scale)
+    stimulated = columns(integrand, np.flatnonzero(window & (hi > lo)), lo, hi, args,
+                         stimulated_scale)
     return spontaneous, stimulated, omega_q
 
 
@@ -609,12 +652,15 @@ def decay_rates(params: PhysicalParams, channel: Channel, qbar: Sequence[float],
     *channels, omega_q = _setup(params, channel, qbar, temperature)
     for name, columns in zip(("spontaneous", "stimulated"), channels):
         value, abserr, converged = _solve(columns)
-        width, error = np.zeros(shape), np.zeros(shape)
-        stalled = np.zeros(shape, dtype=bool)
-        width.flat[columns.point] = columns.scale * value
-        error.flat[columns.point] = columns.scale * abserr
-        stalled.flat[columns.point] = ~converged
-        for bad, fault in ((stalled, f"did not converge within {_LIMIT} subintervals"),
+
+        def grid(column):
+            """column scattered to its points on the grid, zero elsewhere."""
+            out = np.zeros(shape, dtype=column.dtype)
+            out.flat[columns.point] = column
+            return out
+
+        width, error = grid(columns.scale * value), grid(columns.scale * abserr)
+        for bad, fault in ((grid(~converged), f"did not converge within {_LIMIT} subintervals"),
                            (width < 0.0, "gave a negative width")):
             _check(bad, lambda i, j: QuadratureError(
                 f"quadrature {fault}: "
@@ -622,8 +668,8 @@ def decay_rates(params: PhysicalParams, channel: Channel, qbar: Sequence[float],
                 partial_rate_s=float(width[i, j]),
                 error_estimate_s=float(error[i, j]),
             ))
-        if name == "spontaneous":  # one integral per point, in T-major order
-            _check(~_normal(value.reshape(shape)), lambda i, j: ParameterError(
+        if name == "spontaneous":
+            _check(grid(~_normal(value)), lambda i, j: ParameterError(
                 f"spontaneous width underflows at qbar = {qbar[j]:.3g}, "
                 f"T = {temperature[i]:.3g} K: its reduced integral is not a normal "
                 "double (at T = 0 the width there is the q^5 law)"))

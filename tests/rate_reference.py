@@ -12,7 +12,8 @@ production one, whose arrays grow with the subintervals in use and whose
 sums run over all active rows at once, must agree bit for bit.
 `integrals` is the one-point setup of the two integrals of a point
 (params, channel, qbar, T), which the production sweep builds per grid axis
-and must match bit for bit.
+and must match bit for bit; its Bose cutoff (`bose_cutoff_kbar`) is its
+own scalar expression, not the production one.
 """
 
 import math
@@ -37,7 +38,6 @@ from quasidamp.rates import (
     _MIN_BOSE_EXPONENT,
     TWO_LEVEL_FACTOR,
     Channel,
-    _bose_cutoff_kbar,
     _omega,
     _qk21,
     _spontaneous_integrand,
@@ -142,6 +142,20 @@ def inverse_dispersion(omega_bar: float) -> float:
     return omega_bar / math.sqrt(1.0 + math.hypot(1.0, omega_bar))
 
 
+def bose_cutoff_kbar(omega_bar_low: float, temperature: float, omega0: float) -> float:
+    """Upper limit of a stimulated integral at T > 0, in scalar arithmetic.
+
+    The momentum at which the Bose tail has fallen by ln(1e14) + 3 e-folds
+    below its value at the larger of the window's lower edge and the
+    thermal frequency k_B T/hbar; inf where that frequency overflows.
+    """
+    thermal = K_BOLTZMANN * temperature / (HBAR * omega0)
+    if thermal == 0.0:  # k_B*T or hbar*omega0 underflowed
+        thermal = (K_BOLTZMANN / HBAR) * (temperature / omega0)
+    omega_bar_cut = (max(omega_bar_low, thermal) / thermal + math.log(1e14) + 3.0) * thermal
+    return inverse_dispersion(omega_bar_cut) if omega_bar_cut < math.inf else math.inf
+
+
 def group_velocity(kbar: float) -> float:
     """d(omega_bar)/d(kbar) = 2(1 + kbar^2)/sqrt(2 + kbar^2)."""
     return 2.0 * (1.0 + kbar * kbar) / math.sqrt(2.0 + kbar * kbar)
@@ -242,7 +256,7 @@ def integrals(params: PhysicalParams, channel: Channel, qbar: float,
         stimulated = Integral(_stimulated_integrand, 0.0, 0.0, (), 1.0)
     elif not two_level:
         prefactor = 2.0 * gas / (math.pi * qbar)
-        kmax = float(_bose_cutoff_kbar(0.0, temperature, params.omega0))
+        kmax = bose_cutoff_kbar(0.0, temperature, params.omega0)
         stimulated = _reduced(
             _stimulated_integrand, 0.0, kmax, (qbar, wq, sq, beta),
             prefactor, prefactor * params.omega0, point,
@@ -254,7 +268,7 @@ def integrals(params: PhysicalParams, channel: Channel, qbar: float,
         if beta * omega_low > _MAX_BOSE_EXPONENT:
             kmax = kmin
         else:
-            kmax = max(kmin, float(_bose_cutoff_kbar(omega_low, temperature, params.omega0)))
+            kmax = max(kmin, bose_cutoff_kbar(omega_low, temperature, params.omega0))
         stimulated = _reduced(
             _stimulated_free_integrand, kmin, kmax, (qbar * qbar, beta),
             prefactor, prefactor * params.omega0, point,

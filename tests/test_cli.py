@@ -687,6 +687,9 @@ def test_float_formatting_round_trips():
 def test_csv_layout():
     text = "".join(_csv({"a": [1.5, math.nan], "b": np.array([True, False])}))
     assert text == "a,b\n1.5,true\n,false\n"
+    # a list of str is text, printed as is
+    text = "".join(_csv({"q": ["0.5", "2"], "a": [1, math.nan]}))
+    assert text == "q,a\n0.5,1\n2,\n"
 
 
 def test_csv_chunks_are_whole_rows_of_the_single_pass_text():
@@ -714,6 +717,14 @@ def test_csv_chunks_are_whole_rows_of_the_single_pass_text():
     ]
     assert chunks[1].endswith(",,true\n") or chunks[1].endswith(",,false\n")
     assert chunks[2].split("\n")[0].split(",")[1] == ""
+
+
+def test_csv_text_columns_match_number_columns():
+    # rates hands its grid axes to _csv as %.17g text made once per value
+    values = np.repeat(np.geomspace(1e-300, 1e300, 7), 2 * _CSV_CHUNK_ROWS // 7 + 1)
+    values[3] = -0.0
+    text = ["%.17g" % value for value in values.tolist()]
+    assert "".join(_csv({"t": text, "x": values})) == "".join(_csv({"t": values, "x": values}))
 
 
 def test_emit_memory_is_bounded_by_a_chunk(tmp_path, capsys):
@@ -1031,6 +1042,23 @@ def test_dynamics_deterministic(tmp_path):
             (out / "trajectory.csv").read_bytes() + (out / "summary.json").read_bytes()
         )
     assert blobs[0] == blobs[1]
+
+
+def test_dynamics_integer_drive_values_print_as_floats(tmp_path):
+    # JSON integers for the drive once came back as JSON integers in summary.json
+    blobs = []
+    for name, gamma, rabi in (("int", 500, 2000), ("float", 500.0, 2000.0)):
+        cfg_path = write_config(tmp_path, name=f"{name}.json", drive={
+            "gamma_override": gamma, "rabi_effective": rabi, "t_max": 2e-4, "dt_output": 2e-5})
+        out = tmp_path / name
+        assert main(["dynamics", "--config", cfg_path, "--out", str(out)]) == 0
+        blobs.append(
+            (out / "trajectory.csv").read_bytes() + (out / "summary.json").read_bytes()
+        )
+    assert blobs[0] == blobs[1]
+    summary = json.loads((tmp_path / "int" / "summary.json").read_text(encoding="utf-8"))
+    assert summary["gamma_used_s"] == 500.0 and summary["rabi_effective_s"] == 2000.0
+    assert b'"gamma_used_s": 500.0' in blobs[0]
 
 
 def test_dynamics_integration_failure(tmp_path, capsys):

@@ -584,6 +584,18 @@ def test_stimulated_cutoff_survives_underflowing_thermal_energy():
     assert single_level(1.0, T=1e-302, params=heavy).gamma_landau[0, 0] == 0.0
 
 
+@pytest.mark.parametrize("channel", list(Channel))
+def test_bose_cutoff_regroups_underflowing_thermal_energy(channel):
+    # k_B*T underflows to 0 at 1e-302 K but not at 1e-290 K; either way the
+    # cutoff has the bits of the scalar reference's
+    heavy = dataclasses.replace(SODIUM, atomic_mass=7e231)
+    qbar, temperature = [0.3, 1.0, 5.0], [1e-302, 1e-290]
+    assert K_BOLTZMANN * temperature[0] == 0.0 < K_BOLTZMANN * temperature[1]
+    expected = [integrals(*point)[1] for point in grid_queries(heavy, channel, qbar, temperature)]
+    hi = np.array([integral.hi for integral in expected if integral.hi > integral.lo])
+    assert _setup(heavy, channel, qbar, temperature)[1].hi.tobytes() == hi.tobytes()
+
+
 @pytest.mark.parametrize("qbar", [0.0, -1.0, math.inf, math.nan])
 def test_query_rejects_bad_momentum(qbar):
     with pytest.raises(ParameterError, match="qbar must be > 0"):
@@ -664,6 +676,8 @@ def test_setup_columns_match_one_point_setup(channel, params):
     for got, k in zip(columns, (0, 1)):
         expected = [(point, setup[k]) for point, setup in enumerate(setups)
                     if setup[k].hi > setup[k].lo]
+        if k == 0:  # spontaneous integrals run qbar-major, each qbar's temperatures in order
+            expected.sort(key=lambda item: item[0] % len(SETUP_QBAR))
         assert got.point.tolist() == [point for point, _ in expected]
         assert {got.integrand} == {integral.integrand for _, integral in expected}
         for name in ("lo", "hi", "scale"):
@@ -783,9 +797,9 @@ def test_sweep_work_is_pinned(monkeypatch):
     # pinned, with no integrand call past the block budget; setup that
     # depends on the medium alone runs once per sweep, as often as in a
     # one-point sweep (k0 is read once directly and once inside omega0)
-    counts = {"subintervals": 0, "qk21": 0, "k0": 0}
+    counts = {"subintervals": 0, "qk21": 0, "k0": 0, "splitting_rows": 0}
     nodes = []
-    qk21, k0 = rates._qk21, PhysicalParams.k0.fget
+    qk21, k0, splitting = rates._qk21, PhysicalParams.k0.fget, rates._splitting
 
     def counting_qk21(f, args, lo, hi):
         counts["subintervals"] += lo.size
@@ -802,12 +816,19 @@ def test_sweep_work_is_pinned(monkeypatch):
             return integrand(x, *args)
         return sized
 
+    def counting_splitting(theta, *args):
+        counts["splitting_rows"] += len(theta)
+        return splitting(theta, *args)
+
     monkeypatch.setattr(rates, "_qk21", counting_qk21)
     monkeypatch.setattr(PhysicalParams, "k0", property(counting_k0))
     for name in ("_spontaneous_integrand", "_stimulated_integrand"):
         monkeypatch.setattr(rates, name, sizing(getattr(rates, name)))
+    monkeypatch.setattr(rates, "_splitting", counting_splitting)
     decay_rates(SODIUM, Channel.SINGLE_LEVEL, *_bench_like_grid())
-    assert counts == {"subintervals": 19950, "qk21": 43, "k0": 2}
+    # the spontaneous integrand sees 4496 rows (integrals in a block) of
+    # 6976 subintervals; 206 rows of them evaluate the temperature-free factors
+    assert counts == {"subintervals": 19950, "qk21": 32, "k0": 2, "splitting_rows": 206}
     assert sum(nodes) == 21 * 19950 and max(nodes) <= rates._BLOCK_NODES
     counts["k0"] = 0
     decay_rates(SODIUM, Channel.SINGLE_LEVEL, [5.0], [0.0])
@@ -833,6 +854,41 @@ def test_blocks_and_passes_move_no_bit(monkeypatch, block_nodes, batch):
     monkeypatch.setattr(rates, "_BATCH", batch)
     for (channel, params), grid in zip(BLOCK_CHANNELS, expected):
         assert_same_bits(decay_rates(params, channel, BLOCK_QBAR, BLOCK_T), grid)
+
+
+@pytest.mark.parametrize("block_nodes", [21, 42, 63, rates._BLOCK_NODES])
+def test_shared_spontaneous_factors_move_no_bit(monkeypatch, block_nodes):
+    # neighbouring rows with one qbar share the temperature-free factors of
+    # the spontaneous integrand: with a qbar repeated, a qbar's rows split
+    # across block edges (one whole interval per block at 21 nodes, two at
+    # 42, three at 63) and temperatures whose refinements part ways, every
+    # width keeps the bits of its one-point sweep
+    qbar, temperature = [0.3, 0.3, 1.0, 5.0, 5.0], [0.0, 1e-7, 1e-6, 1e-5]
+    for q in (0.3, 5.0):
+        used = {refine_reference(spontaneous.integrand,
+                                 [np.array([arg]) for arg in spontaneous.args],
+                                 np.array([spontaneous.lo]), np.array([spontaneous.hi]),
+                                 EPSREL)[3][0]
+                for spontaneous in (integrals(SODIUM, Channel.SINGLE_LEVEL, q, T)[0]
+                                    for T in temperature)}
+        assert len(used) > 1
+    rows = {"integrand": 0, "splitting": 0}
+    integrand, splitting = rates._spontaneous_integrand, rates._splitting
+
+    def counting(name, f):
+        def counted(theta, *args):
+            rows[name] += len(theta)
+            return f(theta, *args)
+        return counted
+
+    monkeypatch.setattr(rates, "_BLOCK_NODES", block_nodes)
+    monkeypatch.setattr(rates, "_spontaneous_integrand", counting("integrand", integrand))
+    monkeypatch.setattr(rates, "_splitting", counting("splitting", splitting))
+    grid = decay_rates(SODIUM, Channel.SINGLE_LEVEL, qbar, temperature)
+    # one row per block at 21 nodes leaves nothing to share
+    assert (rows["splitting"] < rows["integrand"]) == (block_nodes > 21)
+    for (i, T), (j, q) in itertools.product(enumerate(temperature), enumerate(qbar)):
+        assert_same_bits(decay_rates(SODIUM, Channel.SINGLE_LEVEL, [q], [T]), at(grid, i, j))
 
 
 def test_sweep_traced_peak_bounded():
