@@ -31,6 +31,15 @@ class ParameterError(ValueError):
     """A physical parameter is outside its allowed domain."""
 
 
+def as_double(name: str, value) -> float:
+    """float(value); a Python int beyond the double range is a
+    ParameterError here, not an OverflowError."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParameterError(f"{name} is an integer beyond the double range") from None
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Condensate and atomic constants in SI units.
@@ -60,6 +69,8 @@ class PhysicalParams:
         # every field without a default is a positive physical quantity
         for field in fields(self):
             value = getattr(self, field.name)
+            if value is not None:
+                as_double(field.name, value)
             if field.default is MISSING and not (value > 0.0 and math.isfinite(value)):
                 raise ParameterError(f"{field.name} must be positive and finite, got {value}")
         if not (self.temperature_T >= 0.0 and math.isfinite(self.temperature_T)):
@@ -132,6 +143,7 @@ class BogoliubovMode:
 
 def dispersion(kbar: float) -> float:
     """omega_bar(kbar) = kbar*sqrt(2 + kbar^2)."""
+    kbar = as_double("kbar", kbar)
     if not (kbar >= 0.0 and math.isfinite(kbar)):
         raise ParameterError(f"kbar must be >= 0, got {kbar}")
     omega_bar = kbar * math.sqrt(2.0 + kbar * kbar)
@@ -152,6 +164,7 @@ def bogoliubov_mode(kbar: float) -> BogoliubovMode:
     rounds to 1 and no pair u, v is left to represent; above kbar ~ 9.48e153
     it overflows, though omega_bar itself is still finite.
     """
+    kbar = as_double("kbar", kbar)
     if not (kbar > 0.0 and math.isfinite(kbar)):
         raise ParameterError(f"kbar must be > 0 (k=0 is the condensate), got {kbar}")
     w = dispersion(kbar)
@@ -174,6 +187,7 @@ def thermal_population(omega: float, temperature_T: float) -> float:
 
     omega in s^-1 (SI angular frequency), temperature in K.
     """
+    omega, temperature_T = as_double("omega", omega), as_double("temperature_T", temperature_T)
     if not (omega > 0.0 and math.isfinite(omega)):
         raise ParameterError(f"omega must be > 0, got {omega}")
     if temperature_T < 0.0:
@@ -252,7 +266,7 @@ class DriveConfig:
         for field in fields(self):
             value = getattr(self, field.name)
             if value is not None:
-                object.__setattr__(self, field.name, float(value))
+                object.__setattr__(self, field.name, as_double(field.name, value))
         if not (self.rabi_effective >= 0.0 and math.isfinite(self.rabi_effective)):
             raise ParameterError(
                 f"rabi_effective must be >= 0 and finite, got {self.rabi_effective}"

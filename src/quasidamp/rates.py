@@ -77,6 +77,7 @@ from .model import (
     ParameterError,
     PhysicalParams,
     QuadratureError,
+    as_double,
 )
 
 #: Relative tolerance of every reduced integral.
@@ -452,14 +453,14 @@ TWO_LEVEL_FACTOR = 10.0 / 9.0
 
 
 def _valid_qbar(qbar) -> float:
-    qbar = float(qbar)  # JSON integers arrive as int; qbar*qbar must not leave the doubles
+    qbar = as_double("qbar", qbar)  # JSON ints arrive as int; qbar*qbar must not leave the doubles
     if not (sys.float_info.min <= qbar < math.inf):  # a subnormal qbar squares to 0
         raise ParameterError(f"qbar must be > 0 and a normal double, got {qbar}")
     return qbar
 
 
 def _valid_temperature(temperature_T) -> float:
-    temperature_T = float(temperature_T)
+    temperature_T = as_double("temperature_T", temperature_T)
     if not (temperature_T >= 0.0 and math.isfinite(temperature_T)):
         raise ParameterError(f"temperature_T must be >= 0 and finite, got {temperature_T}")
     return abs(temperature_T)  # -0.0 passes the check; it is the temperature 0

@@ -38,7 +38,6 @@ from quasidamp.rates import (
     _MIN_BOSE_EXPONENT,
     TWO_LEVEL_FACTOR,
     Channel,
-    _omega,
     _qk21,
     _spontaneous_integrand,
     _stimulated_free_integrand,
@@ -264,7 +263,7 @@ def integrals(params: PhysicalParams, channel: Channel, qbar: float,
     else:
         prefactor = _coupling_ratio_sq(params) * gas / (4.0 * math.pi * qbar)
         kmin = max(0.0, 0.5 / qbar - qbar)
-        omega_low = float(_omega(kmin))
+        omega_low = kmin * math.sqrt(2.0 + kmin * kmin)  # the dispersion at kmin
         if beta * omega_low > _MAX_BOSE_EXPONENT:
             kmax = kmin
         else:

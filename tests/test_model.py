@@ -13,13 +13,15 @@ from quasidamp.model import (
     MASS_NA23,
     PRESETS,
     BogoliubovMode,
+    Channel,
+    DriveConfig,
     ParameterError,
     PhysicalParams,
     bogoliubov_mode,
     dispersion,
     thermal_population,
 )
-from quasidamp.rates import _momentum
+from quasidamp.rates import _momentum, decay_rates
 
 SODIUM = PRESETS["sodium-paper"]
 
@@ -121,6 +123,37 @@ def test_two_level_params_validate():
         dataclasses.replace(p, a_bc=0.0)
     # default: no second level declared -> bc coupling falls back to a_bb
     assert SODIUM.bc_scattering_length == SODIUM.scattering_length_a
+
+
+#: A Python int that float() cannot hold: every entry point must reject it
+#: as a parameter, not end in OverflowError.
+_HUGE = 10**400
+_HUGE_ENTRY_POINTS = {
+    **{
+        f"DriveConfig.{name}": lambda name=name: DriveConfig(
+            **{"rabi_effective": 1e3, "qbar_recoil": 5.0, name: _HUGE}
+        )
+        for name in ("rabi_effective", "qbar_recoil", "gamma_override", "t_max", "dt_output")
+    },
+    **{
+        f"PhysicalParams.{field.name}": lambda name=field.name: dataclasses.replace(
+            SODIUM, **{name: _HUGE}
+        )
+        for field in dataclasses.fields(PhysicalParams)
+    },
+    "dispersion": lambda: dispersion(_HUGE),
+    "bogoliubov_mode": lambda: bogoliubov_mode(_HUGE),
+    "thermal_population.omega": lambda: thermal_population(_HUGE, 1e-6),
+    "thermal_population.temperature_T": lambda: thermal_population(1e3, _HUGE),
+    "decay_rates.qbar": lambda: decay_rates(SODIUM, Channel.SINGLE_LEVEL, [_HUGE], [0.0]),
+    "decay_rates.temperature": lambda: decay_rates(SODIUM, Channel.SINGLE_LEVEL, [5.0], [_HUGE]),
+}
+
+
+@pytest.mark.parametrize("entry", _HUGE_ENTRY_POINTS)
+def test_int_beyond_double_range_is_a_parameter_error(entry):
+    with pytest.raises(ParameterError, match="beyond the double range"):
+        _HUGE_ENTRY_POINTS[entry]()
 
 
 # ---------------------------------------------------------------------------

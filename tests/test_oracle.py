@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quasidamp
-from quasidamp import oracle
 from quasidamp.model import ParameterError
 from quasidamp.oracle import (
     GOLDEN_RULE_RATE,
@@ -28,12 +27,10 @@ from quasidamp.oracle import (
     integrate_discrete_bath,
     markov_suite,
     tms_fock_moment,
-    tms_fock_reference,
     tms_pair_table,
     wick_fourth_moment,
     wick_suite,
     windowed_bath,
-    _arrowhead_spectrum,
 )
 
 # ---------------------------------------------------------------------------
@@ -178,7 +175,7 @@ def test_bath_spec_validation():
 @pytest.mark.parametrize(
     "grid, couplings",
     [
-        ((0.0, math.inf), (0.1, 0.1)),  # the secular solver needs finite poles
+        ((0.0, math.inf), (0.1, 0.1)),  # the spectral bound needs finite detunings
         ((0.0, 1.0), (0.1, math.inf)),  # would make the whole amplitude NaN
         ((math.nan,), (0.1,)),
         ((0.0,), (math.nan,)),
@@ -244,74 +241,43 @@ def test_revival_only_near_recurrence_time():
 
 
 # ---------------------------------------------------------------------------
-# arrowhead spectrum and time sum
+# Chebyshev amplitude against dense diagonalization
 
 
-def _dense_spectrum(bath: BathSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Reference: eigh of the dense (N+1)x(N+1) arrowhead Hamiltonian."""
+def _dense_amplitude(bath: BathSpec, t: np.ndarray) -> np.ndarray:
+    """Reference: |sum_j w_j exp(-i lambda_j t)|, the direct sum over the
+    spectrum that eigh gives for the dense (N+1)x(N+1) arrowhead
+    Hamiltonian, with w_j = <0|j>^2."""
     n = bath.mode_count
     ham = np.zeros((n + 1, n + 1))
     ham[0, 1:] = bath.couplings
     ham[1:, 0] = bath.couplings
     ham[np.arange(1, n + 1), np.arange(1, n + 1)] = bath.detuning_grid
     evals, evecs = np.linalg.eigh(ham)
-    return evals, evecs[0, :] ** 2
+    return np.abs(np.exp(-1j * np.outer(t, evals)) @ evecs[0, :] ** 2)
 
 
-def _secular_spectrum(bath: BathSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The secular-equation spectrum, with each decoupled mode put back as
-    an eigenvalue of zero weight so it lines up with the dense one."""
-    grid = np.asarray(bath.detuning_grid)
-    couplings = np.asarray(bath.couplings)
-    evals, weights = _arrowhead_spectrum(grid, couplings)
-    decoupled = grid[couplings == 0.0]
-    evals = np.concatenate((evals, decoupled))
-    weights = np.concatenate((weights, np.zeros(decoupled.size)))
-    order = np.argsort(evals, kind="stable")
-    return evals[order], weights[order]
-
-
-def _assert_matches_dense(bath: BathSpec, gap_aware: bool = False) -> None:
-    """Eigenvalues and weights to 1e-12 of eigh's.  With gap_aware, the
-    weights may also differ by eigh's own eigenvector error, which grows as
-    eps*|H|/gap between neighbouring eigenvalues."""
-    evals, weights = _secular_spectrum(bath)
-    ref_evals, ref_weights = _dense_spectrum(bath)
-    weight_tol = 1e-12
-    if gap_aware and ref_evals.size > 1:
-        gap = float(np.min(np.diff(ref_evals)))
-        weight_tol += 64.0 * np.finfo(float).eps * float(np.max(np.abs(ref_evals))) / gap
-    assert np.max(np.abs(evals - ref_evals)) <= 1e-12
-    assert np.max(np.abs(weights - ref_weights)) <= weight_tol
-    assert abs(float(np.sum(weights)) - 1.0) <= 1e-12
+def _assert_matches_dense(bath: BathSpec, t_max: float = 100.0, n_samples: int = 1000) -> None:
+    """|b(t)| is the Fourier transform of the decaying mode's spectral
+    weights, so matching it at every sample checks the spectrum that the
+    Chebyshev moments stand for."""
+    series = integrate_discrete_bath(bath, t_max, n_samples=n_samples)
+    assert series.t.tobytes() == np.linspace(0.0, t_max, n_samples).tobytes()
+    assert np.max(np.abs(series.amplitude - _dense_amplitude(bath, series.t))) <= 1e-12
 
 
 def _with_couplings(bath: BathSpec, couplings) -> BathSpec:
     return BathSpec(bath.detuning_grid, tuple(couplings))
 
 
-def _spectrum(bath: BathSpec) -> tuple[np.ndarray, np.ndarray]:
-    return _arrowhead_spectrum(np.asarray(bath.detuning_grid), np.asarray(bath.couplings))
-
-
 @pytest.mark.parametrize("mode_count", [1, 2, 3, 50, 200, 201])
 @pytest.mark.parametrize("make", [flat_bath, windowed_bath])
 def test_spectrum_matches_dense_eigh(make, mode_count):
-    # even mode counts put a root at lambda = 0, odd ones a pole at Delta = 0
+    # even mode counts put an eigenvalue at lambda = 0, odd ones a mode at
+    # Delta = 0
     spacing = 10.0 / mode_count
     kappa = math.sqrt(GOLDEN_RULE_RATE * spacing / (2.0 * math.pi))
-    bath = make(mode_count, spacing, kappa)
-    _assert_matches_dense(bath)
-    # the bath is its own mirror, so its roots j < n/2 and n - j are exact
-    # negations with the same weight, and a middle root is 0 to within tol
-    n = mode_count
-    evals, weights = _spectrum(bath)
-    pairs = (n + 1) // 2
-    assert np.array_equal(evals[n + 1 - pairs :], -evals[:pairs][::-1])
-    assert np.array_equal(weights, weights[::-1])
-    if n % 2 == 0:
-        tol = 4.0 * np.finfo(float).eps * (5.0 + 2.0 * math.sqrt(n * kappa**2))
-        assert abs(evals[n // 2]) <= tol
+    _assert_matches_dense(make(mode_count, spacing, kappa))
 
 
 def test_spectrum_with_decoupled_modes():
@@ -320,83 +286,22 @@ def test_spectrum_with_decoupled_modes():
     _assert_matches_dense(_with_couplings(bath, couplings))
     ends_off = [0.0, *bath.couplings[1:-1], 0.0]
     _assert_matches_dense(_with_couplings(bath, ends_off))
+    # a decoupled mode drops out, however far off: it widens no series
+    far = BathSpec((*bath.detuning_grid, 1e300), (*bath.couplings, 0.0))
+    amplitudes = [integrate_discrete_bath(b, 100.0).amplitude.tobytes() for b in (bath, far)]
+    assert amplitudes[0] == amplitudes[1]
 
 
-@pytest.mark.parametrize("entries", [64, 256, 1024])
-def test_spectrum_matches_dense_across_blocks(monkeypatch, entries):
-    # small blocks split every bath below into many blocks of rows (one row
-    # each at 64 entries), whose rows finish at different sweeps
-    monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", entries)
-    for mode_count in (50, 200, 201):
-        spacing = 10.0 / mode_count
-        kappa = math.sqrt(GOLDEN_RULE_RATE * spacing / (2.0 * math.pi))
-        _assert_matches_dense(flat_bath(mode_count, spacing, kappa))
-        _assert_matches_dense(windowed_bath(mode_count, spacing, kappa))
-    bath = flat_bath(40, 0.25, 0.1)
-    couplings = [0.0 if m % 3 == 0 else c for m, c in enumerate(bath.couplings)]
-    _assert_matches_dense(_with_couplings(bath, couplings))
-
-
-def _rows_per_root(monkeypatch, bath: BathSpec) -> float:
-    """Secular rows evaluated per root while solving the bath's spectrum."""
-    rows = []
-    secular = oracle._secular
-
-    def counted(base, tau, *rest):
-        rows.append(tau.size)
-        return secular(base, tau, *rest)
-
-    monkeypatch.setattr(oracle, "_secular", counted)
-    _spectrum(bath)
-    return sum(rows) / (bath.mode_count + 1)
-
-
-def test_spectrum_evaluates_few_rows_per_root(monkeypatch):
-    # the middle of each bracket is evaluated once, and its sums take the
-    # first step: about 4.1 rows per root solved.  The flat bath is mirror
-    # symmetric, so only its roots j <= n/2 are solved, about 2.05 rows per
-    # root of the spectrum; solving all of them makes about 4.1
-    assert _rows_per_root(monkeypatch, flat_bath(2000, 0.005, 0.01)) <= 2.2
-
-
-def test_asymmetric_bath_solves_every_root(monkeypatch):
-    # shifted off resonance by a third of a spacing, the grid is no mirror
-    # of itself, so every root is solved
-    bath = flat_bath(2000, 0.005, 0.01)
-    shifted = BathSpec(tuple(np.asarray(bath.detuning_grid) + 0.005 / 3), bath.couplings)
-    assert _rows_per_root(monkeypatch, shifted) >= 4.0
-
-
-def test_bath_one_ulp_off_mirror_takes_the_full_path(monkeypatch):
-    bath = flat_bath(2000, 0.005, 0.01)
-    couplings = list(bath.couplings)
-    couplings[-1] = float(np.nextafter(couplings[-1], math.inf))
-    skewed = _with_couplings(bath, couplings)
-    assert _rows_per_root(monkeypatch, skewed) >= 4.0
-    evals, weights = _spectrum(bath)
-    full_evals, full_weights = _spectrum(skewed)
-    assert np.max(np.abs(full_evals - evals)) <= 1e-15
-    assert np.max(np.abs(full_weights - weights)) <= 1e-15
-
-
-def test_spectrum_sweeps_work_in_one_buffer(monkeypatch):
-    # the sums and the mixed columns of each block share one buffer of
-    # _BLOCK_ENTRIES floats (1 MiB), so no sweep adds a (rows x span) array
-    monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", 1 << 17)
-    for mode_count in (200, 500, 800, 2000):
-        bath = flat_bath(mode_count, 10.0 / mode_count, 0.01)
-        tracemalloc.start()
-        try:
-            _spectrum(bath)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.25 * 2**20, mode_count
+def test_short_times_match_dense():
+    # x = h t from 0 to 5e-4: the first sample sits under the 1e-8 cutoff,
+    # and the backward Bessel values of the next ones are rescaled many times
+    _assert_matches_dense(flat_bath(201, 0.05, 0.02), t_max=1e-4, n_samples=4096)
 
 
 def test_fully_decoupled_bath_has_one_unit_weight():
-    evals, weights = _arrowhead_spectrum(np.array([-1.0, 0.5, 2.0]), np.zeros(3))
-    assert evals.tolist() == [0.0] and weights.tolist() == [1.0]
+    # the decaying mode is an eigenvector with weight 1, so |b| = 1 throughout
+    series = integrate_discrete_bath(BathSpec((-1.0, 0.5, 2.0), (0.0,) * 3), 50.0, n_samples=64)
+    assert np.max(np.abs(series.amplitude - 1.0)) <= 1e-15
 
 
 @settings(max_examples=60, deadline=None)
@@ -414,45 +319,23 @@ def test_fully_decoupled_bath_has_one_unit_weight():
 def test_spectrum_matches_dense_on_random_baths(first, modes):
     grid = first + np.cumsum([0.0] + [gap for gap, _ in modes[1:]])
     couplings = tuple(10.0**exponent for _, exponent in modes)
-    bath = BathSpec(tuple(grid), couplings)
-    _assert_matches_dense(bath, gap_aware=True)
+    _assert_matches_dense(BathSpec(tuple(grid), couplings), n_samples=256)
 
 
 @pytest.mark.parametrize("n_samples", [2, 3, 4095, 4096, 5000])
-def test_factored_time_sum_matches_direct_sum(monkeypatch, n_samples):
-    bath = windowed_bath(300, 0.03, 0.02)
-    dt = 60.0 / (n_samples - 1)
-    m = math.isqrt(n_samples - 1) + 1
-    coarse_t = np.arange(-(-n_samples // m)) * (m * dt)
-    fine_t = np.arange(m) * dt
-    # one eigenvalue per block at 64 entries (several at n_samples <= 3),
-    # several blocks at 4096, and all 301 eigenvalues in one block at 2^17
-    for entries in (64, 4096, 1 << 17):
-        monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", entries)
-        series = integrate_discrete_bath(bath, 60.0, n_samples=n_samples)
-        evals, weights = _arrowhead_spectrum(
-            np.asarray(bath.detuning_grid), np.asarray(bath.couplings)
-        )
-        direct = np.abs(np.exp(-1j * np.outer(series.t, evals)) @ weights)
-        assert series.t.shape == (n_samples,)
-        assert np.max(np.abs(series.amplitude - direct)) <= 1e-12
-        # the blocked sum with fresh tables, in the same block order, to the bit
-        width = max(1, entries // (4 * m))
-        b = np.zeros((coarse_t.size, m), dtype=complex)
-        for start in range(0, evals.size, width):
-            block = slice(start, start + width)
-            coarse = np.exp(-1j * np.outer(coarse_t, evals[block]))
-            fine = np.exp(-1j * np.outer(fine_t, evals[block]))
-            b += (coarse * weights[block]) @ fine.T
-        factored = np.abs(b.ravel()[:n_samples])
-        assert series.amplitude.tobytes() == factored.tobytes()
+def test_factored_time_sum_matches_direct_sum(n_samples):
+    # the Chebyshev sum factors each sample into time-only Bessel values and
+    # bath-only moments; it must match the direct sum over the eigenvalues
+    # at any sample count
+    _assert_matches_dense(windowed_bath(300, 0.03, 0.02), t_max=60.0, n_samples=n_samples)
 
 
 def test_finest_markov_bath_memory_is_bounded():
     # the dense path held (N+1)^2 matrices and an n_samples x (N+1) complex
     # table, well over 64 MB at N = 2000; phase tables over all N + 1
-    # eigenvalues peaked at 4.11 MiB at N = 2000 and 8.06 MiB at N = 4000,
-    # the blocked sum at 1.26 and 1.30 MiB
+    # eigenvalues peaked at 4.11 MiB at N = 2000 and 8.06 MiB at N = 4000.
+    # The Chebyshev series holds a few vectors of length N and n_samples and
+    # its moments: 0.52 MiB at N = 2000 and 0.61 MiB at N = 4000
     for mode_count in (2000, 4000):
         bath = flat_bath(mode_count, 10.0 / mode_count, 0.01)
         tracemalloc.start()
@@ -477,6 +360,22 @@ def test_integrate_rejects_non_finite_t_max(t_max):
     # inf would make every sample NaN
     with pytest.raises(ParameterError, match="finite"):
         integrate_discrete_bath(flat_bath(3, 1.0, 0.1), t_max)
+
+
+@pytest.mark.parametrize(
+    "bath, t_max",
+    [
+        (flat_bath(3, 1.0, 0.1), 1e5),  # half-width 1 + 0.1*sqrt(3)
+        (BathSpec((-1e300, 1e300), (0.1, 0.1)), 1.0),
+        (BathSpec((-1.7e308, 1.7e308), (0.1, 0.1)), 1.0),  # the width overflows
+        (BathSpec((0.0,), (1e200,)), 1.0),
+    ],
+    ids=["just-over", "wide-detunings", "overflowing-width", "huge-coupling"],
+)
+def test_integrate_rejects_phase_past_bound(bath, t_max):
+    # the series would need about half-width * t_max terms
+    with pytest.raises(ParameterError, match="Chebyshev series allows"):
+        integrate_discrete_bath(bath, t_max)
 
 
 # ---------------------------------------------------------------------------
@@ -654,26 +553,31 @@ def test_tms_pair_correlation_value():
     nbar = math.sinh(0.5) ** 2
     expected = nbar * (2 * nbar + 1)
     assert expected == pytest.approx(0.4190086, rel=1e-6)
-    assert tms_fock_reference(0.5, "n_a_n_b") == pytest.approx(expected, rel=1e-12)
+    assert tms_fock_moment(0.5, ("ad", "a", "bd", "b")) == pytest.approx(expected, rel=1e-12)
 
 
 def test_tms_number_difference_locked():
+    # <(n_a - n_b)^2> = 0: the pairs are created together
+    terms = [
+        (1.0, ("ad", "a", "ad", "a")),
+        (-1.0, ("ad", "a", "bd", "b")),
+        (-1.0, ("bd", "b", "ad", "a")),
+        (1.0, ("bd", "b", "bd", "b")),
+    ]
     for r in (0.0, 0.3, 1.0, 2.0):
-        assert abs(tms_fock_reference(r, "number_difference_variance")) < 1e-10
+        assert abs(sum(c * tms_fock_moment(r, ops) for c, ops in terms)) < 1e-10
 
 
 def test_tms_vacuum_reference():
-    assert tms_fock_reference(0.0, "n_a") == 0.0
+    assert tms_fock_moment(0.0, ("ad", "a")) == 0.0
     assert tms_fock_moment(0.0, ("a", "ad")) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_tms_reference_validation():
     with pytest.raises(ParameterError):
-        tms_fock_reference(2.5, "n_a")
+        tms_fock_moment(2.5, ("ad", "a"))
     with pytest.raises(ParameterError):
-        tms_fock_reference(-0.1, "n_a")
-    with pytest.raises(ParameterError):
-        tms_fock_reference(0.5, "no_such_observable")
+        tms_fock_moment(-0.1, ("ad", "a"))
     with pytest.raises(ParameterError):
         tms_fock_moment(0.5, ("a", "x"))
 
