@@ -12,10 +12,11 @@ All input comes from a JSON config file validated against a closed schema
 files are deterministic: fixed column orders, numbers printed with %.17g
 (an undefined squeezing parameter as an empty field), LF line endings, no
 timestamps.
-`dynamics` computes the single-level width only, so it rejects a
-two-level config unless the damping rate is fixed by drive.gamma_override
-or --no-damping.  The oracle's optional --config is read only for
-output.directory.
+The schema's params and drive sections are read off the fields of
+`PhysicalParams` and `DriveConfig`, which hold each field's domain and
+default.  `dynamics` computes the single-level width only, so it rejects a
+two-level config unless drive.gamma_override fixes the damping rate.  The
+oracle runs on fixed inputs and reads no config.
 
 Config resolution, --help, --version and usage errors use `model` and the
 standard library alone, so they load no numpy.  `main` imports the
@@ -43,6 +44,8 @@ from dataclasses import dataclass
 from . import __version__
 from .model import (
     MAX_RATE_POINTS,
+    NONNEGATIVE,
+    POSITIVE,
     PRESETS,
     Channel,
     DriveConfig,
@@ -61,36 +64,25 @@ class ConfigError(ValueError):
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _NONNEGATIVE = {"type": "number", "minimum": 0}
 
+
+def _section(cls) -> dict:
+    """The closed schema of a dataclass's fields, from their domains; a
+    field whose default is None may also be null."""
+    atoms = {POSITIVE["domain"]: _POSITIVE, NONNEGATIVE["domain"]: _NONNEGATIVE}
+    properties = {}
+    for spec in dataclasses.fields(cls):
+        atom = atoms[spec.metadata["domain"]]
+        properties[spec.name] = {"anyOf": [{"type": "null"}, atom]} if spec.default is None else atom
+    return {"type": "object", "additionalProperties": False, "properties": properties}
+
+
 SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "properties": {
         "preset": {"type": "string"},
-        "params": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "scattering_length_a": _POSITIVE,
-                "atomic_mass": _POSITIVE,
-                "condensate_density_n0": _POSITIVE,
-                "atom_count_N0": _POSITIVE,
-                "temperature_T": _NONNEGATIVE,
-                "a_bc": _POSITIVE,
-            },
-        },
-        "drive": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "rabi_effective": _NONNEGATIVE,
-                "qbar_recoil": _POSITIVE,
-                "gamma_override": {
-                    "anyOf": [{"type": "null"}, _NONNEGATIVE],
-                },
-                "t_max": _POSITIVE,
-                "dt_output": _POSITIVE,
-            },
-        },
+        "params": _section(PhysicalParams),
+        "drive": _section(DriveConfig),
         "rate_query": {
             "type": "object",
             "additionalProperties": False,
@@ -118,18 +110,19 @@ SCHEMA = {
     },
 }
 
+
+def _field_defaults(cls) -> dict:
+    return {
+        spec.name: spec.default
+        for spec in dataclasses.fields(cls)
+        if spec.default is not dataclasses.MISSING
+    }
+
+
 # the dataclasses' own defaults are taken from them, not restated
 _DEFAULTS = {
-    "params": {"temperature_T": PhysicalParams.temperature_T},
-    "drive": {
-        "rabi_effective": 1.0e3,
-        "qbar_recoil": 5.0,
-        **{
-            field.name: field.default
-            for field in dataclasses.fields(DriveConfig)
-            if field.default is not dataclasses.MISSING
-        },
-    },
+    "params": _field_defaults(PhysicalParams),
+    "drive": _field_defaults(DriveConfig),
     "rate_query": {
         "qbar": [0.02, 0.05, 0.1, 5.0],
         "temperature": [0.0],
@@ -167,7 +160,7 @@ def _preset_params(name: str) -> dict:
     if name not in PRESETS:
         known = ", ".join(sorted(PRESETS))
         raise ConfigError(f"unknown preset {name!r} (known presets: {known})")
-    return {k: v for k, v in vars(PRESETS[name]).items() if v is not None}
+    return dataclasses.asdict(PRESETS[name])
 
 
 _JSON_TYPES = {
@@ -308,7 +301,7 @@ def load_config(path: str) -> RunConfig:
 
 
 def default_config() -> RunConfig:
-    """The sodium preset with stock grids (used when oracle runs configless)."""
+    """The sodium preset with stock grids and defaults."""
     return _resolve({"preset": "sodium-paper"})
 
 
@@ -433,21 +426,18 @@ def cmd_rates(cfg: RunConfig, out_dir: str) -> int:
     return 0
 
 
-def cmd_dynamics(cfg: RunConfig, out_dir: str, no_damping: bool = False) -> int:
+def cmd_dynamics(cfg: RunConfig, out_dir: str) -> int:
     """trajectory.csv + summary.json for the configured drive."""
     import numpy as np
 
     from . import dynamics
 
-    drive = cfg.drive
-    if no_damping:
-        drive = dataclasses.replace(drive, gamma_override=0.0)
-    if cfg.channel is Channel.TWO_LEVEL and drive.gamma_override is None:
+    if cfg.channel is Channel.TWO_LEVEL and cfg.drive.gamma_override is None:
         raise ConfigError(
             "dynamics computes the single-level width only; with rate_query.channel "
-            "two_level set drive.gamma_override or pass --no-damping"
+            "two_level set drive.gamma_override"
         )
-    run = dynamics.run_squeezing(cfg.params, drive)
+    run = dynamics.run_squeezing(cfg.params, cfg.drive)
     r = run.readout
 
     # nanargmin and argmax take the first minimum and the first crossing
@@ -465,7 +455,7 @@ def cmd_dynamics(cfg: RunConfig, out_dir: str, no_damping: bool = False) -> int:
         "t_at_xi3_min_s": t_at_min,
         "crossing_time_s": crossing,
         "preset": cfg.preset,
-        "rabi_effective_s": drive.rabi_effective,
+        "rabi_effective_s": cfg.drive.rabi_effective,
     }
     files = {
         "trajectory.csv": _csv({
@@ -543,27 +533,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    commands = {}
-    for name, summary, needs_config in (
-        ("rates", "decay-rate table over a momentum/temperature grid", True),
-        ("dynamics", "damped squeezing trajectory", True),
-        ("oracle", "run numerical cross-checks", False),
-        ("spectrum", "Bogoliubov mode table", True),
+    for name, summary in (
+        ("rates", "decay-rate table over a momentum/temperature grid"),
+        ("dynamics", "damped squeezing trajectory"),
+        ("spectrum", "Bogoliubov mode table"),
     ):
-        commands[name] = command = sub.add_parser(name, help=summary)
-        command.add_argument(
-            "--config",
-            required=needs_config,
-            help="JSON config file" if needs_config else "JSON config file (optional)",
-        )
+        command = sub.add_parser(name, help=summary)
+        command.add_argument("--config", required=True, help="JSON config file")
         command.add_argument("--out", help="output directory (overrides config)")
 
-    commands["dynamics"].add_argument(
-        "--no-damping",
-        action="store_true",
-        help="force the damping rate to zero (unitary pair creation)",
-    )
-    commands["oracle"].add_argument(
+    oracle = sub.add_parser("oracle", help="run numerical cross-checks on fixed inputs")
+    oracle.add_argument("--out", default="out", help="output directory")
+    oracle.add_argument(
         "--suite",
         choices=_ORACLE_SUITES,
         default="all",
@@ -586,15 +567,15 @@ def main(argv: list[str] | None = None) -> int:
         importlib.import_module(f".{args.command}", __package__)
 
     try:
-        cfg = default_config() if args.config is None else load_config(args.config)
+        if args.command == "oracle":
+            return cmd_oracle(args.suite, args.out)
+        cfg = load_config(args.config)
         out_dir = args.out if args.out is not None else cfg.output_dir
 
         if args.command == "rates":
             return cmd_rates(cfg, out_dir)
         if args.command == "dynamics":
-            return cmd_dynamics(cfg, out_dir, no_damping=args.no_damping)
-        if args.command == "oracle":
-            return cmd_oracle(args.suite, out_dir)
+            return cmd_dynamics(cfg, out_dir)
         return cmd_spectrum(cfg, out_dir)
     except (ConfigError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)

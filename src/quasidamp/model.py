@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 HBAR = 1.054571817e-34  # J s (CODATA 2018)
@@ -40,6 +40,33 @@ def as_double(name: str, value) -> float:
         raise ParameterError(f"{name} is an integer beyond the double range") from None
 
 
+#: Field metadata of a numeric dataclass field: its domain, besides being
+#: finite.  A field whose default is None may also be None.
+POSITIVE = {"domain": "positive"}
+NONNEGATIVE = {"domain": ">= 0"}
+
+
+def checked_field(spec, value) -> float | None:
+    """value as the float that the dataclass field spec stores; a
+    ParameterError outside the field's domain."""
+    if value is None and spec.default is None:
+        return None
+    value = as_double(spec.name, value)
+    domain = spec.metadata["domain"]
+    # written so that a NaN fails the check
+    if not ((value > 0.0 if domain == "positive" else value >= 0.0) and math.isfinite(value)):
+        raise ParameterError(f"{spec.name} must be {domain} and finite, got {value}")
+    return value
+
+
+def _store_checked_fields(instance) -> None:
+    # JSON integers arrive as int: 500 and 500.0 are the same value and
+    # must print the same
+    for spec in fields(instance):
+        value = checked_field(spec, getattr(instance, spec.name))
+        object.__setattr__(instance, spec.name, value)
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Condensate and atomic constants in SI units.
@@ -58,25 +85,15 @@ class PhysicalParams:
     g = 4 pi hbar^2 a / m.
     """
 
-    scattering_length_a: float
-    atomic_mass: float
-    condensate_density_n0: float
-    atom_count_N0: float
-    temperature_T: float = 0.0
-    a_bc: float | None = None
+    scattering_length_a: float = field(metadata=POSITIVE)
+    atomic_mass: float = field(metadata=POSITIVE)
+    condensate_density_n0: float = field(metadata=POSITIVE)
+    atom_count_N0: float = field(metadata=POSITIVE)
+    temperature_T: float = field(default=0.0, metadata=NONNEGATIVE)
+    a_bc: float | None = field(default=None, metadata=POSITIVE)
 
     def __post_init__(self) -> None:
-        # every field without a default is a positive physical quantity
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if value is not None:
-                as_double(field.name, value)
-            if field.default is MISSING and not (value > 0.0 and math.isfinite(value)):
-                raise ParameterError(f"{field.name} must be positive and finite, got {value}")
-        if not (self.temperature_T >= 0.0 and math.isfinite(self.temperature_T)):
-            raise ParameterError(f"temperature_T must be >= 0, got {self.temperature_T}")
-        if self.a_bc is not None and not (self.a_bc > 0.0 and math.isfinite(self.a_bc)):
-            raise ParameterError(f"a_bc must be positive and finite, got {self.a_bc}")
+        _store_checked_fields(self)
         # the rates and the dynamics divide by these scales and by k0^3/n0
         k0 = self.k0
         scales = {
@@ -190,8 +207,8 @@ def thermal_population(omega: float, temperature_T: float) -> float:
     omega, temperature_T = as_double("omega", omega), as_double("temperature_T", temperature_T)
     if not (omega > 0.0 and math.isfinite(omega)):
         raise ParameterError(f"omega must be > 0, got {omega}")
-    if temperature_T < 0.0:
-        raise ParameterError(f"temperature_T must be >= 0, got {temperature_T}")
+    if not (temperature_T >= 0.0 and math.isfinite(temperature_T)):
+        raise ParameterError(f"temperature_T must be >= 0 and finite, got {temperature_T}")
     if temperature_T == 0.0:
         return 0.0
     x = HBAR * omega / (K_BOLTZMANN * temperature_T)
@@ -247,43 +264,23 @@ class DriveConfig:
     """Drive and output-grid settings.
 
     rabi_effective : pair-creation drive strength Omega (s^-1), collective
-                     enhancement included
-    qbar_recoil    : recoil momentum of the driven quasiparticle mode, in k0
-    gamma_override : fixed damping rate (s^-1) instead of the computed one
-    t_max          : trajectory length (s)
-    dt_output      : output sample spacing (s), at most t_max
+                     enhancement included; default 1e3
+    qbar_recoil    : recoil momentum of the driven quasiparticle mode, in k0;
+                     default 5
+    gamma_override : fixed damping rate (s^-1) instead of the computed one;
+                     default None, the computed rate
+    t_max          : trajectory length (s); default 6e-3
+    dt_output      : output sample spacing (s), at most t_max; default 1e-5
     """
 
-    rabi_effective: float
-    qbar_recoil: float
-    gamma_override: float | None = None
-    t_max: float = 6e-3
-    dt_output: float = 1e-5
+    rabi_effective: float = field(default=1e3, metadata=NONNEGATIVE)
+    qbar_recoil: float = field(default=5.0, metadata=POSITIVE)
+    gamma_override: float | None = field(default=None, metadata=NONNEGATIVE)
+    t_max: float = field(default=6e-3, metadata=POSITIVE)
+    dt_output: float = field(default=1e-5, metadata=POSITIVE)
 
     def __post_init__(self) -> None:
-        # JSON integers arrive as int: 500 and 500.0 are the same drive and
-        # must print the same
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if value is not None:
-                object.__setattr__(self, field.name, as_double(field.name, value))
-        if not (self.rabi_effective >= 0.0 and math.isfinite(self.rabi_effective)):
-            raise ParameterError(
-                f"rabi_effective must be >= 0 and finite, got {self.rabi_effective}"
-            )
-        if not (self.qbar_recoil > 0.0 and math.isfinite(self.qbar_recoil)):
-            raise ParameterError(
-                f"qbar_recoil must be > 0 and finite, got {self.qbar_recoil}"
-            )
-        for name, value in (("t_max", self.t_max), ("dt_output", self.dt_output)):
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ParameterError(f"{name} must be > 0 and finite, got {value}")
-        if self.gamma_override is not None and not (
-            self.gamma_override >= 0.0 and math.isfinite(self.gamma_override)
-        ):
-            raise ParameterError(
-                f"gamma_override must be >= 0 and finite, got {self.gamma_override}"
-            )
+        _store_checked_fields(self)
         if self.dt_output > self.t_max:
             raise ParameterError(
                 f"dt_output = {self.dt_output:.6g} s exceeds t_max = {self.t_max:.6g} s"

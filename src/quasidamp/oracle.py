@@ -61,14 +61,23 @@ class BathSpec:
 
     @property
     def min_spacing(self) -> float:
+        """Smallest grid step; inf for one mode or a step beyond the double range."""
         if self.mode_count < 2:
             return math.inf
-        return float(np.min(np.diff(np.asarray(self.detuning_grid))))
+        with np.errstate(over="ignore"):
+            return float(np.min(np.diff(np.asarray(self.detuning_grid))))
 
     @property
     def revival_time(self) -> float:
         """Finite-bath recurrence horizon 2*pi / min spacing."""
-        return 2.0 * math.pi / self.min_spacing if self.mode_count > 1 else math.inf
+        if self.mode_count < 2:
+            return math.inf
+        spacing = self.min_spacing
+        if spacing < math.inf:
+            return 2.0 * math.pi / spacing
+        # every step overflows a double, but its half does not
+        grid = np.asarray(self.detuning_grid) / 2.0
+        return math.pi / float(np.min(grid[1:] - grid[:-1]))
 
 
 def flat_bath(mode_count: int, spacing: float, kappa: float) -> BathSpec:

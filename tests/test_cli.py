@@ -1,5 +1,6 @@
 """Config loading, subcommands, file formats, and exit codes."""
 
+import dataclasses
 import io
 import json
 import math
@@ -30,7 +31,16 @@ from quasidamp.cli import (
     main,
 )
 from quasidamp.dynamics import Readout, SqueezingRun
-from quasidamp.model import MAX_OUTPUT_STEPS, MAX_RATE_POINTS, PRESETS, bogoliubov_mode
+from quasidamp.model import (
+    MAX_OUTPUT_STEPS,
+    MAX_RATE_POINTS,
+    PRESETS,
+    DriveConfig,
+    ParameterError,
+    PhysicalParams,
+    bogoliubov_mode,
+    checked_field,
+)
 from quasidamp import oracle
 from quasidamp.oracle import Verdict
 from quasidamp.rates import Channel, QuadratureError, decay_rates
@@ -154,7 +164,7 @@ def test_full_params_without_preset_match_preset(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["rates", "--config", str(path), "--out", str(out)]) == 0
     meta = json.loads((out / "rates.meta.json").read_text(encoding="utf-8"))
-    assert meta["config"]["params"] == {**_FULL_PARAMS, "temperature_T": 0.0}
+    assert meta["config"]["params"] == {**_FULL_PARAMS, "temperature_T": 0.0, "a_bc": None}
 
 
 def test_empty_file(tmp_path):
@@ -301,6 +311,25 @@ def test_schema_violation_exits_2_with_one_line(tmp_path, capsys, config):
     assert main(["rates", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config $") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", [0, -0.0, 5e-324, -5e-324, 1e308])
+@pytest.mark.parametrize("section, spec", [
+    pytest.param(section, spec, id=f"{section}.{spec.name}")
+    for section, cls in (("params", PhysicalParams), ("drive", DriveConfig))
+    for spec in dataclasses.fields(cls)
+])
+def test_schema_and_dataclass_agree_on_field_domains(section, spec, value):
+    try:
+        checked_field(spec, value)
+        in_domain = True
+    except ParameterError:
+        in_domain = False
+    assert (_violation({section: {spec.name: value}}, SCHEMA) is None) == in_domain
+    # a field whose default is None takes None in both
+    if spec.default is None:
+        assert _violation({section: {spec.name: None}}, SCHEMA) is None
+        assert checked_field(spec, None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -909,11 +938,13 @@ def test_negative_width_exits_3_with_one_line(tmp_path, monkeypatch, capsys):
 @pytest.fixture(scope="module")
 def dynamics_out(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("dyn")
-    cfg_path = write_config(tmp_path, drive={"t_max": 5e-4, "dt_output": 1e-5})
+    drive = {"t_max": 5e-4, "dt_output": 1e-5}
+    cfg_path = write_config(tmp_path, drive=drive)
+    free_path = write_config(tmp_path, "free.json", drive={**drive, "gamma_override": 0})
     out = tmp_path / "damped"
     out_free = tmp_path / "free"
     assert main(["dynamics", "--config", cfg_path, "--out", str(out)]) == 0
-    assert main(["dynamics", "--config", cfg_path, "--no-damping", "--out", str(out_free)]) == 0
+    assert main(["dynamics", "--config", free_path, "--out", str(out_free)]) == 0
     return out, out_free
 
 
@@ -975,7 +1006,7 @@ def per_sample_summary(run: SqueezingRun) -> dict:
     return {"xi3_min": xi3_min, "t_at_xi3_min_s": t_at_min, "crossing_time_s": crossing}
 
 
-def summary_and_run(tmp_path, monkeypatch, config: dict, flags=()):
+def summary_and_run(tmp_path, monkeypatch, config: dict):
     """summary.json of a dynamics command and the SqueezingRun behind it."""
     runs = []
     run_squeezing = dynamics.run_squeezing  # the original, or a test's stand-in
@@ -989,19 +1020,20 @@ def summary_and_run(tmp_path, monkeypatch, config: dict, flags=()):
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert main(["dynamics", "--config", cfg_path, "--out", str(out), *flags]) == 0
+        assert main(["dynamics", "--config", cfg_path, "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
     return {key: summary[key] for key in ("xi3_min", "t_at_xi3_min_s", "crossing_time_s")}, runs[0]
 
 
+# flags: drive keys set on top of the trajectory grid
 @pytest.mark.parametrize("temperature, flags", [
-    *[(t, ()) for t in (1e-7, 1.5e-7, 2e-7, 3e-7, 4e-7, 5e-7, 7e-7, 1e-6, 0.0)],
-    (3e-7, ("--no-damping",)),
+    *[(t, {}) for t in (1e-7, 1.5e-7, 2e-7, 3e-7, 4e-7, 5e-7, 7e-7, 1e-6, 0.0)],
+    (3e-7, {"gamma_override": 0}),
 ])
 def test_dynamics_summary_matches_per_sample_loop(tmp_path, monkeypatch, temperature, flags):
     config = {"params": {"temperature_T": temperature},
-              "drive": {"t_max": 6e-3, "dt_output": 1e-6}}
-    summary, run = summary_and_run(tmp_path, monkeypatch, config, flags)
+              "drive": {"t_max": 6e-3, "dt_output": 1e-6, **flags}}
+    summary, run = summary_and_run(tmp_path, monkeypatch, config)
     assert summary == per_sample_summary(run)
     assert summary["xi3_min"] is not None
     assert (summary["crossing_time_s"] is None) == bool(flags)
@@ -1107,12 +1139,13 @@ def test_dynamics_rejects_two_level_channel_without_fixed_rate(tmp_path, capsys)
     assert err.startswith("error:") and "two_level" in err and err.count("\n") == 1
     assert not (out / "trajectory.csv").exists()
 
-    assert main(["dynamics", "--config", cfg_path, "--no-damping", "--out", str(out)]) == 0
-    fixed = write_config(tmp_path, "fixed.json", drive={**drive, "gamma_override": 50.0},
-                         **two_level)
-    assert main(["dynamics", "--config", fixed, "--out", str(out)]) == 0
-    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
-    assert summary["gamma_used_s"] == 50.0
+    assert err.endswith("set drive.gamma_override\n")
+    for gamma in (0, 50.0):
+        fixed = write_config(tmp_path, "fixed.json", drive={**drive, "gamma_override": gamma},
+                             **two_level)
+        assert main(["dynamics", "--config", fixed, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert summary["gamma_used_s"] == gamma
 
 
 # ---------------------------------------------------------------------------
@@ -1281,10 +1314,25 @@ def test_failure_while_writing_leaves_no_files(tmp_path, monkeypatch, capsys, er
     assert not (out / "summary.json").exists()
 
 
-def test_usage_errors_return_2(tmp_path):
+def test_usage_errors_return_2(tmp_path, monkeypatch, capsys):
     assert main(["rates"]) == 2  # missing --config
     assert main(["no-such-command"]) == 2
     assert main(["rates", "--config", "/nonexistent.json"]) == 2
+    # the oracle reads no config, and "gamma_override": 0 is the undamped run
+    monkeypatch.chdir(tmp_path)
+    cfg_path = write_config(tmp_path)
+    capsys.readouterr()
+    assert main(["oracle", "--config", cfg_path]) == 2
+    assert main(["dynamics", "--config", cfg_path, "--no-damping"]) == 2
+    assert capsys.readouterr().err.count("error: unrecognized arguments: ") == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_oracle_writes_to_out_by_default(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["oracle", "--suite", "wick"]) == 0
+    payload = json.loads((tmp_path / "out" / "oracle.json").read_text(encoding="utf-8"))
+    assert payload["suite"] == "wick"
 
 
 def test_help_and_version_return_0(capsys):

@@ -319,6 +319,12 @@ def test_thermal_population_underflowing_hbar_omega():
         thermal_population(1e-320, 1e10)
 
 
+@pytest.mark.parametrize("temperature", [math.nan, math.inf, -math.inf])
+def test_thermal_population_rejects_non_finite_temperature(temperature):
+    with pytest.raises(ParameterError, match="^temperature_T must be >= 0 and finite, got"):
+        thermal_population(1e4, temperature)
+
+
 def test_thermal_population_classical_limit():
     # k_B T >> hbar omega: n -> k_B T / (hbar omega)
     omega = 1e3

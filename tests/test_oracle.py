@@ -150,6 +150,17 @@ def test_flat_bath_layout():
     assert bath.mode_count == 5
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_spacing_beyond_the_double_range():
+    # the step overflows a double, so the revival time is taken from its half
+    bath = BathSpec((-1.7e308, 1.7e308), (0.0, 0.1))
+    assert bath.min_spacing == math.inf
+    assert bath.revival_time == math.pi / 1.7e308 > 0.0
+    # steps of one subnormal ulp stay exact
+    assert BathSpec((5e-324, 1e-323), (0.0, 0.1)).min_spacing == 5e-324
+    assert BathSpec((0.0, 5e-324), (0.0, 0.1)).revival_time == math.inf
+
+
 def test_windowed_bath_envelope():
     bath = windowed_bath(21, 0.5, 0.3)
     c = np.array(bath.couplings)
