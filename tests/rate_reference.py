@@ -6,22 +6,23 @@ phonon-regime (q^5) law of the spontaneous width, the low-temperature
 stimulated one, and the spontaneous integrand rewritten in the energy
 variable with the textbook u, v vertex and the group velocity, an
 independent reduction of the same width that the tests integrate with
-scipy.  `refine_reference` is the batched refinement with work arrays
-_LIMIT columns wide and each integral summed on its own, against which the
-production one, whose arrays grow with the subintervals in use and whose
-sums run over all active rows at once, must agree bit for bit.
-`integrals` is the one-point setup of the two integrals of a point
-(params, channel, qbar, T), which the production sweep builds per grid axis
-and must match bit for bit; its Bose cutoff (`bose_cutoff_kbar`) is its
-own scalar expression, not the production one.
+scipy.  `reference_widths` integrates both channels by a route of its own,
+QUADPACK with breakpoints in the energy variable (spontaneous) and the
+momentum (stimulated), with its own kinematics and occupations; it takes
+the production vertex, which the decimal tests pin to the textbook one.
+`integrals` is the one-point setup of the two integrals of a
+point (params, channel, qbar, T), which the production sweep builds per
+grid axis and must match bit for bit; its exp-sinh scale is its own scalar
+expression, not the production one.
 """
 
 import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
-import numpy as np
+from scipy.integrate import quad
 
 from quasidamp.model import (
     HBAR,
@@ -31,19 +32,16 @@ from quasidamp.model import (
     bogoliubov_mode,
     dispersion,
 )
-from quasidamp import rates
 from quasidamp.rates import (
-    _LIMIT,
     _MAX_BOSE_EXPONENT,
     _MIN_BOSE_EXPONENT,
     TWO_LEVEL_FACTOR,
     Channel,
-    _qk21,
-    _spontaneous_integrand,
     _stimulated_free_integrand,
     _stimulated_integrand,
     _valid_qbar,
     _valid_temperature,
+    _vertex,
 )
 from vertex_reference import textbook_vertex
 
@@ -90,69 +88,10 @@ def landau_low_t(qbar: float, temperature_T: float, params: PhysicalParams) -> f
     return 3.0 * math.pi**3 / 40.0 * thermal**4 * q / (mass * n0 * HBAR**3 * c**4)
 
 
-def refine_reference(f, args, lo, hi, epsrel):
-    """Adaptive G10K21 over full (n, _LIMIT) work arrays.
-
-    The same bisection as rates._refine, with every argmax and sum taken
-    over one integral's own subintervals at a time.  Returns (value,
-    abserr, converged, used), used being the subinterval count of each
-    integral.
-    """
-    n = lo.size
-    args = [arg[:, None, None] for arg in args]
-    a = np.zeros((n, _LIMIT))
-    b = np.zeros((n, _LIMIT))
-    res = np.zeros((n, _LIMIT))
-    err = np.zeros((n, _LIMIT))
-    whole, whole_err, resasc = _qk21(f, args, lo[:, None], hi[:, None])
-    a[:, 0], b[:, 0] = lo, hi
-    res[:, 0], err[:, 0] = whole[:, 0], whole_err[:, 0]
-    area, errsum = whole[:, 0], whole_err[:, 0]
-    done = (errsum == 0.0) | ((errsum <= epsrel * np.abs(area)) & (errsum != resasc[:, 0]))
-    used = np.ones(n, dtype=np.intp)
-    active = np.flatnonzero(~done)
-    while active.size:
-        worst = np.array([err[i, :used[i]].argmax() for i in active])
-        left, right = a[active, worst], b[active, worst]
-        mid = 0.5 * (left + right)
-        halves, halves_err, _ = _qk21(
-            f,
-            [arg[active] for arg in args],
-            np.stack((left, mid), axis=1),
-            np.stack((mid, right), axis=1),
-        )
-        slot = used[active]
-        b[active, worst] = mid
-        res[active, worst], err[active, worst] = halves[:, 0], halves_err[:, 0]
-        a[active, slot], b[active, slot] = mid, right
-        res[active, slot], err[active, slot] = halves[:, 1], halves_err[:, 1]
-        used[active] += 1
-        area[active] = [res[i, :used[i]].sum() for i in active]
-        errsum[active] = [err[i, :used[i]].sum() for i in active]
-        met = errsum[active] <= epsrel * np.abs(area[active])
-        done[active] = met
-        active = active[~met & (used[active] < _LIMIT)]
-    return area, errsum, done, used
-
-
 def inverse_dispersion(omega_bar: float) -> float:
     """Momentum kbar with dispersion(kbar) = omega_bar, for omega_bar >= 0,
     as kbar = omega_bar/sqrt(1 + sqrt(1 + omega_bar^2))."""
     return omega_bar / math.sqrt(1.0 + math.hypot(1.0, omega_bar))
-
-
-def bose_cutoff_kbar(omega_bar_low: float, temperature: float, omega0: float) -> float:
-    """Upper limit of a stimulated integral at T > 0, in scalar arithmetic.
-
-    The momentum at which the Bose tail has fallen by ln(1e14) + 3 e-folds
-    below its value at the larger of the window's lower edge and the
-    thermal frequency k_B T/hbar; inf where that frequency overflows.
-    """
-    thermal = K_BOLTZMANN * temperature / (HBAR * omega0)
-    if thermal == 0.0:  # k_B*T or hbar*omega0 underflowed
-        thermal = (K_BOLTZMANN / HBAR) * (temperature / omega0)
-    omega_bar_cut = (max(omega_bar_low, thermal) / thermal + math.log(1e14) + 3.0) * thermal
-    return inverse_dispersion(omega_bar_cut) if omega_bar_cut < math.inf else math.inf
 
 
 def group_velocity(kbar: float) -> float:
@@ -185,15 +124,16 @@ def beliaev_energy_integrand(qbar: float, omega_k: float) -> float:
 
 @dataclass(frozen=True)
 class Integral:
-    """One reduced magnitude integral and its conversion to a width.
+    """One reduced integral and its conversion to a width.
 
-    The width in s^-1 is scale * int_lo^hi integrand(x, *args) dx.  lo == hi
-    marks a channel with no allowed final state: its width is exactly 0.
+    The width in s^-1 is scale times the integral with parameters args, as
+    the production columns hold them: (qbar, wq, sq, beta) of the
+    spontaneous integral over theta in [0, pi/2], and (lo, s, *integrand
+    args) of the stimulated `integrand` over kbar >= lo, s the exp-sinh
+    scale.  A channel with no allowed final state has no Integral.
     """
 
-    integrand: Callable
-    lo: float
-    hi: float
+    integrand: Callable | None
     args: tuple[float, ...]
     scale: float
 
@@ -208,18 +148,18 @@ def _coupling_ratio_sq(params: PhysicalParams) -> float:
     return ratio_sq
 
 
-def _reduced(integrand, lo, hi, args, prefactor, scale, point) -> Integral:
+def _reduced(integrand, args, prefactor, scale, point) -> Integral:
     for name, value in (("width prefactor", prefactor), ("width scale", scale)):
         if not sys.float_info.min <= value < math.inf:
             channel, qbar = point
             raise ParameterError(
                 f"{channel} {name} {value:.3g} is out of double range at qbar = {qbar:.3g}"
             )
-    return Integral(integrand, lo, hi, args, scale)
+    return Integral(integrand, args, scale)
 
 
 def integrals(params: PhysicalParams, channel: Channel, qbar: float,
-              temperature: float) -> tuple[Integral, Integral]:
+              temperature: float) -> tuple[Integral, Integral | None]:
     """The spontaneous and the stimulated integral of one point, set up
     with scalar arithmetic and checks."""
     two_level = channel is Channel.TWO_LEVEL
@@ -245,34 +185,24 @@ def integrals(params: PhysicalParams, channel: Channel, qbar: float,
     scale = prefactor * params.omega0
     if two_level:
         scale = TWO_LEVEL_FACTOR * _coupling_ratio_sq(params) * scale
-    spontaneous = _reduced(
-        _spontaneous_integrand, 0.0, 0.5 * math.pi, (qbar, wq, sq, beta),
-        prefactor, scale, ("spontaneous", qbar),
-    )
+    spontaneous = _reduced(None, (qbar, wq, sq, beta), prefactor, scale, ("spontaneous", qbar))
 
-    point = ("stimulated", qbar)
     if beta == math.inf:
-        stimulated = Integral(_stimulated_integrand, 0.0, 0.0, (), 1.0)
-    elif not two_level:
-        prefactor = 2.0 * gas / (math.pi * qbar)
-        kmax = bose_cutoff_kbar(0.0, temperature, params.omega0)
-        stimulated = _reduced(
-            _stimulated_integrand, 0.0, kmax, (qbar, wq, sq, beta),
-            prefactor, prefactor * params.omega0, point,
-        )
-    else:
+        return spontaneous, None
+    if two_level:
         prefactor = _coupling_ratio_sq(params) * gas / (4.0 * math.pi * qbar)
+        integrand, args = _stimulated_free_integrand, (qbar * qbar, beta)
         kmin = max(0.0, 0.5 / qbar - qbar)
-        omega_low = kmin * math.sqrt(2.0 + kmin * kmin)  # the dispersion at kmin
-        if beta * omega_low > _MAX_BOSE_EXPONENT:
-            kmax = kmin
-        else:
-            kmax = max(kmin, bose_cutoff_kbar(omega_low, temperature, params.omega0))
-        stimulated = _reduced(
-            _stimulated_free_integrand, kmin, kmax, (qbar * qbar, beta),
-            prefactor, prefactor * params.omega0, point,
-        )
-    return spontaneous, stimulated
+    else:
+        prefactor = 2.0 * gas / (math.pi * qbar)
+        integrand, kmin, args = _stimulated_integrand, 0.0, (qbar * qbar, wq, sq, beta)
+    omega_low = kmin * math.sqrt(2.0 + kmin * kmin)  # the dispersion at kmin
+    if beta * omega_low > _MAX_BOSE_EXPONENT:
+        return spontaneous, None
+    # the momentum step above kmin that raises the energy by k_B T
+    step = inverse_dispersion(omega_low + 1.0 / beta) - kmin
+    return spontaneous, _reduced(integrand, (kmin, step) + args, prefactor,
+                                 prefactor * params.omega0, ("stimulated", qbar))
 
 
 def grid_queries(params, channel, qbar, temperature) -> list[tuple]:
@@ -284,12 +214,98 @@ def grid_queries(params, channel, qbar, temperature) -> list[tuple]:
     ]
 
 
-def solve_alone(integral: Integral, epsrel: float) -> tuple[float, float, bool]:
-    """(width, error, converged) of one integral refined on its own."""
-    if not integral.hi > integral.lo:
-        return 0.0, 0.0, True
-    value, abserr, converged = rates._refine(
-        integral.integrand, [np.array([arg]) for arg in integral.args],
-        np.array([integral.lo]), np.array([integral.hi]), epsrel,
-    )
-    return integral.scale * float(value[0]), integral.scale * float(abserr[0]), bool(converged[0])
+# ---------------------------------------------------------------------------
+# the widths by an independent route
+
+
+def _occupation(x: float) -> float:
+    """1/(e^x - 1) at x > 0."""
+    return 1.0 / math.expm1(x) if x < 700.0 else math.exp(-x)
+
+
+def _occupation_drop(beta: float, omega: float, gap: float) -> float:
+    """n(omega) - n(omega + gap) at Bose exponent beta per unit frequency,
+    as e^-a (1 - e^-b)/((1 - e^-a)(1 - e^-(a + b))), a = beta*omega and
+    b = beta*gap: positive factors, none of which overflows."""
+    a, b = beta * omega, beta * gap
+    return math.exp(-a) * math.expm1(-b) / (math.expm1(-a) * -math.expm1(-(a + b)))
+
+
+def _mode(kbar: float) -> tuple[float, float, float]:
+    """(kbar^2, omega_bar, s = u - v) of a mode, the vertex's arguments."""
+    c = math.sqrt(2.0 + kbar * kbar)
+    return kbar * kbar, kbar * c, math.sqrt(kbar / c)
+
+
+def _splitting_energy_integrand(qbar: float, beta: float, omega_k: float) -> float:
+    """(1 + n_k + n_p) (k/v_k) V^2 (p/v_p) at omega_k, omega_p = omega_q - omega_k.
+
+    The amplitude is `rates._vertex`, which the decimal tests pin to the
+    textbook one: the textbook form in doubles cancels to 4% at qbar 1e-3.
+    """
+    z = _mode(qbar)
+    omega_p = z[1] - omega_k
+    kbar, pbar = inverse_dispersion(omega_k), inverse_dispersion(omega_p)
+    vertex = _vertex(z, _mode(kbar), _mode(pbar))
+    occupation = 1.0
+    if beta < math.inf:
+        occupation += _occupation(beta * omega_k) + _occupation(beta * omega_p)
+    return (kbar / group_velocity(kbar)) * vertex * vertex * occupation * (
+        pbar / group_velocity(pbar))
+
+
+def _absorption_integrand(qbar: float, beta: float, kbar: float) -> float:
+    """k V^2 (n_k - n_{k+q}) j/v_j, j carrying the combined energy."""
+    q, k = _mode(qbar), _mode(kbar)
+    omega_j = q[1] + k[1]
+    jbar = inverse_dispersion(omega_j)
+    vertex = _vertex(_mode(jbar), q, k)
+    drop = _occupation_drop(beta, k[1], q[1])
+    return kbar * vertex * vertex * drop * jbar / group_velocity(jbar)
+
+
+def _free_absorption_integrand(qbar: float, beta: float, kbar: float) -> float:
+    """k s_k^2 (n_b(w_k) - n_free(qbar^2 + w_k))."""
+    kk, omega_k, _ = _mode(kbar)
+    return kk / math.sqrt(2.0 + kk) * _occupation_drop(beta, omega_k, qbar * qbar)
+
+
+def _quad(f, lo: float, hi: float, points) -> tuple[float, float]:
+    """QUADPACK's integral of f over [lo, hi] with breakpoints inside it."""
+    points = sorted({x for x in points if lo < x < hi})
+    return quad(f, lo, hi, points=points or None, epsabs=0.0, epsrel=1e-13, limit=400)
+
+
+def reference_widths(params: PhysicalParams, channel: Channel, qbar: float,
+                     temperature: float) -> tuple[float, float, float, float]:
+    """(spontaneous width, its error, stimulated width, its error) in s^-1
+    at one point, by QUADPACK in the energy variable (spontaneous: twice
+    the half window, the integrand being symmetric about omega_q/2) and in
+    the momentum (stimulated), with breakpoints at decades of the window
+    and of the thermal energy.  The stimulated integral stops where
+    beta*omega passes 750, past which its occupations are 0 in doubles."""
+    spontaneous, stimulated = integrals(params, channel, qbar, temperature)
+    beta = spontaneous.args[3]
+    half = 0.5 * dispersion(qbar)
+    scales = [10.0**e for e in range(-16, 9)]
+    if beta < math.inf:
+        scales += [c / beta for c in (1e-3, 0.1, 1.0, 10.0)]
+    value, error = _quad(partial(_splitting_energy_integrand, qbar, beta), 0.0, half,
+                         [half * 10.0**-e for e in range(1, 17)] + scales)
+    widths = [2.0 * spontaneous.scale * value, 2.0 * spontaneous.scale * error]
+    if stimulated is None:
+        return (*widths, 0.0, 0.0)
+    lo = stimulated.args[0]
+    omega_low = _mode(lo)[1]
+
+    def above(energy):
+        """The momentum at which the energy has risen by `energy` from lo."""
+        return inverse_dispersion(omega_low + energy)
+
+    if channel is Channel.TWO_LEVEL:
+        f = partial(_free_absorption_integrand, qbar, beta)
+    else:
+        f = partial(_absorption_integrand, qbar, beta)
+    points = [above(c / beta) for c in (1e-6, 1e-3, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0)]
+    value, error = _quad(f, lo, above(750.0 / beta), points)
+    return (*widths, stimulated.scale * value, stimulated.scale * error)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -16,7 +17,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import quasidamp
-import rate_reference
 from quasidamp import dynamics, rates
 from quasidamp.cli import (
     SCHEMA,
@@ -34,6 +34,7 @@ from quasidamp.dynamics import Readout, SqueezingRun
 from quasidamp.model import (
     MAX_OUTPUT_STEPS,
     MAX_RATE_POINTS,
+    POSITIVE,
     PRESETS,
     DriveConfig,
     ParameterError,
@@ -465,7 +466,7 @@ def test_step_count_is_capped_after_rounding(tmp_path, capsys):
 
 
 def test_subnormal_temperature_runs(tmp_path, capsys):
-    # k_B*T underflowed to 0 in the Bose cutoff; no thermal occupation is
+    # k_B*T underflowed to 0 in a Bose cutoff; no thermal occupation is
     # representable, so the stimulated width is exactly 0
     rc, _ = run_raw_config(
         tmp_path, capsys, "rates",
@@ -525,8 +526,8 @@ def test_too_hot_temperature_rejected(tmp_path, capsys):
         "error: T = 6.7e+307 K is too hot at qbar = 1e-220: the thermal occupation "
         "exceeds 1e+150\n"
     )
-    # too hot, an overflowing Bose cutoff and an overflowing mode frequency
-    # on one grid: one line names the mode frequency, which is checked first
+    # too hot, an overflowing width and an overflowing mode frequency on one
+    # grid: one line names the mode frequency, which is checked first
     rc, err = run_raw_config(
         tmp_path, capsys, "rates",
         json.dumps({"preset": "sodium-paper", "rate_query": {
@@ -592,6 +593,31 @@ def test_qbar_overflowing_vertex_sums_exits_2(tmp_path, capsys):
     assert err == "error: qbar = 1.2e+154 is too large: 1 + kbar^2 + omega_bar overflows\n"
 
 
+@pytest.mark.parametrize("body", [
+    # wrote inf widths, gamma/omega and quad_err with exit 0, after a
+    # RuntimeWarning from scaling the width
+    {"params": {"scattering_length_a": 2.75e91},
+     "rate_query": {"qbar": [1e100], "temperature": [0.0]}},
+    # printed four RuntimeWarning lines, then exit 3 with "partial rate inf
+    # s^-1, error estimate nan s^-1"
+    {"rate_query": {"qbar": [1e100], "temperature": [1e294]}},
+], ids=["huge_scattering_length", "hot_huge_qbar"])
+def test_extreme_rates_exit_with_one_line_under_warnings_as_errors(tmp_path, body):
+    path = write_config(tmp_path, **body)
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(quasidamp.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "quasidamp", "rates",
+         "--config", path, "--out", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and "Warning" not in proc.stderr
+    assert "nan" not in proc.stderr and "inf" not in proc.stderr
+    assert proc.stderr.startswith("error: width overflows at qbar = 1e+100, ")
+    assert not out.exists()
+
+
 def test_dynamics_overflowing_moments_exit_3_without_warnings(tmp_path, capsys):
     # finite moments whose product overflows used to warn from the cone clip
     with warnings.catch_warnings():
@@ -647,14 +673,25 @@ def _some_of(fields: dict) -> st.SearchStrategy:
     return st.fixed_dictionaries({}, optional=fields)
 
 
+def _field_values(cls, skip=()) -> dict:
+    """A strategy per numeric field of the dataclass cls, read off its
+    domain metadata: the numbers the domain admits, and null where the
+    field defaults to None."""
+    strategies = {}
+    for spec in dataclasses.fields(cls):
+        if spec.name not in skip:
+            number = (_POSITIVE_NUMBER if spec.metadata["domain"] == POSITIVE["domain"]
+                      else _NONNEGATIVE_NUMBER)
+            if spec.default is None:
+                number = st.one_of(st.none(), number)
+            strategies[spec.name] = number
+    return strategies
+
+
 def _drive_strategy() -> st.SearchStrategy:
     # at most 300 output steps, so each example runs in milliseconds
     return st.tuples(
-        _some_of({
-            "rabi_effective": _NONNEGATIVE_NUMBER,
-            "qbar_recoil": _POSITIVE_NUMBER,
-            "gamma_override": st.one_of(st.none(), _NONNEGATIVE_NUMBER),
-        }),
+        _some_of(_field_values(DriveConfig, skip=("t_max", "dt_output"))),
         st.floats(min_value=1e-7, max_value=1e-2),
         st.integers(min_value=1, max_value=300),
     ).map(lambda d: {**d[0], "t_max": d[1], "dt_output": d[1] / d[2]})
@@ -662,13 +699,7 @@ def _drive_strategy() -> st.SearchStrategy:
 
 _SCHEMA_VALID_CONFIG = _some_of({
     "preset": st.sampled_from(["sodium-paper", "no-such-preset"]),
-    "params": _some_of({
-        **{key: _POSITIVE_NUMBER for key in (
-            "scattering_length_a", "atomic_mass", "condensate_density_n0",
-            "atom_count_N0", "a_bc",
-        )},
-        "temperature_T": _NONNEGATIVE_NUMBER,
-    }),
+    "params": _some_of(_field_values(PhysicalParams)),
     "drive": _drive_strategy(),
     "rate_query": _some_of({
         "qbar": st.lists(_POSITIVE_NUMBER, min_size=1, max_size=3),
@@ -695,6 +726,9 @@ def test_schema_valid_configs_exit_cleanly(capsys, config, command):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             rc = main([command, "--config", path, "--out", os.path.join(tmp, "out")])
+        if rc == 0 and command == "rates":
+            _, rows = read_csv(pathlib.Path(tmp, "out", "rates.csv"))
+            assert all(math.isfinite(float(field)) for row in rows for field in row)
     err = capsys.readouterr().err
     assert rc in (0, 2, 3, 4)
     assert "Traceback" not in err and err.count("\n") <= 1
@@ -869,49 +903,40 @@ def test_rates_quadrature_failure_leaves_no_files(tmp_path, monkeypatch, capsys)
 
 
 def test_refinement_cap_exits_3_with_partial_rate(tmp_path, monkeypatch, capsys):
-    # two subintervals cannot resolve the recoil-momentum splitting integral;
-    # qbar = 0.05 at T = 0 converges on the first pass and comes first
-    from scipy.integrate import quad
-
+    # a tolerance below the error estimate's 50-ulp floor is met at no
+    # level: the first point, qbar = 0.05 at T = 0, is named with its width
+    # at the finest step and that floor as its estimate
     sodium = PRESETS["sodium-paper"]
     grid = (sodium, Channel.SINGLE_LEVEL, (0.05, 5.0), (0.0,))
-    converged = rates.decay_rates(*grid).gamma_beliaev[0, 1]
-    monkeypatch.setattr(rates, "_LIMIT", 2)
+    converged = rates.decay_rates(*grid)
+    monkeypatch.setattr(rates, "EPSREL", 1e-15)
     with pytest.raises(QuadratureError) as stall:
         rates.decay_rates(*grid)
-    assert "spontaneous width at qbar = 5," in str(stall.value)
-    # QUADPACK stopped at the same two subintervals gives the same partial sums
-    integral, _ = rate_reference.integrals(sodium, Channel.SINGLE_LEVEL, 5.0, 0.0)
-    capped = quad(
-        lambda x: float(integral.integrand(np.float64(x), *integral.args)),
-        integral.lo, integral.hi, epsabs=0.0, epsrel=rates.EPSREL,
-        limit=2, full_output=1,
-    )
-    assert stall.value.partial_rate_s == pytest.approx(integral.scale * capped[0], rel=1e-12)
-    assert stall.value.error_estimate_s == pytest.approx(integral.scale * capped[1], rel=1e-9)
-    assert abs(stall.value.partial_rate_s - converged) <= stall.value.error_estimate_s
+    assert str(stall.value) == (
+        "quadrature did not converge at step 2^-7: spontaneous width at qbar = 0.05, T = 0 K")
+    width, estimate = stall.value.partial_rate_s, stall.value.error_estimate_s
+    assert abs(width - converged.gamma_beliaev[0, 0]) <= converged.quadrature_error_estimate[0, 0]
+    assert estimate == rates._ROUNDING * width
 
     out = tmp_path / "out"
     cfg_path = write_config(tmp_path, rate_query={"qbar": [0.05, 5.0], "temperature": [0.0]})
     assert main(["rates", "--config", cfg_path, "--out", str(out)]) == 3
     assert not out.exists() or not any(out.iterdir())
     err = capsys.readouterr().err
-    assert f"partial rate {stall.value.partial_rate_s:.6g}" in err
-    assert f"error estimate {stall.value.error_estimate_s:.6g}" in err
+    assert f"partial rate {width:.6g}" in err
+    assert f"error estimate {estimate:.6g}" in err
     assert err.count("\n") == 1
 
-    # on a 2 x 3 grid at four subintervals the first row converges; the
-    # spontaneous stall at (5, 1e-6) is named ahead of the stimulated one
-    # at the earlier point (0.3, 1e-6)
-    monkeypatch.setattr(rates, "_LIMIT", 4)
+    # on a 2 x 3 grid the spontaneous stall at the first point is named
+    # ahead of the stimulated ones
     cfg_path = write_config(
         tmp_path, rate_query={"qbar": [0.3, 1.0, 5.0], "temperature": [0.0, 1e-6]}
     )
     assert main(["rates", "--config", cfg_path, "--out", str(out)]) == 3
     assert capsys.readouterr().err == (
-        "quadrature failure: quadrature did not converge within 4 subintervals: "
-        "spontaneous width at qbar = 5, T = 1e-06 K "
-        "(partial rate 1922.31 s^-1, error estimate 3.70985e-05 s^-1)\n"
+        "quadrature failure: quadrature did not converge at step 2^-7: "
+        "spontaneous width at qbar = 0.3, T = 0 K "
+        "(partial rate 0.025419 s^-1, error estimate 2.82208e-16 s^-1)\n"
     )
 
 

@@ -3,9 +3,11 @@
 import dataclasses
 import itertools
 import math
+import sys
 import tracemalloc
 import warnings
 from decimal import Decimal
+from functools import partial
 
 import numpy as np
 import pytest
@@ -27,8 +29,6 @@ from quasidamp.rates import (
     QuadratureError,
     RateGrid,
     EPSREL,
-    _LIMIT,
-    _refine,
     _setup,
     _valid_temperature,
     decay_rates,
@@ -42,9 +42,9 @@ from rate_reference import (
     integrals,
     landau_high_t,
     landau_low_t,
-    refine_reference,
-    solve_alone,
+    reference_widths,
 )
+import rate_reference
 from vertex_reference import decimal_vertex
 
 SODIUM = PRESETS["sodium-paper"]
@@ -83,6 +83,19 @@ def error_of(params, channel, qbar, temperature, kind=ParameterError):
 def stimulated_columns(params, channel, qbar, T):
     """The stimulated integral columns of a one-point grid."""
     return _setup(params, channel, [qbar], [T])[1]
+
+
+def solve_alone(integral) -> float:
+    """The width of one reference Integral, integrated on its own."""
+    if integral is None:
+        return 0.0
+    if integral.integrand is None:
+        rows, rule = rates._spontaneous_rows, rates._SPLITTING_RULE
+    else:
+        rows, rule = partial(rates._stimulated_rows, integral.integrand), rates._ABSORPTION_RULE
+    columns = rates._Columns(rows, rule, np.array([0]), [np.array([arg]) for arg in integral.args],
+                             np.array([integral.scale]))
+    return integral.scale * float(rates._integrate(columns)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -500,16 +513,21 @@ def test_overflowing_width_scale_rejected():
 @pytest.mark.parametrize("channel, params", [
     (Channel.SINGLE_LEVEL, SODIUM), (Channel.TWO_LEVEL, SODIUM_TL),
 ])
-def test_overflowing_bose_cutoff_rejected(channel, params):
-    # at 1e300 K the thermal frequency times the cutoff margin overflows,
-    # and is raised after the valid first row; at 1e307 K the thermal
-    # frequency itself does.  The message names T, and qbar in the
-    # two-level channel, whose cutoff depends on both
-    at = "qbar = 1e+90, " if channel is Channel.TWO_LEVEL else ""
-    error = error_of(params, channel, [1e90, 1e100], [1e-6, 1e300])
-    assert str(error) == f"Bose cutoff overflows at {at}T = 1e+300 K"
-    error = error_of(params, channel, [1e90], [1e307])
-    assert str(error) == f"Bose cutoff overflows at {at}T = 1e+307 K"
+def test_non_finite_width_rejected(channel, params):
+    # at 1e300 K the stimulated width of qbar 1e90 overflows, and is
+    # raised after the valid first row; at a = 2.75e91 m the T = 0 splitting
+    # width of qbar 1e100 does, and was written as inf with exit 0
+    expected = ("width overflows at qbar = {}, T = {} K: a width, its error estimate or "
+                "gamma/omega is not a finite double")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        error = error_of(params, channel, [1e90, 1e100], [1e-6, 1e300])
+        assert str(error) == expected.format("1e+90", "1e+300")
+        error = error_of(params, channel, [1e90], [1e307])
+        assert str(error) == expected.format("1e+90", "1e+307")
+        huge = dataclasses.replace(params, scattering_length_a=2.75e91, a_bc=2.75e91)
+        error = error_of(huge, channel, [1.0, 1e100], [0.0])
+        assert str(error) == expected.format("1e+100", "0")
     # with it, too-hot points (the first one and wherever T = 1e300 K) and
     # an overflowing mode frequency at qbar = 1e160: the mode frequency is
     # checked first, so it is named, on every call and at that point alone
@@ -523,17 +541,17 @@ def test_overflowing_bose_cutoff_rejected(channel, params):
 def test_two_level_stimulated_threshold_window():
     # free-particle kinematics forbids absorption below 1/(2 qbar) - qbar
     slow = stimulated_columns(SODIUM_TL, Channel.TWO_LEVEL, 0.05, 1e-6)
-    assert slow.lo[0] == pytest.approx(0.5 / 0.05 - 0.05, rel=1e-12)
+    assert slow.args[0][0] == pytest.approx(0.5 / 0.05 - 0.05, rel=1e-12)
     assert two_level(0.05, T=1e-6).gamma_landau[0, 0] >= 0.0
-    assert stimulated_columns(SODIUM_TL, Channel.TWO_LEVEL, 5.0, 1e-6).lo[0] == 0.0
+    assert stimulated_columns(SODIUM_TL, Channel.TWO_LEVEL, 5.0, 1e-6).args[0][0] == 0.0
     assert two_level(5.0, T=1e-6).gamma_landau[0, 0] > 0.0
 
 
 @pytest.mark.parametrize("qbar", [1e-156, 4e-155])
 def test_two_level_stimulated_window_empty_at_tiny_qbar(qbar):
     # the absorption threshold 1/(2 qbar) - qbar lies far beyond the thermal
-    # tail: at 1e-156 its frequency overflows, at 4e-155 the Bose cutoff
-    # above it did, and both raised ParameterError instead of a zero width
+    # tail: at 1e-156 its frequency overflows, at 4e-155 a Bose cutoff above
+    # it did, and both raised ParameterError instead of a zero width
     params = dataclasses.replace(SODIUM, a_bc=3e-9)
     columns = stimulated_columns(params, Channel.TWO_LEVEL, qbar, 1e-13)
     assert columns.point.size == 0  # no integral: the window is empty
@@ -567,8 +585,8 @@ def test_channel_widths_equal_lone_integral_solves(qbar, T):
     for channel, params in ((Channel.SINGLE_LEVEL, SODIUM), (Channel.TWO_LEVEL, SODIUM_TL)):
         result = decay_rates(params, channel, [qbar], [T])
         spontaneous, stimulated = integrals(params, channel, qbar, T)
-        assert solve_alone(spontaneous, EPSREL)[0] == result.gamma_beliaev[0, 0]
-        assert solve_alone(stimulated, EPSREL)[0] == result.gamma_landau[0, 0]
+        assert solve_alone(spontaneous) == result.gamma_beliaev[0, 0]
+        assert solve_alone(stimulated) == result.gamma_landau[0, 0]
 
 
 def test_integer_qbar_is_taken_as_float():
@@ -579,21 +597,10 @@ def test_integer_qbar_is_taken_as_float():
 
 def test_stimulated_cutoff_survives_underflowing_thermal_energy():
     # k_B*T and hbar*omega0 both underflow here while hbar*omega0/(k_B*T)
-    # stays finite; the Bose cutoff divided by the underflowed ratio
+    # stays finite; a Bose cutoff divided by the underflowed ratio, and the
+    # exp-sinh scale comes from the Bose exponent alone
     heavy = dataclasses.replace(SODIUM, atomic_mass=7e231)
     assert single_level(1.0, T=1e-302, params=heavy).gamma_landau[0, 0] == 0.0
-
-
-@pytest.mark.parametrize("channel", list(Channel))
-def test_bose_cutoff_regroups_underflowing_thermal_energy(channel):
-    # k_B*T underflows to 0 at 1e-302 K but not at 1e-290 K; either way the
-    # cutoff has the bits of the scalar reference's
-    heavy = dataclasses.replace(SODIUM, atomic_mass=7e231)
-    qbar, temperature = [0.3, 1.0, 5.0], [1e-302, 1e-290]
-    assert K_BOLTZMANN * temperature[0] == 0.0 < K_BOLTZMANN * temperature[1]
-    expected = [integrals(*point)[1] for point in grid_queries(heavy, channel, qbar, temperature)]
-    hi = np.array([integral.hi for integral in expected if integral.hi > integral.lo])
-    assert _setup(heavy, channel, qbar, temperature)[1].hi.tobytes() == hi.tobytes()
 
 
 @pytest.mark.parametrize("qbar", [0.0, -1.0, math.inf, math.nan])
@@ -620,7 +627,62 @@ def test_query_rejects_non_finite_temperature(temperature):
 
 
 # ---------------------------------------------------------------------------
-# batched Gauss-Kronrod engine against QUADPACK
+# the nested double-exponential rule against an independent route
+
+
+def assert_within_estimates(grid, references):
+    """Every width that is a normal double lies within the printed error
+    estimate of its reference, that estimate being known to the reference's
+    own error; and the estimate is within the tolerance."""
+    for (i, j), (beliaev, beliaev_error, landau, landau_error) in references.items():
+        error, slack = 0.0, 0.0
+        for width, reference, reference_error in (
+                (grid.gamma_beliaev[i, j], beliaev, beliaev_error),
+                (grid.gamma_landau[i, j], landau, landau_error)):
+            if reference >= sys.float_info.min:
+                error += abs(width - reference)
+                slack += reference_error
+        estimate = grid.quadrature_error_estimate[i, j]
+        assert error - slack <= estimate <= EPSREL * grid.gamma_total[i, j], (i, j)
+
+
+#: qbar from 1e-3 to 1e6, four per decade, and T from 0 to 1e-5 K
+REFERENCE_QBAR = np.geomspace(1e-3, 1e6, 37).tolist()
+REFERENCE_T = (0.0, 1e-8, 1e-7, 1e-6, 1e-5)
+
+
+@pytest.mark.parametrize("channel, params", [
+    (Channel.SINGLE_LEVEL, SODIUM), (Channel.TWO_LEVEL, SODIUM_TL),
+])
+def test_widths_match_independent_reference(channel, params):
+    # QUADPACK in the energy variable (spontaneous) and the momentum
+    # (stimulated), with breakpoints; the adaptive Gauss-Kronrod rule this
+    # replaced printed spontaneous widths at qbar 8e3 to 1e6 that were off
+    # by up to 3.5e-6 (at 1.26e4 and 1e-5 K) under estimates 18 to 600 times
+    # smaller, and single-level stimulated widths at 1e-8 K off by 5e-14
+    # under estimates of 2.3e-14.  Subnormal widths are not compared:
+    # two converged rules differ in them, which come from subnormal
+    # occupations (the two-level width at qbar 0.158 and 1e-9 K is 3.6e-320)
+    grid = decay_rates(params, channel, REFERENCE_QBAR, REFERENCE_T)
+    references = {
+        (i, j): reference_widths(params, channel, qbar, T)
+        for (i, T), (j, qbar) in itertools.product(enumerate(REFERENCE_T),
+                                                    enumerate(REFERENCE_QBAR))
+    }
+    assert_within_estimates(grid, references)
+
+
+def test_two_level_window_deep_in_the_bose_tail():
+    # the absorption threshold at Bose exponents 690 to 745, where e^x
+    # overflows inside the window but e^-x is still a double: a drop formed
+    # as 1/(e^x - 1) cut the tail off there and never converged
+    beta = _setup(SODIUM_TL, Channel.TWO_LEVEL, [1.0], [1e-8])[0].args[3][0]
+    kmin = [rate_reference.inverse_dispersion(x / beta) for x in (690.0, 705.0, 712.0, 740.0)]
+    qbar = [(math.sqrt(k * k + 2.0) - k) / 2.0 for k in kmin]  # 1/(2 qbar) - qbar = kmin
+    grid = decay_rates(SODIUM_TL, Channel.TWO_LEVEL, qbar, [1e-8])
+    assert grid.gamma_landau[0, :2].min() >= sys.float_info.min  # compared below
+    assert_within_estimates(grid, {(0, j): reference_widths(SODIUM_TL, Channel.TWO_LEVEL, q, 1e-8)
+                                   for j, q in enumerate(qbar)})
 
 
 def test_batched_sweep_matches_quad_and_single_points():
@@ -631,27 +693,15 @@ def test_batched_sweep_matches_quad_and_single_points():
     empty_windows = 0
     for channel, params in ((Channel.SINGLE_LEVEL, SODIUM), (Channel.TWO_LEVEL, SODIUM_TL)):
         grid = decay_rates(params, channel, qbars, temperatures)
+        references = {}
         for (i, T), (j, qbar) in itertools.product(enumerate(temperatures), enumerate(qbars)):
-            error_estimate = grid.quadrature_error_estimate[i, j]
-            spontaneous, stimulated = integrals(params, channel, qbar, T)
-            for integral, width in ((spontaneous, grid.gamma_beliaev[i, j]),
-                                    (stimulated, grid.gamma_landau[i, j])):
-                if integral.hi > integral.lo:
-                    reduced, _ = quad(
-                        lambda x: float(integral.integrand(np.float64(x), *integral.args)),
-                        integral.lo, integral.hi,
-                        epsabs=0.0, epsrel=EPSREL, limit=200,
-                    )
-                    reference = integral.scale * reduced
-                else:
-                    reference = 0.0
-                    empty_windows += channel is Channel.TWO_LEVEL and T > 0.0
-                assert abs(width - reference) <= error_estimate
-                assert width == pytest.approx(reference, rel=1e-10, abs=0.0)
-            if T == 0.0:
+            references[i, j] = reference_widths(params, channel, qbar, T)
+            if integrals(params, channel, qbar, T)[1] is None:
                 assert grid.gamma_landau[i, j] == 0.0
+                empty_windows += channel is Channel.TWO_LEVEL and T > 0.0
             # no dependence on which other points share the sweep
             assert_same_bits(decay_rates(params, channel, [qbar], [T]), at(grid, i, j))
+        assert_within_estimates(grid, references)
     assert empty_windows > 0
 
 
@@ -675,14 +725,15 @@ def test_setup_columns_match_one_point_setup(channel, params):
     setups = [integrals(*point) for point in points]
     for got, k in zip(columns, (0, 1)):
         expected = [(point, setup[k]) for point, setup in enumerate(setups)
-                    if setup[k].hi > setup[k].lo]
+                    if setup[k] is not None]
         if k == 0:  # spontaneous integrals run qbar-major, each qbar's temperatures in order
             expected.sort(key=lambda item: item[0] % len(SETUP_QBAR))
+            assert got.rows is rates._spontaneous_rows
+        else:
+            assert {got.rows.args} == {(integral.integrand,) for _, integral in expected}
         assert got.point.tolist() == [point for point, _ in expected]
-        assert {got.integrand} == {integral.integrand for _, integral in expected}
-        for name in ("lo", "hi", "scale"):
-            column = np.array([getattr(integral, name) for _, integral in expected])
-            assert getattr(got, name).tobytes() == column.tobytes(), name
+        column = np.array([integral.scale for _, integral in expected])
+        assert got.scale.tobytes() == column.tobytes()
         args = np.array([integral.args for _, integral in expected]).T
         assert len(got.args) == len(args)
         for got_arg, arg in zip(got.args, args):
@@ -704,19 +755,41 @@ def test_negative_zero_temperature_is_zero():
     assert_same_bits(single_level(1.0, T=-0.0), single_level(1.0))
 
 
-@pytest.mark.parametrize("limit, qbar, temperature, named", [
-    # of three stimulated stalls, the first in T-major order is named
-    (4, [0.3, 1.0], [0.0, 1e-6, 2e-6], "stimulated width at qbar = 0.3, T = 1e-06 K"),
-    # both stall at one point: the spontaneous integral is named
-    (2, [5.0], [1e-6], "spontaneous width at qbar = 5, T = 1e-06 K"),
-    # a spontaneous stall is named ahead of the stimulated one at the
-    # earlier point (0.3, 1e-6)
-    (4, [0.3, 1.0, 5.0], [0.0, 1e-6], "spontaneous width at qbar = 5, T = 1e-06 K"),
+def stall(monkeypatch, name, gate=None):
+    """Multiply the integrand rates.<name> by a factor that oscillates far
+    below the finest step, so that no level converges; with gate, only
+    where the Bose exponent is at most gate."""
+    f = getattr(rates, name)
+
+    def stalled(x, *args):
+        wobble = 2.0 + np.sin(1e12 * x)
+        if gate is not None:
+            wobble = np.where(args[-1] <= gate, wobble, 1.0)
+        return f(x, *args) * wobble
+
+    monkeypatch.setattr(rates, name, stalled)
+
+
+@pytest.mark.parametrize("stalled, qbar, temperature, named", [
+    # of four stimulated stalls, the first in T-major order is named
+    ("stimulated", [0.3, 1.0], [0.0, 1e-6, 2e-6], "stimulated width at qbar = 0.3, T = 1e-06 K"),
+    # below the estimate's 50-ulp floor both stall at one point: the
+    # spontaneous integral is named
+    ("tolerance", [5.0], [1e-6], "spontaneous width at qbar = 5, T = 1e-06 K"),
+    # a spontaneous stall at 2e-6 K is named ahead of the stimulated ones,
+    # the first at the earlier point (0.3, 1e-6)
+    ("both", [0.3, 5.0], [1e-6, 2e-6], "spontaneous width at qbar = 0.3, T = 2e-06 K"),
 ])
-def test_quadrature_failure_names_first_point(monkeypatch, limit, qbar, temperature, named):
-    monkeypatch.setattr(rates, "_LIMIT", limit)
+def test_unconverged_integral_names_first_point(monkeypatch, stalled, qbar, temperature, named):
+    if stalled == "tolerance":
+        monkeypatch.setattr(rates, "EPSREL", 1e-15)
+    else:
+        stall(monkeypatch, "_stimulated_integrand")
+    if stalled == "both":
+        hot = _setup(SODIUM, Channel.SINGLE_LEVEL, [1.0], [2e-6])[0].args[3][0]
+        stall(monkeypatch, "_occupied", gate=hot)
     error = error_of(SODIUM, Channel.SINGLE_LEVEL, qbar, temperature, QuadratureError)
-    assert str(error) == f"quadrature did not converge within {limit} subintervals: {named}"
+    assert str(error) == f"quadrature did not converge at step 2^-7: {named}"
     # the partial width and its error are those of the named point alone
     q, T = next((q, T) for T in temperature for q in qbar
                 if named.endswith(f"qbar = {q:.6g}, T = {T:.6g} K"))
@@ -724,6 +797,7 @@ def test_quadrature_failure_names_first_point(monkeypatch, limit, qbar, temperat
     assert str(alone) == str(error)
     assert alone.partial_rate_s == error.partial_rate_s
     assert alone.error_estimate_s == error.error_estimate_s
+    assert 0.0 < error.error_estimate_s < math.inf
 
 
 @pytest.mark.parametrize("negated, named, field, point", [
@@ -731,7 +805,7 @@ def test_quadrature_failure_names_first_point(monkeypatch, limit, qbar, temperat
      "gamma_landau", (1, 0)),
     # with both channels negative the spontaneous width of the first point
     # in T-major order is named
-    (("_spontaneous_integrand", "_stimulated_integrand"),
+    (("_occupied", "_stimulated_integrand"),
      "spontaneous width at qbar = 0.3, T = 0 K", "gamma_beliaev", (0, 0)),
 ], ids=["stimulated", "both"])
 def test_negative_width_raises_quadrature_error(monkeypatch, negated, named, field, point):
@@ -746,43 +820,30 @@ def test_negative_width_raises_quadrature_error(monkeypatch, negated, named, fie
 
 
 # ---------------------------------------------------------------------------
-# refinement bookkeeping and the work of a sweep
+# the rule's bookkeeping and the work of a sweep
 
 
-def _wave_on_peak(x, k, w):
-    return np.cos(k * x) + w / ((x - 0.3) ** 2 + w * w)
-
-
-def test_refine_matches_full_width_reference():
-    # the work arrays double as the subintervals in use grow (1, 2, 4, ...,
-    # 128, then _LIMIT columns); integrals stop inside the last two steps
-    k, w = (a.ravel() for a in np.meshgrid(np.geomspace(1.0, 1500.0, 9),
-                                           np.geomspace(1e-1, 1e-9, 9)))
-    # a wave of 1.6e4 periods that 200 subintervals cannot resolve runs
-    # into _LIMIT
-    k, w = np.append(k, 1e5), np.append(w, 1e-1)
-    lo, hi = np.zeros(k.size), np.ones(k.size)
-    value, abserr, converged, used = refine_reference(_wave_on_peak, [k, w], lo, hi, 1e-9)
-    assert ((64 < used) & (used <= 128)).any()
-    assert ((128 < used) & (used < _LIMIT)).any()
-    assert used[-1] == _LIMIT and not converged[-1] and converged[:-1].all()
-    got = _refine(_wave_on_peak, [k, w], lo, hi, 1e-9)
-    assert got[0].tobytes() == value.tobytes()
-    assert got[1].tobytes() == abserr.tobytes()
-    assert (got[2] == converged).all()
+#: (start, stop) of every node-axis slice that _integrate sums: the first
+#: level's coarse and odd nodes, and each finer level's nodes
+RULE_SLICES = sorted({
+    span for levels, coarse in (rates._SPLITTING_RULE, rates._ABSORPTION_RULE)
+    for span in [(0, coarse), (coarse, levels[0][0].size)]
+    + [(0, nodes[0].size) for nodes in levels[1:]]
+})
 
 
 @pytest.mark.parametrize("rows", [1, 7, 512])
 def test_block_row_sums_equal_lone_row_sums(rows):
-    # _refine sums the first `used` columns of all its active rows at once;
-    # a width is its own integral's only while numpy adds each row of such
-    # a block to the bits of that row summed alone
+    # _integrate sums a slice of the node axis of all rows of a block at
+    # once; a width is its own integral's only while numpy adds each row of
+    # such a block to the bits of that row summed alone
     rng = np.random.default_rng(rows)
-    x = rng.standard_normal((512, _LIMIT)) * 10.0 ** rng.uniform(-12, 12, (512, _LIMIT))
-    for used in range(1, _LIMIT + 1):
-        alone = np.array([row[:used].sum() for row in x[:rows]])
-        for block in (x[:rows, :used], x[np.arange(rows), :used]):
-            assert block.sum(axis=1).tobytes() == alone.tobytes(), used
+    width = max(stop for _, stop in RULE_SLICES)
+    x = rng.standard_normal((512, width)) * 10.0 ** rng.uniform(-12, 12, (512, width))
+    for start, stop in RULE_SLICES + [(0, used) for used in range(1, 20)]:
+        alone = np.array([row[start:stop].sum() for row in x[:rows]])
+        for block in (x[:rows, start:stop], x[np.arange(rows), start:stop]):
+            assert block.sum(axis=1).tobytes() == alone.tobytes(), (start, stop)
 
 
 def _bench_like_grid():
@@ -792,44 +853,64 @@ def _bench_like_grid():
     return qbars, temperatures
 
 
-def test_sweep_work_is_pinned(monkeypatch):
-    # G10K21 subinterval evaluations and passes of the 2016-point sweep,
-    # pinned, with no integrand call past the block budget; setup that
-    # depends on the medium alone runs once per sweep, as often as in a
-    # one-point sweep (k0 is read once directly and once inside omega0)
-    counts = {"subintervals": 0, "qk21": 0, "k0": 0, "splitting_rows": 0}
-    nodes = []
-    qk21, k0, splitting = rates._qk21, PhysicalParams.k0.fget, rates._splitting
+def test_rule_nodes_past_the_bose_tail_are_zero():
+    # the exp-sinh nodes left out of the rule (t > 2.14) give exactly 0 in
+    # every stimulated integrand: windows of each shape, k_B T from 1e-293
+    # to 1e5 times hbar omega0, and two-level windows starting far above
+    # kbar = 0
+    offset = rates._exp_sinh(np.arange(-4.5 * 128, 4.0 * 128 + 1) / 128)[0]
+    dropped = offset[offset > rates._MAX_BOSE_EXPONENT]
+    kept = np.concatenate([nodes[0] for nodes in rates._ABSORPTION_RULE[0]])
+    assert kept.max() <= rates._MAX_BOSE_EXPONENT and kept.size + dropped.size == offset.size
+    tl = dataclasses.replace(SODIUM, a_bc=3e-9)
+    for channel, params in ((Channel.SINGLE_LEVEL, SODIUM), (Channel.TWO_LEVEL, tl)):
+        columns = _setup(params, channel, [1e-4, 0.05, 1.0, 5.0, 1e4],
+                         [1e-300, 1e-13, 1e-6, 1e-2])[1]
+        assert columns.point.size > 10
+        rows = np.arange(columns.point.size)
+        with np.errstate(all="ignore"):
+            values = columns.rows(rows, (dropped, np.ones_like(dropped)), *columns.args)
+        assert (values == 0.0).all()
 
-    def counting_qk21(f, args, lo, hi):
-        counts["subintervals"] += lo.size
-        counts["qk21"] += 1
-        return qk21(f, args, lo, hi)
+
+def test_sweep_work_is_pinned(monkeypatch):
+    # nodes per level and integrand calls of the 2016-point sweep, pinned,
+    # with no integrand call past the block budget; setup that depends on
+    # the medium alone runs once per sweep, as often as in a one-point
+    # sweep (k0 is read once directly and once inside omega0)
+    counts = {"k0": 0, "splitting_rows": 0, "occupied_rows": 0}
+    nodes = []
+    k0, splitting, occupied = PhysicalParams.k0.fget, rates._splitting, rates._occupied
 
     def counting_k0(params):
         counts["k0"] += 1
         return k0(params)
 
-    def sizing(integrand):
-        def sized(x, *args):
-            nodes.append(x.size)
-            return integrand(x, *args)
-        return sized
+    def counting_splitting(sin_t, cos_t, qbar, *args):
+        counts["splitting_rows"] += len(qbar)
+        return splitting(sin_t, cos_t, qbar, *args)
 
-    def counting_splitting(theta, *args):
-        counts["splitting_rows"] += len(theta)
-        return splitting(theta, *args)
+    def counting_occupied(rate, *args):
+        nodes.append(rate.size)
+        counts["occupied_rows"] += len(rate)
+        return occupied(rate, *args)
 
-    monkeypatch.setattr(rates, "_qk21", counting_qk21)
+    def sized(kbar, *args):
+        nodes.append(kbar.size)
+        return stimulated(kbar, *args)
+
+    stimulated = rates._stimulated_integrand
     monkeypatch.setattr(PhysicalParams, "k0", property(counting_k0))
-    for name in ("_spontaneous_integrand", "_stimulated_integrand"):
-        monkeypatch.setattr(rates, name, sizing(getattr(rates, name)))
     monkeypatch.setattr(rates, "_splitting", counting_splitting)
+    monkeypatch.setattr(rates, "_occupied", counting_occupied)
+    monkeypatch.setattr(rates, "_stimulated_integrand", sized)
     decay_rates(SODIUM, Channel.SINGLE_LEVEL, *_bench_like_grid())
-    # the spontaneous integrand sees 4496 rows (integrals in a block) of
-    # 6976 subintervals; 206 rows of them evaluate the temperature-free factors
-    assert counts == {"subintervals": 19950, "qk21": 32, "k0": 2, "splitting_rows": 206}
-    assert sum(nodes) == 21 * 19950 and max(nodes) <= rates._BLOCK_NODES
+    # every integral takes level 5 alone: 2016 spontaneous rows of 211
+    # nodes, whose kinematics is computed for 152 rows, and 1968 stimulated
+    # rows of 213
+    assert counts == {"k0": 2, "splitting_rows": 152, "occupied_rows": 2016}
+    assert sum(nodes) == 211 * 2016 + 213 * 1968
+    assert max(nodes) <= rates._BLOCK_NODES
     counts["k0"] = 0
     decay_rates(SODIUM, Channel.SINGLE_LEVEL, [5.0], [0.0])
     assert counts["k0"] == 2
@@ -845,57 +926,65 @@ BLOCK_CHANNELS = ((Channel.SINGLE_LEVEL, SODIUM),
 @pytest.mark.parametrize("block_nodes", [21, 42, 10**9])
 @pytest.mark.parametrize("batch", [1, 7, 4096])
 def test_blocks_and_passes_move_no_bit(monkeypatch, block_nodes, batch):
-    # block budgets of one whole interval (a bisected row exceeds it and
-    # runs alone), of one bisected row, and past any pass; passes of one
-    # integral, of 7 (the last one short), and of the whole grid
+    # block budgets below one integral's nodes (every block holds one row)
+    # and past any sweep; sweeps of one qbar, of 7 (the last one short),
+    # and of the whole grid
     expected = [decay_rates(params, channel, BLOCK_QBAR, BLOCK_T)
                 for channel, params in BLOCK_CHANNELS]
     monkeypatch.setattr(rates, "_BLOCK_NODES", block_nodes)
-    monkeypatch.setattr(rates, "_BATCH", batch)
     for (channel, params), grid in zip(BLOCK_CHANNELS, expected):
-        assert_same_bits(decay_rates(params, channel, BLOCK_QBAR, BLOCK_T), grid)
+        for start in range(0, len(BLOCK_QBAR), batch):
+            part = slice(start, start + batch)
+            got = decay_rates(params, channel, BLOCK_QBAR[part], BLOCK_T)
+            assert_same_bits(got, [column[:, part] for column in grid])
 
 
-@pytest.mark.parametrize("block_nodes", [21, 42, 63, rates._BLOCK_NODES])
+@pytest.mark.parametrize("block_nodes", [21, 42, 63, 2688])
 def test_shared_spontaneous_factors_move_no_bit(monkeypatch, block_nodes):
-    # neighbouring rows with one qbar share the temperature-free factors of
-    # the spontaneous integrand: with a qbar repeated, a qbar's rows split
-    # across block edges (one whole interval per block at 21 nodes, two at
-    # 42, three at 63) and temperatures whose refinements part ways, every
+    # rows of one qbar share the temperature-free factors of the
+    # spontaneous integrand: with a qbar repeated, a qbar's rows split
+    # across block edges (one row per block below 422 nodes, 12 at 2688)
+    # and temperatures whose integrals end at different levels, every
     # width keeps the bits of its one-point sweep
-    qbar, temperature = [0.3, 0.3, 1.0, 5.0, 5.0], [0.0, 1e-7, 1e-6, 1e-5]
-    for q in (0.3, 5.0):
-        used = {refine_reference(spontaneous.integrand,
-                                 [np.array([arg]) for arg in spontaneous.args],
-                                 np.array([spontaneous.lo]), np.array([spontaneous.hi]),
-                                 EPSREL)[3][0]
-                for spontaneous in (integrals(SODIUM, Channel.SINGLE_LEVEL, q, T)[0]
-                                    for T in temperature)}
-        assert len(used) > 1
-    rows = {"integrand": 0, "splitting": 0}
-    integrand, splitting = rates._spontaneous_integrand, rates._splitting
+    qbar, temperature = [0.3, 0.3, 63.0, 5.0, 5.0], [0.0, 1e-7, 1e-6, 1e-5]
+    levels = []
+    for T in temperature:
+        spontaneous = integrals(SODIUM, Channel.SINGLE_LEVEL, 63.0, T)[0]
+        calls = []
+        columns = rates._Columns(
+            lambda rows, nodes, *args: calls.append(nodes[0].size)
+            or rates._spontaneous_rows(rows, nodes, *args),
+            rates._SPLITTING_RULE, np.array([0]),
+            [np.array([arg]) for arg in spontaneous.args], np.array([spontaneous.scale]))
+        rates._integrate(columns)
+        levels.append(len(calls))
+    assert levels == [1, 1, 2, 2]
+    rows = {"occupied": 0, "splitting": 0}
+    occupied, splitting = rates._occupied, rates._splitting
 
-    def counting(name, f):
-        def counted(theta, *args):
-            rows[name] += len(theta)
-            return f(theta, *args)
-        return counted
+    def counting_occupied(rate, *args):
+        rows["occupied"] += len(rate)
+        return occupied(rate, *args)
+
+    def counting_splitting(sin_t, cos_t, qbar, *args):
+        rows["splitting"] += len(qbar)
+        return splitting(sin_t, cos_t, qbar, *args)
 
     monkeypatch.setattr(rates, "_BLOCK_NODES", block_nodes)
-    monkeypatch.setattr(rates, "_spontaneous_integrand", counting("integrand", integrand))
-    monkeypatch.setattr(rates, "_splitting", counting("splitting", splitting))
+    monkeypatch.setattr(rates, "_occupied", counting_occupied)
+    monkeypatch.setattr(rates, "_splitting", counting_splitting)
     grid = decay_rates(SODIUM, Channel.SINGLE_LEVEL, qbar, temperature)
-    # one row per block at 21 nodes leaves nothing to share
-    assert (rows["splitting"] < rows["integrand"]) == (block_nodes > 21)
+    # one row per block leaves nothing to share
+    assert (rows["splitting"] < rows["occupied"]) == (block_nodes > 63)
     for (i, T), (j, q) in itertools.product(enumerate(temperature), enumerate(qbar)):
         assert_same_bits(decay_rates(SODIUM, Channel.SINGLE_LEVEL, [q], [T]), at(grid, i, j))
 
 
 def test_sweep_traced_peak_bounded():
-    # work arrays as wide as _LIMIT for every batch took the peak past 12 MB,
-    # passes of 1024 integrals to 6.05 MB, and integrands evaluated over a
-    # whole 512-integral pass to 3.26 MB; blocks of 2688 nodes hold 0.99-1.02
-    # MB, and of 5376 nodes 1.33 MB
+    # work arrays as wide as 200 subintervals for every integral of a
+    # Gauss-Kronrod pass took the peak past 12 MB, and integrands evaluated
+    # over a whole 512-integral pass to 3.26 MB; blocks of 4096 nodes hold
+    # about 1.0 MB
     qbars, temperatures = _bench_like_grid()
     tracemalloc.start()
     try:
