@@ -123,6 +123,12 @@ def _bose_drop(beta, omega_bar, gap):
 # integrands on node arrays, parameters broadcast per integral
 
 
+def _nan_to_zero(value):
+    """value, in place, with its nan entries 0: a negative one stays."""
+    value[np.isnan(value)] = 0.0
+    return value
+
+
 def _splitting(sin_t, cos_t, qbar, wq, sq):
     """The temperature-free factors of the spontaneous integrand at
     k = qbar*sin^2(theta), given sin(theta) and cos(theta):
@@ -148,7 +154,7 @@ def _occupied(rate, wk, wp, beta):
     exponent beta: their temperature-free part times 1 + n_k + n_p*, with
     n = 1/(e^x - 1) exactly 0 where e^x - 1 overflows (beta = inf at T = 0);
     0 where that is nan, at a node whose kbar or pbar* underflows to 0."""
-    return np.fmax(rate * (1.0 + 1.0 / np.expm1(beta * wk) + 1.0 / np.expm1(beta * wp)), 0.0)
+    return _nan_to_zero(rate * (1.0 + 1.0 / np.expm1(beta * wk) + 1.0 / np.expm1(beta * wp)))
 
 
 def _stimulated_integrand(kbar, qq, wq, sq, beta):
@@ -165,15 +171,13 @@ def _stimulated_integrand(kbar, qq, wq, sq, beta):
     root = np.where(wj < 1e150, np.sqrt(1.0 + wj * wj), wj)
     ssj = wj / (1.0 + root)
     vertex = _vertex((ssj * wj, wj, np.sqrt(ssj)), (qq, wq, sq), (kk, wk, np.sqrt(kbar / ck)))
-    value = kbar * vertex * vertex * _bose_drop(beta, wk, wq) * wj / (2.0 * root)
-    return np.fmax(value, 0.0)
+    return _nan_to_zero(kbar * vertex * vertex * _bose_drop(beta, wk, wq) * wj / (2.0 * root))
 
 
 def _stimulated_free_integrand(kbar, eq, beta):
-    """k s_k^2 (n_b(w_k) - n_free(eq + w_k)) for a free-particle final
-    state; 0 where that is nan."""
+    """k s_k^2 (n_b(w_k) - n_free(eq + w_k)), a free-particle final state."""
     ck = np.sqrt(2.0 + kbar * kbar)
-    return np.fmax(kbar * kbar / ck * _bose_drop(beta, kbar * ck, eq), 0.0)
+    return _nan_to_zero(kbar * kbar / ck * _bose_drop(beta, kbar * ck, eq))
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +266,7 @@ def _spontaneous_rows(rows, nodes, qbar, wq, sq, beta):
     elementwise in the same inputs."""
     sin_t, cos_t, weight = nodes
     q = qbar[rows]
-    first = np.ones(rows.size, dtype=bool)  # the first row of each qbar
-    first[1:] = q[1:] != q[:-1]
+    first = np.concatenate(([True], q[1:] != q[:-1]))  # the first row of each qbar
     at = rows[first, None]
     rate, *factors = _splitting(sin_t, cos_t, qbar[at], wq[at], sq[at])
     # np.cumsum(first) - 1, which pages 128 KB more of numpy into a cold run
@@ -324,9 +327,7 @@ def _integrate(columns: _Columns):
             for block in blocks(active, nodes):
                 refine(block, 0.5 * value[block], sums(block, nodes, 0)[1])
             active = active[~(abserr[active] <= EPSREL * np.abs(value[active]))]
-    converged = np.ones(n, dtype=bool)
-    converged[active] = False
-    return value, abserr, converged
+        return value, abserr, abserr <= EPSREL * np.abs(value)  # the test each stopped at
 
 
 # ---------------------------------------------------------------------------

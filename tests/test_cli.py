@@ -466,8 +466,8 @@ def test_step_count_is_capped_after_rounding(tmp_path, capsys):
 
 
 def test_subnormal_temperature_runs(tmp_path, capsys):
-    # k_B*T underflowed to 0 in a Bose cutoff; no thermal occupation is
-    # representable, so the stimulated width is exactly 0
+    # omega0/T overflows, so the Bose exponent is inf as at T = 0: no
+    # thermal occupation is representable and the stimulated width is 0
     rc, _ = run_raw_config(
         tmp_path, capsys, "rates",
         '{"preset": "sodium-paper", "rate_query": {"temperature": [5e-324]}}',

@@ -550,8 +550,8 @@ def test_two_level_stimulated_threshold_window():
 @pytest.mark.parametrize("qbar", [1e-156, 4e-155])
 def test_two_level_stimulated_window_empty_at_tiny_qbar(qbar):
     # the absorption threshold 1/(2 qbar) - qbar lies far beyond the thermal
-    # tail: at 1e-156 its frequency overflows, at 4e-155 a Bose cutoff above
-    # it did, and both raised ParameterError instead of a zero width
+    # tail: at 1e-156 its frequency overflows, at 4e-155 its Bose exponent
+    # passes the largest one accepted; either way the window is empty
     params = dataclasses.replace(SODIUM, a_bc=3e-9)
     columns = stimulated_columns(params, Channel.TWO_LEVEL, qbar, 1e-13)
     assert columns.point.size == 0  # no integral: the window is empty
@@ -597,8 +597,9 @@ def test_integer_qbar_is_taken_as_float():
 
 def test_stimulated_cutoff_survives_underflowing_thermal_energy():
     # k_B*T and hbar*omega0 both underflow here while hbar*omega0/(k_B*T)
-    # stays finite; a Bose cutoff divided by the underflowed ratio, and the
-    # exp-sinh scale comes from the Bose exponent alone
+    # stays finite: the Bose exponent is formed from omega0/T and the
+    # exp-sinh scale from it, so the window is integrated and its width
+    # underflows to exactly 0
     heavy = dataclasses.replace(SODIUM, atomic_mass=7e231)
     assert single_level(1.0, T=1e-302, params=heavy).gamma_landau[0, 0] == 0.0
 
@@ -702,6 +703,11 @@ def test_batched_sweep_matches_quad_and_single_points():
             # no dependence on which other points share the sweep
             assert_same_bits(decay_rates(params, channel, [qbar], [T]), at(grid, i, j))
         assert_within_estimates(grid, references)
+        for (i, j), (beliaev, _, landau, _) in references.items():
+            for width, reference in ((grid.gamma_beliaev[i, j], beliaev),
+                                     (grid.gamma_landau[i, j], landau)):
+                if reference >= sys.float_info.min:
+                    assert width == pytest.approx(reference, rel=1e-10, abs=0.0), (channel, i, j)
     assert empty_windows > 0
 
 
@@ -816,6 +822,29 @@ def test_negative_width_raises_quadrature_error(monkeypatch, negated, named, fie
     error = error_of(*grid, QuadratureError)
     assert str(error) == f"quadrature gave a negative width: {named}"
     # negation is exact: the partial width is the true one negated
+    assert error.partial_rate_s == -expected and error.error_estimate_s > 0.0
+
+
+def negated_rate(sin_t, cos_t, *args, f=rates._splitting):
+    rate, *factors = f(sin_t, cos_t, *args)
+    return (-rate, *factors)
+
+
+@pytest.mark.parametrize("name, factor, named, field, point", [
+    ("_bose_drop", lambda *args, f=rates._bose_drop: -f(*args),
+     "stimulated width at qbar = 0.3, T = 1e-06 K", "gamma_landau", (1, 0)),
+    ("_splitting", negated_rate,
+     "spontaneous width at qbar = 0.3, T = 0 K", "gamma_beliaev", (0, 0)),
+], ids=["occupation-drop", "splitting"])
+def test_sign_error_inside_an_integrand_raises_quadrature_error(
+        monkeypatch, name, factor, named, field, point):
+    # a factor that turns negative ahead of the integrand's nan mask still
+    # reaches the negative-width check: the mask zeroes nan, not negatives
+    grid = (SODIUM, Channel.SINGLE_LEVEL, [0.3, 1.0], [0.0, 1e-6])
+    expected = getattr(decay_rates(*grid), field)[point]
+    monkeypatch.setattr(rates, name, factor)
+    error = error_of(*grid, QuadratureError)
+    assert str(error) == f"quadrature gave a negative width: {named}"
     assert error.partial_rate_s == -expected and error.error_estimate_s > 0.0
 
 
