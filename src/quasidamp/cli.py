@@ -8,13 +8,18 @@ Subcommands:
     spectrum  Bogoliubov mode table on the configured momentum grid
 
 All input comes from a JSON config file validated against a closed schema
-(unknown keys are rejected) by a small stdlib walker over SCHEMA.  Output
-files are deterministic: fixed column orders, numbers printed with %.17g
-(an undefined squeezing parameter as an empty field), LF line endings, no
-timestamps.
-The schema's params and drive sections are read off the fields of
-`PhysicalParams` and `DriveConfig`, which hold each field's domain and
-default.  `dynamics` computes the single-level width only, so it rejects a
+(unknown keys are rejected) by a small stdlib walker over SCHEMA; every
+JSON number is parsed as a float.  Each section is resolved in one flat
+pass: the user's params keys over the preset's, the rate_query keys over
+their defaults, and `PhysicalParams` and `DriveConfig` fill in their own
+defaults.  The schema's params and drive sections are read off the fields
+of those dataclasses, which hold each field's domain and default.
+`rates.meta.json` echoes the resolved values, and that echo as a config
+reproduces the run.  Every command writes to --out, `out` by default.
+Output files are deterministic: fixed column orders, numbers printed with
+%.17g (an undefined squeezing parameter as an empty field), LF line
+endings, no timestamps.
+`dynamics` computes the single-level width only, so it rejects a
 two-level config unless drive.gamma_override fixes the damping rate.  The
 oracle runs on fixed inputs and reads no config.
 
@@ -80,7 +85,7 @@ SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "properties": {
-        "preset": {"type": "string"},
+        "preset": {"anyOf": [{"type": "null"}, {"type": "string"}]},
         "params": _section(PhysicalParams),
         "drive": _section(DriveConfig),
         "rate_query": {
@@ -100,41 +105,21 @@ SCHEMA = {
                 "channel": {"enum": ["single_level", "two_level"]},
             },
         },
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "directory": {"type": "string"},
-            },
-        },
     },
 }
 
 
-def _field_defaults(cls) -> dict:
-    return {
-        spec.name: spec.default
-        for spec in dataclasses.fields(cls)
-        if spec.default is not dataclasses.MISSING
-    }
-
-
-# the dataclasses' own defaults are taken from them, not restated
-_DEFAULTS = {
-    "params": _field_defaults(PhysicalParams),
-    "drive": _field_defaults(DriveConfig),
-    "rate_query": {
-        "qbar": [0.02, 0.05, 0.1, 5.0],
-        "temperature": [0.0],
-        "channel": "single_level",
-    },
-    "output": {"directory": "out"},
+#: rate_query values that a config leaves out; the dataclasses hold their own
+_RATE_QUERY = {
+    "qbar": [0.02, 0.05, 0.1, 5.0],
+    "temperature": [0.0],
+    "channel": "single_level",
 }
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully-resolved run settings (defaults and preset already merged)."""
+    """The values a run uses, which rates.meta.json echoes as a config."""
 
     preset: str | None
     params: PhysicalParams
@@ -142,21 +127,11 @@ class RunConfig:
     qbar_grid: tuple[float, ...]
     temperature_grid: tuple[float, ...]
     channel: Channel
-    output_dir: str
-    resolved: dict
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
-    out = dict(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
-        else:
-            out[key] = value
-    return out
-
-
-def _preset_params(name: str) -> dict:
+def _preset_params(name: str | None) -> dict:
+    if name is None:
+        return {}
     if name not in PRESETS:
         known = ", ".join(sorted(PRESETS))
         raise ConfigError(f"unknown preset {name!r} (known presets: {known})")
@@ -220,22 +195,18 @@ def _resolve(user: dict) -> RunConfig:
         raise ConfigError(f"config {path}: {message}")
 
     preset = user.get("preset")
-    base = {"params": _preset_params(preset)} if preset is not None else {}
-    user = {k: v for k, v in user.items() if k != "preset"}
-    merged = _deep_merge(_deep_merge(_DEFAULTS, base), user)
-
-    values = dict(merged["params"])
+    values = {**_preset_params(preset), **user.get("params", {})}
     for field in dataclasses.fields(PhysicalParams):
         if field.default is dataclasses.MISSING and field.name not in values:
             raise ConfigError(f"params.{field.name} is required (no preset supplies it)")
 
     try:
         params = PhysicalParams(**values)
-        drive = DriveConfig(**merged["drive"])
+        drive = DriveConfig(**user.get("drive", {}))
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
 
-    rq = merged["rate_query"]
+    rq = {**_RATE_QUERY, **user.get("rate_query", {})}
     points = len(rq["qbar"]) * len(rq["temperature"])
     if points > MAX_RATE_POINTS:
         raise ConfigError(
@@ -249,8 +220,6 @@ def _resolve(user: dict) -> RunConfig:
         qbar_grid=tuple(sorted(rq["qbar"])),
         temperature_grid=tuple(sorted(rq["temperature"])),
         channel=Channel(rq["channel"]),
-        output_dir=merged["output"]["directory"],
-        resolved={"preset": preset, **merged},
     )
 
 
@@ -263,11 +232,6 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise ConfigError(f"number {text[:20]} in config overflows a double")
     return value + 0.0  # -0.0 is the number 0
-
-
-def _finite_int(text: str) -> int:
-    _finite_float(text)
-    return int(text)
 
 
 def load_config(path: str) -> RunConfig:
@@ -283,7 +247,7 @@ def load_config(path: str) -> RunConfig:
                 fh,
                 parse_constant=_reject_constant,
                 parse_float=_finite_float,
-                parse_int=_finite_int,
+                parse_int=_finite_float,
             )
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
@@ -417,10 +381,16 @@ def cmd_rates(cfg: RunConfig, out_dir: str) -> int:
         "version": __version__,
         "preset": cfg.preset,
         "channel": cfg.channel.value,
-        "qbar": list(cfg.qbar_grid),
-        "temperature_K": list(cfg.temperature_grid),
+        "qbar": qbar,
+        "temperature_K": temperature,
         "units": {"k0_m^-1": cfg.params.k0, "omega0_s^-1": cfg.params.omega0},
-        "config": cfg.resolved,
+        # a config that resolves to cfg again
+        "config": {
+            "preset": cfg.preset,
+            "params": dataclasses.asdict(cfg.params),
+            "drive": dataclasses.asdict(cfg.drive),
+            "rate_query": {"qbar": qbar, "temperature": temperature, "channel": cfg.channel.value},
+        },
     }
     _emit(out_dir, {"rates.csv": _csv(table), "rates.meta.json": _json(meta)})
     return 0
@@ -537,19 +507,19 @@ def build_parser() -> argparse.ArgumentParser:
         ("rates", "decay-rate table over a momentum/temperature grid"),
         ("dynamics", "damped squeezing trajectory"),
         ("spectrum", "Bogoliubov mode table"),
+        ("oracle", "run numerical cross-checks on fixed inputs"),
     ):
         command = sub.add_parser(name, help=summary)
-        command.add_argument("--config", required=True, help="JSON config file")
-        command.add_argument("--out", help="output directory (overrides config)")
-
-    oracle = sub.add_parser("oracle", help="run numerical cross-checks on fixed inputs")
-    oracle.add_argument("--out", default="out", help="output directory")
-    oracle.add_argument(
-        "--suite",
-        choices=_ORACLE_SUITES,
-        default="all",
-        help="which cross-check suite to run",
-    )
+        if name == "oracle":
+            command.add_argument(
+                "--suite",
+                choices=_ORACLE_SUITES,
+                default="all",
+                help="which cross-check suite to run",
+            )
+        else:
+            command.add_argument("--config", required=True, help="JSON config file")
+        command.add_argument("--out", default="out", help="output directory")
 
     return parser
 
@@ -570,13 +540,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "oracle":
             return cmd_oracle(args.suite, args.out)
         cfg = load_config(args.config)
-        out_dir = args.out if args.out is not None else cfg.output_dir
-
         if args.command == "rates":
-            return cmd_rates(cfg, out_dir)
+            return cmd_rates(cfg, args.out)
         if args.command == "dynamics":
-            return cmd_dynamics(cfg, out_dir)
-        return cmd_spectrum(cfg, out_dir)
+            return cmd_dynamics(cfg, args.out)
+        return cmd_spectrum(cfg, args.out)
     except (ConfigError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

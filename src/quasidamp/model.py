@@ -60,7 +60,7 @@ def checked_field(spec, value) -> float | None:
 
 
 def _store_checked_fields(instance) -> None:
-    # JSON integers arrive as int: 500 and 500.0 are the same value and
+    # a Python caller may pass an int: 500 and 500.0 are the same value and
     # must print the same
     for spec in fields(instance):
         value = checked_field(spec, getattr(instance, spec.name))

@@ -341,7 +341,7 @@ TWO_LEVEL_FACTOR = 10.0 / 9.0
 
 
 def _valid_qbar(qbar) -> float:
-    qbar = as_double("qbar", qbar)  # JSON ints arrive as int; qbar*qbar must not leave the doubles
+    qbar = as_double("qbar", qbar)  # an int from Python too; qbar*qbar must not leave the doubles
     if not (sys.float_info.min <= qbar < math.inf):  # a subnormal qbar squares to 0
         raise ParameterError(f"qbar must be > 0 and a normal double, got {qbar}")
     return qbar

@@ -26,6 +26,7 @@ from quasidamp.cli import (
     _csv,
     _emit,
     _violation,
+    build_parser,
     default_config,
     load_config,
     main,
@@ -73,7 +74,14 @@ def test_defaults_applied(tmp_path):
     assert cfg.qbar_grid == (0.02, 0.05, 0.1, 5.0)
     assert cfg.temperature_grid == (0.0,)
     assert cfg.channel is Channel.SINGLE_LEVEL
-    assert cfg.output_dir == "out"
+
+
+@pytest.mark.parametrize("command", [
+    ["rates", "--config", "c.json"], ["dynamics", "--config", "c.json"],
+    ["spectrum", "--config", "c.json"], ["oracle"],
+])
+def test_out_is_the_one_output_location(command):
+    assert build_parser().parse_args(command).out == "out"
 
 
 def test_partial_override_keeps_other_defaults(tmp_path):
@@ -239,15 +247,16 @@ def test_load_config_never_crashes(raw):
 
 
 def test_default_config_matches_preset(tmp_path):
-    assert default_config().resolved == load_config(write_config(tmp_path)).resolved
+    assert default_config() == load_config(write_config(tmp_path))
 
 
 def test_unread_keys_rejected(tmp_path):
-    # drive.rabi_bare and output.format were accepted but never read
+    # drive.rabi_bare and output.format were accepted but never read; the
+    # output section named a directory that --out also named
     with pytest.raises(ConfigError, match="rabi_bare"):
         load_config(write_config(tmp_path, drive={"rabi_bare": 1.0}))
-    with pytest.raises(ConfigError, match="format"):
-        load_config(write_config(tmp_path, output={"format": "csv"}))
+    with pytest.raises(ConfigError, match="'output' was unexpected"):
+        load_config(write_config(tmp_path, output={"directory": "out"}))
 
 
 #: Schema violations, at least one of each kind the schema can report.
@@ -875,6 +884,28 @@ def test_rates_outputs(tmp_path, capsys):
     assert "rates.csv" in printed and "rates.meta.json" in printed
 
 
+@pytest.mark.parametrize("body", [
+    {"preset": "sodium-paper", "params": {"temperature_T": 1e-7}, "drive": {"rabi_effective": 2000},
+     "rate_query": {"qbar": [5, 0.1], "temperature": [1e-7, 0]}},
+    {"params": {**_FULL_PARAMS, "a_bc": 3e-9},
+     "rate_query": {"qbar": [0.1], "channel": "two_level"}},
+], ids=["preset", "no_preset"])
+def test_meta_config_reproduces_the_run(tmp_path, body):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(body), encoding="utf-8")
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["rates", "--config", str(cfg_path), "--out", str(first)]) == 0
+    echo = json.loads((first / "rates.meta.json").read_text(encoding="utf-8"))["config"]
+    # the values the run used and nothing else: no output directory
+    assert set(echo) == {"preset", "params", "drive", "rate_query"}
+    echo_path = tmp_path / "echo.json"
+    echo_path.write_text(json.dumps(echo), encoding="utf-8")
+    assert load_config(str(echo_path)) == load_config(str(cfg_path))
+    assert main(["rates", "--config", str(echo_path), "--out", str(second)]) == 0
+    for name in ("rates.csv", "rates.meta.json"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
 def test_rates_deterministic_across_runs(tmp_path):
     # the sweep is one batched pass; two runs give the same bytes
     cfg_path = write_config(tmp_path)
@@ -1101,21 +1132,35 @@ def test_dynamics_deterministic(tmp_path):
     assert blobs[0] == blobs[1]
 
 
-def test_dynamics_integer_drive_values_print_as_floats(tmp_path):
-    # JSON integers for the drive once came back as JSON integers in summary.json
+def _no_int(text):
+    raise AssertionError(f"integer {text} in JSON output")
+
+
+@pytest.mark.parametrize("command, files", [
+    ("dynamics", ("trajectory.csv", "summary.json")),
+    ("rates", ("rates.csv", "rates.meta.json")),
+], ids=["dynamics", "rates"])
+def test_integer_config_values_print_as_floats(tmp_path, command, files):
+    # JSON integers once came back as JSON integers: the drive's in
+    # summary.json, and every one in rates.meta.json's config echo
     blobs = []
-    for name, gamma, rabi in (("int", 500, 2000), ("float", 500.0, 2000.0)):
-        cfg_path = write_config(tmp_path, name=f"{name}.json", drive={
-            "gamma_override": gamma, "rabi_effective": rabi, "t_max": 2e-4, "dt_output": 2e-5})
-        out = tmp_path / name
-        assert main(["dynamics", "--config", cfg_path, "--out", str(out)]) == 0
-        blobs.append(
-            (out / "trajectory.csv").read_bytes() + (out / "summary.json").read_bytes()
+    for name, number in (("int", int), ("float", float)):
+        cfg_path = write_config(
+            tmp_path, name=f"{name}.json",
+            params={"temperature_T": number(0), "atom_count_N0": number(1000000)},
+            drive={"gamma_override": number(500), "rabi_effective": number(2000),
+                   "t_max": 2e-4, "dt_output": 2e-5},
+            rate_query={"qbar": [number(5), number(1)], "temperature": [number(0)]},
         )
+        out = tmp_path / name
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == 0
+        blobs.append(b"".join((out / file).read_bytes() for file in files))
+        json.loads((out / files[1]).read_text(encoding="utf-8"), parse_int=_no_int)
     assert blobs[0] == blobs[1]
-    summary = json.loads((tmp_path / "int" / "summary.json").read_text(encoding="utf-8"))
-    assert summary["gamma_used_s"] == 500.0 and summary["rabi_effective_s"] == 2000.0
-    assert b'"gamma_used_s": 500.0' in blobs[0]
+    if command == "dynamics":
+        summary = json.loads((tmp_path / "int" / "summary.json").read_text(encoding="utf-8"))
+        assert summary["gamma_used_s"] == 500.0 and summary["rabi_effective_s"] == 2000.0
+        assert b'"gamma_used_s": 500.0' in blobs[0]
 
 
 def test_dynamics_integration_failure(tmp_path, capsys):
@@ -1292,7 +1337,7 @@ def test_unwritable_output_location_exits_2(tmp_path, capsys, where):
     blocker.write_text("not a directory", encoding="utf-8")
     (tmp_path / "out" / "rates.meta.json").mkdir(parents=True)
     out = {
-        "empty_directory": None,  # output.directory "" from the config
+        "empty_directory": "",
         "existing_file": blocker,
         "under_a_file": blocker / "sub",
         "second_file_is_a_directory": tmp_path / "out",
@@ -1300,13 +1345,12 @@ def test_unwritable_output_location_exits_2(tmp_path, capsys, where):
         "nul_in_name": tmp_path / "a\u0000b",
         "lone_surrogate_in_name": tmp_path / "a\ud800b",
     }[where]
-    cfg_path = write_config(tmp_path, output={"directory": ""})
+    cfg_path = write_config(tmp_path)
     before = sorted(tmp_path.rglob("*"))
-    argv = [] if out is None else ["--out", str(out)]
-    assert main(["rates", "--config", cfg_path, *argv]) == 2
+    assert main(["rates", "--config", cfg_path, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: cannot write output to {str(out or '')!r}: ")
+    assert captured.err.startswith(f"error: cannot write output to {str(out)!r}: ")
     assert captured.err.count("\n") == 1
     assert sorted(tmp_path.rglob("*")) == before  # nothing left behind
 

@@ -595,7 +595,7 @@ def test_integer_qbar_is_taken_as_float():
     assert_same_bits(two_level(2**32, T=1e-6), two_level(float(2**32), T=1e-6))
 
 
-def test_stimulated_cutoff_survives_underflowing_thermal_energy():
+def test_stimulated_width_survives_underflowing_thermal_energy():
     # k_B*T and hbar*omega0 both underflow here while hbar*omega0/(k_B*T)
     # stays finite: the Bose exponent is formed from omega0/T and the
     # exp-sinh scale from it, so the window is integrated and its width
@@ -657,11 +657,9 @@ REFERENCE_T = (0.0, 1e-8, 1e-7, 1e-6, 1e-5)
 ])
 def test_widths_match_independent_reference(channel, params):
     # QUADPACK in the energy variable (spontaneous) and the momentum
-    # (stimulated), with breakpoints; the adaptive Gauss-Kronrod rule this
-    # replaced printed spontaneous widths at qbar 8e3 to 1e6 that were off
-    # by up to 3.5e-6 (at 1.26e4 and 1e-5 K) under estimates 18 to 600 times
-    # smaller, and single-level stimulated widths at 1e-8 K off by 5e-14
-    # under estimates of 2.3e-14.  Subnormal widths are not compared:
+    # (stimulated), with breakpoints; from qbar 1e-3 to 1e6 each printed
+    # estimate must cover its distance from the reference, so an estimate
+    # that understates the error fails.  Subnormal widths are not compared:
     # two converged rules differ in them, which come from subnormal
     # occupations (the two-level width at qbar 0.158 and 1e-9 K is 3.6e-320)
     grid = decay_rates(params, channel, REFERENCE_QBAR, REFERENCE_T)
@@ -1010,10 +1008,8 @@ def test_shared_spontaneous_factors_move_no_bit(monkeypatch, block_nodes):
 
 
 def test_sweep_traced_peak_bounded():
-    # work arrays as wide as 200 subintervals for every integral of a
-    # Gauss-Kronrod pass took the peak past 12 MB, and integrands evaluated
-    # over a whole 512-integral pass to 3.26 MB; blocks of 4096 nodes hold
-    # about 1.0 MB
+    # integrands are evaluated in blocks of 4096 nodes, which hold about
+    # 1.0 MB
     qbars, temperatures = _bench_like_grid()
     tracemalloc.start()
     try:
