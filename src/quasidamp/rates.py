@@ -22,7 +22,7 @@ exceeds EPSREL*|I_L| gains the odd nodes of the next level, up to level 7,
 past which it is unconverged.  The estimate is the error of I_(L-1), so
 where the rule converges double-exponentially it overstates the error of
 I_L by orders.  No integrand factor is a cancelling difference: the vertex
-below, and `_bose_drop`.
+below, and the occupation drop of `integrands._bose_drop`.
 
 `decay_rates(params, channel, qbar, temperature)` is the one rate entry
 point: it sweeps a (temperature, qbar) grid and returns a RateGrid of
@@ -31,9 +31,18 @@ setup runs on whole arrays, each entry formed by the IEEE operations of a
 one-point setup.  Integrands are evaluated in blocks of whole integrals of
 at most _BLOCK_NODES nodes, and each integral's sums run along its own row
 of nodes, so a width is bit-identical whichever points share its sweep or
-block.  A spontaneous width depends on T only through the occupation
-1 + n_k + n_p*, at the same nodes: a block computes the kinematics and
-vertex once per qbar (`_splitting`), the occupation per T (`_occupied`).
+block.  Each channel's sweep holds one workspace, _BUFFERS buffers the size
+of the largest block it forms (one row in a 1x1 sweep), and the integrands
+(`quasidamp.integrands`) write every intermediate of a block's shape into
+it in place: no block allocates and frees block-sized temporaries, which
+the allocator would return to the kernel and fault in again for the next.
+A spontaneous width depends on T only through the occupation 1 + n_k +
+n_p*, at the same nodes: a block computes the kinematics and vertex once
+per qbar, the occupation per T.  The exp-sinh nodes of a single-level
+stimulated integral depend on T alone: a block ends at its last change of
+temperature, so that one holds a single temperature wherever a temperature
+has at least half a block of integrals, and forms the factors of k once, on
+a row of nodes.
 
 Everything is evaluated in natural units (momenta in k0, frequencies in
 omega0); the dimensionless gas parameter k0^3/n0 carries the overall scale
@@ -56,11 +65,18 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Callable, Sequence
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
+from .integrands import (
+    _BUFFERS,
+    _free_rows,
+    _momentum,
+    _omega,
+    _spontaneous_rows,
+    _stimulated_rows,
+)
 from .model import (
     HBAR,
     K_BOLTZMANN,
@@ -76,111 +92,6 @@ EPSREL = 1e-8
 
 
 # ---------------------------------------------------------------------------
-# spectrum, vertex and occupations on arrays
-#
-# The array form of model.dispersion and its inverse, without argument
-# checks: quadrature nodes are interior to windows the callers have already
-# validated.
-
-
-def _omega(kbar):
-    return kbar * np.sqrt(2.0 + kbar * kbar)
-
-
-def _momentum(omega_bar):
-    # not the equivalent sqrt(sqrt(1 + omega_bar^2) - 1), which loses half
-    # the significant digits for omega_bar << 1
-    return omega_bar / np.sqrt(1.0 + np.hypot(1.0, omega_bar))
-
-
-def _vertex(z, x, y):
-    """Amplitude of z <-> x + y, each mode a (kbar^2, omega_bar, s) triple,
-    z the one of highest energy and omega_z = omega_x + omega_y.
-
-    Every term is positive (see the module docstring), so the amplitude
-    keeps its relative precision down to the smallest momenta.
-    """
-    (zz, wz, sz), (xx, wx, sx), (yy, wy, sy) = z, x, y
-    cz2 = 2.0 + zz
-    sigma = (sx * sx * wy * ((wz + wx) / (cz2 + xx))
-             + sy * sy * wx * ((wz + wy) / (cz2 + yy))) / cz2
-    product = sz * sx * sy
-    return (3.0 * product + sigma / product) / 4.0
-
-
-def _bose_drop(beta, omega_bar, gap):
-    """n(omega_bar) - n(omega_bar + gap) at Bose exponent beta per unit
-    omega_bar, as e^-x b/(a (a + e^-x b)), a = 1 - e^-x, b = 1 - e^-y, x =
-    beta omega_bar, y = beta gap: positive factors, which neither cancel
-    nor overflow, so e^-x reaches x ~ 745, where a whole window may lie."""
-    x = -beta * omega_bar
-    eb = np.exp(x) * -np.expm1(-beta * gap)
-    am = np.expm1(x)  # -a
-    return eb / (am * (am - eb))
-
-
-# ---------------------------------------------------------------------------
-# integrands on node arrays, parameters broadcast per integral
-
-
-def _nan_to_zero(value):
-    """value, in place, with its nan entries 0: a negative one stays."""
-    value[np.isnan(value)] = 0.0
-    return value
-
-
-def _splitting(sin_t, cos_t, qbar, wq, sq):
-    """The temperature-free factors of the spontaneous integrand at
-    k = qbar*sin^2(theta), given sin(theta) and cos(theta):
-    (k V^2 pbar*/omega_bar'(pbar*) dk/dtheta, w_k, w_p*)."""
-    kbar = qbar * sin_t * sin_t
-    kk = kbar * kbar
-    ck = np.sqrt(2.0 + kk)
-    wk = kbar * ck
-    qq = qbar * qbar
-    # omega_q - omega_k = (q - k)(q + k)(2 + q^2 + k^2)/(omega_q + omega_k), q - k = q cos^2
-    wp = qbar * cos_t * cos_t * (qbar + kbar) * ((2.0 + qq + kk) / (wq + wk))
-    pbar = _momentum(wp)
-    pp = pbar * pbar
-    cp = np.sqrt(2.0 + pp)
-    vertex = _vertex((qq, wq, sq), (kk, wk, np.sqrt(kbar / ck)), (pp, wp, np.sqrt(pbar / cp)))
-    jacobian = 2.0 * qbar * sin_t * cos_t  # dk/dtheta
-    velocity = 2.0 * (1.0 + pp) / cp  # omega_bar'(pbar)
-    return kbar * vertex * vertex * pbar / velocity * jacobian, wk, wp
-
-
-def _occupied(rate, wk, wp, beta):
-    """The spontaneous integrand from its `_splitting` factors at Bose
-    exponent beta: their temperature-free part times 1 + n_k + n_p*, with
-    n = 1/(e^x - 1) exactly 0 where e^x - 1 overflows (beta = inf at T = 0);
-    0 where that is nan, at a node whose kbar or pbar* underflows to 0."""
-    return _nan_to_zero(rate * (1.0 + 1.0 / np.expm1(beta * wk) + 1.0 / np.expm1(beta * wp)))
-
-
-def _stimulated_integrand(kbar, qq, wq, sq, beta):
-    """k V^2 (n_k - n_{k+q}) jbar*/omega_bar'(jbar*), jbar* carrying the
-    combined energy omega_j; 0 where that is nan, far out in the thermal
-    tail where the occupation drop is 0 and the vertex may overflow.  With
-    r = sqrt(1 + omega_j^2) = 1 + jbar^2 (omega_j past 1e150, and a square
-    root 4x faster than np.hypot below), s_j^2 = jbar/c_j = omega_j/(1 + r)
-    and jbar*/omega_bar'(jbar*) = omega_j/(2 r)."""
-    kk = kbar * kbar
-    ck = np.sqrt(2.0 + kk)
-    wk = kbar * ck
-    wj = wq + wk
-    root = np.where(wj < 1e150, np.sqrt(1.0 + wj * wj), wj)
-    ssj = wj / (1.0 + root)
-    vertex = _vertex((ssj * wj, wj, np.sqrt(ssj)), (qq, wq, sq), (kk, wk, np.sqrt(kbar / ck)))
-    return _nan_to_zero(kbar * vertex * vertex * _bose_drop(beta, wk, wq) * wj / (2.0 * root))
-
-
-def _stimulated_free_integrand(kbar, eq, beta):
-    """k s_k^2 (n_b(w_k) - n_free(eq + w_k)), a free-particle final state."""
-    ck = np.sqrt(2.0 + kbar * kbar)
-    return _nan_to_zero(kbar * kbar / ck * _bose_drop(beta, kbar * ck, eq))
-
-
-# ---------------------------------------------------------------------------
 # nested double-exponential quadrature (see the module docstring)
 
 #: Every integral takes the first level, steps 2^-5, and at most the last.
@@ -192,10 +103,12 @@ _LAST_LEVEL = 7
 #: difference says nothing about the rounding of either.
 _ROUNDING = 50.0 * float(np.finfo(float).eps)
 
-#: Quadrature nodes per integrand evaluation, 32 KB per float temporary.  On
-#: a 2016-point sweep 4096 ran fastest (35.8 ms; 3072: 39.4, 8192: 38.1) at
-#: a traced peak of 0.90 MB (3072: 0.76 MB, 8192: 1.45 MB).
-_BLOCK_NODES = 4096
+#: Quadrature nodes per integrand evaluation, 48 KB per buffer of the
+#: workspace.  Warm on the 2016-point bench grid (seed 7), 6144 took 41.0 ms
+#: against 52.3 at 4096 and 39.1 at 8192 (alternating runs), at a traced
+#: peak of 0.81 MB against 0.63 and 0.99 MB.  7168 ran 2% faster than 6144
+#: but peaks at 0.90 MB: the budget keeps the peak under 0.9 MB with room.
+_BLOCK_NODES = 6144
 
 #: Smallest Bose exponent hbar*omega_q/(k_B*T) accepted at the decaying
 #: mode.  The tanh-sinh nodes reach ~1e-37 of qbar from the window edge
@@ -259,38 +172,13 @@ _ABSORPTION_RULE = _rule(_exp_sinh, -4.5,
                          math.asinh(math.log(_MAX_BOSE_EXPONENT) / (0.5 * math.pi)))
 
 
-def _spontaneous_rows(rows, nodes, qbar, wq, sq, beta):
-    """Integrand times dtheta/dt of the spontaneous integrals `rows` at
-    tanh-sinh nodes, a row each.  The integrals run qbar-major: `_splitting`
-    runs once per run of rows with one qbar, `_occupied` once per row, each
-    elementwise in the same inputs."""
-    sin_t, cos_t, weight = nodes
-    q = qbar[rows]
-    first = np.concatenate(([True], q[1:] != q[:-1]))  # the first row of each qbar
-    at = rows[first, None]
-    rate, *factors = _splitting(sin_t, cos_t, qbar[at], wq[at], sq[at])
-    # np.cumsum(first) - 1, which pages 128 KB more of numpy into a cold run
-    owner = np.zeros(rows.size, dtype=np.intp)
-    owner[first] = np.arange(at.size)
-    owner = np.maximum.accumulate(owner)
-    return _occupied(*(factor[owner] for factor in (rate * weight, *factors)), beta[rows, None])
-
-
-def _stimulated_rows(integrand, rows, nodes, lo, step, *args):
-    """integrand times dk/dt of the stimulated integrals `rows` at exp-sinh
-    nodes k = lo + step * e^((pi/2) sinh t), a row each."""
-    offset, growth = nodes
-    kbar = step[rows, None] * offset
-    weight = kbar * growth
-    kbar += lo[rows, None]
-    return integrand(kbar, *(arg[rows, None] for arg in args)) * weight
-
-
 class _Columns(NamedTuple):
     """One channel's integrals: integral k belongs to grid point point[k] (a
     flat T-major index; the spontaneous ones run qbar-major, the stimulated
-    ones T-major), and its width in s^-1 is scale[k] times the integral of
-    rows(rows, nodes, *args) under `rule`.  A point with no integral has 0."""
+    ones T-major), and its width in s^-1 is scale[k] times the integral
+    under `rule` of rows(nodes, work, *args), evaluated on blocks of
+    integrals, args a column of the block's entries each, the last one the
+    Bose exponent.  A point with no integral has 0."""
 
     rows: Callable
     rule: tuple[list[tuple], int]
@@ -305,13 +193,28 @@ def _integrate(columns: _Columns):
     (first, *finer), coarse = columns.rule
     n = columns.point.size
     value, abserr = np.empty(n), np.empty(n)
+    widest = finer[-1][0].size  # the last level's nodes
+    # each buffer holds the largest block: of at most _BLOCK_NODES nodes, or
+    # of one row; apart, they come from the heap, where one array of them
+    # all would be mapped afresh (0.06 MB more peak RSS in a cold `rates`
+    # run on the bench grid)
+    work = [np.empty(min(n * widest, max(_BLOCK_NODES, widest))) for _ in range(_BUFFERS)]
 
     def blocks(rows, nodes):  # of at most _BLOCK_NODES nodes, or of one row
         size = max(1, _BLOCK_NODES // nodes[0].size)
-        return (rows[start:start + size] for start in range(0, rows.size, size))
+        while rows.size:
+            # each ends at its last change of temperature (Bose exponent), if
+            # it has one, for the single-level stimulated integrand; that
+            # costs spontaneous blocks a row (their temperature changes at
+            # each row) and cuts two-level ones at temperature edges
+            beta = columns.args[-1][rows[:size]]
+            end = max(np.flatnonzero(beta[1:] != beta[:-1]) + 1, default=size)
+            yield rows[:end]
+            rows = rows[end:]
 
     def sums(block, nodes, split):  # each integral's over nodes[:split], nodes[split:]
-        fx = columns.rows(block, nodes, *columns.args)
+        fx = columns.rows(nodes, [w[:block.size * nodes[0].size].reshape(block.size, -1) for w in work],
+                          *(arg[block, None] for arg in columns.args))
         return fx[:, :split].sum(axis=-1), fx[:, split:].sum(axis=-1)
 
     def refine(block, half, odd):  # I_L = I_(L-1)/2 + the sum over L's odd nodes
@@ -477,12 +380,11 @@ def _setup(params: PhysicalParams, channel: Channel, qbar: list[float],
         [q, wq, sq, beta], scale,
     )
     if two_level:
-        integrand, args = _stimulated_free_integrand, [q * q, beta]
+        rows, args = _free_rows, [kmin, step, q * q, beta]
     else:
-        integrand, args = _stimulated_integrand, [q * q, wq, sq, beta]
-    stimulated = columns(partial(_stimulated_rows, integrand), _ABSORPTION_RULE,
-                         np.flatnonzero(np.broadcast_to(window, shape)), [kmin, step] + args,
-                         stimulated_scale)
+        rows, args = _stimulated_rows, [step, q * q, wq, sq, beta]
+    stimulated = columns(rows, _ABSORPTION_RULE, np.flatnonzero(np.broadcast_to(window, shape)),
+                         args, stimulated_scale)
     return spontaneous, stimulated, omega_q
 
 
@@ -525,7 +427,8 @@ def decay_rates(params: PhysicalParams, channel: Channel, qbar: Sequence[float],
     shape = (len(temperature), len(qbar))
     *channels, omega_q = _setup(params, channel, qbar, temperature)
     solved = []
-    for columns in channels:
+    while channels:  # each channel's integrals are dropped once solved
+        columns = channels.pop(0)
         value, abserr, converged = _integrate(columns)
 
         def grid(column):

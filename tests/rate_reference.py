@@ -13,7 +13,10 @@ the production vertex, which the decimal tests pin to the textbook one.
 `integrals` is the one-point setup of the two integrals of a
 point (params, channel, qbar, T), which the production sweep builds per
 grid axis and must match bit for bit; its exp-sinh scale is its own scalar
-expression, not the production one.
+expression, not the production one.  `spontaneous_rows`, `stimulated_rows`
+and `free_rows` are the integrands in expression form, which the
+production ones (`quasidamp.integrands`) evaluate in place by the same IEEE
+operations in the same order, and must match bit for bit.
 """
 
 import math
@@ -22,6 +25,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 
+import numpy as np
 from scipy.integrate import quad
 
 from quasidamp.model import (
@@ -32,16 +36,14 @@ from quasidamp.model import (
     bogoliubov_mode,
     dispersion,
 )
+from quasidamp.integrands import _free_rows, _spontaneous_rows, _stimulated_rows
 from quasidamp.rates import (
     _MAX_BOSE_EXPONENT,
     _MIN_BOSE_EXPONENT,
     TWO_LEVEL_FACTOR,
     Channel,
-    _stimulated_free_integrand,
-    _stimulated_integrand,
     _valid_qbar,
     _valid_temperature,
-    _vertex,
 )
 from vertex_reference import textbook_vertex
 
@@ -119,6 +121,103 @@ def beliaev_energy_integrand(qbar: float, omega_k: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the integrands in expression form, a row of nodes per integral
+
+
+def _vertex(z, x, y):
+    """Amplitude of z <-> x + y, each mode a (kbar^2, omega_bar, s) triple,
+    z the one of highest energy and omega_z = omega_x + omega_y."""
+    (zz, wz, sz), (xx, wx, sx), (yy, wy, sy) = z, x, y
+    cz2 = 2.0 + zz
+    sigma = (sx * sx * wy * ((wz + wx) / (cz2 + xx))
+             + sy * sy * wx * ((wz + wy) / (cz2 + yy))) / cz2
+    product = sz * sx * sy
+    return (3.0 * product + sigma / product) / 4.0
+
+
+def _bose_drop(beta, omega_bar, gap):
+    """n(omega_bar) - n(omega_bar + gap) at Bose exponent beta per unit
+    omega_bar, as e^-x b/(a (a + e^-x b)), a = 1 - e^-x, b = 1 - e^-y, x =
+    beta omega_bar, y = beta gap."""
+    x = -beta * omega_bar
+    eb = np.exp(x) * -np.expm1(-beta * gap)
+    am = np.expm1(x)  # -a
+    return eb / (am * (am - eb))
+
+
+def _nan_to_zero(value):
+    value[np.isnan(value)] = 0.0
+    return value
+
+
+def _splitting(sin_t, cos_t, qbar, wq, sq):
+    """(k V^2 pbar*/omega_bar'(pbar*) dk/dtheta, w_k, w_p*) at
+    k = qbar*sin^2(theta)."""
+    kbar = qbar * sin_t * sin_t
+    kk = kbar * kbar
+    ck = np.sqrt(2.0 + kk)
+    wk = kbar * ck
+    qq = qbar * qbar
+    wp = qbar * cos_t * cos_t * (qbar + kbar) * ((2.0 + qq + kk) / (wq + wk))
+    pbar = wp / np.sqrt(1.0 + np.hypot(1.0, wp))
+    pp = pbar * pbar
+    cp = np.sqrt(2.0 + pp)
+    vertex = _vertex((qq, wq, sq), (kk, wk, np.sqrt(kbar / ck)), (pp, wp, np.sqrt(pbar / cp)))
+    jacobian = 2.0 * qbar * sin_t * cos_t  # dk/dtheta
+    velocity = 2.0 * (1.0 + pp) / cp  # omega_bar'(pbar)
+    return kbar * vertex * vertex * pbar / velocity * jacobian, wk, wp
+
+
+def _occupied(rate, wk, wp, beta):
+    """rate times 1 + n_k + n_p*; 0 where that is nan."""
+    return _nan_to_zero(rate * (1.0 + 1.0 / np.expm1(beta * wk) + 1.0 / np.expm1(beta * wp)))
+
+
+def _stimulated_integrand(kbar, qq, wq, sq, beta):
+    """k V^2 (n_k - n_{k+q}) jbar*/omega_bar'(jbar*); 0 where that is nan."""
+    kk = kbar * kbar
+    ck = np.sqrt(2.0 + kk)
+    wk = kbar * ck
+    wj = wq + wk
+    root = np.where(wj < 1e150, np.sqrt(1.0 + wj * wj), wj)
+    ssj = wj / (1.0 + root)
+    vertex = _vertex((ssj * wj, wj, np.sqrt(ssj)), (qq, wq, sq), (kk, wk, np.sqrt(kbar / ck)))
+    return _nan_to_zero(kbar * vertex * vertex * _bose_drop(beta, wk, wq) * wj / (2.0 * root))
+
+
+def _stimulated_free_integrand(kbar, eq, beta):
+    """k s_k^2 (n_b(w_k) - n_free(eq + w_k)); 0 where that is nan."""
+    ck = np.sqrt(2.0 + kbar * kbar)
+    return _nan_to_zero(kbar * kbar / ck * _bose_drop(beta, kbar * ck, eq))
+
+
+def spontaneous_rows(nodes, qbar, wq, sq, beta):
+    """`integrands._spontaneous_rows` in expression form, without a workspace."""
+    sin_t, cos_t, weight = nodes
+    rate, wk, wp = _splitting(sin_t, cos_t, qbar, wq, sq)
+    return _occupied(rate * weight, wk, wp, beta)
+
+
+def _absorbed(integrand, nodes, lo, step, *args):
+    """integrand times dk/dt at exp-sinh nodes k = lo + step * e^((pi/2) sinh t)."""
+    offset, growth = nodes
+    kbar = step * offset
+    weight = kbar * growth
+    kbar += lo
+    return integrand(kbar, *args) * weight
+
+
+def stimulated_rows(nodes, step, qq, wq, sq, beta):
+    """`integrands._stimulated_rows` in expression form, without a workspace."""
+    return _absorbed(_stimulated_integrand, nodes, 0.0, step, qq, wq, sq, beta)
+
+
+def free_rows(nodes, lo, step, eq, beta):
+    """`integrands._free_rows` in expression form, without a workspace."""
+    return _absorbed(_stimulated_free_integrand, nodes, lo, step, eq, beta)
+
+
+# ---------------------------------------------------------------------------
 # one-point setup of the two integrals of a (params, channel, qbar, T) point
 
 
@@ -126,14 +225,16 @@ def beliaev_energy_integrand(qbar: float, omega_k: float) -> float:
 class Integral:
     """One reduced integral and its conversion to a width.
 
-    The width in s^-1 is scale times the integral with parameters args, as
-    the production columns hold them: (qbar, wq, sq, beta) of the
-    spontaneous integral over theta in [0, pi/2], and (lo, s, *integrand
-    args) of the stimulated `integrand` over kbar >= lo, s the exp-sinh
-    scale.  A channel with no allowed final state has no Integral.
+    The width in s^-1 is scale times the integral of the production
+    integrand `rows` with parameters args, as the production columns hold
+    them: (qbar, wq, sq, beta) of the spontaneous integral over theta in
+    [0, pi/2], (s, qq, wq, sq, beta) of the single-level stimulated one over
+    kbar >= 0 and (lo, s, eq, beta) of the two-level one over kbar >= lo, s
+    the exp-sinh scale.  A channel with no allowed final state has no
+    Integral.
     """
 
-    integrand: Callable | None
+    rows: Callable
     args: tuple[float, ...]
     scale: float
 
@@ -185,24 +286,28 @@ def integrals(params: PhysicalParams, channel: Channel, qbar: float,
     scale = prefactor * params.omega0
     if two_level:
         scale = TWO_LEVEL_FACTOR * _coupling_ratio_sq(params) * scale
-    spontaneous = _reduced(None, (qbar, wq, sq, beta), prefactor, scale, ("spontaneous", qbar))
+    spontaneous = _reduced(_spontaneous_rows, (qbar, wq, sq, beta), prefactor, scale,
+                           ("spontaneous", qbar))
 
     if beta == math.inf:
         return spontaneous, None
     if two_level:
         prefactor = _coupling_ratio_sq(params) * gas / (4.0 * math.pi * qbar)
-        integrand, args = _stimulated_free_integrand, (qbar * qbar, beta)
         kmin = max(0.0, 0.5 / qbar - qbar)
     else:
         prefactor = 2.0 * gas / (math.pi * qbar)
-        integrand, kmin, args = _stimulated_integrand, 0.0, (qbar * qbar, wq, sq, beta)
+        kmin = 0.0
     omega_low = kmin * math.sqrt(2.0 + kmin * kmin)  # the dispersion at kmin
     if beta * omega_low > _MAX_BOSE_EXPONENT:
         return spontaneous, None
     # the momentum step above kmin that raises the energy by k_B T
     step = inverse_dispersion(omega_low + 1.0 / beta) - kmin
-    return spontaneous, _reduced(integrand, (kmin, step) + args, prefactor,
-                                 prefactor * params.omega0, ("stimulated", qbar))
+    if two_level:
+        rows, args = _free_rows, (kmin, step, qbar * qbar, beta)
+    else:
+        rows, args = _stimulated_rows, (step, qbar * qbar, wq, sq, beta)
+    return spontaneous, _reduced(rows, args, prefactor, prefactor * params.omega0,
+                                 ("stimulated", qbar))
 
 
 def grid_queries(params, channel, qbar, temperature) -> list[tuple]:
@@ -240,8 +345,9 @@ def _mode(kbar: float) -> tuple[float, float, float]:
 def _splitting_energy_integrand(qbar: float, beta: float, omega_k: float) -> float:
     """(1 + n_k + n_p) (k/v_k) V^2 (p/v_p) at omega_k, omega_p = omega_q - omega_k.
 
-    The amplitude is `rates._vertex`, which the decimal tests pin to the
-    textbook one: the textbook form in doubles cancels to 4% at qbar 1e-3.
+    The amplitude is `_vertex`, bit for bit the production one, which the
+    decimal tests pin to the textbook one: the textbook form in doubles
+    cancels to 4% at qbar 1e-3.
     """
     z = _mode(qbar)
     omega_p = z[1] - omega_k
@@ -295,7 +401,7 @@ def reference_widths(params: PhysicalParams, channel: Channel, qbar: float,
     widths = [2.0 * spontaneous.scale * value, 2.0 * spontaneous.scale * error]
     if stimulated is None:
         return (*widths, 0.0, 0.0)
-    lo = stimulated.args[0]
+    lo = stimulated.args[0] if channel is Channel.TWO_LEVEL else 0.0
     omega_low = _mode(lo)[1]
 
     def above(energy):

@@ -973,8 +973,8 @@ def test_refinement_cap_exits_3_with_partial_rate(tmp_path, monkeypatch, capsys)
 
 def test_negative_width_exits_3_with_one_line(tmp_path, monkeypatch, capsys):
     # a negative width ended in a RuntimeError traceback (exit 1)
-    stimulated = rates._stimulated_integrand
-    monkeypatch.setattr(rates, "_stimulated_integrand", lambda x, *args: -stimulated(x, *args))
+    stimulated = rates._stimulated_rows
+    monkeypatch.setattr(rates, "_stimulated_rows", lambda *args: -stimulated(*args))
     out = tmp_path / "out"
     cfg_path = write_config(tmp_path, rate_query={"qbar": [0.3, 1.0], "temperature": [0.0, 1e-6]})
     assert main(["rates", "--config", cfg_path, "--out", str(out)]) == 3
